@@ -281,8 +281,13 @@ def _q_payload(q: ComponentGroup) -> dict:
     return payload
 
 
+def _kernel_name(q: ComponentGroup) -> str:
+    return "C*" if q.kernel_kind == "complex-torus-star" else "Z/2"
+
+
 def machine_payload(report: AutReport) -> dict:
     params = report.params
+    ambient = report.ambient
     inoue = report.inoue
     rows = inoue.matrix.int_rows()
     payload = {
@@ -301,22 +306,22 @@ def machine_payload(report: AutReport) -> dict:
             "standard_form": report.standard_form,
         },
         "units": {
-            "eta": str(report.eta),
-            "eta_sigma1": report.eta.sigma1().reduced_str(),
-            "j": report.j,
-            "u_gen": str(report.u_gen),
-            "n": report.n,
+            "eta": str(ambient.eta),
+            "eta_sigma1": ambient.eta.sigma1().reduced_str(),
+            "j": ambient.j,
+            "u_gen": str(ambient.u_gen),
+            "n": ambient.n,
         },
         "ambient": {
-            "order": report.ambient.order,
-            "unit_order": report.n,
-            "coset_count": report.ambient.quotient.order,
-            "invariant_factors": list(report.ambient.invariant_factors),
-            "coset_reps": [str(rep) for rep in report.ambient.coset_reps],
+            "order": ambient.order,
+            "unit_order": ambient.n,
+            "coset_count": ambient.quotient.order,
+            "invariant_factors": list(ambient.invariant_factors),
+            "coset_reps": [str(rep) for rep in ambient.coset_reps],
         },
         "q_group": _q_payload(report.q),
-        "bound": report.bound,
-        "kernel": "C*" if report.kernel_kind == "complex-torus-star" else "Z/2",
+        "bound": ambient.order,
+        "kernel": _kernel_name(report.q),
         "inoue": {
             "N": [list(rows[0]), list(rows[1])],
             "p": inoue.p,
@@ -350,6 +355,7 @@ def dump_machine(report: AutReport) -> str:
 
 def render_report(report: AutReport) -> str:
     params = report.params
+    ambient = report.ambient
     inoue = report.inoue
     lines = []
     kind = "S(+)" if params.field.c0 == 1 else "S(-)"
@@ -363,17 +369,14 @@ def render_report(report: AutReport) -> str:
     lines.append(f"  t  = {format_quad_complex(params.t)}")
     lines.append("validation: fractional ideal: yes; standard form: yes")
     lines.append(
-        f"units: eta = {report.eta} (sigma1 = {report.eta.sigma1().reduced_str()}), "
-        f"u_gen = eta^{report.j}, u = u_gen^{report.n}"
+        f"units: eta = {ambient.eta} (sigma1 = {ambient.eta.sigma1().reduced_str()}), "
+        f"u_gen = eta^{ambient.j}, u = u_gen^{ambient.n}"
     )
     lines.append(
-        f"ambient group: order {report.ambient.order} = {report.n} x "
-        f"{report.ambient.quotient.order}, coset factors "
-        f"{report.ambient.invariant_factors}"
+        f"ambient group: order {ambient.order} = {ambient.n} x "
+        f"{ambient.quotient.order}, coset factors {ambient.invariant_factors}"
     )
-    lines.append(
-        "  coset reps: " + ", ".join(str(rep) for rep in report.ambient.coset_reps)
-    )
+    lines.append("  coset reps: " + ", ".join(str(rep) for rep in ambient.coset_reps))
     lines.append(
         f"component group Q: order {report.q.order}, {report.q.structure.describe()}"
     )
@@ -381,9 +384,8 @@ def render_report(report: AutReport) -> str:
         "  elements: "
         + " ".join(f"[{el.unit_exp},{el.coset}]" for el in report.q.elements)
     )
-    lines.append(f"bound: |Q| = {report.q.order} <= {report.bound}")
-    kernel = "C*" if report.kernel_kind == "complex-torus-star" else "Z/2"
-    lines.append(f"kernel of Aut(X) -> Q: {kernel}")
+    lines.append(f"bound: |Q| = {report.q.order} <= {ambient.order}")
+    lines.append(f"kernel of Aut(X) -> Q: {_kernel_name(report.q)}")
     rows = inoue.matrix.int_rows()
     lines.append(
         f"Inoue data: N = [{list(rows[0])}, {list(rows[1])}], "

@@ -9,10 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .exactnum import QuadComplex, in_discrete_subgroup
-from .lattice import LatticeQuotient
+from .lattice import LatticeQuotient, Matrix2Q
 from .quadfield import FieldElement, chi
 from .surfacegroup import (
     AffineElement,
@@ -46,19 +46,19 @@ class CosetPair(NamedTuple):
 class AmbientGroup:
     """The finite group (units fixing I / <u>) x| (I(1-u)^{-1} / I).
 
-    Elements are CosetPairs ordered lexicographically; the semidirect action
-    of the generating unit on cosets is precomputed as permutations.
+    Coset k1*d2 + k2 has Smith coordinates (k1, k2) mod (d1, d2), so this is
+    (Z/n) x| (Z/d1 x Z/d2), with u_gen^i acting by the integer matrix
+    _actions[i] (rows: images of the Smith basis).  Elements are CosetPairs
+    (i, k) in lexicographic order, keyed i*|C| + k for mul_row.
     """
 
-    params: SurfaceParams
     eta: FieldElement
     u_gen: FieldElement
     j: int
     n: int
     quotient: LatticeQuotient
     unit_powers: tuple[FieldElement, ...]
-    _act: tuple[tuple[int, ...], ...]
-    _add: tuple[tuple[int, ...], ...]
+    _actions: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
 
     @property
     def order(self) -> int:
@@ -89,16 +89,36 @@ class AmbientGroup:
     def rep_of(self, el: CosetPair) -> FieldElement:
         return self.quotient.reps[el.coset]
 
+    def key(self, el: CosetPair) -> int:
+        return el.unit_exp * self.quotient.order + el.coset
+
+    def mul_row(self, x: int, ys: Iterable[int]) -> list[int]:
+        """Keys of x*y for each key y, by (i, k)(j, l) = (i + j mod n, k + A^i l)."""
+        n, c = self.n, self.quotient.order
+        d1, d2 = self.quotient.d1, self.quotient.d2
+        i, k = divmod(x, c)
+        k1, k2 = divmod(k, d2)
+        (a11, a12), (a21, a22) = self._actions[i]
+        row = []
+        for y in ys:
+            j, l = divmod(y, c)
+            l1, l2 = divmod(l, d2)
+            row.append(
+                (i + j) % n * c
+                + (k1 + l1 * a11 + l2 * a21) % d1 * d2
+                + (k2 + l1 * a12 + l2 * a22) % d2
+            )
+        return row
+
     def mul(self, e1: CosetPair, e2: CosetPair) -> CosetPair:
-        return CosetPair(
-            (e1.unit_exp + e2.unit_exp) % self.n,
-            self._add[e1.coset][self._act[e1.unit_exp][e2.coset]],
-        )
+        [key] = self.mul_row(self.key(e1), [self.key(e2)])
+        return CosetPair(*divmod(key, self.quotient.order))
 
     def inv(self, el: CosetPair) -> CosetPair:
-        i = (-el.unit_exp) % self.n
-        y = -(self.unit_powers[i] * self.rep_of(el))
-        return CosetPair(i, self.quotient.index_of(y))
+        """(i, k)^{-1} = (-i, 0)(0, -k)."""
+        d1, d2 = self.quotient.d1, self.quotient.d2
+        minus_k = -(el.coset // d2) % d1 * d2 + -el.coset % d2
+        return self.mul(CosetPair(-el.unit_exp % self.n, 0), CosetPair(0, minus_k))
 
 
 def build_ambient(params: SurfaceParams) -> AmbientGroup:
@@ -116,18 +136,24 @@ def build_ambient(params: SurfaceParams) -> AmbientGroup:
     unit_powers = [field.one()]
     for _ in range(1, n):
         unit_powers.append(unit_powers[-1] * u_gen)
-    reps = quotient.reps
-    act = tuple(
-        tuple(quotient.index_of(p * rep) for rep in reps) for p in unit_powers
+    d1, d2 = quotient.invariant_factors
+    (a11, a12), (a21, a22) = (
+        divmod(quotient.index_of(u_gen * b), d2) for b in quotient.smith_basis
     )
-    for row in act:
-        if sorted(row) != list(range(len(reps))):
-            raise InternalConsistencyError("unit action is not a permutation")
-    add = tuple(
-        tuple(quotient.index_of(r1 + r2) for r2 in reps) for r1 in reps
-    )
+    actions = [((1 % d1, 0), (0, 1 % d2))]
+    for _ in range(n):
+        actions.append(
+            tuple(
+                ((x * a11 + y * a21) % d1, (x * a12 + y * a22) % d2)
+                for x, y in actions[-1]
+            )
+        )
+    # u_gen^n = u, and (u-1) I(1-u)^{-1} = I, so A^n is the identity; that
+    # makes every A^i a bijection of the cosets.
+    if actions.pop() != actions[0]:
+        raise InternalConsistencyError("u_gen^n does not fix every coset")
     return AmbientGroup(
-        params, eta, u_gen, j, n, quotient, tuple(unit_powers), act, add
+        eta, u_gen, j, n, quotient, tuple(unit_powers), tuple(actions)
     )
 
 
@@ -143,9 +169,7 @@ def membership_conditions(
     condition 1 constrains membership.
     """
     field = params.field
-    _validate_candidate(params, v, y)
-    m = params.ideal.mult_matrix(v)
-    (m11, m12), (m21, m22) = m.int_rows()
+    (m11, m12), (m21, m22) = _validate_candidate(params, v, y).int_rows()
     one = field.one()
     u = field.u()
     correction = Fraction(m21 * m22, 2) * (v * params.x1) - Fraction(
@@ -169,7 +193,8 @@ def membership_conditions(
 
 def _validate_candidate(
     params: SurfaceParams, v: FieldElement, y: FieldElement
-) -> None:
+) -> Matrix2Q:
+    """Rejects a malformed candidate [v, y]; returns v's matrix on I."""
     if not v.is_unit() or v.sigma1().sign() <= 0:
         raise ValueError(f"v must be a unit with sigma1 > 0, got {v}")
     m = params.ideal.mult_matrix(v)
@@ -177,6 +202,7 @@ def _validate_candidate(
         raise ValueError(f"{v} does not map the ideal onto itself")
     if not params.coset_cover.contains(y):
         raise ValueError(f"{y} lies outside I(1-u)^(-1)")
+    return m
 
 
 def _central_expression(params: SurfaceParams, y: FieldElement):
@@ -284,7 +310,7 @@ def _int_log(n: int, p: int) -> int:
     return count
 
 
-def _element_orders(table: list[list[int]]) -> list[int]:
+def _element_orders(table: Sequence[Sequence[int]]) -> list[int]:
     orders = []
     for k in range(len(table)):
         acc = k
@@ -339,7 +365,7 @@ def _abelian_invariant_factors(orders: list[int]) -> tuple[int, ...]:
     return tuple(reversed(descending))
 
 
-def _cyclic_span(table: list[list[int]], k: int) -> set[int]:
+def _cyclic_span(table: Sequence[Sequence[int]], k: int) -> set[int]:
     span = {0}
     acc = k
     while acc != 0:
@@ -349,7 +375,7 @@ def _cyclic_span(table: list[list[int]], k: int) -> set[int]:
 
 
 def _abelian_basis(
-    member_indices: list[int], table: list[list[int]], orders: list[int]
+    member_indices: list[int], table: Sequence[Sequence[int]], orders: list[int]
 ) -> list[tuple[int, int]]:
     """Generators [(index, order)] realizing the invariant-factor splitting
     of an abelian subgroup of rank <= 2, ascending factor order."""
@@ -374,7 +400,7 @@ def _abelian_basis(
 
 
 def _span_coordinates(
-    gens: list[tuple[int, int]], table: list[list[int]]
+    gens: list[tuple[int, int]], table: Sequence[Sequence[int]]
 ) -> dict[int, tuple[int, ...]]:
     """Exponent coordinates of every element of the span of the generators."""
     coords: dict[int, tuple[int, ...]] = {}
@@ -398,7 +424,7 @@ def _span_coordinates(
 
 
 def _classify(
-    elements: list[CosetPair], table: list[list[int]], unit_order: int
+    elements: list[CosetPair], table: Sequence[Sequence[int]], unit_order: int
 ) -> GroupStructure:
     order = len(elements)
     orders = _element_orders(table)
@@ -483,17 +509,16 @@ def component_group(
     ]
     if not members or members[0] != ambient.identity:
         raise InternalConsistencyError("identity failed the membership conditions")
-    index = {el: k for k, el in enumerate(members)}
-    table: list[list[int]] = []
-    for e1 in members:
-        row = []
-        for e2 in members:
-            prod = index.get(ambient.mul(e1, e2))
-            if prod is None:
-                raise InternalConsistencyError(
-                    f"membership set is not closed: {e1} * {e2} fell outside"
-                )
-            row.append(prod)
+    keys = [ambient.key(el) for el in members]
+    index = {key: k for k, key in enumerate(keys)}
+    table: list[tuple[int, ...]] = []
+    for e1, x in zip(members, keys):
+        row = tuple(map(index.get, ambient.mul_row(x, keys)))
+        if None in row:
+            e2 = members[row.index(None)]
+            raise InternalConsistencyError(
+                f"membership set is not closed: {e1} * {e2} fell outside"
+            )
         table.append(row)
     for k, row in enumerate(table):
         if 0 not in row:
@@ -506,7 +531,7 @@ def component_group(
     )
     return ComponentGroup(
         tuple(members),
-        tuple(tuple(row) for row in table),
+        tuple(table),
         structure,
         kernel_kind,
         ambient,
@@ -555,14 +580,8 @@ class AutReport:
 
     params: SurfaceParams
     standard_form: bool
-    eta: FieldElement
-    u_gen: FieldElement
-    j: int
-    n: int
     ambient: AmbientGroup
     q: ComponentGroup
-    bound: int
-    kernel_kind: str
     inoue: InoueData
     oracle_checked: bool
     oracle_elements: int
@@ -596,18 +615,12 @@ def automorphism_report(
         doubled = SurfaceParams(
             params.field, 2 * params.r, params.x1, params.x2, params.e, params.t
         )
-        double_r = component_group(doubled)
+        double_r = component_group(doubled, ambient)  # H does not depend on r
     return AutReport(
         params=params,
         standard_form=True,
-        eta=ambient.eta,
-        u_gen=ambient.u_gen,
-        j=ambient.j,
-        n=ambient.n,
         ambient=ambient,
         q=q,
-        bound=ambient.order,
-        kernel_kind=q.kernel_kind,
         inoue=inoue,
         oracle_checked=run_oracle,
         oracle_elements=oracle_elements,

@@ -81,9 +81,6 @@ class Matrix2Q:
             v.denominator == 1 for v in (self.m11, self.m12, self.m21, self.m22)
         )
 
-    def rows(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-        return (self.m11, self.m12), (self.m21, self.m22)
-
     def int_rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
         if not self.is_integral():
             raise ValueError(f"matrix is not integral: {self}")
@@ -209,10 +206,6 @@ class Lattice:
         self._hnf = (h11 // g, h12 // g, h22 // g)
 
     @classmethod
-    def span(cls, x1: FieldElement, x2: FieldElement) -> "Lattice":
-        return cls(x1, x2)
-
-    @classmethod
     def order_lattice(cls, field: FieldDescriptor) -> "Lattice":
         """Z[u] with its standard basis (1, u)."""
         return cls(field.one(), field.u())
@@ -300,13 +293,6 @@ class Lattice:
     def quotient(self, sub: "Lattice") -> "LatticeQuotient":
         return LatticeQuotient(self, sub)
 
-    def quotient_reps(
-        self, sub: "Lattice"
-    ) -> tuple[list[FieldElement], tuple[int, int]]:
-        """Coset representatives of self/sub plus the invariant factors."""
-        q = self.quotient(sub)
-        return list(q.reps), q.invariant_factors
-
 
 class LatticeQuotient:
     """The finite group big/small, with deterministic Smith-basis cosets.
@@ -363,6 +349,3 @@ class LatticeQuotient:
         k1 = (w1 * self._v[0][0] + w2 * self._v[1][0]) % self.d1
         k2 = (w1 * self._v[0][1] + w2 * self._v[1][1]) % self.d2
         return k1 * self.d2 + k2
-
-    def rep_of(self, x: FieldElement) -> FieldElement:
-        return self.reps[self.index_of(x)]

@@ -59,6 +59,63 @@ def test_ambient_group_axioms():
                 assert left == right
 
 
+def field_arithmetic_law(ambient):
+    """The table law the integer law replaced, as the differential reference:
+    u_gen^i acts on a representative and representatives add in the field,
+    each result resolved to its coset by index_of."""
+    quotient = ambient.quotient
+    reps = quotient.reps
+    act = [[quotient.index_of(p * rep) for rep in reps] for p in ambient.unit_powers]
+    add = [[quotient.index_of(r1 + r2) for r2 in reps] for r1 in reps]
+
+    def mul(e1, e2):
+        return CosetPair(
+            (e1.unit_exp + e2.unit_exp) % ambient.n,
+            add[e1.coset][act[e1.unit_exp][e2.coset]],
+        )
+
+    def inv(el):
+        i = (-el.unit_exp) % ambient.n
+        y = -(ambient.unit_powers[i] * ambient.rep_of(el))
+        return CosetPair(i, quotient.index_of(y))
+
+    return mul, inv
+
+
+def assert_law_matches(ambient):
+    ref_mul, ref_inv = field_arithmetic_law(ambient)
+    elements = ambient.elements()
+    for e1 in elements:
+        assert ambient.inv(e1) == ref_inv(e1)
+        for e2 in elements:
+            assert ambient.mul(e1, e2) == ref_mul(e1, e2)
+    return ref_mul
+
+
+def test_integer_law_matches_field_arithmetic():
+    rng = random.Random(113)
+    for k in range(80):
+        if k % 2:
+            params = random_standard_params(rng, 1, (3, 12), (1, 12))
+        else:
+            params = random_standard_params(rng, -1, (1, 12), (1, 12))
+        ambient = build_ambient(params)
+        ref_mul = assert_law_matches(ambient)
+        q = component_group(params, ambient)
+        index = {el: k for k, el in enumerate(q.elements)}
+        for e1, row in zip(q.elements, q.table):
+            assert row == tuple(index[ref_mul(e1, e2)] for e2 in q.elements)
+    # Random ideals mostly give n = 1; I = Z<1, eta> over these fields gives
+    # n = 6, 8, 3, 5, 7 with coset groups (4, 4), (3, 15), (2, 2), (1, 11),
+    # (1, 29), so the unit action is exercised in full.
+    for theta, c0 in ((18, 1), (47, 1), (4, -1), (11, -1), (29, -1)):
+        field = FieldDescriptor(theta, c0)
+        params = SurfaceParams.create(field, 1, field.one(), fundamental_unit(field))
+        ambient = build_ambient(params)
+        assert ambient.n > 2
+        assert_law_matches(ambient)
+
+
 def test_membership_conditions_desk_cases():
     params = example_theta6()
     field = params.field
@@ -243,9 +300,14 @@ def test_minus_family_alternating_group():
 def test_double_r_report():
     params = example_theta7()  # r = 10 -> doubled 20
     report = automorphism_report(params, run_oracle=False, with_double_r=True)
-    assert report.double_r is not None
-    assert report.double_r.ambient.params.r == 20
-    assert report.double_r.order >= 1
+    doubled = SurfaceParams(
+        params.field, 20, params.x1, params.x2, params.e, params.t
+    )
+    direct = component_group(doubled)
+    assert report.double_r.ambient is report.ambient  # H does not depend on r
+    assert report.double_r.elements == direct.elements
+    assert report.double_r.table == direct.table
+    assert report.double_r.structure == direct.structure
 
 
 def test_report_rejects_non_standard_form():
