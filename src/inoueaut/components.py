@@ -1,14 +1,17 @@
 """The finite ambient group of normalizer candidates, the exact membership
 conditions cutting the component group out of it, the component group with
-its multiplication table and classification, and an independent normalizer
-oracle used to cross-check every answer.
+its classification (read off the ambient group's integer law) and its lazily
+built multiplication table, and an independent normalizer oracle used to
+cross-check every answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from itertools import combinations
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .exactnum import QuadComplex, in_discrete_subgroup
@@ -171,7 +174,6 @@ def membership_conditions(
     field = params.field
     (m11, m12), (m21, m22) = _validate_candidate(params, v, y).int_rows()
     one = field.one()
-    u = field.u()
     correction = Fraction(m21 * m22, 2) * (v * params.x1) - Fraction(
         m11 * m12, 2
     ) * (v * params.x2)
@@ -252,14 +254,16 @@ def normalizer_oracle(
 
 @dataclass(frozen=True)
 class GroupStructure:
-    """Isomorphism data for the component group.
+    """Isomorphism data for the component group Q, read off its place in
+    H = (Z/n) x| (Z/d1 x Z/d2).
 
     Abelian groups carry their invariant factors (ascending divisibility,
-    1s dropped).  Nonabelian groups carry the cyclic-by-abelian presentation:
-    the cyclic quotient order, the kernel's invariant factors with the
-    conjugation action of the chosen quotient generator as an exponent
-    matrix, and, when the extension fails to split, the twist q0^n' written
-    in the kernel basis.
+    1s dropped).  Nonabelian groups carry the cyclic-by-abelian presentation
+    over the kernel K = Q n (Z/d1 x Z/d2): the order n' of the cyclic
+    quotient Q/K, K's invariant factors, the conjugation action of the
+    quotient generator q0 = (step, k) on K's basis as an exponent matrix
+    (it is A^step), and, when no such q0 has order n', the twist q0^n'
+    written in K's basis.
     """
 
     order: int
@@ -287,193 +291,125 @@ class GroupStructure:
         return f"{head}, {act}, non-split with twist {list(self.twist)}"
 
 
-def _factorint(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+def _coset_order(k: int, d1: int, d2: int) -> int:
+    k1, k2 = divmod(k, d2)
+    return lcm(d1 // gcd(k1, d1), d2 // gcd(k2, d2))
 
 
-def _int_log(n: int, p: int) -> int:
-    count = 0
-    while n > 1:
-        if n % p:
-            raise InternalConsistencyError(f"{n} is not a power of {p}")
-        n //= p
-        count += 1
-    return count
-
-
-def _element_orders(table: Sequence[Sequence[int]]) -> list[int]:
-    orders = []
-    for k in range(len(table)):
-        acc = k
-        count = 1
-        while acc != 0:
-            acc = table[acc][k]
-            count += 1
-        orders.append(count)
-    return orders
-
-
-def _abelian_invariant_factors(orders: list[int]) -> tuple[int, ...]:
-    """Invariant factors of an abelian group from its element orders.
-
-    For each prime, the counts of elements killed by p^k determine the
-    p-partition (the counts' log-p increments are its conjugate).
-    """
-    total = len(orders)
-    if total == 1:
-        return ()
-    partitions: dict[int, list[int]] = {}
-    for p in _factorint(total):
-        nu: list[int] = []
-        prev = 0
-        k = 1
-        while True:
-            pk = p**k
-            count = sum(1 for o in orders if pk % o == 0)
-            level = _int_log(count, p)
-            if level == prev:
-                break
-            nu.append(level - prev)
-            prev = level
-            k += 1
-        lam = []
-        i = 1
-        while True:
-            rows = sum(1 for depth in nu if depth >= i)
-            if rows == 0:
-                break
-            lam.append(rows)
-            i += 1
-        partitions[p] = lam  # descending exponents
-    rank = max(len(lam) for lam in partitions.values())
-    descending = []
-    for idx in range(rank):
-        val = 1
-        for p, lam in partitions.items():
-            if idx < len(lam):
-                val *= p ** lam[idx]
-        descending.append(val)
-    return tuple(reversed(descending))
-
-
-def _cyclic_span(table: Sequence[Sequence[int]], k: int) -> set[int]:
-    span = {0}
-    acc = k
-    while acc != 0:
-        span.add(acc)
-        acc = table[acc][k]
-    return span
-
-
-def _abelian_basis(
-    member_indices: list[int], table: Sequence[Sequence[int]], orders: list[int]
-) -> list[tuple[int, int]]:
-    """Generators [(index, order)] realizing the invariant-factor splitting
-    of an abelian subgroup of rank <= 2, ascending factor order."""
-    sub_orders = [orders[k] for k in member_indices]
-    factors = _abelian_invariant_factors(sub_orders)
-    if not factors:
-        return []
-    if len(factors) > 2:
-        raise InternalConsistencyError(
-            "kernel of the unit projection has rank > 2"
-        )
-    top = factors[-1]
-    a = next(k for k in member_indices if orders[k] == top)
-    if len(factors) == 1:
-        return [(a, top)]
-    low = factors[0]
-    a_span = _cyclic_span(table, a)
-    for k in member_indices:
-        if orders[k] == low and _cyclic_span(table, k) & a_span == {0}:
-            return [(k, low), (a, top)]
-    raise InternalConsistencyError("no complement found for the abelian basis")
-
-
-def _span_coordinates(
-    gens: list[tuple[int, int]], table: Sequence[Sequence[int]]
-) -> dict[int, tuple[int, ...]]:
-    """Exponent coordinates of every element of the span of the generators."""
-    coords: dict[int, tuple[int, ...]] = {}
-
-    def powers(k: int, order: int) -> list[int]:
-        out = [0]
-        for _ in range(order - 1):
-            out.append(table[out[-1]][k])
-        return out
-
-    if len(gens) == 1:
-        for e1, el in enumerate(powers(*gens[0])):
-            coords[el] = (e1,)
-        return coords
-    p1 = powers(*gens[0])
-    p2 = powers(*gens[1])
-    for e1, el1 in enumerate(p1):
-        for e2, el2 in enumerate(p2):
-            coords[table[el1][el2]] = (e1, e2)
-    return coords
-
-
-def _classify(
-    elements: list[CosetPair], table: Sequence[Sequence[int]], unit_order: int
-) -> GroupStructure:
-    order = len(elements)
-    orders = _element_orders(table)
-    abelian = all(
-        table[i][k] == table[k][i]
-        for i in range(order)
-        for k in range(i + 1, order)
+def _det(m: list[list[int]]) -> int:
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
     )
-    if abelian:
-        return GroupStructure(
-            order, True, invariant_factors=_abelian_invariant_factors(orders)
+
+
+def _minor_gcd(rows: list[list[int]], size: int) -> int:
+    """The gcd of the size x size minors, i.e. the determinantal divisor."""
+    return gcd(
+        *(
+            _det([[rows[i][j] for j in cols] for i in picked])
+            for picked in combinations(range(len(rows)), size)
+            for cols in combinations(range(len(rows[0])), size)
         )
-    # Project onto the cyclic unit part; the kernel sits inside the abelian
-    # coset group, so it has rank <= 2 and the presentation always exists.
-    step = gcd(unit_order, *[el.unit_exp for el in elements if el.unit_exp])
-    quotient_order = unit_order // step
-    kernel_indices = [k for k, el in enumerate(elements) if el.unit_exp == 0]
-    gens = _abelian_basis(kernel_indices, table, orders)
-    kernel_factors = tuple(order_ for _, order_ in gens)
-    span = _span_coordinates(gens, table)
-    candidates = [k for k, el in enumerate(elements) if el.unit_exp == step]
-    q0 = None
-    split = False
-    for k in candidates:
-        if orders[k] == quotient_order:
-            q0 = k
-            split = True
-            break
-    if q0 is None:
-        q0 = candidates[0]
-    q0_inv = table[q0].index(0)
-    action = []
-    for gen_idx, _ in gens:
-        conj = table[table[q0][gen_idx]][q0_inv]
-        action.append(span[conj])
-    twist = None
-    if not split:
-        acc = 0
-        for _ in range(quotient_order):
-            acc = table[acc][q0]
-        twist = span[acc]
+    )
+
+
+def _classify(ambient: AmbientGroup, members: Sequence[CosetPair]) -> GroupStructure:
+    """Reads the structure of Q off H's integer law; raises
+    InternalConsistencyError unless the members form a subgroup of H.
+
+    K = Q n (Z/d1 x Z/d2) has rank <= 2, and Q/K is cyclic of order
+    n' = n/step, step = gcd(n, unit exponents), generated by any member
+    q0 = (step, k).  Conjugation by q0 acts on K as A^step, and
+    q0^n' = (0, N k) with the norm matrix N = sum_{j<n'} A^(j step).
+    """
+    n, c = ambient.n, ambient.quotient.order
+    d1, d2 = ambient.quotient.d1, ambient.quotient.d2
+    actions = ambient._actions
+
+    def image(m, k: int) -> int:
+        (m11, m12), (m21, m22) = m
+        k1, k2 = divmod(k, d2)
+        return (k1 * m11 + k2 * m21) % d1 * d2 + (k1 * m12 + k2 * m22) % d2
+
+    def meets_top_trivially(k: int) -> bool:  # |<k, top>| = |K|, by minors
+        rows = [[d1, 0], [0, d2], list(divmod(k, d2)), list(divmod(top, d2))]
+        return _minor_gcd(rows, 2) * len(kernel) == d1 * d2
+
+    # K's basis: the first element of the top order exp, then the first of
+    # order |K|/exp whose span meets <top> only in 0.
+    kernel = [el.coset for el in members if el.unit_exp == 0]
+    orders = [_coset_order(k, d1, d2) for k in kernel]
+    exp = lcm(*orders)
+    top = next((k for k, o in zip(kernel, orders) if o == exp), None)
+    low = None
+    if top is not None and len(kernel) % exp == 0:
+        low = next(
+            (
+                k
+                for k, o in zip(kernel, orders)
+                if o * exp == len(kernel) and meets_top_trivially(k)
+            ),
+            None,
+        )
+    if low is None:
+        raise InternalConsistencyError("the unit kernel is not a group")
+    gens = [(g, o) for g, o in ((low, len(kernel) // exp), (top, exp)) if o > 1]
+    span: dict[int, tuple[int, ...]] = {0: ()}
+    for gen, order in gens:
+        layer, span, x = span, {}, 0
+        for e in range(order):
+            for y, coords in zip(ambient.mul_row(x, layer), layer.values()):
+                span[y] = coords + (e,)
+            [x] = ambient.mul_row(x, [gen])
+    if span.keys() != set(kernel):
+        raise InternalConsistencyError("the unit kernel is not a group")
+
+    step = gcd(n, *(el.unit_exp for el in members))
+    quotient_order = n // step
+    s = step % n
+    candidates = [el.coset for el in members if el.unit_exp == s]
+    if not candidates:
+        raise InternalConsistencyError(f"no member has unit exponent {s}")
+    powers = [actions[j * s % n] for j in range(quotient_order)]
+    norm = [[sum(a[i][col] for a in powers) for col in (0, 1)] for i in (0, 1)]
+    split = next((k for k in candidates if image(norm, k) == 0), None)
+    q0 = candidates[0] if split is None else split
+    conjugates = [image(actions[s], gen) for gen, _ in gens]
+    power = image(norm, q0)
+    if any(x not in span for x in (*conjugates, power)):
+        raise InternalConsistencyError("the quotient generator does not normalize K")
+    # K is a group normalized by q0 and holds q0^n', so the cosets q0^a K,
+    # a < n', form a group; Q is a group iff it is that one.
+    generated, x = set(), 0
+    for _ in range(quotient_order):
+        generated.update(ambient.mul_row(x, span))
+        [x] = ambient.mul_row(x, [s * c + q0])
+    if generated != {ambient.key(el) for el in members}:
+        raise InternalConsistencyError("membership set is not closed")
+
+    twist = span[power]
+    if conjugates == [gen for gen, _ in gens]:
+        # Q = <gens, q0 | orders, n' q0 = twist>; the Smith form of these
+        # relations gives the invariant factors as determinantal quotients.
+        size = len(gens) + 1
+        relations = [
+            [o if j == i else 0 for j in range(size)] for i, (_, o) in enumerate(gens)
+        ]
+        relations.append([-t for t in twist] + [quotient_order])
+        divisors = [_minor_gcd(relations, k) for k in range(size + 1)]
+        factors = tuple(b // a for a, b in zip(divisors, divisors[1:]) if b != a)
+        return GroupStructure(len(members), True, invariant_factors=factors)
     return GroupStructure(
-        order,
+        len(members),
         False,
         quotient_order=quotient_order,
-        kernel_factors=kernel_factors,
-        action=tuple(action),
-        split=split,
-        twist=twist,
+        kernel_factors=tuple(o for _, o in gens),
+        action=tuple(span[x] for x in conjugates),
+        split=split is not None,
+        twist=None if split is not None else twist,
     )
 
 
@@ -482,10 +418,10 @@ def _classify(
 
 @dataclass
 class ComponentGroup:
-    """The group of connected components of the automorphism group."""
+    """The group of connected components of the automorphism group: its
+    elements in H (in H's order, identity first) and its classification."""
 
     elements: tuple[CosetPair, ...]
-    table: tuple[tuple[int, ...], ...]
     structure: GroupStructure
     kernel_kind: str  # "complex-torus-star" for S(+), "order-two" for S(-)
     ambient: AmbientGroup
@@ -494,12 +430,23 @@ class ComponentGroup:
     def order(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The Cayley table on element indices, built from H's law on first
+        access; only the --machine output reads it."""
+        keys = [self.ambient.key(el) for el in self.elements]
+        index = {key: k for k, key in enumerate(keys)}
+        return tuple(
+            tuple(map(index.__getitem__, self.ambient.mul_row(x, keys)))
+            for x in keys
+        )
+
 
 def component_group(
     params: SurfaceParams, ambient: AmbientGroup | None = None
 ) -> ComponentGroup:
     """Filters the ambient group through the membership conditions and
-    assembles the component group with its table and classification."""
+    classifies the component group they cut out."""
     if ambient is None:
         ambient = build_ambient(params)
     members = [
@@ -509,39 +456,18 @@ def component_group(
     ]
     if not members or members[0] != ambient.identity:
         raise InternalConsistencyError("identity failed the membership conditions")
-    keys = [ambient.key(el) for el in members]
-    index = {key: k for k, key in enumerate(keys)}
-    table: list[tuple[int, ...]] = []
-    for e1, x in zip(members, keys):
-        row = tuple(map(index.get, ambient.mul_row(x, keys)))
-        if None in row:
-            e2 = members[row.index(None)]
-            raise InternalConsistencyError(
-                f"membership set is not closed: {e1} * {e2} fell outside"
-            )
-        table.append(row)
-    for k, row in enumerate(table):
-        if 0 not in row:
-            raise InternalConsistencyError(f"element {members[k]} has no inverse")
+    structure = _classify(ambient, members)
     if ambient.order % len(members) != 0:
         raise InternalConsistencyError("component order does not divide the bound")
-    structure = _classify(members, table, ambient.n)
     kernel_kind = (
         "complex-torus-star" if params.field.c0 == 1 else "order-two"
     )
-    return ComponentGroup(
-        tuple(members),
-        tuple(table),
-        structure,
-        kernel_kind,
-        ambient,
-    )
+    return ComponentGroup(tuple(members), structure, kernel_kind, ambient)
 
 
-def order_bound(params: SurfaceParams, ambient: AmbientGroup | None = None) -> int:
-    """The exact cardinality bound n * |Norm(1 - u)| (= the ambient order)."""
-    if ambient is not None:
-        return ambient.order
+def order_bound(params: SurfaceParams) -> int:
+    """The exact cardinality bound n * |Norm(1 - u)| (= the ambient order),
+    computed without building the ambient group."""
     u_gen, _ = invariant_unit_generator(params.ideal)
     n = utheta_exponent(params.field, u_gen)
     norm = (params.field.one() - params.field.u()).norm()

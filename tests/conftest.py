@@ -1,6 +1,6 @@
 """Shared builders: the four worked example parameter sets, random field
 elements, random fractional ideals, and random standard-form parameter sets
-for both surface families."""
+for both surface families, over random ideals or over I = Z<1, eta>."""
 
 from __future__ import annotations
 
@@ -80,6 +80,22 @@ def random_nonzero_element(
             return x
 
 
+def unimodular_moves(
+    rng: random.Random, b1: FieldElement, b2: FieldElement
+) -> tuple[FieldElement, FieldElement]:
+    """Up to three random elementary moves of a lattice basis."""
+    for _ in range(rng.randint(0, 3)):
+        move = rng.randrange(3)
+        m = rng.randint(-2, 2)
+        if move == 0:
+            b1 = b1 + m * b2
+        elif move == 1:
+            b2 = b2 + m * b1
+        else:
+            b1, b2 = b2, b1
+    return b1, b2
+
+
 def random_invariant_lattice(rng: random.Random, field: FieldDescriptor) -> Lattice:
     """A fractional ideal of Z[u] with a randomized basis.
 
@@ -94,17 +110,7 @@ def random_invariant_lattice(rng: random.Random, field: FieldDescriptor) -> Latt
         if admissible:
             break
     c = rng.choice(admissible)
-    b1 = field.element(a)
-    b2 = field.element(c, 1)
-    for _ in range(rng.randint(0, 3)):
-        move = rng.randrange(3)
-        m = rng.randint(-2, 2)
-        if move == 0:
-            b1 = b1 + m * b2
-        elif move == 1:
-            b2 = b2 + m * b1
-        else:
-            b1, b2 = b2, b1
+    b1, b2 = unimodular_moves(rng, field.element(a), field.element(c, 1))
     scale = random_nonzero_element(rng, field, span=2)
     b1 = scale * b1
     b2 = scale * b2
@@ -160,8 +166,41 @@ def random_standard_params(
     theta = rng.randint(*theta_range)
     field = FieldDescriptor(theta, c0)
     r = rng.randint(*r_range)
-    lat = random_invariant_lattice(rng, field)
-    x1, x2 = lat.basis
+    x1, x2 = random_invariant_lattice(rng, field).basis
+    return _standard_params(rng, field, r, x1, x2)
+
+
+def random_eta_params(
+    rng: random.Random,
+    c0: int,
+    theta_range: tuple[int, int],
+    r_range: tuple[int, int] = (1, 12),
+) -> SurfaceParams:
+    """A validated standard-form parameter set over I = Z<1, eta> with the
+    basis moved at random, at a theta where u is a proper power of eta.
+
+    Random ideals almost always give n = 1; here u_gen = eta and n > 1, so
+    the unit part of H acts on the cosets.
+    """
+    while True:
+        field = FieldDescriptor(rng.randint(*theta_range), c0)
+        eta = fundamental_unit(field)
+        if eta != field.u():
+            break
+    r = rng.randint(*r_range)
+    x1, x2 = unimodular_moves(rng, field.one(), eta)
+    return _standard_params(rng, field, r, x1, x2)
+
+
+def _standard_params(
+    rng: random.Random,
+    field: FieldDescriptor,
+    r: int,
+    x1: FieldElement,
+    x2: FieldElement,
+) -> SurfaceParams:
+    """Completes the basis with a random standard-form e (and t for S(+))."""
+    c0 = field.c0
     p_int = rng.randint(-2 * r, 2 * r)
     q_int = rng.randint(-2 * r, 2 * r)
     if c0 == 1:

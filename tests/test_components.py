@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from classify_reference import _abelian_invariant_factors, _classify
 from conftest import (
     example_theta4_shifted,
     example_theta4_zero,
@@ -27,7 +28,6 @@ from inoueaut import (
     oracle_crosscheck,
     order_bound,
 )
-from inoueaut.components import _abelian_invariant_factors, _classify
 
 
 def test_build_ambient_desk_cases():
