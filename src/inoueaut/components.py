@@ -12,10 +12,10 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .exactnum import QuadComplex, in_discrete_subgroup
-from .lattice import LatticeQuotient, Matrix2Q
+from .exactnum import QuadComplex
+from .lattice import InternalConsistencyError, LatticeQuotient, Matrix2Q
 from .quadfield import FieldElement, chi
 from .surfacegroup import (
     AffineElement,
@@ -32,10 +32,6 @@ from .units import (
     invariant_unit_generator,
     utheta_exponent,
 )
-
-
-class InternalConsistencyError(RuntimeError):
-    """A structural property failed that only an implementation bug can break."""
 
 
 class CosetPair(NamedTuple):
@@ -160,50 +156,109 @@ def build_ambient(params: SurfaceParams) -> AmbientGroup:
     )
 
 
-def membership_conditions(
-    params: SurfaceParams, v: FieldElement, y: FieldElement
-) -> bool:
-    """Exact evaluation of the two membership conditions for the class [v, y].
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    den = lcm(*(x.denominator for x in values))
+    return den, [int(x * den) for x in values]
 
-    Condition 1: (v-1)e + y - (m21 m22 v x1 - m11 m12 v x2)/2 in I/r.
+
+def membership_form(
+    params: SurfaceParams,
+    v: FieldElement,
+    basis: tuple[FieldElement, FieldElement],
+) -> Callable[[int, int], bool]:
+    """The membership test for [v, k1 b1 + k2 b2], (b1, b2) a basis of
+    I(1-u)^{-1}, as integer forms in (k1, k2), each tested with one %.
+
+    Condition 1: z = (v-1)e + y - (m21 m22 v x1 - m11 m12 v x2)/2 in I/r, m
+    being v's matrix on (x1, x2); r times the coordinates of z in I are
+    affine in k and must be integers.
     Condition 2: (Norm(v)-1)t + chi((u-1)y, e - y/2) + a*b*chi0/2 in chi0 Z/r,
-    with (a, b) the coordinates of (1-u)y in (x1, x2).  For the minus family
+    with (a, b) the coordinates of (1-u)y in (x1, x2).  Every term but -2t
+    (present for Norm(v) = -1) is a multiple of sqrt(delta), so the test is
+    r * value / chi0 in Z on a quadratic in k.  For the minus family
     condition 2 is always solvable in the free central parameter, so only
     condition 1 constrains membership.
     """
-    field = params.field
-    (m11, m12), (m21, m22) = _validate_candidate(params, v, y).int_rows()
+    field, ideal, r = params.field, params.ideal, params.r
+    (m11, m12), (m21, m22) = _unit_matrix(params, v).int_rows()
     one = field.one()
     correction = Fraction(m21 * m22, 2) * (v * params.x1) - Fraction(
         m11 * m12, 2
     ) * (v * params.x2)
-    z = (v - one) * params.e + y - correction
-    if not params.ideal_over_r.contains(z):
-        return False
-    if field.c0 == -1:
-        return True
-    expr = _central_expression(params, y)
-    scale = Fraction(1, params.r)
-    if v.norm() == 1:
-        return in_discrete_subgroup(expr, params.chi0, scale)
-    # Norm(v) = -1: the -2t contribution must itself be a rational multiple
-    # of sqrt(delta) for membership in the discrete real group to make sense.
-    if params.t.im:
-        return False
-    return in_discrete_subgroup(expr - 2 * params.t.re, params.chi0, scale)
+    shift = ideal.coordinates((v - one) * params.e - correction)
+    steps = [ideal.coordinates(b) for b in basis]
+    den1, (a0, a1, a2, b0, b1, b2) = _over_common_denominator(
+        [r * x for col in (0, 1) for x in (shift[col], steps[0][col], steps[1][col])]
+    )
+    t = params.t
+    if field.c0 == -1 or v.norm() == 1:
+        const = Fraction(0)
+    elif t.im or t.re.rat:
+        # Norm(v) = -1: -2t must itself be a rational multiple of sqrt(delta)
+        return lambda k1, k2: False
+    else:
+        const = -2 * t.re.irr
+    den2, (c, p1, p2, q11, q12, q22) = 1, (0,) * 6
+    if field.c0 == 1:
+        g = [(field.u() - one) * b for b in basis]  # (u-1) b_i
+        coords = [ideal.integer_coordinates(-x) for x in g]
+        for b, pair in zip(basis, coords):
+            if pair is None:
+                raise ValueError(f"(1-u)*{b} is not in the ideal")
+        # (a, b) = k1 (a_k, b_k) + k2 (a_l, b_l), from the coordinates of
+        # (1-u) b1 and (1-u) b2
+        (a_k, b_k), (a_l, b_l) = coords
+        chi0 = params.chi0.irr
+
+        def surd(x: FieldElement, w: FieldElement) -> Fraction:
+            return chi(x, w).irr
+
+        half = Fraction(1, 2)
+        coefficients = (
+            const,
+            surd(g[0], params.e),
+            surd(g[1], params.e),
+            half * (a_k * b_k * chi0 - surd(g[0], basis[0])),
+            half
+            * ((a_k * b_l + a_l * b_k) * chi0 - surd(g[0], basis[1]) - surd(g[1], basis[0])),
+            half * (a_l * b_l * chi0 - surd(g[1], basis[1])),
+        )
+        den2, (c, p1, p2, q11, q12, q22) = _over_common_denominator(
+            [x * r / chi0 for x in coefficients]
+        )
+
+    def accepts(k1: int, k2: int) -> bool:
+        return (
+            (a0 + a1 * k1 + a2 * k2) % den1 == 0
+            and (b0 + b1 * k1 + b2 * k2) % den1 == 0
+            and (c + k1 * (p1 + q11 * k1 + q12 * k2) + k2 * (p2 + q22 * k2)) % den2
+            == 0
+        )
+
+    return accepts
 
 
-def _validate_candidate(
+def membership_conditions(
     params: SurfaceParams, v: FieldElement, y: FieldElement
-) -> Matrix2Q:
-    """Rejects a malformed candidate [v, y]; returns v's matrix on I."""
+) -> bool:
+    """Exact evaluation of the two membership conditions for the class [v, y]:
+    membership_form over the basis of I(1-u)^{-1}, at y's coordinates."""
+    cover = params.coset_cover
+    accepts = membership_form(params, v, cover.basis)
+    coords = cover.integer_coordinates(y)
+    if coords is None:
+        raise ValueError(f"{y} lies outside I(1-u)^(-1)")
+    return accepts(*coords)
+
+
+def _unit_matrix(params: SurfaceParams, v: FieldElement) -> Matrix2Q:
+    """Rejects v unless it is a unit with sigma1 > 0 mapping I onto itself;
+    returns v's matrix on I."""
     if not v.is_unit() or v.sigma1().sign() <= 0:
         raise ValueError(f"v must be a unit with sigma1 > 0, got {v}")
     m = params.ideal.mult_matrix(v)
     if not m.is_integral() or abs(m.det()) != 1:
         raise ValueError(f"{v} does not map the ideal onto itself")
-    if not params.coset_cover.contains(y):
-        raise ValueError(f"{y} lies outside I(1-u)^(-1)")
     return m
 
 
@@ -234,7 +289,9 @@ def normalizer_oracle(
     membership_conditions beyond the group law itself.
     """
     field = params.field
-    _validate_candidate(params, v, y)
+    _unit_matrix(params, v)
+    if not params.coset_cover.contains(y):
+        raise ValueError(f"{y} lies outside I(1-u)^(-1)")
     if field.c0 == 1:
         s = QuadComplex.zero(field.delta)
     else:
@@ -442,20 +499,59 @@ class ComponentGroup:
         )
 
 
+def _require_standard_form(params: SurfaceParams) -> None:
+    """Raises StandardFormError unless the generated group is in standard form."""
+    if is_standard_form_direct(params):
+        return
+    if params.field.c0 == 1:
+        raise StandardFormError(
+            "(1-u)/u e + (n21 n22/2) x1 - (n11 n12/2) x2 is not in I/r"
+        )
+    raise StandardFormError("a conjugate g0 g_i g0^{-1} leaves <g3>")
+
+
+def _member_keys(params: SurfaceParams, ambient: AmbientGroup) -> list[int]:
+    """Keys of the members of H, in order: one membership form per unit
+    power over the Smith basis, evaluated at every coset's coordinates."""
+    c = ambient.quotient.order
+    d1, d2 = ambient.quotient.invariant_factors
+    basis = ambient.quotient.smith_basis
+    keys = []
+    for i, v in enumerate(ambient.unit_powers):
+        accepts = membership_form(params, v, basis)
+        keys.extend(
+            i * c + k1 * d2 + k2
+            for k1 in range(d1)
+            for k2 in range(d2)
+            if accepts(k1, k2)
+        )
+    return keys
+
+
 def component_group(
     params: SurfaceParams, ambient: AmbientGroup | None = None
 ) -> ComponentGroup:
-    """Filters the ambient group through the membership conditions and
-    classifies the component group they cut out."""
+    """Gates standard form, filters the ambient group through the membership
+    conditions and classifies the component group they cut out."""
+    _require_standard_form(params)
     if ambient is None:
         ambient = build_ambient(params)
-    members = [
-        el
-        for el in ambient.elements()
-        if membership_conditions(params, ambient.unit_of(el), ambient.rep_of(el))
-    ]
-    if not members or members[0] != ambient.identity:
+    keys = _member_keys(params, ambient)
+    if not keys or keys[0] != 0:
         raise InternalConsistencyError("identity failed the membership conditions")
+    # A spot check: the scalar conditions build their form over
+    # I(1-u)^{-1}'s own basis and take y's coordinates there, so at H's last
+    # element they check the filter's Smith coordinates and key layout
+    # against ambient.coset_reps.
+    last = ambient.order - 1
+    if membership_conditions(
+        params, ambient.unit_powers[-1], ambient.coset_reps[-1]
+    ) != (keys[-1] == last):
+        raise InternalConsistencyError(
+            f"filter and membership_conditions disagree at "
+            f"{CosetPair(*divmod(last, ambient.quotient.order))}"
+        )
+    members = [CosetPair(*divmod(key, ambient.quotient.order)) for key in keys]
     structure = _classify(ambient, members)
     if ambient.order % len(members) != 0:
         raise InternalConsistencyError("component order does not divide the bound")
@@ -476,23 +572,25 @@ def order_bound(params: SurfaceParams) -> int:
 
 def oracle_crosscheck(
     params: SurfaceParams,
-    ambient: AmbientGroup | None = None,
+    q: ComponentGroup | None = None,
     cap: int = DEFAULT_POWER_CAP,
 ) -> int:
-    """Checks membership_conditions against the normalizer oracle on every
+    """Checks the member set of Q against the normalizer oracle on every
     element of the ambient group; returns the element count, raises on any
     disagreement (which is always a bug, never a data problem)."""
-    if ambient is None:
-        ambient = build_ambient(params)
+    if q is None:
+        q = component_group(params)
+    ambient = q.ambient
+    members = set(q.elements)
     for el in ambient.elements():
         v = ambient.unit_of(el)
         y = ambient.rep_of(el)
-        conditions = membership_conditions(params, v, y)
+        member = el in members
         oracle = normalizer_oracle(params, v, y, cap)
-        if conditions != oracle:
+        if member != oracle:
             raise InternalConsistencyError(
-                f"conditions/oracle disagreement at [{v}, {y}]: "
-                f"conditions={conditions}, oracle={oracle}"
+                f"filter/oracle disagreement at [{v}, {y}]: "
+                f"filter={member}, oracle={oracle}"
             )
     return ambient.order
 
@@ -522,20 +620,14 @@ def automorphism_report(
     """Runs the whole pipeline: standard form gate, ambient group, component
     group, bound, classical-data export, and (optionally) the oracle sweep
     and the doubled-r cross-check for odd r."""
-    if not is_standard_form_direct(params):
-        if params.field.c0 == 1:
-            raise StandardFormError(
-                "(1-u)/u e + (n21 n22/2) x1 - (n11 n12/2) x2 is not in I/r"
-            )
-        raise StandardFormError("a conjugate g0 g_i g0^{-1} leaves <g3>")
-    ambient = build_ambient(params)
-    q = component_group(params, ambient)
+    q = component_group(params)
+    ambient = q.ambient
     if q.order > ambient.order:
         raise InternalConsistencyError("component group exceeds its bound")
     inoue = to_inoue_data(params)
     oracle_elements = 0
     if run_oracle:
-        oracle_elements = oracle_crosscheck(params, ambient)
+        oracle_elements = oracle_crosscheck(params, q)
     double_r = None
     if with_double_r:
         doubled = SurfaceParams(

@@ -16,6 +16,10 @@ from .exactnum import Rational
 from .quadfield import FieldDescriptor, FieldElement, chi
 
 
+class InternalConsistencyError(RuntimeError):
+    """A structural property failed that only an implementation bug can break."""
+
+
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
     old_r, r = a, b
@@ -161,7 +165,12 @@ def _snf2(
         g, x, y = xgcd(a[0][0], a[0][1])
         col_combine(x, y, -(a[0][1] // g), a[0][0] // g)
 
-    for _ in range(64):  # |a11| strictly shrinks on every xgcd sweep
+    # After the first sweep |a11| divides an entry.  Every later sweep that
+    # does not finish replaces a11 by a proper divisor, or ends in the row
+    # coupling, after which the next sweep does; so |a11| halves at least
+    # every second sweep until it is 1, and then the next sweep finishes.
+    sweeps = 2 * max(abs(a11), abs(a12), abs(a21), abs(a22)).bit_length() + 2
+    for _ in range(sweeps):
         clear_lower_left()
         clear_upper_right()
         if a[1][0] == 0 and a[0][1] == 0:
@@ -177,7 +186,10 @@ def _snf2(
             # next sweep replaces it by (gcd, lcm).
             a[0][0] += a[1][0]
             a[0][1] += a[1][1]
-    raise AssertionError("Smith reduction failed to converge")
+    raise InternalConsistencyError(
+        f"Smith reduction of [[{a11}, {a12}], [{a21}, {a22}]] did not converge "
+        f"in {sweeps} sweeps"
+    )
 
 
 class Lattice:

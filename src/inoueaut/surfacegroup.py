@@ -122,7 +122,7 @@ class SurfaceParams:
             raise ParameterError("x1, x2 are Q-linearly dependent (chi = 0)")
         if self.field.c0 == -1 and self.t:
             raise ParameterError("t must be 0 for the minus family")
-        if not self.ideal.mult_matrix(self.field.u()).is_integral():
+        if not self.n_matrix.is_integral():
             raise ParameterError(
                 "Z<x1, x2> is not a fractional ideal: u does not act integrally"
             )

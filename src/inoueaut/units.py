@@ -100,8 +100,6 @@ def invariant_unit_generator(
     fractional ideal of Z[u].
     """
     field = lat.field
-    if not lat.mult_matrix(field.u()).is_integral():
-        raise ValueError(f"{lat} is not a fractional ideal: u does not act integrally")
     if eta is None:
         eta = fundamental_unit(field)
     n_max = utheta_exponent(field, eta, cap)
@@ -110,7 +108,11 @@ def invariant_unit_generator(
     power_unit = eta
     for j in range(1, n_max + 1):
         if power_matrix.is_integral():
+            # The exponents k with eta**k acting integrally are the multiples
+            # of j, so u = eta**n_max acts integrally iff j divides n_max.
+            if n_max % j:
+                break
             return power_unit, j
         power_matrix = power_matrix * m1
         power_unit = power_unit * eta
-    raise AssertionError("u acts integrally, so some eta**j must as well")
+    raise ValueError(f"{lat} is not a fractional ideal: u does not act integrally")

@@ -256,7 +256,7 @@ def test_minus_family_membership_reduces_to_condition_one():
         ambient = build_ambient(params)
         q = component_group(params, ambient)
         assert q.kernel_kind == "order-two"
-        assert oracle_crosscheck(params, ambient) == ambient.order
+        assert oracle_crosscheck(params, q) == ambient.order
 
 
 def test_minus_family_alternating_group():

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_field_element, random_invariant_lattice
 from inoueaut import (
@@ -14,7 +17,8 @@ from inoueaut import (
     chi,
     fundamental_unit,
 )
-from inoueaut.lattice import _snf2, xgcd
+import inoueaut.lattice as lattice
+from inoueaut.lattice import InternalConsistencyError, _snf2, xgcd
 
 F4 = FieldDescriptor(4, 1)
 F6 = FieldDescriptor(6, 1)
@@ -204,6 +208,33 @@ def test_snf2_random():
             assert row[0] % d1 == 0 and row[1] % d2 == 0
         lead = abs(av[0][0] * av[1][1] - av[0][1] * av[1][0])
         assert lead == d1 * d2
+
+
+ENTRY = st.integers(min_value=-(2**200), max_value=2**200)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ENTRY, ENTRY, ENTRY, ENTRY, st.integers(min_value=1, max_value=2**60))
+def test_snf2_large_entries(a11, a12, a21, a22, scale):
+    # a common factor makes d1 > 1; the sweep bound grows with the entries'
+    # bit length, so huge entries must still converge
+    a11, a12, a21, a22 = (scale * x for x in (a11, a12, a21, a22))
+    det = a11 * a22 - a12 * a21
+    if det == 0:
+        return
+    d1, d2, v = _snf2(a11, a12, a21, a22)
+    assert d2 % d1 == 0
+    assert d1 * d2 == abs(det)
+    assert d1 == gcd(a11, a12, a21, a22)
+    assert v[0][0] * v[1][1] - v[0][1] * v[1][0] in (1, -1)
+
+
+def test_snf2_failure_is_an_internal_consistency_error(monkeypatch):
+    # an xgcd that claims the pivot is the gcd stalls the reduction; the
+    # sweep bound must end it as a consistency failure (CLI exit 5)
+    monkeypatch.setattr(lattice, "xgcd", lambda a, b: (a, 1, 0))
+    with pytest.raises(InternalConsistencyError):
+        _snf2(2, 3, 5, 7)
 
 
 def test_chi_based_equality_attributes():

@@ -1,0 +1,163 @@
+"""The membership filter, which evaluates both conditions as integer forms in
+the Smith coordinates once per unit power, against the Fraction
+implementation it replaced (tests/membership_reference.py); the standard-form
+gate of component_group; and the filter's work count."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import membership_reference as reference
+from conftest import example_theta7, random_eta_params, random_standard_params
+from inoueaut import (
+    FieldDescriptor,
+    Lattice,
+    QuadComplex,
+    QuadReal,
+    StandardFormError,
+    SurfaceParams,
+    automorphism_report,
+    build_ambient,
+    component_group,
+    fundamental_unit,
+    is_standard_form_direct,
+    membership_conditions,
+    solve_standard_e,
+)
+import inoueaut.components as components
+
+
+def ladder_sized_params(e_solved: bool = True) -> SurfaceParams:
+    """theta = 47, r = 15, I = Z<1, eta>: |H| = 360 with n = 8."""
+    field = FieldDescriptor(47, 1)
+    x1, x2 = field.one(), fundamental_unit(field)
+    e = solve_standard_e(field, 15, x1, x2, 0, 0) if e_solved else field.zero()
+    return SurfaceParams.create(field, 15, x1, x2, e)
+
+
+def differential_sample() -> list[SurfaceParams]:
+    rng = random.Random(131)
+    sample = []
+    for k in range(40):
+        c0 = 1 if k % 2 else -1
+        low = 3 if c0 == 1 else 1
+        sample.append(random_standard_params(rng, c0, (low, 12)))
+        sample.append(random_eta_params(rng, c0, (low, 40)))
+    sample.append(ladder_sized_params())
+    # The random t have surd parts with denominators dividing 6, which make
+    # 2rt/chi0 an integer on these sets; t = sqrt(delta)/40 at theta = 7,
+    # r = 10 does not, so there the -2t term decides the Norm(v) = -1 classes.
+    theta7 = example_theta7()
+    t = QuadComplex.from_real(QuadReal(0, Fraction(1, 40), theta7.field.delta))
+    sample.append(
+        SurfaceParams(theta7.field, 10, theta7.x1, theta7.x2, theta7.e, t)
+    )
+    return sample
+
+
+def t_kind(params: SurfaceParams) -> str:
+    t = params.t
+    if t.im:
+        return "imaginary"
+    if t.re.rat:
+        return "rational"
+    if t.re.irr:
+        return "surd"
+    return "zero"
+
+
+def test_filter_matches_fraction_reference():
+    sample = differential_sample()
+    seen = set()
+    for params in sample:
+        ambient = build_ambient(params)
+        q = component_group(params, ambient)
+        expected = []
+        for el in ambient.elements():
+            v, y = ambient.unit_of(el), ambient.rep_of(el)
+            verdict = reference.membership_conditions(params, v, y)
+            assert membership_conditions(params, v, y) == verdict
+            if verdict:
+                expected.append(el)
+            if params.field.c0 == 1 and v.norm() == -1:
+                seen.add(t_kind(params))
+        assert list(q.elements) == expected
+    # condition 2's branches for Norm(v) = -1 in the plus family
+    assert {"imaginary", "rational", "surd"} <= seen
+    assert {p.r % 2 for p in sample} == {0, 1}
+    assert {p.field.c0 for p in sample} == {1, -1}
+    assert sum(build_ambient(p).n > 1 for p in sample) >= 40
+
+
+def test_scalar_conditions_on_unreduced_representatives():
+    # y + w for w in I lies in the same class as y, but its coordinates in
+    # the basis of I(1-u)^{-1} leave the range of the Smith representatives
+    rng = random.Random(137)
+    for params in differential_sample()[::4]:
+        ambient = build_ambient(params)
+        for el in rng.sample(ambient.elements(), min(12, ambient.order)):
+            v = ambient.unit_of(el)
+            w = rng.randint(-9, 9) * params.x1 + rng.randint(-9, 9) * params.x2
+            y = ambient.rep_of(el) + w
+            assert membership_conditions(
+                params, v, y
+            ) == reference.membership_conditions(params, v, y)
+
+
+def test_component_group_rejects_non_standard_form():
+    params = ladder_sized_params(e_solved=False)
+    assert not is_standard_form_direct(params)
+    with pytest.raises(StandardFormError):
+        component_group(params)
+    with pytest.raises(StandardFormError):
+        automorphism_report(params, run_oracle=False)
+
+
+def test_standard_form_gate_runs_once_per_parameter_set(monkeypatch):
+    calls = []
+    real = components.is_standard_form_direct
+
+    def counted(params):
+        calls.append(params.r)
+        return real(params)
+
+    monkeypatch.setattr(components, "is_standard_form_direct", counted)
+    params = ladder_sized_params()
+    automorphism_report(params, run_oracle=False, with_double_r=True)
+    # the given set, then the doubled-r set
+    assert calls == [15, 30]
+
+
+def test_doubled_r_keeps_standard_form():
+    # the leftovers of the standard-form test do not depend on r, so a
+    # standard-form set stays standard with r doubled
+    rng = random.Random(139)
+    for k in range(30):
+        c0 = 1 if k % 2 else -1
+        params = random_eta_params(rng, c0, (3 if c0 == 1 else 1, 30), (1, 9))
+        assert is_standard_form_direct(params)
+        doubled = SurfaceParams(
+            params.field, 2 * params.r, params.x1, params.x2, params.e, params.t
+        )
+        assert is_standard_form_direct(doubled)
+
+
+def test_filter_computes_one_mult_matrix_per_unit_power(monkeypatch):
+    field = FieldDescriptor(3000, 1)
+    x1, x2 = field.one(), field.u()
+    params = SurfaceParams.create(
+        field, 1, x1, x2, solve_standard_e(field, 1, x1, x2, 0, 0)
+    )
+    calls = []
+    real = Lattice.mult_matrix
+
+    def counted(self, v):
+        calls.append(v)
+        return real(self, v)
+
+    monkeypatch.setattr(Lattice, "mult_matrix", counted)
+    q = component_group(params)
+    assert q.ambient.order == 2998
+    assert len(calls) <= q.ambient.n + 2
+    assert q.ambient.order % q.order == 0

@@ -57,6 +57,12 @@ def test_invariant_generator_rejects_non_ideal():
     not_ideal = Lattice(f6.one(), f6.element(0, 1) / 2)
     with pytest.raises(ValueError):
         invariant_unit_generator(not_ideal)
+    # eta**3 maps Z<1, eta**3> onto itself, but u = eta**4 does not
+    f7 = FieldDescriptor(7, 1)
+    eta = fundamental_unit(f7)
+    assert utheta_exponent(f7, eta) == 4
+    with pytest.raises(ValueError):
+        invariant_unit_generator(Lattice(f7.one(), eta**3))
 
 
 def test_invariant_generator_minimality():
