@@ -1,14 +1,19 @@
 """Exact computation of automorphism component groups of Inoue surfaces
 from real quadratic number field data."""
 
-from .exactnum import QuadComplex, QuadReal, Rational, in_discrete_subgroup
+from .exactnum import (
+    QuadComplex,
+    QuadReal,
+    Rational,
+    in_discrete_subgroup,
+    parse_rational,
+)
 from .quadfield import (
     FieldDescriptor,
     FieldElement,
     chi,
     format_field_element,
     parse_field_element,
-    parse_rational,
 )
 from .lattice import Lattice, LatticeQuotient, Matrix2Q
 from .units import (

@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Commands: analyze, examples, fundamental-unit, check-standard-form, bound.
-Exit codes: 0 success, 2 parse error, 3 invalid parameters, 4 not in standard
-form, 5 internal consistency failure (always a bug).  stdout carries reports,
-stderr carries diagnostics.
+Exit codes: 0 success, 2 parse error, 3 invalid parameters or a value too
+large to print, 4 not in standard form, 5 internal consistency failure (always
+a bug).  stdout carries reports, stderr carries diagnostics.
 
-Parameter files are flat UTF-8 "key = value" lines with '#' comments:
+Parameter files are flat UTF-8 "key = value" lines with '#' comments; values
+follow the grammar of `exactnum.parse_surd`:
 
     surface_type = +
     theta = 6
@@ -23,7 +24,6 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
@@ -35,7 +35,7 @@ from .components import (
     automorphism_report,
     order_bound,
 )
-from .exactnum import QuadComplex, QuadReal
+from .exactnum import QuadComplex, QuadReal, ValueTooLargeError, parse_surd
 from .quadfield import FieldDescriptor, FieldElement, parse_field_element
 from .surfacegroup import (
     ParameterError,
@@ -52,78 +52,34 @@ class ParamFileError(ValueError):
 
 _KEYS = ("surface_type", "theta", "r", "x1", "x2", "e", "t")
 _REQUIRED = ("surface_type", "theta", "r", "x1", "x2", "e")
-_TERM_RE = re.compile(r"[+-]?[^+-]+")
 _COMPLEX_RE = re.compile(r"^(?P<re>[^()]*?)(?:\+?\((?P<im>[^()]+)\)i)?$")
 
 
-def _parse_surd(text: str, delta: int, where: str) -> QuadReal:
-    """Parse "p/q + r/s*sqrtD" (either term omissible, empty means 0)."""
-    compact = text.replace(" ", "")
-    if not compact:
-        return QuadReal.zero(delta)
-    terms = _TERM_RE.findall(compact)
-    if "".join(terms) != compact:
-        raise ParamFileError(f"{where}: bad value {text!r}")
-    rat = Fraction(0)
-    irr = Fraction(0)
-    for term in terms:
-        sign = Fraction(1)
-        body = term
-        if body[0] in "+-":
-            if body[0] == "-":
-                sign = -sign
-            body = body[1:]
-        try:
-            if body.endswith("sqrtD"):
-                coeff = body[:-5].rstrip("*")
-                irr += sign * (Fraction(coeff) if coeff else Fraction(1))
-            else:
-                rat += sign * Fraction(body)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParamFileError(f"{where}: bad term {term!r}") from exc
-    return QuadReal(rat, irr, delta)
-
-
 def parse_quad_complex(text: str, delta: int, where: str = "t") -> QuadComplex:
-    compact = text.replace(" ", "")
-    match = _COMPLEX_RE.match(compact)
+    """Parse "re + (im)i", each part a surd in sqrtD; an empty part is 0."""
+    match = _COMPLEX_RE.match(text.replace(" ", ""))
     if match is None:
         raise ParamFileError(f"{where}: bad complex value {text!r}")
-    re_part = _parse_surd(match.group("re") or "", delta, where)
-    im_text = match.group("im")
-    if im_text is None:
-        return QuadComplex.from_real(re_part)
-    return QuadComplex(re_part, _parse_surd(im_text, delta, where))
 
+    def surd(part: str | None) -> QuadReal:
+        if not part:
+            return QuadReal.zero(delta)
+        try:
+            return QuadReal(*parse_surd(part, "sqrtD"), delta)
+        except ValueError as exc:
+            raise ParamFileError(f"{where}: {exc}") from exc
 
-def format_surd_param(value: QuadReal) -> str:
-    if value.irr == 0:
-        return str(value.rat)
-    if value.irr == 1:
-        irr = "sqrtD"
-    elif value.irr == -1:
-        irr = "-sqrtD"
-    else:
-        irr = f"{value.irr}*sqrtD"
-    if value.rat == 0:
-        return irr
-    joiner = "-" if value.irr < 0 else "+"
-    return f"{value.rat} {joiner} {irr.lstrip('-')}"
+    return QuadComplex(surd(match.group("re")), surd(match.group("im")))
 
 
 def format_quad_complex(value: QuadComplex) -> str:
-    if not value.im:
-        return format_surd_param(value.re)
-    im = f"({format_surd_param(value.im)})i"
-    if not value.re:
-        return im
-    return f"{format_surd_param(value.re)} + {im}"
+    return value.to_text("sqrtD", "i")
 
 
 def load_param_file(path: str) -> SurfaceParams:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParamFileError(f"{path}: {exc}") from exc
     raw: dict[str, tuple[int, str]] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -530,6 +486,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ParameterError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
+        return 3
+    except ValueTooLargeError as exc:
+        print(f"value too large to print: {exc}", file=sys.stderr)
         return 3
     except StandardFormError as exc:
         print(f"not in standard form: {exc}", file=sys.stderr)

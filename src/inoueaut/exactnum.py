@@ -8,6 +8,7 @@ this module; nothing here ever touches floating point except the optional
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -229,12 +230,12 @@ class QuadReal:
         return float(self.rat) + float(self.irr) * self.delta ** 0.5
 
     def __str__(self) -> str:
-        return _format_surd(self.rat, self.irr, self.delta)
+        return format_surd(self.rat, self.irr, f"sqrt({self.delta})")
 
     def reduced_str(self) -> str:
         """Like str(), but with the radicand reduced to its squarefree part."""
         s, m = square_decompose(self.delta)
-        return _format_surd(self.rat, self.irr * s, m)
+        return format_surd(self.rat, self.irr * s, f"sqrt({m})")
 
     @classmethod
     def zero(cls, delta: int) -> "QuadReal":
@@ -243,22 +244,6 @@ class QuadReal:
     @classmethod
     def from_rational(cls, value: Scalar, delta: int) -> "QuadReal":
         return cls(Fraction(value), Fraction(0), delta)
-
-
-def _format_surd(rat: Fraction, coeff: Fraction, radicand: int) -> str:
-    if coeff == 0:
-        return str(rat)
-    root = f"sqrt({radicand})"
-    if coeff == 1:
-        irr_part = root
-    elif coeff == -1:
-        irr_part = f"-{root}"
-    else:
-        irr_part = f"{coeff}*{root}"
-    if rat == 0:
-        return irr_part
-    joiner = "-" if coeff < 0 else "+"
-    return f"{rat} {joiner} {irr_part.lstrip('-')}"
 
 
 def in_discrete_subgroup(
@@ -359,8 +344,75 @@ class QuadComplex:
         return bool(self.re) or bool(self.im)
 
     def __str__(self) -> str:
+        return self.to_text(f"sqrt({self.delta})", "*i")
+
+    def to_text(self, symbol: str, imaginary: str) -> str:
+        """"re + (im)<imaginary>", each part written by format_surd."""
+        re_text = format_surd(self.re.rat, self.re.irr, symbol)
         if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"({self.im})*i"
-        return f"{self.re} + ({self.im})*i"
+            return re_text
+        im_text = f"({format_surd(self.im.rat, self.im.irr, symbol)}){imaginary}"
+        return f"{re_text} + {im_text}" if self.re else im_text
+
+
+# -- text syntax ---------------------------------------------------------------
+#
+# A value is "a/b + c/d*SYMBOL": each term is a rational, or SYMBOL after an
+# optional coefficient "c/d*" or "c/d" (none means 1), e.g. "-1/2 + 1/2*u",
+# "u", "3", "1 - u", "2/3*sqrtD".  Spaces are ignored, every term after the
+# first starts with its sign, and repeated terms add up.  A rational is
+# [+-]?[0-9]+(/[0-9]+)? with a nonzero denominator.  SYMBOL is "u" for field
+# elements and "sqrtD" for the parts of a parameter file's t; the formatter
+# also writes "sqrt(delta)".
+
+_TERM_RE = re.compile(r"[+-]?[^+-]+")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+class ValueTooLargeError(ValueError):
+    """A number has more digits than the interpreter converts to text."""
+
+
+def parse_rational(text: str) -> Rational:
+    text = text.strip(" ")
+    if not _RATIONAL_RE.fullmatch(text):
+        raise ValueError(f"bad rational: {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
+
+
+def parse_surd(text: str, symbol: str) -> tuple[Fraction, Fraction]:
+    """Parse "a/b + c/d*SYMBOL" into (rational part, coefficient of SYMBOL)."""
+    compact = text.replace(" ", "")
+    terms = _TERM_RE.findall(compact)
+    if not terms or "".join(terms) != compact:
+        raise ValueError(f"bad value: {text!r}")
+    rat = coeff = Fraction(0)
+    for term in terms:
+        sign = -1 if term[0] == "-" else 1
+        body = term.lstrip("+-")
+        if body == symbol:
+            coeff += sign
+        elif body.endswith(symbol):
+            coeff += sign * parse_rational(body[: -len(symbol)].removesuffix("*"))
+        else:
+            rat += sign * parse_rational(body)
+    return rat, coeff
+
+
+def format_surd(rat: Fraction, coeff: Fraction, symbol: str) -> str:
+    """Write rat + coeff*SYMBOL in the syntax parse_surd reads."""
+    try:
+        rat_text, coeff_text = str(rat), str(abs(coeff))
+    except ValueError as exc:  # past the interpreter's int -> str digit limit
+        parts = (*rat.as_integer_ratio(), *coeff.as_integer_ratio())
+        digits = int(max(abs(n).bit_length() for n in parts) * 0.30103)  # log10(2)
+        raise ValueTooLargeError(f"a number of about {digits} decimal digits") from exc
+    if coeff == 0:
+        return rat_text
+    part = symbol if abs(coeff) == 1 else f"{coeff_text}*{symbol}"
+    if rat == 0:
+        return part if coeff > 0 else f"-{part}"
+    return f"{rat_text} {'-' if coeff < 0 else '+'} {part}"

@@ -8,11 +8,17 @@ inferred, only read off the descriptor.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import QuadReal, Rational, Scalar, is_perfect_square
+from .exactnum import (
+    QuadReal,
+    Rational,
+    Scalar,
+    format_surd,
+    is_perfect_square,
+    parse_surd,
+)
 
 
 @dataclass(frozen=True)
@@ -216,58 +222,12 @@ def chi(x: FieldElement, y: FieldElement) -> QuadReal:
     return QuadReal(Fraction(0), -(x.a * y.b - y.a * x.b), x.field.delta)
 
 
-# -- text syntax -------------------------------------------------------------
-#
-# FieldElement: "a/b + c/d*u" with either term omissible, e.g.
-# "-1/2 + 1/2*u", "u", "3", "1 - u".
-
-_TERM_RE = re.compile(r"[+-]?[^+-]+")
-_RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-
-
-def parse_rational(text: str) -> Rational:
-    text = text.strip()
-    if not _RAT_RE.match(text):
-        raise ValueError(f"bad rational: {text!r}")
-    return Fraction(text)
+# -- text syntax: "a/b + c/d*u", the grammar of exactnum.parse_surd ----------
 
 
 def parse_field_element(text: str, field: FieldDescriptor) -> FieldElement:
-    compact = text.replace(" ", "")
-    if not compact:
-        raise ValueError("empty field element")
-    terms = _TERM_RE.findall(compact)
-    if "".join(terms) != compact:
-        raise ValueError(f"bad field element: {text!r}")
-    a = Fraction(0)
-    b = Fraction(0)
-    for term in terms:
-        sign = Fraction(1)
-        body = term
-        if body[0] in "+-":
-            if body[0] == "-":
-                sign = Fraction(-1)
-            body = body[1:]
-        if body.endswith("u"):
-            coeff = body[:-1].rstrip("*")
-            b += sign * (Fraction(coeff) if coeff else Fraction(1))
-        elif _RAT_RE.match(body):
-            a += sign * Fraction(body)
-        else:
-            raise ValueError(f"bad term {term!r} in field element {text!r}")
-    return FieldElement(a, b, field)
+    return FieldElement(*parse_surd(text, "u"), field)
 
 
 def format_field_element(x: FieldElement) -> str:
-    if x.b == 0:
-        return str(x.a)
-    if x.b == 1:
-        u_part = "u"
-    elif x.b == -1:
-        u_part = "-u"
-    else:
-        u_part = f"{x.b}*u"
-    if x.a == 0:
-        return u_part
-    joiner = "-" if x.b < 0 else "+"
-    return f"{x.a} {joiner} {u_part.lstrip('-')}"
+    return format_surd(x.a, x.b, "u")

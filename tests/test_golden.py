@@ -26,6 +26,8 @@ CASES = {
     "minus_theta4_r2": [],
     "minus_theta4_r1": ["--double-r"],
     "theta6_r3": ["--double-r"],
+    "theta6_t": [],
+    "theta6_t_imag": [],
 }
 FORMATS = {"json": ["--machine"], "txt": []}
 

@@ -1,0 +1,112 @@
+"""Every parameter file ends in a documented exit code (0/2/3/4/5), never a
+traceback: malformed values and non-UTF-8 bytes exit 2, values too large to
+print exit 3, and fuzzed files and values only ever give those codes."""
+
+import contextlib
+import io
+import sys
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from inoueaut.cli import main
+
+VALID = {
+    "surface_type": "+",
+    "theta": "6",
+    "r": "6",
+    "x1": "1",
+    "x2": "-1/2 + 1/2*u",
+    "e": "0",
+    "t": "0",
+}
+EXIT_CODES = {0, 2, 3, 4, 5}
+
+
+def param_text(**values: str) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in {**VALID, **values}.items())
+
+
+def run(path, *flags: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["analyze", *flags, str(path)])
+    return rc, out.getvalue(), err.getvalue()
+
+
+ZERO_DENOMINATORS = [
+    (key, value)
+    for key in ("x1", "x2", "e")
+    for value in ("1/0", "u + 1/0", "3/00*u")
+] + [("t", value) for value in ("1/0", "sqrtD + 1/0", "3/00*sqrtD", "(1/0)i")]
+
+
+@pytest.mark.parametrize("key, value", ZERO_DENOMINATORS)
+def test_zero_denominator_exits_2(tmp_path, key, value):
+    path = tmp_path / "zero.params"
+    path.write_text(param_text(**{key: value}), encoding="utf-8")
+    rc, out, err = run(path)
+    assert (rc, out) == (2, "")
+    assert f"{path}:{list(VALID).index(key) + 1}: zero denominator" in err
+
+
+def test_non_utf8_file_exits_2(tmp_path):
+    path = tmp_path / "latin.params"
+    path.write_bytes(param_text().encode() + b"# caf\x80\n")
+    rc, out, err = run(path)
+    assert (rc, out) == (2, "")
+    assert "parse error" in err and "utf-8" in err
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter converts integers of any size to text",
+)
+def test_value_too_large_to_print_exits_3(tmp_path):
+    # c_i ~ Norm(x_i)/2 has about 6000 digits; the inputs have about 3000
+    x1 = 10**3000
+    path = tmp_path / "big.params"
+    path.write_text(
+        param_text(x1=str(x1), x2=f"-{x1 // 2} + {x1 // 2}*u"), encoding="utf-8"
+    )
+    rc, out, err = run(path, "--no-oracle", "--machine")
+    assert (rc, out) == (3, "")
+    assert "value too large to print" in err
+    # the text report prints no c_i and still succeeds
+    rc, out, err = run(path, "--no-oracle")
+    assert rc == 0 and f"x1 = {x1}" in out
+
+
+# -- fuzzing --------------------------------------------------------------------
+
+VALID_BYTES = param_text().encode()
+MUTATED_FILE = st.lists(
+    st.tuples(st.integers(0, len(VALID_BYTES) - 1), st.integers(0, 255)),
+    max_size=3,
+).map(lambda edits: bytes(dict(edits).get(k, b) for k, b in enumerate(VALID_BYTES)))
+VALUE_TEXT = st.one_of(
+    st.text(alphabet="0123456789/+-* usqrtD()i.eE_\t", max_size=20),
+    st.text(max_size=12),
+)
+FUZZ = settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@FUZZ
+@given(st.one_of(st.binary(max_size=200), MUTATED_FILE))
+def test_fuzz_file_bytes(tmp_path, data):
+    path = tmp_path / "fuzz.params"
+    path.write_bytes(data)
+    assert run(path, "--no-oracle")[0] in EXIT_CODES
+
+
+@FUZZ
+@given(st.sampled_from(["x1", "x2", "e", "t"]), VALUE_TEXT)
+def test_fuzz_values(tmp_path, key, value):
+    path = tmp_path / "fuzz.params"
+    path.write_text(param_text(**{key: value}), encoding="utf-8")
+    assert run(path, "--no-oracle")[0] in EXIT_CODES
