@@ -35,7 +35,13 @@ from .components import (
     automorphism_report,
     order_bound,
 )
-from .exactnum import QuadComplex, QuadReal, ValueTooLargeError, parse_surd
+from .exactnum import (
+    QuadComplex,
+    QuadReal,
+    ValueTooLargeError,
+    parse_integer,
+    parse_surd,
+)
 from .quadfield import FieldDescriptor, FieldElement, parse_field_element
 from .surfacegroup import (
     ParameterError,
@@ -52,7 +58,8 @@ class ParamFileError(ValueError):
 
 _KEYS = ("surface_type", "theta", "r", "x1", "x2", "e", "t")
 _REQUIRED = ("surface_type", "theta", "r", "x1", "x2", "e")
-_COMPLEX_RE = re.compile(r"^(?P<re>[^()]*?)(?:\+?\((?P<im>[^()]+)\)i)?$")
+# "re", "(im)i" or "re + (im)i": the "+" is required after a real part.
+_COMPLEX_RE = re.compile(r"^(?P<re>[^()]*?)(?:(?:^|\+)\((?P<im>[^()]+)\)i)?$")
 
 
 def parse_quad_complex(text: str, delta: int, where: str = "t") -> QuadComplex:
@@ -114,8 +121,8 @@ def load_param_file(path: str) -> SurfaceParams:
             f"{where_of('surface_type')}: surface_type must be '+' or '-'"
         )
     try:
-        theta = int(value_of("theta"))
-        r = int(value_of("r"))
+        theta = parse_integer(value_of("theta"))
+        r = parse_integer(value_of("r"))
     except ValueError as exc:
         raise ParamFileError(f"{path}: theta and r must be integers") from exc
     try:
@@ -457,7 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
     examples.set_defaults(func=cmd_examples)
 
     funit = sub.add_parser("fundamental-unit", help="fundamental unit of the field")
-    funit.add_argument("theta", type=int)
+    funit.add_argument("theta", type=parse_integer)
     funit.add_argument("type", choices=["+", "-"])
     funit.set_defaults(func=cmd_fundamental_unit)
 

@@ -1,5 +1,5 @@
-"""Exact scalar arithmetic: rationals, real quadratic irrationals p + q*sqrt(D),
-and complex numbers over them.
+"""Exact scalar arithmetic: one integer core for quadratic numbers, the real
+quadratic irrationals p + q*sqrt(D) built on it, and complex numbers over them.
 
 Every comparison and membership decision downstream reduces to operations in
 this module; nothing here ever touches floating point except the optional
@@ -11,7 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from functools import total_ordering
+from math import gcd, isqrt, lcm
 from typing import Union
 
 # Arbitrary-precision rationals.  fractions.Fraction already maintains the
@@ -45,184 +46,223 @@ def square_decompose(n: int) -> tuple[int, int]:
     return s, m
 
 
-def _sign_of(q: Fraction) -> int:
-    return (q > 0) - (q < 0)
+class QuadCore:
+    """(p + q*w)/den on integers, where w is a root of X^2 - T*X + C.
+
+    The one arithmetic core under QuadReal (w = sqrt(delta)) and
+    FieldElement (w = u).  Values are kept reduced: den > 0 and
+    gcd(p, q, den) = 1, so the triple is canonical.  _ctx is the subclass's
+    context (delta, or the field), from which its _law() gives (T, C); its
+    _coerce(other) brings both operands into one context, or returns None
+    for a foreign type.  Results are built by _raw/_reduced, which trust
+    their input: Fraction coercion and validation happen only in the public
+    constructors and in _coerce.
+    """
+
+    __slots__ = ("_p", "_q", "_den", "_ctx")
+
+    def __init__(self, a: Scalar, b: Scalar, ctx) -> None:
+        a, b = Fraction(a), Fraction(b)
+        # over the lcm of two reduced denominators the triple is reduced
+        den = lcm(a.denominator, b.denominator)
+        self._p = a.numerator * (den // a.denominator)
+        self._q = b.numerator * (den // b.denominator)
+        self._den, self._ctx = den, ctx
+
+    @classmethod
+    def _raw(cls, p: int, q: int, den: int, ctx):
+        self = object.__new__(cls)
+        self._p, self._q, self._den, self._ctx = p, q, den, ctx
+        return self
+
+    @classmethod
+    def _reduced(cls, p: int, q: int, den: int, ctx):
+        g = gcd(p, q, den) if den > 0 else -gcd(p, q, den)
+        return cls._raw(p // g, q // g, den // g, ctx)
+
+    # read-only Fraction views, exposed by each subclass under its own names
+    _rational = property(lambda self: Fraction(self._p, self._den))
+    _coefficient = property(lambda self: Fraction(self._q, self._den))
+
+    def _scalar(self, x: Scalar) -> "QuadCore":
+        """The rational x in this value's family and context."""
+        return self._raw(x.numerator, 0, x.denominator, self._ctx)
+
+    def _plus(self, o: "QuadCore", sign: int) -> "QuadCore":
+        return self._reduced(
+            self._p * o._den + sign * o._p * self._den,
+            self._q * o._den + sign * o._q * self._den,
+            self._den * o._den,
+            self._ctx,
+        )
+
+    def _times(self, o: "QuadCore") -> "QuadCore":
+        t, c = self._law()
+        qq = self._q * o._q
+        return self._reduced(
+            self._p * o._p - c * qq,
+            self._p * o._q + self._q * o._p + t * qq,
+            self._den * o._den,
+            self._ctx,
+        )
+
+    def _norm_num(self) -> int:
+        """den^2 * Norm(self) = p^2 + T*p*q + C*q^2."""
+        t, c = self._law()
+        p, q = self._p, self._q
+        return p * p + t * p * q + c * q * q
+
+    # -- ring/field structure ---------------------------------------------
+
+    def __add__(self, other: object):
+        pair = self._coerce(other)
+        return NotImplemented if pair is None else pair[0]._plus(pair[1], 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: object):
+        pair = self._coerce(other)
+        return NotImplemented if pair is None else pair[0]._plus(pair[1], -1)
+
+    def __rsub__(self, other: object):
+        pair = self._coerce(other)
+        return NotImplemented if pair is None else pair[1]._plus(pair[0], -1)
+
+    def __neg__(self):
+        return self._raw(-self._p, -self._q, self._den, self._ctx)
+
+    def __truediv__(self, other: object):
+        pair = self._coerce(other)
+        return NotImplemented if pair is None else pair[0]._times(pair[1].inverse())
+
+    def __rtruediv__(self, other: object):
+        pair = self._coerce(other)
+        return NotImplemented if pair is None else pair[1]._times(pair[0].inverse())
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int):
+            return NotImplemented
+        base = self.inverse() if n < 0 else self
+        n = abs(n)
+        out = self._scalar(1)
+        while n:
+            if n & 1:
+                out = out._times(base)
+            base = base._times(base)
+            n >>= 1
+        return out
+
+    def inverse(self):
+        """1/x = den * conjugate(p + q*w) / Norm(p + q*w)."""
+        nrm = self._norm_num()
+        if nrm == 0:
+            raise ZeroDivisionError("division by zero")
+        t, _ = self._law()
+        d = self._den
+        return self._reduced(d * (self._p + t * self._q), -d * self._q, nrm, self._ctx)
+
+    def conjugate(self):
+        """The nontrivial Galois automorphism: w -> T - w."""
+        t, _ = self._law()
+        return self._raw(self._p + t * self._q, -self._q, self._den, self._ctx)
+
+    def __bool__(self) -> bool:
+        return bool(self._p or self._q)
+
+    def __repr__(self) -> str:
+        parts = f"{self._rational!r}, {self._coefficient!r}, {self._ctx!r}"
+        return f"{type(self).__name__}({parts})"
 
 
-@dataclass(frozen=True)
-class QuadReal:
+@total_ordering
+class QuadReal(QuadCore):
     """Exact real number rat + irr*sqrt(delta), delta a positive non-square.
 
     Two values interoperate only when their deltas agree (a mismatch raises);
     purely rational values compare equal across deltas.
     """
 
-    rat: Fraction
-    irr: Fraction
-    delta: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rat", Fraction(self.rat))
-        object.__setattr__(self, "irr", Fraction(self.irr))
-        if self.delta <= 0 or is_perfect_square(self.delta):
+    def __init__(self, rat: Scalar, irr: Scalar, delta: int) -> None:
+        super().__init__(rat, irr, delta)
+        if delta <= 0 or is_perfect_square(delta):
             raise ValueError(
-                f"delta must be a positive non-square integer, got {self.delta}"
+                f"delta must be a positive non-square integer, got {delta}"
             )
 
-    # -- coercion ---------------------------------------------------------
+    rat, irr = QuadCore._rational, QuadCore._coefficient
+
+    @property
+    def delta(self) -> int:
+        return self._ctx
+
+    def _law(self) -> tuple[int, int]:
+        return 0, -self._ctx
 
     def _coerce(self, other: object) -> "tuple[QuadReal, QuadReal] | None":
         """Bring self and other to a common delta; rational values re-tag freely."""
         if isinstance(other, (int, Fraction)):
-            return self, QuadReal(Fraction(other), Fraction(0), self.delta)
+            return self, self._scalar(other)
         if not isinstance(other, QuadReal):
             return None
-        if other.delta == self.delta:
+        if other._ctx == self._ctx:
             return self, other
-        if other.irr == 0:
-            return self, QuadReal(other.rat, Fraction(0), self.delta)
-        if self.irr == 0:
-            return QuadReal(self.rat, Fraction(0), other.delta), other
-        raise ValueError(f"delta mismatch: {self.delta} vs {other.delta}")
-
-    # -- ring/field structure ---------------------------------------------
-
-    def __add__(self, other: object) -> "QuadReal":
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return QuadReal(a.rat + b.rat, a.irr + b.irr, a.delta)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> "QuadReal":
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return QuadReal(a.rat - b.rat, a.irr - b.irr, a.delta)
-
-    def __rsub__(self, other: object) -> "QuadReal":
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return b - a
-
-    def __neg__(self) -> "QuadReal":
-        return QuadReal(-self.rat, -self.irr, self.delta)
+        if not other._q:
+            return self, other._raw(other._p, 0, other._den, self._ctx)
+        if not self._q:
+            return self._raw(self._p, 0, self._den, other._ctx), other
+        raise ValueError(f"delta mismatch: {self._ctx} vs {other._ctx}")
 
     def __mul__(self, other: object) -> "QuadReal":
         pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return QuadReal(
-            a.rat * b.rat + a.irr * b.irr * a.delta,
-            a.rat * b.irr + a.irr * b.rat,
-            a.delta,
-        )
+        return NotImplemented if pair is None else pair[0]._times(pair[1])
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: object) -> "QuadReal":
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        nrm = b.rat * b.rat - b.irr * b.irr * b.delta
-        if nrm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt(delta))")
-        return a * QuadReal(b.rat / nrm, -b.irr / nrm, a.delta)
-
-    def __rtruediv__(self, other: object) -> "QuadReal":
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return b / a
-
     def __pow__(self, n: int) -> "QuadReal":
-        if not isinstance(n, int) or n < 0:
+        if isinstance(n, int) and n < 0:
             return NotImplemented
-        out = QuadReal(1, 0, self.delta)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def conjugate(self) -> "QuadReal":
-        return QuadReal(self.rat, -self.irr, self.delta)
+        return super().__pow__(n)
 
     # -- comparisons --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.irr == 0 and self.rat == other
-        if isinstance(other, QuadReal):
-            if self.irr == 0 and other.irr == 0:
-                return self.rat == other.rat
             return (
-                self.delta == other.delta
-                and self.rat == other.rat
-                and self.irr == other.irr
+                not self._q
+                and self._p == other.numerator
+                and self._den == other.denominator
+            )
+        if isinstance(other, QuadReal):
+            return (
+                self._p == other._p
+                and self._q == other._q
+                and self._den == other._den
+                and (not self._q or self._ctx == other._ctx)
             )
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self.irr == 0:
-            return hash(self.rat)
-        return hash((self.rat, self.irr, self.delta))
+        if not self._q:
+            return hash(Fraction(self._p, self._den))
+        return hash((self._p, self._q, self._den, self._ctx))
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}, decided by integer case analysis."""
-        p, q = self.rat, self.irr
-        if q == 0:
-            return _sign_of(p)
-        if p == 0:
-            return _sign_of(q)
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        lhs = p * p
-        rhs = q * q * self.delta
+        p, q = self._p, self._q
+        if p * q >= 0:
+            return (p > 0 or q > 0) - (p < 0 or q < 0)
+        lhs, rhs = p * p, q * q * self._ctx
         if lhs == rhs:  # would force sqrt(delta) rational
             raise AssertionError("non-square delta invariant violated")
-        if p > 0:
-            return 1 if lhs > rhs else -1
-        return 1 if rhs > lhs else -1
+        return (p > 0) - (p < 0) if lhs > rhs else (q > 0) - (q < 0)
 
-    def __bool__(self) -> bool:
-        return self.rat != 0 or self.irr != 0
-
-    def __lt__(self, other: object) -> bool:
+    def __lt__(self, other: object) -> bool:  # <=, >, >= by total_ordering
         diff = self.__sub__(other)
         if diff is NotImplemented:
             return NotImplemented
         return diff.sign() < 0
-
-    def __le__(self, other: object) -> bool:
-        diff = self.__sub__(other)
-        if diff is NotImplemented:
-            return NotImplemented
-        return diff.sign() <= 0
-
-    def __gt__(self, other: object) -> bool:
-        diff = self.__sub__(other)
-        if diff is NotImplemented:
-            return NotImplemented
-        return diff.sign() > 0
-
-    def __ge__(self, other: object) -> bool:
-        diff = self.__sub__(other)
-        if diff is NotImplemented:
-            return NotImplemented
-        return diff.sign() >= 0
 
     # -- presentation -------------------------------------------------------
 
@@ -239,11 +279,11 @@ class QuadReal:
 
     @classmethod
     def zero(cls, delta: int) -> "QuadReal":
-        return cls(Fraction(0), Fraction(0), delta)
+        return cls(0, 0, delta)
 
     @classmethod
     def from_rational(cls, value: Scalar, delta: int) -> "QuadReal":
-        return cls(Fraction(value), Fraction(0), delta)
+        return cls(value, 0, delta)
 
 
 def in_discrete_subgroup(
@@ -290,7 +330,7 @@ class QuadComplex:
 
     @classmethod
     def from_real(cls, value: QuadReal) -> "QuadComplex":
-        return cls(value, QuadReal.zero(value.delta))
+        return cls(value, value._scalar(0))
 
     def _coerce(self, other: object) -> "QuadComplex | None":
         if isinstance(other, QuadComplex):
@@ -298,7 +338,7 @@ class QuadComplex:
         if isinstance(other, QuadReal):
             return QuadComplex.from_real(other)
         if isinstance(other, (int, Fraction)):
-            return QuadComplex.from_real(QuadReal.from_rational(other, self.delta))
+            return QuadComplex.from_real(self.re._scalar(other))
         return None
 
     def __add__(self, other: object) -> "QuadComplex":
@@ -360,17 +400,27 @@ class QuadComplex:
 # A value is "a/b + c/d*SYMBOL": each term is a rational, or SYMBOL after an
 # optional coefficient "c/d*" or "c/d" (none means 1), e.g. "-1/2 + 1/2*u",
 # "u", "3", "1 - u", "2/3*sqrtD".  Spaces are ignored, every term after the
-# first starts with its sign, and repeated terms add up.  A rational is
-# [+-]?[0-9]+(/[0-9]+)? with a nonzero denominator.  SYMBOL is "u" for field
-# elements and "sqrtD" for the parts of a parameter file's t; the formatter
-# also writes "sqrt(delta)".
+# first starts with its sign, and repeated terms add up.  An integer is
+# [+-]?[0-9]+ (also the grammar of theta and r), a rational an integer with an
+# optional nonzero denominator "/[0-9]+".  SYMBOL is "u" for field elements and
+# "sqrtD" for the parts of a parameter file's t; the formatter also writes
+# "sqrt(delta)".
 
 _TERM_RE = re.compile(r"[+-]?[^+-]+")
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_INTEGER = r"[+-]?[0-9]+"
+_INTEGER_RE = re.compile(_INTEGER)
+_RATIONAL_RE = re.compile(_INTEGER + r"(/[0-9]+)?")
 
 
 class ValueTooLargeError(ValueError):
     """A number has more digits than the interpreter converts to text."""
+
+
+def parse_integer(text: str) -> int:
+    text = text.strip(" ")
+    if not _INTEGER_RE.fullmatch(text):
+        raise ValueError(f"bad integer: {text!r}")
+    return int(text)
 
 
 def parse_rational(text: str) -> Rational:

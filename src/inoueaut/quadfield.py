@@ -1,7 +1,7 @@
 """Arithmetic in the real quadratic field K = Q[X]/(X^2 - theta*X + c0).
 
-Elements are stored in the basis {1, u}, where u is the distinguished root
-with sigma1(u) > 1.  c0 = +1 is the theta >= 3 family, c0 = -1 the
+Elements are written in the basis {1, u}, where u is the distinguished root
+with sigma1(u) > 1, and computed on the integer core of exactnum.  c0 = +1 is the theta >= 3 family, c0 = -1 the
 theta >= 1 family; the two share formulas up to signs that are never
 inferred, only read off the descriptor.
 """
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import (
+    QuadCore,
     QuadReal,
     Rational,
     Scalar,
@@ -56,144 +57,86 @@ class FieldDescriptor:
         return cls(theta, 1 if surface_type == "+" else -1)
 
     def element(self, a: Scalar, b: Scalar = 0) -> "FieldElement":
-        return FieldElement(Fraction(a), Fraction(b), self)
+        return FieldElement(a, b, self)
 
     def zero(self) -> "FieldElement":
-        return self.element(0)
+        return FieldElement._raw(0, 0, 1, self)
 
     def one(self) -> "FieldElement":
-        return self.element(1)
+        return FieldElement._raw(1, 0, 1, self)
 
     def u(self) -> "FieldElement":
         """The distinguished root u (a unit of norm c0 with sigma1(u) > 1)."""
-        return self.element(0, 1)
+        return FieldElement._raw(0, 1, 1, self)
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """a + b*u in the basis {1, u}; arithmetic reduces by u^2 = theta*u - c0."""
+class FieldElement(QuadCore):
+    """a + b*u in the basis {1, u}, held as QuadCore's integer triple
+    (p + q*u)/den; arithmetic reduces by u^2 = theta*u - c0."""
 
-    a: Fraction
-    b: Fraction
-    field: FieldDescriptor
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+    def __init__(self, a: Scalar, b: Scalar, field: FieldDescriptor) -> None:
+        super().__init__(a, b, field)
 
-    def _coerce(self, other: object) -> "FieldElement | None":
+    a, b = QuadCore._rational, QuadCore._coefficient
+
+    @property
+    def field(self) -> FieldDescriptor:
+        return self._ctx
+
+    def _law(self) -> tuple[int, int]:
+        return self._ctx.theta, self._ctx.c0
+
+    def _coerce(self, other: object) -> "tuple[FieldElement, FieldElement] | None":
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other._ctx is not self._ctx and other._ctx != self._ctx:
                 raise ValueError(
                     f"field mismatch: {self.field} vs {other.field}"
                 )
-            return other
+            return self, other
         if isinstance(other, (int, Fraction)):
-            return FieldElement(Fraction(other), Fraction(0), self.field)
+            return self, self._scalar(other)
         return None
 
-    # -- field operations ---------------------------------------------------
-
-    def __add__(self, other: object) -> "FieldElement":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.a + o.a, self.b + o.b, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> "FieldElement":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.a - o.a, self.b - o.b, self.field)
-
-    def __rsub__(self, other: object) -> "FieldElement":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.a, -self.b, self.field)
-
     def __mul__(self, other: object) -> "FieldElement":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        theta, c0 = self.field.theta, self.field.c0
-        bb = self.b * o.b
-        return FieldElement(
-            self.a * o.a - c0 * bb,
-            self.a * o.b + self.b * o.a + theta * bb,
-            self.field,
-        )
+        pair = self._coerce(other)
+        return NotImplemented if pair is None else pair[0]._times(pair[1])
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "FieldElement":
-        nrm = self.norm()
-        if nrm == 0:
-            raise ZeroDivisionError("inverse of zero field element")
-        conj = self.conjugate()
-        return FieldElement(conj.a / nrm, conj.b / nrm, self.field)
-
-    def __truediv__(self, other: object) -> "FieldElement":
-        o = self._coerce(other)
-        if o is None:
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
             return NotImplemented
-        return self * o.inverse()
+        return (
+            self._p == other._p
+            and self._q == other._q
+            and self._den == other._den
+            and (self._ctx is other._ctx or self._ctx == other._ctx)
+        )
 
-    def __rtruediv__(self, other: object) -> "FieldElement":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int) -> "FieldElement":
-        if not isinstance(n, int):
-            return NotImplemented
-        base = self
-        if n < 0:
-            base = self.inverse()
-            n = -n
-        out = self.field.one()
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __bool__(self) -> bool:
-        return self.a != 0 or self.b != 0
+    def __hash__(self) -> int:
+        return hash((self._p, self._q, self._den, self._ctx))
 
     # -- invariants of the element -------------------------------------------
 
     def norm(self) -> Rational:
         """Norm(a + b*u) = a^2 + a*b*theta + b^2*c0."""
-        return (
-            self.a * self.a
-            + self.a * self.b * self.field.theta
-            + self.b * self.b * self.field.c0
-        )
+        return Fraction(self._norm_num(), self._den * self._den)
 
     def trace(self) -> Rational:
-        return 2 * self.a + self.b * self.field.theta
-
-    def conjugate(self) -> "FieldElement":
-        """The nontrivial Galois automorphism: a + b*u -> (a + b*theta) - b*u."""
-        return FieldElement(self.a + self.b * self.field.theta, -self.b, self.field)
+        return Fraction(2 * self._p + self._q * self._ctx.theta, self._den)
 
     def embed(self, which: int) -> QuadReal:
         """Real embedding sigma_which; sigma1(u) = (theta + sqrt(delta))/2."""
         if which not in (1, 2):
             raise ValueError(f"embedding index must be 1 or 2, got {which}")
-        half = Fraction(1, 2) if which == 1 else Fraction(-1, 2)
-        return QuadReal(
-            self.a + self.b * Fraction(self.field.theta, 2),
-            self.b * half,
-            self.field.delta,
+        field = self._ctx
+        return QuadReal._reduced(
+            2 * self._p + self._q * field.theta,
+            self._q if which == 1 else -self._q,
+            2 * self._den,
+            field.delta,
         )
 
     def sigma1(self) -> QuadReal:
@@ -203,10 +146,10 @@ class FieldElement:
         return self.embed(2)
 
     def is_unit(self) -> bool:
-        return abs(self.norm()) == 1
+        return abs(self._norm_num()) == self._den * self._den
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return not self._q
 
     def __str__(self) -> str:
         return format_field_element(self)
@@ -217,9 +160,11 @@ def chi(x: FieldElement, y: FieldElement) -> QuadReal:
 
     Always a pure surd: -(x.a*y.b - y.a*x.b) * sqrt(delta).
     """
-    if x.field != y.field:
+    if x._ctx is not y._ctx and x._ctx != y._ctx:
         raise ValueError(f"field mismatch: {x.field} vs {y.field}")
-    return QuadReal(Fraction(0), -(x.a * y.b - y.a * x.b), x.field.delta)
+    return QuadReal._reduced(
+        0, y._p * x._q - x._p * y._q, x._den * y._den, x._ctx.delta
+    )
 
 
 # -- text syntax: "a/b + c/d*u", the grammar of exactnum.parse_surd ----------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exactnum import QuadComplex, QuadReal
+from .exactnum import QuadComplex, QuadReal, in_discrete_subgroup
 from .lattice import Lattice, Matrix2Q
 from .quadfield import FieldDescriptor, FieldElement, chi
 from .units import DEFAULT_POWER_CAP
@@ -191,17 +191,6 @@ def make_generators(
     return g0, g1, g2, g3
 
 
-def _central_multiple(t: QuadComplex, gen_t: QuadComplex) -> bool:
-    """True iff t is an integer multiple of gen_t (a nonzero real pure surd)."""
-    if t.im:
-        return False
-    if t.re.rat != 0:
-        return False
-    if not t.re:
-        return True
-    return (t.re.irr / gen_t.re.irr).denominator == 1
-
-
 def _power_exponent(
     value: FieldElement, base: FieldElement, cap: int
 ) -> int | None:
@@ -243,7 +232,8 @@ def surface_group_contains(
     leftover = g * word.inverse()
     if leftover.v != field.one() or leftover.x:
         return False
-    return _central_multiple(leftover.t, g3.t)
+    t = leftover.t
+    return not t.im and in_discrete_subgroup(t.re, g3.t.re)
 
 
 def is_standard_form_direct(params: SurfaceParams) -> bool:
@@ -260,7 +250,8 @@ def is_standard_form_direct(params: SurfaceParams) -> bool:
         leftover = conj * word.inverse()
         if leftover.v != params.field.one() or leftover.x:
             return False
-        if not _central_multiple(leftover.t, g3.t):
+        t = leftover.t
+        if t.im or not in_discrete_subgroup(t.re, g3.t.re):
             return False
     return True
 

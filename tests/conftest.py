@@ -1,11 +1,13 @@
 """Shared builders: the four worked example parameter sets, random field
 elements, random fractional ideals, and random standard-form parameter sets
-for both surface families, over random ideals or over I = Z<1, eta>."""
+for both surface families, over random ideals or over I = Z<1, eta>, with t
+drawn by random_t or, reaching the -2t term, by random_surd_t."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Callable
 
 import pytest
 
@@ -156,18 +158,32 @@ def random_t(rng: random.Random, field: FieldDescriptor) -> QuadComplex:
     )
 
 
+def random_surd_t(rng: random.Random, field: FieldDescriptor) -> QuadComplex:
+    """A pure surd t = k/m * sqrt(delta) with m not dividing 6.
+
+    random_t's surd parts have m | 6, which on the generated sets makes
+    2rt/chi0 an integer; here it usually is not, so the -2t term of
+    condition 2 (units of norm -1) decides membership.
+    """
+    k = rng.choice([k for k in range(-9, 10) if k])
+    m = rng.choice((4, 5, 7, 8, 9, 10, 16))
+    return QuadComplex.from_real(QuadReal(0, Fraction(k, m), field.delta))
+
+
 def random_standard_params(
     rng: random.Random,
     c0: int,
     theta_range: tuple[int, int],
     r_range: tuple[int, int] = (1, 12),
+    t_draw: Callable[[random.Random, FieldDescriptor], QuadComplex] = random_t,
 ) -> SurfaceParams:
-    """A validated standard-form parameter set with randomized ideal and e."""
+    """A validated standard-form parameter set with randomized ideal and e;
+    t_draw gives t for the plus family."""
     theta = rng.randint(*theta_range)
     field = FieldDescriptor(theta, c0)
     r = rng.randint(*r_range)
     x1, x2 = random_invariant_lattice(rng, field).basis
-    return _standard_params(rng, field, r, x1, x2)
+    return _standard_params(rng, field, r, x1, x2, t_draw)
 
 
 def random_eta_params(
@@ -175,6 +191,7 @@ def random_eta_params(
     c0: int,
     theta_range: tuple[int, int],
     r_range: tuple[int, int] = (1, 12),
+    t_draw: Callable[[random.Random, FieldDescriptor], QuadComplex] = random_t,
 ) -> SurfaceParams:
     """A validated standard-form parameter set over I = Z<1, eta> with the
     basis moved at random, at a theta where u is a proper power of eta.
@@ -189,7 +206,7 @@ def random_eta_params(
             break
     r = rng.randint(*r_range)
     x1, x2 = unimodular_moves(rng, field.one(), eta)
-    return _standard_params(rng, field, r, x1, x2)
+    return _standard_params(rng, field, r, x1, x2, t_draw)
 
 
 def _standard_params(
@@ -198,6 +215,7 @@ def _standard_params(
     r: int,
     x1: FieldElement,
     x2: FieldElement,
+    t_draw: Callable[[random.Random, FieldDescriptor], QuadComplex] = random_t,
 ) -> SurfaceParams:
     """Completes the basis with a random standard-form e (and t for S(+))."""
     c0 = field.c0
@@ -205,7 +223,7 @@ def _standard_params(
     q_int = rng.randint(-2 * r, 2 * r)
     if c0 == 1:
         e = solve_standard_e(field, r, x1, x2, p_int, q_int)
-        t = random_t(rng, field)
+        t = t_draw(rng, field)
     else:
         e = _solve_standard_e_minus(field, r, x1, x2, p_int, q_int)
         t = QuadComplex.zero(field.delta)

@@ -1,0 +1,376 @@
+"""The Fraction implementations of `QuadReal`, `FieldElement` and `chi` that
+the integer core in `exactnum` replaced, kept as the differential reference
+for tests/test_field_core.py.
+
+The bodies are unchanged but for one line: `FieldElement.__pow__` started
+from `self.field.one()`, which now builds the package's `FieldElement`, so
+here it starts from the reference's own one.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from inoueaut.exactnum import (
+    Rational,
+    Scalar,
+    format_surd,
+    is_perfect_square,
+    square_decompose,
+)
+from inoueaut.quadfield import FieldDescriptor, format_field_element
+
+
+def _sign_of(q: Fraction) -> int:
+    return (q > 0) - (q < 0)
+
+
+@dataclass(frozen=True)
+class QuadReal:
+    """Exact real number rat + irr*sqrt(delta), delta a positive non-square.
+
+    Two values interoperate only when their deltas agree (a mismatch raises);
+    purely rational values compare equal across deltas.
+    """
+
+    rat: Fraction
+    irr: Fraction
+    delta: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rat", Fraction(self.rat))
+        object.__setattr__(self, "irr", Fraction(self.irr))
+        if self.delta <= 0 or is_perfect_square(self.delta):
+            raise ValueError(
+                f"delta must be a positive non-square integer, got {self.delta}"
+            )
+
+    # -- coercion ---------------------------------------------------------
+
+    def _coerce(self, other: object) -> "tuple[QuadReal, QuadReal] | None":
+        """Bring self and other to a common delta; rational values re-tag freely."""
+        if isinstance(other, (int, Fraction)):
+            return self, QuadReal(Fraction(other), Fraction(0), self.delta)
+        if not isinstance(other, QuadReal):
+            return None
+        if other.delta == self.delta:
+            return self, other
+        if other.irr == 0:
+            return self, QuadReal(other.rat, Fraction(0), self.delta)
+        if self.irr == 0:
+            return QuadReal(self.rat, Fraction(0), other.delta), other
+        raise ValueError(f"delta mismatch: {self.delta} vs {other.delta}")
+
+    # -- ring/field structure ---------------------------------------------
+
+    def __add__(self, other: object) -> "QuadReal":
+        pair = self._coerce(other)
+        if pair is None:
+            return NotImplemented
+        a, b = pair
+        return QuadReal(a.rat + b.rat, a.irr + b.irr, a.delta)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: object) -> "QuadReal":
+        pair = self._coerce(other)
+        if pair is None:
+            return NotImplemented
+        a, b = pair
+        return QuadReal(a.rat - b.rat, a.irr - b.irr, a.delta)
+
+    def __rsub__(self, other: object) -> "QuadReal":
+        pair = self._coerce(other)
+        if pair is None:
+            return NotImplemented
+        a, b = pair
+        return b - a
+
+    def __neg__(self) -> "QuadReal":
+        return QuadReal(-self.rat, -self.irr, self.delta)
+
+    def __mul__(self, other: object) -> "QuadReal":
+        pair = self._coerce(other)
+        if pair is None:
+            return NotImplemented
+        a, b = pair
+        return QuadReal(
+            a.rat * b.rat + a.irr * b.irr * a.delta,
+            a.rat * b.irr + a.irr * b.rat,
+            a.delta,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: object) -> "QuadReal":
+        pair = self._coerce(other)
+        if pair is None:
+            return NotImplemented
+        a, b = pair
+        nrm = b.rat * b.rat - b.irr * b.irr * b.delta
+        if nrm == 0:
+            raise ZeroDivisionError("division by zero in Q(sqrt(delta))")
+        return a * QuadReal(b.rat / nrm, -b.irr / nrm, a.delta)
+
+    def __rtruediv__(self, other: object) -> "QuadReal":
+        pair = self._coerce(other)
+        if pair is None:
+            return NotImplemented
+        a, b = pair
+        return b / a
+
+    def __pow__(self, n: int) -> "QuadReal":
+        if not isinstance(n, int) or n < 0:
+            return NotImplemented
+        out = QuadReal(1, 0, self.delta)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def conjugate(self) -> "QuadReal":
+        return QuadReal(self.rat, -self.irr, self.delta)
+
+    # -- comparisons --------------------------------------------------------
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (int, Fraction)):
+            return self.irr == 0 and self.rat == other
+        if isinstance(other, QuadReal):
+            if self.irr == 0 and other.irr == 0:
+                return self.rat == other.rat
+            return (
+                self.delta == other.delta
+                and self.rat == other.rat
+                and self.irr == other.irr
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        if self.irr == 0:
+            return hash(self.rat)
+        return hash((self.rat, self.irr, self.delta))
+
+    def sign(self) -> int:
+        """Exact sign in {-1, 0, +1}, decided by integer case analysis."""
+        p, q = self.rat, self.irr
+        if q == 0:
+            return _sign_of(p)
+        if p == 0:
+            return _sign_of(q)
+        if p > 0 and q > 0:
+            return 1
+        if p < 0 and q < 0:
+            return -1
+        lhs = p * p
+        rhs = q * q * self.delta
+        if lhs == rhs:  # would force sqrt(delta) rational
+            raise AssertionError("non-square delta invariant violated")
+        if p > 0:
+            return 1 if lhs > rhs else -1
+        return 1 if rhs > lhs else -1
+
+    def __bool__(self) -> bool:
+        return self.rat != 0 or self.irr != 0
+
+    def __lt__(self, other: object) -> bool:
+        diff = self.__sub__(other)
+        if diff is NotImplemented:
+            return NotImplemented
+        return diff.sign() < 0
+
+    def __le__(self, other: object) -> bool:
+        diff = self.__sub__(other)
+        if diff is NotImplemented:
+            return NotImplemented
+        return diff.sign() <= 0
+
+    def __gt__(self, other: object) -> bool:
+        diff = self.__sub__(other)
+        if diff is NotImplemented:
+            return NotImplemented
+        return diff.sign() > 0
+
+    def __ge__(self, other: object) -> bool:
+        diff = self.__sub__(other)
+        if diff is NotImplemented:
+            return NotImplemented
+        return diff.sign() >= 0
+
+    # -- presentation -------------------------------------------------------
+
+    def __float__(self) -> float:
+        return float(self.rat) + float(self.irr) * self.delta ** 0.5
+
+    def __str__(self) -> str:
+        return format_surd(self.rat, self.irr, f"sqrt({self.delta})")
+
+    def reduced_str(self) -> str:
+        """Like str(), but with the radicand reduced to its squarefree part."""
+        s, m = square_decompose(self.delta)
+        return format_surd(self.rat, self.irr * s, f"sqrt({m})")
+
+    @classmethod
+    def zero(cls, delta: int) -> "QuadReal":
+        return cls(Fraction(0), Fraction(0), delta)
+
+    @classmethod
+    def from_rational(cls, value: Scalar, delta: int) -> "QuadReal":
+        return cls(Fraction(value), Fraction(0), delta)
+
+
+@dataclass(frozen=True)
+class FieldElement:
+    """a + b*u in the basis {1, u}; arithmetic reduces by u^2 = theta*u - c0."""
+
+    a: Fraction
+    b: Fraction
+    field: FieldDescriptor
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "a", Fraction(self.a))
+        object.__setattr__(self, "b", Fraction(self.b))
+
+    def _coerce(self, other: object) -> "FieldElement | None":
+        if isinstance(other, FieldElement):
+            if other.field != self.field:
+                raise ValueError(
+                    f"field mismatch: {self.field} vs {other.field}"
+                )
+            return other
+        if isinstance(other, (int, Fraction)):
+            return FieldElement(Fraction(other), Fraction(0), self.field)
+        return None
+
+    # -- field operations ---------------------------------------------------
+
+    def __add__(self, other: object) -> "FieldElement":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FieldElement(self.a + o.a, self.b + o.b, self.field)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: object) -> "FieldElement":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FieldElement(self.a - o.a, self.b - o.b, self.field)
+
+    def __rsub__(self, other: object) -> "FieldElement":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __neg__(self) -> "FieldElement":
+        return FieldElement(-self.a, -self.b, self.field)
+
+    def __mul__(self, other: object) -> "FieldElement":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        theta, c0 = self.field.theta, self.field.c0
+        bb = self.b * o.b
+        return FieldElement(
+            self.a * o.a - c0 * bb,
+            self.a * o.b + self.b * o.a + theta * bb,
+            self.field,
+        )
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "FieldElement":
+        nrm = self.norm()
+        if nrm == 0:
+            raise ZeroDivisionError("inverse of zero field element")
+        conj = self.conjugate()
+        return FieldElement(conj.a / nrm, conj.b / nrm, self.field)
+
+    def __truediv__(self, other: object) -> "FieldElement":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other: object) -> "FieldElement":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __pow__(self, n: int) -> "FieldElement":
+        if not isinstance(n, int):
+            return NotImplemented
+        base = self
+        if n < 0:
+            base = self.inverse()
+            n = -n
+        out = FieldElement(Fraction(1), Fraction(0), self.field)
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def __bool__(self) -> bool:
+        return self.a != 0 or self.b != 0
+
+    # -- invariants of the element -------------------------------------------
+
+    def norm(self) -> Rational:
+        """Norm(a + b*u) = a^2 + a*b*theta + b^2*c0."""
+        return (
+            self.a * self.a
+            + self.a * self.b * self.field.theta
+            + self.b * self.b * self.field.c0
+        )
+
+    def trace(self) -> Rational:
+        return 2 * self.a + self.b * self.field.theta
+
+    def conjugate(self) -> "FieldElement":
+        """The nontrivial Galois automorphism: a + b*u -> (a + b*theta) - b*u."""
+        return FieldElement(self.a + self.b * self.field.theta, -self.b, self.field)
+
+    def embed(self, which: int) -> QuadReal:
+        """Real embedding sigma_which; sigma1(u) = (theta + sqrt(delta))/2."""
+        if which not in (1, 2):
+            raise ValueError(f"embedding index must be 1 or 2, got {which}")
+        half = Fraction(1, 2) if which == 1 else Fraction(-1, 2)
+        return QuadReal(
+            self.a + self.b * Fraction(self.field.theta, 2),
+            self.b * half,
+            self.field.delta,
+        )
+
+    def sigma1(self) -> QuadReal:
+        return self.embed(1)
+
+    def sigma2(self) -> QuadReal:
+        return self.embed(2)
+
+    def is_unit(self) -> bool:
+        return abs(self.norm()) == 1
+
+    def is_rational(self) -> bool:
+        return self.b == 0
+
+    def __str__(self) -> str:
+        return format_field_element(self)
+
+
+def chi(x: FieldElement, y: FieldElement) -> QuadReal:
+    """The antisymmetric form sigma1(x)sigma2(y) - sigma1(y)sigma2(x).
+
+    Always a pure surd: -(x.a*y.b - y.a*x.b) * sqrt(delta).
+    """
+    if x.field != y.field:
+        raise ValueError(f"field mismatch: {x.field} vs {y.field}")
+    return QuadReal(Fraction(0), -(x.a * y.b - y.a * x.b), x.field.delta)

@@ -18,8 +18,10 @@ from conftest import (
     example_theta4_zero,
     example_theta6,
     example_theta7,
+    random_eta_params,
     random_field_element,
     random_standard_params,
+    random_surd_t,
     random_t,
     random_unit,
 )
@@ -58,6 +60,19 @@ def splus_sets() -> list[SurfaceParams]:
 def sminus_sets() -> list[SurfaceParams]:
     rng = random.Random(20240522)
     return [random_standard_params(rng, -1, (1, 8), (1, 12)) for _ in range(22)]
+
+
+@pytest.fixture(scope="module")
+def reach_sets() -> list[SurfaceParams]:
+    """Sets that reach every term of the conditions: plus-family t with surd
+    denominators not dividing 6 (so the -2t term decides membership at units
+    of norm -1), and I = Z<1, eta> sets, where n > 1."""
+    rng = random.Random(20240524)
+    return (
+        [random_standard_params(rng, 1, (3, 12), (1, 12), random_surd_t) for _ in range(20)]
+        + [random_eta_params(rng, 1, (3, 12), (1, 12), random_surd_t) for _ in range(12)]
+        + [random_eta_params(rng, -1, (1, 12), (1, 12)) for _ in range(8)]
+    )
 
 
 def test_criterion_01_example_theta6():
@@ -120,8 +135,8 @@ def test_criterion_04_example_theta7():
     verdict(4, ok, f"theta=7: Q = (Z/4) x| (Z/5) by 3, order 20 = |H| ({elapsed:.3f}s)")
 
 
-def test_criterion_05_oracle_equivalence(splus_sets, sminus_sets):
-    sets = all_examples() + splus_sets + sminus_sets
+def test_criterion_05_oracle_equivalence(splus_sets, sminus_sets, reach_sets):
+    sets = all_examples() + splus_sets + sminus_sets + reach_sets
     checked = 0
     disagreements = 0
     for params in sets:
@@ -132,12 +147,25 @@ def test_criterion_05_oracle_equivalence(splus_sets, sminus_sets):
             if membership_conditions(params, v, y) != normalizer_oracle(params, v, y):
                 disagreements += 1
             checked += 1
-    ok = disagreements == 0 and len(splus_sets) >= 50 and len(sminus_sets) >= 20
+    ambients = [build_ambient(params) for params in reach_sets]
+    minus_2t_decides = sum(
+        any(v.norm() == -1 for v in ambient.unit_powers)
+        and (2 * params.r * params.t.re / params.chi0).rat.denominator != 1
+        for params, ambient in zip(reach_sets, ambients)
+    )
+    ok = (
+        disagreements == 0
+        and len(splus_sets) >= 50
+        and len(sminus_sets) >= 20
+        and minus_2t_decides > 0
+        and any(ambient.n > 1 for ambient in ambients)
+    )
     verdict(
         5,
         ok,
         f"conditions == normalizer oracle on {checked} elements over "
-        f"{len(sets)} parameter sets ({disagreements} disagreements)",
+        f"{len(sets)} parameter sets ({disagreements} disagreements; "
+        f"{minus_2t_decides} with a norm -1 unit and r*2t/chi0 not integral)",
     )
 
 

@@ -1,0 +1,186 @@
+"""The integer core under QuadReal and FieldElement, against the Fraction
+classes it replaced (`tests/field_reference.py`).
+
+Every operation is run on both implementations from the same rationals, and
+the outcomes must agree: the same value, or the same exception type.  The
+families cover several deltas and fields of both signs of c0, and the
+operands mix elements with int and Fraction on either side.
+"""
+
+import operator
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import field_reference as ref
+from inoueaut.exactnum import QuadReal
+from inoueaut.quadfield import FieldDescriptor, FieldElement, chi
+
+DELTAS = [2, 5, 8, 12, 13, 32, 45, 77]
+FIELDS = [FieldDescriptor(t, c) for t, c in [(3, 1), (6, 1), (7, 1), (1, -1), (3, -1), (4, -1)]]
+
+RATIONAL = st.one_of(
+    st.sampled_from([0, 1, -1, 2, Fraction(1, 2)]).map(Fraction),
+    st.fractions(min_value=-30, max_value=30, max_denominator=12),
+    st.fractions(max_denominator=10**9),
+)
+SCALAR = st.one_of(st.integers(-10, 10), RATIONAL)
+BINARY = [operator.add, operator.sub, operator.mul, operator.truediv]
+COMPARE = [operator.lt, operator.le, operator.gt, operator.ge]
+
+
+def plain(x):
+    """A comparable picture of a value of either implementation."""
+    if isinstance(x, (QuadReal, ref.QuadReal)):
+        return ("real", x.rat, x.irr, x.delta)
+    if isinstance(x, (FieldElement, ref.FieldElement)):
+        return ("field", x.a, x.b, x.field)
+    return x
+
+
+def outcome(fn, *args):
+    try:
+        return "value", plain(fn(*args))
+    except Exception as exc:  # the exception type is part of the behaviour
+        return "raises", type(exc)
+
+
+@st.composite
+def real_pair(draw, contexts=st.sampled_from(DELTAS)):
+    """(new, reference) QuadReal built from the same three numbers."""
+    rat, irr, delta = draw(RATIONAL), draw(RATIONAL), draw(contexts)
+    if draw(st.booleans()):
+        irr = Fraction(0)  # rational values re-tag across deltas
+    return QuadReal(rat, irr, delta), ref.QuadReal(rat, irr, delta)
+
+
+@st.composite
+def field_pair(draw, contexts=st.sampled_from(FIELDS)):
+    a, b, field = draw(RATIONAL), draw(RATIONAL), draw(contexts)
+    return FieldElement(a, b, field), ref.FieldElement(a, b, field)
+
+
+@st.composite
+def operands(draw, pair):
+    """x and y as (new, reference) pairs, y an element in the same context,
+    an element in any context, an int or a Fraction."""
+    x = draw(pair())
+    context = x[0].delta if isinstance(x[0], QuadReal) else x[0].field
+    y = draw(
+        st.one_of(
+            pair(st.just(context)),
+            pair(),
+            SCALAR.map(lambda s: (s, s)),
+        )
+    )
+    if draw(st.booleans()):
+        x, y = y, x
+    return x, y
+
+
+FAMILY = st.sampled_from([real_pair, field_pair])
+
+
+@settings(max_examples=400, deadline=None)
+@given(FAMILY.flatmap(operands))
+def test_ring_operations_match_reference(xy):
+    (x, rx), (y, ry) = xy
+    for op in BINARY:
+        assert outcome(op, x, y) == outcome(op, rx, ry), (op, rx, ry)
+    assert outcome(operator.neg, x) == outcome(operator.neg, rx)
+    assert outcome(bool, x) == outcome(bool, rx)
+
+
+@settings(max_examples=200, deadline=None)
+@given(FAMILY.flatmap(lambda pair: pair()), st.integers(-4, 6))
+def test_powers_match_reference(pair, n):
+    x, rx = pair
+    assert outcome(operator.pow, x, n) == outcome(operator.pow, rx, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_pair(), field_pair())
+def test_field_invariants_match_reference(xp, yp):
+    (x, rx), (y, ry) = xp, yp
+    for name in ("inverse", "norm", "trace", "conjugate", "sigma1", "sigma2",
+                 "is_unit", "is_rational", "__str__"):
+        assert outcome(getattr(x, name)) == outcome(getattr(rx, name)), name
+    for which in (1, 2, 3):
+        assert outcome(x.embed, which) == outcome(rx.embed, which)
+    assert outcome(chi, x, y) == outcome(ref.chi, rx, ry)
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands(real_pair))
+def test_real_order_and_text_match_reference(xy):
+    (x, rx), (y, ry) = xy
+    for op in COMPARE:
+        assert outcome(op, x, y) == outcome(op, rx, ry), op
+    for value, rvalue in xy:
+        if isinstance(value, QuadReal):
+            for name in ("sign", "conjugate", "__str__", "reduced_str", "__float__"):
+                assert outcome(getattr(value, name)) == outcome(getattr(rvalue, name))
+
+
+@settings(max_examples=400, deadline=None)
+@given(FAMILY.flatmap(operands))
+def test_equality_and_hash_match_reference(xy):
+    (x, rx), (y, ry) = xy
+    assert (x == y) == (rx == ry)
+    assert (x != y) == (rx != ry)
+    if x == y:
+        assert hash(x) == hash(y)
+    if isinstance(x, QuadReal) and not x.irr:
+        assert hash(x) == hash(x.rat) == hash(rx)
+
+
+def test_rational_values_across_deltas():
+    assert QuadReal(3, 0, 8) == QuadReal(3, 0, 5) == 3
+    assert len({QuadReal(3, 0, 8), QuadReal(3, 0, 5), 3, Fraction(3)}) == 1
+    assert QuadReal(1, 1, 8) != QuadReal(1, 1, 5)
+    assert (QuadReal(3, 0, 5) + QuadReal(1, 1, 8)).delta == 8
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda QR, FE: QR(1, 1, 8) + QR(1, 1, 5),
+        lambda QR, FE: QR(1, 1, 8) * QR(0, 1, 12),
+        lambda QR, FE: FE(1, 1, FIELDS[0]) * FE(1, 1, FIELDS[1]),
+        lambda QR, FE: FE(1, 1, FIELDS[0]) - FE(0, 0, FIELDS[3]),
+        lambda QR, FE: QR(1, 1, 9),
+        lambda QR, FE: QR(1, 1, 0),
+        lambda QR, FE: QR(2, 1, 8) / 0,
+        lambda QR, FE: 1 / QR(0, 0, 8),
+        lambda QR, FE: FE(0, 0, FIELDS[2]).inverse(),
+        lambda QR, FE: FE(0, 0, FIELDS[2]) ** -2,
+        lambda QR, FE: FE(1, 2, FIELDS[2]) / FE(0, 0, FIELDS[2]),
+        lambda QR, FE: QR(2, 1, 8) ** -1,
+        lambda QR, FE: QR(2, 1, 8) + FE(1, 0, FIELDS[1]),
+        lambda QR, FE: QR(2, 1, 8) * 0.5,
+    ],
+)
+def test_errors_match_reference(fn):
+    with pytest.raises(Exception) as new:
+        fn(QuadReal, FieldElement)
+    with pytest.raises(Exception) as old:
+        fn(ref.QuadReal, ref.FieldElement)
+    assert new.type is old.type
+
+
+def test_constructors_keep_their_keywords():
+    assert QuadReal(rat=1, irr=Fraction(1, 2), delta=8) == QuadReal(1, Fraction(1, 2), 8)
+    assert FieldElement(a=1, b=2, field=FIELDS[0]) == FIELDS[0].element(1, 2)
+
+
+def test_values_are_stored_reduced():
+    x = QuadReal(Fraction(2, 4), Fraction(-6, 9), 8)
+    assert (x.rat, x.irr) == (Fraction(1, 2), Fraction(-2, 3))
+    y = FieldElement(Fraction(3, 6), Fraction(5, 10), FIELDS[1]) * 4
+    assert (y.a, y.b) == (2, 2) and y == FIELDS[1].element(2, 2)
+    assert repr(FIELDS[1].u()) == (
+        "FieldElement(Fraction(0, 1), Fraction(1, 1), "
+        "FieldDescriptor(theta=6, c0=1))"
+    )

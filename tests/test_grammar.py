@@ -4,7 +4,9 @@ they replaced (`tests/grammar_reference.py`).
 On documented-grammar strings the new parsers give the reference's values; on
 arbitrary text they accept nothing the reference rejects, and every string the
 reference accepted but the new parsers reject falls in one of the classes in
-NEWLY_REJECTED.  The formatters are byte-identical on arbitrary Fraction pairs.
+NEWLY_REJECTED.  The integer grammar of theta and r is held to `int()`, which
+read them before, in the same way.  The formatters are byte-identical on
+arbitrary Fraction pairs.
 """
 
 import re
@@ -22,6 +24,7 @@ from inoueaut.exactnum import (
     QuadReal,
     ValueTooLargeError,
     format_surd,
+    parse_integer,
     parse_rational,
     parse_surd,
     square_decompose,
@@ -48,6 +51,9 @@ NEWLY_REJECTED = {
         re.search(r"(^|[+\-(])\*+(u|sqrtD)", s.replace(" ", ""))
     ),
     "repeated '*'": lambda s: "**" in s.replace(" ", ""),
+    "no '+' between the parts of t": lambda s: bool(
+        re.search(r"[^+(]\(", s.replace(" ", ""))
+    ),
 }
 
 
@@ -124,7 +130,9 @@ PARSERS = [
     (parse_field_element, ref.parse_field_element, (F6,), ValueError),
     (parse_quad_complex, ref.parse_quad_complex, (DELTA,), ParamFileError),
     (parse_rational, ref.parse_rational, (), ValueError),
+    (parse_integer, int, (), ValueError),
 ]
+SIGNED = st.tuples(st.sampled_from(["", "+", "-"]), NUMERAL).map("".join)
 
 
 @settings(max_examples=200, deadline=None)
@@ -132,10 +140,11 @@ PARSERS = [
     documented_value("u"),
     documented_complex(),
     st.tuples(st.sampled_from(["", "+", "-"]), RATIONAL).map("".join),
+    st.tuples(SPACES, SIGNED, SPACES).map("".join),
 )
-def test_parsers_match_reference_on_the_grammar(field_text, t_text, rational):
+def test_parsers_match_reference_on_the_grammar(field_text, t_text, rational, integer):
     for (parse, parse_reference, args, _), text in zip(
-        PARSERS, (field_text, t_text, rational)
+        PARSERS, (field_text, t_text, rational, integer)
     ):
         assert parse(text, *args) == parse_reference(text, *args)
 
@@ -162,16 +171,20 @@ def test_each_listed_class_was_accepted_and_is_now_rejected():
         "whitespace other than a space": ("1 +\t3*u", "1\t"),
         "bare '*' before the symbol": ("1 - *u", "*sqrtD"),
         "repeated '*'": ("2**u", "(2**sqrtD)i"),
+        "no '+' between the parts of t": (None, "1(2)i"),
     }
     assert set(examples) == set(NEWLY_REJECTED)
     for name, (field_text, t_text) in examples.items():
-        assert newly_rejected_classes(field_text) and newly_rejected_classes(t_text)
-        assert ref.parse_field_element(field_text, F6) is not None, name
+        assert newly_rejected_classes(t_text)
         assert ref.parse_quad_complex(t_text, DELTA) is not None, name
-        with pytest.raises(ValueError):
-            parse_field_element(field_text, F6)
         with pytest.raises(ParamFileError):
             parse_quad_complex(t_text, DELTA)
+        if field_text is None:  # the class only exists in t's layout
+            continue
+        assert newly_rejected_classes(field_text)
+        assert ref.parse_field_element(field_text, F6) is not None, name
+        with pytest.raises(ValueError):
+            parse_field_element(field_text, F6)
 
 
 @pytest.mark.parametrize("text", ["1/0", "u - 1/0", "1/00*u", "-3/0u"])

@@ -51,6 +51,32 @@ def test_zero_denominator_exits_2(tmp_path, key, value):
     assert f"{path}:{list(VALID).index(key) + 1}: zero denominator" in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("theta", "６"), ("theta", "\u0666"), ("r", "6_0"), ("r", "1e1"), ("t", "1(2)i")],
+)
+def test_integer_and_complex_grammar_exit_2(tmp_path, key, value):
+    path = tmp_path / "loose.params"
+    path.write_text(param_text(**{key: value}), encoding="utf-8")
+    rc, out, err = run(path, "--no-oracle")
+    assert (rc, out) == (2, "") and "parse error" in err
+
+
+def test_signed_theta_keeps_its_sign(tmp_path):
+    path = tmp_path / "signed.params"
+    path.write_text(param_text(theta="-6"), encoding="utf-8")
+    assert run(path, "--no-oracle")[0] == 3
+    path.write_text(param_text(theta="+6", r=" +6"), encoding="utf-8")
+    assert run(path, "--no-oracle")[0] == 0
+
+
+@pytest.mark.parametrize("theta", ["６", "6_0", " 6\t"])
+def test_fundamental_unit_theta_grammar_exits_2(theta):
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+        main(["fundamental-unit", theta, "+"])
+    assert exc.value.code == 2
+
+
 def test_non_utf8_file_exits_2(tmp_path):
     path = tmp_path / "latin.params"
     path.write_bytes(param_text().encode() + b"# caf\x80\n")
