@@ -15,7 +15,7 @@ from .quadfield import (
     format_field_element,
     parse_field_element,
 )
-from .lattice import Lattice, LatticeQuotient, Matrix2Q
+from .lattice import Lattice, LatticeQuotient
 from .units import (
     DEFAULT_POWER_CAP,
     fundamental_unit,
@@ -49,6 +49,7 @@ from .components import (
     normalizer_oracle,
     oracle_crosscheck,
     order_bound,
+    require_standard_form,
 )
 
 __version__ = "0.1.0"
@@ -66,7 +67,6 @@ __all__ = [
     "parse_rational",
     "Lattice",
     "LatticeQuotient",
-    "Matrix2Q",
     "DEFAULT_POWER_CAP",
     "fundamental_unit",
     "invariant_unit_generator",
@@ -95,4 +95,5 @@ __all__ = [
     "normalizer_oracle",
     "oracle_crosscheck",
     "order_bound",
+    "require_standard_form",
 ]

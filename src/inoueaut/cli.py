@@ -34,6 +34,7 @@ from .components import (
     InternalConsistencyError,
     automorphism_report,
     order_bound,
+    require_standard_form,
 )
 from .exactnum import (
     QuadComplex,
@@ -43,12 +44,7 @@ from .exactnum import (
     parse_surd,
 )
 from .quadfield import FieldDescriptor, FieldElement, parse_field_element
-from .surfacegroup import (
-    ParameterError,
-    StandardFormError,
-    SurfaceParams,
-    is_standard_form_direct,
-)
+from .surfacegroup import ParameterError, StandardFormError, SurfaceParams
 from .units import fundamental_unit
 
 
@@ -252,7 +248,7 @@ def machine_payload(report: AutReport) -> dict:
     params = report.params
     ambient = report.ambient
     inoue = report.inoue
-    rows = inoue.matrix.int_rows()
+    rows = inoue.matrix
     payload = {
         "params": {
             "surface_type": params.field.surface_type,
@@ -349,7 +345,7 @@ def render_report(report: AutReport) -> str:
     )
     lines.append(f"bound: |Q| = {report.q.order} <= {ambient.order}")
     lines.append(f"kernel of Aut(X) -> Q: {_kernel_name(report.q)}")
-    rows = inoue.matrix.int_rows()
+    rows = inoue.matrix
     lines.append(
         f"Inoue data: N = [{list(rows[0])}, {list(rows[1])}], "
         f"(p, q) = ({inoue.p}, {inoue.q}), alpha = {inoue.alpha.reduced_str()}"
@@ -415,16 +411,14 @@ def cmd_fundamental_unit(args: argparse.Namespace) -> int:
 
 def cmd_check_standard_form(args: argparse.Namespace) -> int:
     params = load_param_file(args.file)
-    if is_standard_form_direct(params):
-        print("standard form: yes")
-        return 0
-    print("standard form: no")
-    if params.field.c0 == 1:
-        print(
-            "(1-u)/u e + (n21 n22/2) x1 - (n11 n12/2) x2 is not in I/r",
-            file=sys.stderr,
-        )
-    return 4
+    try:
+        require_standard_form(params)
+    except StandardFormError as exc:
+        print("standard form: no")
+        print(exc, file=sys.stderr)
+        return 4
+    print("standard form: yes")
+    return 0
 
 
 def cmd_bound(args: argparse.Namespace) -> int:

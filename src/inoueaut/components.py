@@ -15,7 +15,7 @@ from math import gcd, lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exactnum import QuadComplex
-from .lattice import InternalConsistencyError, LatticeQuotient, Matrix2Q
+from .lattice import IntMatrix, InternalConsistencyError, LatticeQuotient
 from .quadfield import FieldElement, chi
 from .surfacegroup import (
     AffineElement,
@@ -57,7 +57,7 @@ class AmbientGroup:
     n: int
     quotient: LatticeQuotient
     unit_powers: tuple[FieldElement, ...]
-    _actions: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+    _actions: tuple[IntMatrix, ...]
 
     @property
     def order(self) -> int:
@@ -180,7 +180,7 @@ def membership_form(
     condition 1 constrains membership.
     """
     field, ideal, r = params.field, params.ideal, params.r
-    (m11, m12), (m21, m22) = _unit_matrix(params, v).int_rows()
+    (m11, m12), (m21, m22) = _unit_matrix(params, v)
     one = field.one()
     correction = Fraction(m21 * m22, 2) * (v * params.x1) - Fraction(
         m11 * m12, 2
@@ -251,13 +251,13 @@ def membership_conditions(
     return accepts(*coords)
 
 
-def _unit_matrix(params: SurfaceParams, v: FieldElement) -> Matrix2Q:
+def _unit_matrix(params: SurfaceParams, v: FieldElement) -> IntMatrix:
     """Rejects v unless it is a unit with sigma1 > 0 mapping I onto itself;
-    returns v's matrix on I."""
+    returns v's matrix on I (of determinant Norm(v) = +-1)."""
     if not v.is_unit() or v.sigma1().sign() <= 0:
         raise ValueError(f"v must be a unit with sigma1 > 0, got {v}")
     m = params.ideal.mult_matrix(v)
-    if not m.is_integral() or abs(m.det()) != 1:
+    if m is None:
         raise ValueError(f"{v} does not map the ideal onto itself")
     return m
 
@@ -499,7 +499,7 @@ class ComponentGroup:
         )
 
 
-def _require_standard_form(params: SurfaceParams) -> None:
+def require_standard_form(params: SurfaceParams) -> None:
     """Raises StandardFormError unless the generated group is in standard form."""
     if is_standard_form_direct(params):
         return
@@ -533,7 +533,7 @@ def component_group(
 ) -> ComponentGroup:
     """Gates standard form, filters the ambient group through the membership
     conditions and classifies the component group they cut out."""
-    _require_standard_form(params)
+    require_standard_form(params)
     if ambient is None:
         ambient = build_ambient(params)
     keys = _member_keys(params, ambient)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from math import gcd, isqrt, lcm
 from typing import Union
 
@@ -29,10 +29,13 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
+@lru_cache(maxsize=1)
 def square_decompose(n: int) -> tuple[int, int]:
     """Write n = s**2 * m with m squarefree; returns (s, m).
 
-    Trial division; the radicands in this package stay desk-sized.
+    Trial division; the radicands in this package stay desk-sized.  The
+    last result is kept: one command decomposes the same delta several
+    times (for the fundamental unit, then for each reduced_str).
     """
     if n <= 0:
         raise ValueError(f"expected a positive integer, got {n}")

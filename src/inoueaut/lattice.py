@@ -1,19 +1,22 @@
 """Rank-2 Z-lattices inside a quadratic field.
 
-A lattice keeps its defining basis but is normalized eagerly to a canonical
-form (primitive integer matrix in {1, u}-coordinates over a common
-denominator, rows in Hermite normal form); equality, hashing and membership
-all go through that form, so lattices behave as the sets they denote.
+A lattice holds its basis as one integer matrix in {1, u}-coordinates over
+one denominator; coordinates, membership and multiplication matrices are
+integer adjugate arithmetic on it.  Equality and hashing go through the
+canonical form (primitive matrix over the least denominator, rows in
+Hermite normal form), so lattices behave as the sets they denote.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .exactnum import Rational
-from .quadfield import FieldDescriptor, FieldElement, chi
+from .quadfield import FieldDescriptor, FieldElement
+
+# Row-major 2x2 integer matrix ((m11, m12), (m21, m22)).
+IntMatrix = tuple[tuple[int, int], tuple[int, int]]
 
 
 class InternalConsistencyError(RuntimeError):
@@ -33,70 +36,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-@dataclass(frozen=True)
-class Matrix2Q:
-    """2x2 rational matrix in row-major order."""
-
-    m11: Fraction
-    m12: Fraction
-    m21: Fraction
-    m22: Fraction
-
-    def __post_init__(self) -> None:
-        for name in ("m11", "m12", "m21", "m22"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-
-    @classmethod
-    def identity(cls) -> "Matrix2Q":
-        return cls(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
-
-    def __mul__(self, other: "Matrix2Q") -> "Matrix2Q":
-        if not isinstance(other, Matrix2Q):
-            return NotImplemented
-        return Matrix2Q(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-        )
-
-    def __pow__(self, n: int) -> "Matrix2Q":
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = Matrix2Q.identity()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def det(self) -> Rational:
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-    def trace(self) -> Rational:
-        return self.m11 + self.m22
-
-    def is_integral(self) -> bool:
-        return all(
-            v.denominator == 1 for v in (self.m11, self.m12, self.m21, self.m22)
-        )
-
-    def int_rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        if not self.is_integral():
-            raise ValueError(f"matrix is not integral: {self}")
-        return (int(self.m11), int(self.m12)), (int(self.m21), int(self.m22))
-
-    def apply(self, c1, c2):
-        """Matrix times the column (c1; c2); entries may be any scalars that
-        multiply with Fractions."""
-        return (self.m11 * c1 + self.m12 * c2, self.m21 * c1 + self.m22 * c2)
-
-    def __str__(self) -> str:
-        return f"[[{self.m11}, {self.m12}], [{self.m21}, {self.m22}]]"
 
 
 def _hnf2(
@@ -195,26 +134,27 @@ def _snf2(
 class Lattice:
     """Z-span of two Q-linearly independent field elements."""
 
-    __slots__ = ("b1", "b2", "field", "_den", "_hnf")
+    __slots__ = ("b1", "b2", "field", "_den", "_rows", "_det", "_hnf")
 
     def __init__(self, b1: FieldElement, b2: FieldElement):
         if b1.field != b2.field:
             raise ValueError("basis elements live in different fields")
-        if not chi(b1, b2):
+        (p1, q1, d1), (p2, q2, d2) = b1.as_integer_triple(), b2.as_integer_triple()
+        den = lcm(d1, d2)
+        p1, q1 = p1 * (den // d1), q1 * (den // d1)
+        p2, q2 = p2 * (den // d2), q2 * (den // d2)
+        det = p1 * q2 - q1 * p2
+        if not det:
             raise ValueError("basis is Q-linearly dependent (chi(b1, b2) = 0)")
+        h11, h12, h22 = _hnf2(p1, q1, p2, q2)
+        # g divides the Hermite rows, hence every row of the basis as well
+        g = gcd(den, h11, h12, h22)
         self.b1 = b1
         self.b2 = b2
         self.field = b1.field
-        den = lcm(
-            b1.a.denominator, b1.b.denominator, b2.a.denominator, b2.b.denominator
-        )
-        rows = [
-            int(b1.a * den), int(b1.b * den),
-            int(b2.a * den), int(b2.b * den),
-        ]
-        h11, h12, h22 = _hnf2(*rows)
-        g = gcd(den, gcd(h11, gcd(h12, h22)))
         self._den = den // g
+        self._rows = ((p1 // g, q1 // g), (p2 // g, q2 // g))
+        self._det = det // (g * g)
         self._hnf = (h11 // g, h12 // g, h22 // g)
 
     @classmethod
@@ -245,32 +185,32 @@ class Lattice:
 
     # -- membership and coordinates -----------------------------------------
 
-    def contains(self, x: FieldElement) -> bool:
+    def _solve(self, x: FieldElement) -> tuple[int, int, int]:
+        """(m, n, d) with x = (m*b1 + n*b2)/d, by the adjugate of the basis
+        matrix: d = den(x) * det and (m, n) = den * (p, q) * adj."""
         if x.field != self.field:
             raise ValueError("field mismatch")
-        h11, h12, h22 = self._hnf
-        q1 = x.a * self._den
-        q2 = x.b * self._den
-        m = q1 / h11
-        if m.denominator != 1:
-            return False
-        n = (q2 - m * h12) / h22
-        return n.denominator == 1
+        p, q, d = x.as_integer_triple()
+        (p1, q1), (p2, q2) = self._rows
+        return (
+            self._den * (p * q2 - q * p2),
+            self._den * (p1 * q - q1 * p),
+            d * self._det,
+        )
+
+    def contains(self, x: FieldElement) -> bool:
+        return self.integer_coordinates(x) is not None
 
     def coordinates(self, x: FieldElement) -> tuple[Rational, Rational]:
         """(m, n) with x = m*b1 + n*b2, as exact rationals."""
-        if x.field != self.field:
-            raise ValueError("field mismatch")
-        det = self.b1.a * self.b2.b - self.b1.b * self.b2.a
-        m = (x.a * self.b2.b - x.b * self.b2.a) / det
-        n = (self.b1.a * x.b - self.b1.b * x.a) / det
-        return m, n
+        m, n, d = self._solve(x)
+        return Fraction(m, d), Fraction(n, d)
 
     def integer_coordinates(self, x: FieldElement) -> tuple[int, int] | None:
-        m, n = self.coordinates(x)
-        if m.denominator != 1 or n.denominator != 1:
+        m, n, d = self._solve(x)
+        if m % d or n % d:
             return None
-        return int(m), int(n)
+        return m // d, n // d
 
     # -- lattice operations ---------------------------------------------------
 
@@ -283,24 +223,28 @@ class Lattice:
         return Lattice(x * self.b1, x * self.b2)
 
     def index(self, other: "Lattice") -> Rational:
-        """[self : other] = |chi(other basis) / chi(self basis)|.
+        """[self : other] = |det(other)/den(other)^2| / |det(self)/den(self)^2|
+        for the basis matrices, i.e. the ratio of |chi| of the two bases.
 
         The usual group index when other is a sublattice of self.
         """
-        ratio = chi(other.b1, other.b2).irr / chi(self.b1, self.b2).irr
-        return abs(ratio)
+        return Fraction(
+            abs(other._det) * self._den * self._den,
+            abs(self._det) * other._den * other._den,
+        )
 
     def is_invariant_under(self, v: FieldElement) -> bool:
         """True iff v * self = self; v must be a unit."""
         if not v.is_unit():
             raise ValueError(f"{v} is not a unit (norm {v.norm()})")
-        return self.scale(v) == self
+        return self.mult_matrix(v) is not None
 
-    def mult_matrix(self, v: FieldElement) -> Matrix2Q:
-        """The matrix M with M*(b1; b2)^T = (v*b1; v*b2)^T."""
-        r1 = self.coordinates(v * self.b1)
-        r2 = self.coordinates(v * self.b2)
-        return Matrix2Q(r1[0], r1[1], r2[0], r2[1])
+    def mult_matrix(self, v: FieldElement) -> IntMatrix | None:
+        """The integer matrix M with M*(b1; b2) = (v*b1; v*b2), as rows, or
+        None when v does not map the lattice into itself."""
+        r1 = self.integer_coordinates(v * self.b1)
+        r2 = self.integer_coordinates(v * self.b2)
+        return None if r1 is None or r2 is None else (r1, r2)
 
     def quotient(self, sub: "Lattice") -> "LatticeQuotient":
         return LatticeQuotient(self, sub)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exactnum import QuadComplex, QuadReal, in_discrete_subgroup
-from .lattice import Lattice, Matrix2Q
+from .lattice import IntMatrix, Lattice
 from .quadfield import FieldDescriptor, FieldElement, chi
 from .units import DEFAULT_POWER_CAP
 
@@ -34,6 +34,9 @@ class AffineElement:
 
     The group law is
         [u, x, t][v, y, s] = [uv, x + uy, t + Norm(u)s - chi(x, uy)/2].
+    The public constructor validates; products, inverses and the identity
+    keep the invariants (v a unit with sigma1(v) > 0, one field and delta)
+    and are built by the trusted _raw.
     """
 
     v: FieldElement
@@ -50,13 +53,23 @@ class AffineElement:
         if self.v.sigma1().sign() <= 0:
             raise ValueError(f"v must have sigma1 > 0, got {self.v}")
 
+    @classmethod
+    def _raw(
+        cls, v: FieldElement, x: FieldElement, t: QuadComplex
+    ) -> "AffineElement":
+        self = object.__new__(cls)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "t", t)
+        return self
+
     @property
     def field(self) -> FieldDescriptor:
         return self.v.field
 
     @classmethod
     def identity(cls, field: FieldDescriptor) -> "AffineElement":
-        return cls(field.one(), field.zero(), QuadComplex.zero(field.delta))
+        return cls._raw(field.one(), field.zero(), QuadComplex.zero(field.delta))
 
     def __mul__(self, other: "AffineElement") -> "AffineElement":
         if not isinstance(other, AffineElement):
@@ -64,14 +77,15 @@ class AffineElement:
         if other.field != self.field:
             raise ValueError("field mismatch")
         uy = self.v * other.x
-        t = self.t + other.t * self.v.norm() - QuadComplex.from_real(
-            chi(self.x, uy) / 2
-        )
-        return AffineElement(self.v * other.v, self.x + uy, t)
+        # self.v is a unit, so Norm(u)s in the law is s or -s
+        t = self.t + other.t if self.v.norm() == 1 else self.t - other.t
+        t = t - chi(self.x, uy) / 2
+        return AffineElement._raw(self.v * other.v, self.x + uy, t)
 
     def inverse(self) -> "AffineElement":
         v_inv = self.v.inverse()
-        return AffineElement(v_inv, -(self.x * v_inv), -self.t / self.v.norm())
+        t = -self.t if self.v.norm() == 1 else self.t
+        return AffineElement._raw(v_inv, -(self.x * v_inv), t)
 
     def __pow__(self, n: int) -> "AffineElement":
         if not isinstance(n, int):
@@ -122,7 +136,7 @@ class SurfaceParams:
             raise ParameterError("x1, x2 are Q-linearly dependent (chi = 0)")
         if self.field.c0 == -1 and self.t:
             raise ParameterError("t must be 0 for the minus family")
-        if not self.n_matrix.is_integral():
+        if self.n_matrix is None:
             raise ParameterError(
                 "Z<x1, x2> is not a fractional ideal: u does not act integrally"
             )
@@ -160,8 +174,9 @@ class SurfaceParams:
         return self.ideal.scale(one_minus_u.inverse())
 
     @cached_property
-    def n_matrix(self) -> Matrix2Q:
-        """Integral matrix of u acting on (x1, x2); trace theta, det c0."""
+    def n_matrix(self) -> IntMatrix | None:
+        """Integer matrix of u acting on (x1, x2), trace theta and det c0;
+        None only while __post_init__ rejects a non-ideal."""
         return self.ideal.mult_matrix(self.field.u())
 
     @cached_property
@@ -242,9 +257,8 @@ def is_standard_form_direct(params: SurfaceParams) -> bool:
     Works for both families; the minus family has no closed form.
     """
     g0, g1, g2, g3 = params.generators
-    rows = params.n_matrix.int_rows()
     g0_inv = g0.inverse()
-    for gi, (ni1, ni2) in zip((g1, g2), rows):
+    for gi, (ni1, ni2) in zip((g1, g2), params.n_matrix):
         conj = g0 * gi * g0_inv
         word = (g1 ** ni1) * (g2 ** ni2)
         leftover = conj * word.inverse()
@@ -263,7 +277,7 @@ def is_standard_form_residue(params: SurfaceParams) -> bool:
         raise ValueError("the closed-form residue test only exists for c0 = +1")
     field = params.field
     u = field.u()
-    (n11, n12), (n21, n22) = params.n_matrix.int_rows()
+    (n11, n12), (n21, n22) = params.n_matrix
     z = (
         ((field.one() - u) / u) * params.e
         + Fraction(n21 * n22, 2) * params.x1
@@ -287,11 +301,10 @@ def solve_standard_e(
     """
     if field.c0 != 1:
         raise ValueError("the solved form only exists for c0 = +1")
-    lattice = Lattice(x1, x2)
-    n = lattice.mult_matrix(field.u())
-    if not n.is_integral():
+    n = Lattice(x1, x2).mult_matrix(field.u())
+    if n is None:
         raise ParameterError("Z<x1, x2> is not a fractional ideal")
-    (n11, n12), (n21, n22) = n.int_rows()
+    (n11, n12), (n21, n22) = n
     u = field.u()
     factor = u / (field.one() - u)
     return factor * (
@@ -304,7 +317,7 @@ def solve_standard_e(
 class InoueData:
     """The classical data (N, p, q; eigenvectors and translation parts)."""
 
-    matrix: Matrix2Q
+    matrix: IntMatrix
     p: int
     q: int
     alpha: QuadReal
@@ -327,7 +340,7 @@ def to_inoue_data(params: SurfaceParams) -> InoueData:
     """
     field = params.field
     n = params.n_matrix
-    (n11, n12), (n21, n22) = n.int_rows()
+    (n11, n12), (n21, n22) = n
     alpha = field.u().sigma1()
     a1, b1 = params.x1.sigma1(), params.x1.sigma2()
     a2, b2 = params.x2.sigma1(), params.x2.sigma2()
@@ -347,10 +360,8 @@ def to_inoue_data(params: SurfaceParams) -> InoueData:
         )
 
     e1, e2 = trans(n11, n12), trans(n21, n22)
-    shifted = Matrix2Q(
-        n.m11 - field.c0, n.m12, n.m21, n.m22 - field.c0
-    )
-    lhs1, lhs2 = shifted.apply(c1, c2)
+    lhs1 = (n11 - field.c0) * c1 + n12 * c2
+    lhs2 = n21 * c1 + (n22 - field.c0) * c2
     p_val = (-e1 - lhs1) / d
     q_val = (-e2 - lhs2) / d
     if p_val.irr != 0 or q_val.irr != 0 or (

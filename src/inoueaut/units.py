@@ -94,8 +94,8 @@ def invariant_unit_generator(
 ) -> tuple[FieldElement, int]:
     """Generator eta**j of the positive units mapping the lattice onto itself.
 
-    j is the least positive exponent making the multiplication matrix of eta
-    integral; the search is bounded by the exponent n_max with
+    j is the least positive exponent with eta**j mapping the lattice into
+    itself; the search is bounded by the exponent n_max with
     eta**n_max = u, which exists because the lattice is required to be a
     fractional ideal of Z[u].
     """
@@ -103,16 +103,13 @@ def invariant_unit_generator(
     if eta is None:
         eta = fundamental_unit(field)
     n_max = utheta_exponent(field, eta, cap)
-    m1 = lat.mult_matrix(eta)
-    power_matrix = m1
     power_unit = eta
     for j in range(1, n_max + 1):
-        if power_matrix.is_integral():
+        if lat.mult_matrix(power_unit) is not None:
             # The exponents k with eta**k acting integrally are the multiples
             # of j, so u = eta**n_max acts integrally iff j divides n_max.
             if n_max % j:
                 break
             return power_unit, j
-        power_matrix = power_matrix * m1
         power_unit = power_unit * eta
     raise ValueError(f"{lat} is not a fractional ideal: u does not act integrally")

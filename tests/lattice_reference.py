@@ -1,0 +1,161 @@
+"""The Fraction implementations that the integer lattice arithmetic in
+`inoueaut.lattice` replaced, kept as the differential reference for
+tests/test_lattice.py: the rational matrix `Matrix2Q`, and `Lattice`'s
+construction, membership, coordinates, index, invariance test and
+multiplication matrix.
+
+`Lattice` here subclasses the package's and overrides exactly those methods
+with their old bodies, unchanged; scale, quotient, equality and hashing are
+inherited.  So `Lattice.mult_matrix` gives a `Matrix2Q` for any v, integral
+or not.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
+
+import inoueaut.lattice
+from inoueaut.exactnum import Rational
+from inoueaut.lattice import _hnf2
+from inoueaut.quadfield import FieldElement, chi
+
+
+@dataclass(frozen=True)
+class Matrix2Q:
+    """2x2 rational matrix in row-major order."""
+
+    m11: Fraction
+    m12: Fraction
+    m21: Fraction
+    m22: Fraction
+
+    def __post_init__(self) -> None:
+        for name in ("m11", "m12", "m21", "m22"):
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
+
+    @classmethod
+    def identity(cls) -> "Matrix2Q":
+        return cls(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+
+    def __mul__(self, other: "Matrix2Q") -> "Matrix2Q":
+        if not isinstance(other, Matrix2Q):
+            return NotImplemented
+        return Matrix2Q(
+            self.m11 * other.m11 + self.m12 * other.m21,
+            self.m11 * other.m12 + self.m12 * other.m22,
+            self.m21 * other.m11 + self.m22 * other.m21,
+            self.m21 * other.m12 + self.m22 * other.m22,
+        )
+
+    def __pow__(self, n: int) -> "Matrix2Q":
+        if not isinstance(n, int) or n < 0:
+            return NotImplemented
+        out = Matrix2Q.identity()
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def det(self) -> Rational:
+        return self.m11 * self.m22 - self.m12 * self.m21
+
+    def trace(self) -> Rational:
+        return self.m11 + self.m22
+
+    def is_integral(self) -> bool:
+        return all(
+            v.denominator == 1 for v in (self.m11, self.m12, self.m21, self.m22)
+        )
+
+    def int_rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        if not self.is_integral():
+            raise ValueError(f"matrix is not integral: {self}")
+        return (int(self.m11), int(self.m12)), (int(self.m21), int(self.m22))
+
+    def apply(self, c1, c2):
+        """Matrix times the column (c1; c2); entries may be any scalars that
+        multiply with Fractions."""
+        return (self.m11 * c1 + self.m12 * c2, self.m21 * c1 + self.m22 * c2)
+
+    def __str__(self) -> str:
+        return f"[[{self.m11}, {self.m12}], [{self.m21}, {self.m22}]]"
+
+
+class Lattice(inoueaut.lattice.Lattice):
+    """Z-span of two Q-linearly independent field elements."""
+
+    def __init__(self, b1: FieldElement, b2: FieldElement):
+        if b1.field != b2.field:
+            raise ValueError("basis elements live in different fields")
+        if not chi(b1, b2):
+            raise ValueError("basis is Q-linearly dependent (chi(b1, b2) = 0)")
+        self.b1 = b1
+        self.b2 = b2
+        self.field = b1.field
+        den = lcm(
+            b1.a.denominator, b1.b.denominator, b2.a.denominator, b2.b.denominator
+        )
+        rows = [
+            int(b1.a * den), int(b1.b * den),
+            int(b2.a * den), int(b2.b * den),
+        ]
+        h11, h12, h22 = _hnf2(*rows)
+        g = gcd(den, gcd(h11, gcd(h12, h22)))
+        self._den = den // g
+        self._hnf = (h11 // g, h12 // g, h22 // g)
+
+    # -- membership and coordinates -----------------------------------------
+
+    def contains(self, x: FieldElement) -> bool:
+        if x.field != self.field:
+            raise ValueError("field mismatch")
+        h11, h12, h22 = self._hnf
+        q1 = x.a * self._den
+        q2 = x.b * self._den
+        m = q1 / h11
+        if m.denominator != 1:
+            return False
+        n = (q2 - m * h12) / h22
+        return n.denominator == 1
+
+    def coordinates(self, x: FieldElement) -> tuple[Rational, Rational]:
+        """(m, n) with x = m*b1 + n*b2, as exact rationals."""
+        if x.field != self.field:
+            raise ValueError("field mismatch")
+        det = self.b1.a * self.b2.b - self.b1.b * self.b2.a
+        m = (x.a * self.b2.b - x.b * self.b2.a) / det
+        n = (self.b1.a * x.b - self.b1.b * x.a) / det
+        return m, n
+
+    def integer_coordinates(self, x: FieldElement) -> tuple[int, int] | None:
+        m, n = self.coordinates(x)
+        if m.denominator != 1 or n.denominator != 1:
+            return None
+        return int(m), int(n)
+
+    # -- lattice operations ---------------------------------------------------
+
+    def index(self, other: "Lattice") -> Rational:
+        """[self : other] = |chi(other basis) / chi(self basis)|.
+
+        The usual group index when other is a sublattice of self.
+        """
+        ratio = chi(other.b1, other.b2).irr / chi(self.b1, self.b2).irr
+        return abs(ratio)
+
+    def is_invariant_under(self, v: FieldElement) -> bool:
+        """True iff v * self = self; v must be a unit."""
+        if not v.is_unit():
+            raise ValueError(f"{v} is not a unit (norm {v.norm()})")
+        return self.scale(v) == self
+
+    def mult_matrix(self, v: FieldElement) -> Matrix2Q:
+        """The matrix M with M*(b1; b2)^T = (v*b1; v*b2)^T."""
+        r1 = self.coordinates(v * self.b1)
+        r2 = self.coordinates(v * self.b2)
+        return Matrix2Q(r1[0], r1[1], r2[0], r2[1])

@@ -1,11 +1,15 @@
 """The Fraction implementation of the membership conditions that the integer
 membership forms replaced, kept unchanged as the differential reference for
 tests/test_membership.py.  It evaluates both conditions with field
-arithmetic, one class [v, y] at a time."""
+arithmetic, one class [v, y] at a time.  v's matrix on I comes from the
+Fraction lattice reference, since the package's matrices are now integer
+rows."""
 
 from fractions import Fraction
 
-from inoueaut import FieldElement, Matrix2Q, SurfaceParams, chi, in_discrete_subgroup
+import lattice_reference
+from inoueaut import FieldElement, SurfaceParams, chi, in_discrete_subgroup
+from lattice_reference import Matrix2Q
 
 
 def membership_conditions(
@@ -47,7 +51,7 @@ def _validate_candidate(
     """Rejects a malformed candidate [v, y]; returns v's matrix on I."""
     if not v.is_unit() or v.sigma1().sign() <= 0:
         raise ValueError(f"v must be a unit with sigma1 > 0, got {v}")
-    m = params.ideal.mult_matrix(v)
+    m = lattice_reference.Lattice(*params.ideal.basis).mult_matrix(v)
     if not m.is_integral() or abs(m.det()) != 1:
         raise ValueError(f"{v} does not map the ideal onto itself")
     if not params.coset_cover.contains(y):

@@ -11,7 +11,7 @@ from inoueaut.cli import (
     main,
     parse_quad_complex,
 )
-from inoueaut.exactnum import QuadComplex, QuadReal
+from inoueaut.exactnum import QuadComplex, QuadReal, square_decompose
 
 EX319 = """\
 # worked example: theta = 6
@@ -142,7 +142,15 @@ def test_check_standard_form_command(tmp_path, capsys):
     text = EX321.replace("e = 1/4 - 1/12*u", "e = 1/17 - 1/17*u")
     rc = main(["check-standard-form", write(tmp_path, text)])
     assert rc == 4
-    assert "standard form: no" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert captured.out == "standard form: no\n"
+    assert "(1-u)/u e + (n21 n22/2) x1 - (n11 n12/2) x2 is not in I/r" in captured.err
+    minus = "surface_type = -\ntheta = 3\nr = 6\nx1 = 1\nx2 = u\ne = 1/5*u\n"
+    rc = main(["check-standard-form", write(tmp_path, minus)])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.out == "standard form: no\n"
+    assert captured.err == "a conjugate g0 g_i g0^{-1} leaves <g3>\n"
 
 
 def test_bound_command(tmp_path, capsys):
@@ -159,6 +167,20 @@ def test_fundamental_unit_command(capsys):
     assert "-1/2 + 1/2*u" in out
     rc = main(["fundamental-unit", "2", "+"])
     assert rc == 3
+
+
+def test_delta_is_trial_divided_once_per_command(tmp_path, capsys):
+    path = write(tmp_path, EX323)
+    for argv in (
+        ["analyze", "--no-oracle", path],
+        ["analyze", "--machine", "--no-oracle", path],
+        ["fundamental-unit", "7", "+"],
+        ["bound", path],
+    ):
+        square_decompose.cache_clear()
+        assert main(argv) == 0
+        assert square_decompose.cache_info().misses == 1, argv
+    capsys.readouterr()
 
 
 def test_examples_command(capsys):

@@ -328,7 +328,7 @@ def test_matrix_convention_pinned_by_oracle():
     e = field.element(-14, 42)
     params = SurfaceParams.create(field, 1, x1, x2, e)
     v = field.element(Fraction(-1, 2), Fraction(1, 2))  # the fundamental unit
-    assert params.ideal.mult_matrix(v).int_rows() == ((-1, 2), (-1, 3))
+    assert params.ideal.mult_matrix(v) == ((-1, 2), (-1, 3))
     cases = [
         (field.zero(), True),
         (field.element(Fraction(-10, 3), Fraction(-2, 3)), False),

@@ -1,18 +1,20 @@
-"""Lattice layer: canonical forms, membership, indices, quotients, matrices."""
+"""Lattice layer: canonical forms, membership, indices, quotients, matrices,
+and the integer lattice arithmetic against the Fraction code it replaced
+(`tests/lattice_reference.py`)."""
 
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import lattice_reference as ref
 from conftest import random_field_element, random_invariant_lattice
 from inoueaut import (
     FieldDescriptor,
     Lattice,
-    Matrix2Q,
     QuadReal,
     chi,
     fundamental_unit,
@@ -147,11 +149,16 @@ def test_invariance():
 
 
 def test_mult_matrix_desk_cases():
-    assert ideal_theta6().mult_matrix(F6.one()) == Matrix2Q.identity()
+    assert ideal_theta6().mult_matrix(F6.one()) == ((1, 0), (0, 1))
     m = ideal_theta6().mult_matrix(fundamental_unit(F6))
-    assert m == Matrix2Q(0, 1, 1, 2)
+    assert m == ((0, 1), (1, 2))
     m4 = Lattice.order_lattice(F4).mult_matrix(F4.u())
-    assert m4 == Matrix2Q(0, 1, -1, 4)
+    assert m4 == ((0, 1), (-1, 4))
+    # eta does not map Z[u] into itself at theta = 7
+    assert Lattice.order_lattice(F7).mult_matrix(fundamental_unit(F7)) is None
+    assert ideal_theta6().mult_matrix(F6.element(Fraction(1, 2))) is None
+    with pytest.raises(ValueError):
+        ideal_theta6().mult_matrix(F7.one())
 
 
 def test_mult_matrix_properties():
@@ -159,13 +166,17 @@ def test_mult_matrix_properties():
     for field in (F4, F6, F7):
         for _ in range(30):
             lat = random_invariant_lattice(rng, field)
+            rational = ref.Lattice(*lat.basis)
             v = random_field_element(rng, field)
             w = random_field_element(rng, field)
-            assert lat.mult_matrix(v).det() == v.norm()
-            assert lat.mult_matrix(v * w) == lat.mult_matrix(w) * lat.mult_matrix(v)
+            assert rational.mult_matrix(v).det() == v.norm()
+            assert rational.mult_matrix(v * w) == rational.mult_matrix(
+                w
+            ) * rational.mult_matrix(v)
             n = lat.mult_matrix(field.u())
-            assert n.is_integral()
-            assert n.det() == field.c0 and n.trace() == field.theta
+            assert n is not None
+            (n11, n12), (n21, n22) = n
+            assert n11 * n22 - n12 * n21 == field.c0 and n11 + n22 == field.theta
 
 
 def test_membership_invariant_under_rebasing():
@@ -241,3 +252,82 @@ def test_chi_based_equality_attributes():
     lat = ideal_theta6()
     assert chi(lat.b1, lat.b2) == QuadReal(0, Fraction(-1, 2), 32)
     assert hash(lat) == hash(Lattice(lat.b2, -lat.b1))
+
+
+# -- the integer lattice against the Fraction reference ------------------------
+
+FIELDS = [
+    FieldDescriptor(t, c)
+    for t, c in [(3, 1), (4, 1), (6, 1), (7, 1), (18, 1), (1, -1), (2, -1), (4, -1)]
+]
+RATIONAL = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def elements(draw, field):
+    return field.element(draw(RATIONAL), draw(RATIONAL))
+
+
+@st.composite
+def lattice_cases(draw):
+    """A lattice over a field of either family (a fractional ideal of Z[u],
+    or the span of any two independent elements), a multiplier v (a power
+    of eta or of u, an integer, or any element, so that v maps the lattice
+    into itself or not), and a probe x (in the lattice, in a 1/m multiple of
+    it, or anywhere)."""
+    field = draw(st.sampled_from(FIELDS))
+    if draw(st.booleans()):
+        seed = draw(st.integers(0, 2**32))
+        lat = random_invariant_lattice(random.Random(seed), field)
+    else:
+        b1, b2 = draw(elements(field)), draw(elements(field))
+        assume(chi(b1, b2))
+        lat = Lattice(b1, b2)
+    eta = fundamental_unit(field)
+    v = draw(
+        st.one_of(
+            st.integers(-3, 3).map(lambda k: eta**k),
+            st.integers(-3, 3).map(lambda k: field.u() ** k),
+            st.integers(-3, 3).map(field.element),
+            elements(field),
+        )
+    )
+    point = draw(st.integers(-9, 9)) * lat.b1 + draw(st.integers(-9, 9)) * lat.b2
+    x = draw(
+        st.one_of(
+            st.just(point),
+            st.integers(1, 6).map(lambda m: point / m),
+            elements(field),
+        )
+    )
+    return lat, v, x
+
+
+@settings(max_examples=400, deadline=None)
+@given(lattice_cases())
+def test_integer_lattice_matches_reference(case):
+    lat, v, x = case
+    old = ref.Lattice(*lat.basis)
+    # both constructions reach the same canonical Hermite form
+    assert old == lat and hash(old) == hash(lat)
+    matrix = old.mult_matrix(v)
+    assert lat.mult_matrix(v) == (matrix.int_rows() if matrix.is_integral() else None)
+    for probe in (x, v):
+        assert lat.coordinates(probe) == old.coordinates(probe)
+        assert lat.integer_coordinates(probe) == old.integer_coordinates(probe)
+        assert lat.contains(probe) == old.contains(probe)
+    if v:
+        image = lat.scale(v)
+        assert lat.index(image) == old.index(image)
+        assert image.index(lat) == ref.Lattice(*image.basis).index(lat)
+    if v.is_unit():
+        assert lat.is_invariant_under(v) == old.is_invariant_under(v)
+
+
+def test_integer_lattice_field_mismatch_matches_reference():
+    lat = ideal_theta6()
+    old = ref.Lattice(*lat.basis)
+    for method in ("coordinates", "integer_coordinates", "contains", "mult_matrix"):
+        for impl in (lat, old):
+            with pytest.raises(ValueError):
+                getattr(impl, method)(F7.element(1, 1))
