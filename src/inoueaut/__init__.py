@@ -17,9 +17,9 @@ from .quadfield import (
 )
 from .lattice import Lattice, LatticeQuotient
 from .units import (
-    DEFAULT_POWER_CAP,
     fundamental_unit,
     invariant_unit_generator,
+    unit_exponent,
     utheta_exponent,
 )
 from .surfacegroup import (
@@ -67,9 +67,9 @@ __all__ = [
     "parse_rational",
     "Lattice",
     "LatticeQuotient",
-    "DEFAULT_POWER_CAP",
     "fundamental_unit",
     "invariant_unit_generator",
+    "unit_exponent",
     "utheta_exponent",
     "AffineElement",
     "InoueData",

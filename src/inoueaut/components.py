@@ -26,12 +26,7 @@ from .surfacegroup import (
     surface_group_contains,
     to_inoue_data,
 )
-from .units import (
-    DEFAULT_POWER_CAP,
-    fundamental_unit,
-    invariant_unit_generator,
-    utheta_exponent,
-)
+from .units import fundamental_unit, invariant_unit_generator, utheta_exponent
 
 
 class CosetPair(NamedTuple):
@@ -274,12 +269,7 @@ def _central_expression(params: SurfaceParams, y: FieldElement):
     return chi((u - one) * y, params.e - y / 2) + Fraction(a * b, 2) * params.chi0
 
 
-def normalizer_oracle(
-    params: SurfaceParams,
-    v: FieldElement,
-    y: FieldElement,
-    cap: int = DEFAULT_POWER_CAP,
-) -> bool:
+def normalizer_oracle(params: SurfaceParams, v: FieldElement, y: FieldElement) -> bool:
     """Decides [v, y] membership by conjugating the generators directly.
 
     Forms h = [v, y, s] (s = 0 for the plus family; for the minus family the
@@ -299,9 +289,9 @@ def normalizer_oracle(
     h = AffineElement(v, y, s)
     h_inv = h.inverse()
     for gen in params.generators:
-        if not surface_group_contains(params, h * gen * h_inv, cap):
+        if not surface_group_contains(params, h * gen * h_inv):
             return False
-        if not surface_group_contains(params, h_inv * gen * h, cap):
+        if not surface_group_contains(params, h_inv * gen * h):
             return False
     return True
 
@@ -570,11 +560,7 @@ def order_bound(params: SurfaceParams) -> int:
     return n * abs(int(norm))
 
 
-def oracle_crosscheck(
-    params: SurfaceParams,
-    q: ComponentGroup | None = None,
-    cap: int = DEFAULT_POWER_CAP,
-) -> int:
+def oracle_crosscheck(params: SurfaceParams, q: ComponentGroup | None = None) -> int:
     """Checks the member set of Q against the normalizer oracle on every
     element of the ambient group; returns the element count, raises on any
     disagreement (which is always a bug, never a data problem)."""
@@ -586,7 +572,7 @@ def oracle_crosscheck(
         v = ambient.unit_of(el)
         y = ambient.rep_of(el)
         member = el in members
-        oracle = normalizer_oracle(params, v, y, cap)
+        oracle = normalizer_oracle(params, v, y)
         if member != oracle:
             raise InternalConsistencyError(
                 f"filter/oracle disagreement at [{v}, {y}]: "

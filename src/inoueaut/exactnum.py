@@ -314,7 +314,12 @@ def in_discrete_subgroup(
 
 @dataclass(frozen=True)
 class QuadComplex:
-    """Complex number with QuadReal real and imaginary parts (shared delta)."""
+    """Complex number with QuadReal real and imaginary parts (shared delta).
+
+    The public constructor checks the shared delta; zero, from_real and the
+    additive group operations keep it and are built by the trusted _raw
+    (+ and - check only that their operands share a delta).
+    """
 
     re: QuadReal
     im: QuadReal
@@ -323,65 +328,41 @@ class QuadComplex:
         if self.re.delta != self.im.delta:
             raise ValueError("real and imaginary parts must share delta")
 
+    @classmethod
+    def _raw(cls, re: QuadReal, im: QuadReal) -> "QuadComplex":
+        self = object.__new__(cls)
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+        return self
+
     @property
     def delta(self) -> int:
         return self.re.delta
 
     @classmethod
     def zero(cls, delta: int) -> "QuadComplex":
-        return cls(QuadReal.zero(delta), QuadReal.zero(delta))
+        """Zero over delta, which the caller has validated (a field's delta)."""
+        zero = QuadReal._raw(0, 0, 1, delta)
+        return cls._raw(zero, zero)
 
     @classmethod
     def from_real(cls, value: QuadReal) -> "QuadComplex":
-        return cls(value, value._scalar(0))
-
-    def _coerce(self, other: object) -> "QuadComplex | None":
-        if isinstance(other, QuadComplex):
-            return other
-        if isinstance(other, QuadReal):
-            return QuadComplex.from_real(other)
-        if isinstance(other, (int, Fraction)):
-            return QuadComplex.from_real(self.re._scalar(other))
-        return None
+        return cls._raw(value, value._scalar(0))
 
     def __add__(self, other: object) -> "QuadComplex":
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, QuadComplex):
             return NotImplemented
-        return QuadComplex(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
+        if other.re._ctx != self.re._ctx:  # QuadReal would re-tag a rational part
+            raise ValueError(f"delta mismatch: {self.delta} vs {other.delta}")
+        return QuadComplex._raw(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: object) -> "QuadComplex":
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, QuadComplex):
             return NotImplemented
-        return QuadComplex(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other: object) -> "QuadComplex":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return self + -other
 
     def __neg__(self) -> "QuadComplex":
-        return QuadComplex(-self.re, -self.im)
-
-    def __mul__(self, other: object) -> "QuadComplex":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadComplex(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: object) -> "QuadComplex":
-        # Only scalar denominators occur here (norms are +-1, r is an integer).
-        if isinstance(other, (int, Fraction, QuadReal)):
-            return QuadComplex(self.re / other, self.im / other)
-        return NotImplemented
+        return QuadComplex._raw(-self.re, -self.im)
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)

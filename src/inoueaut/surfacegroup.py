@@ -17,7 +17,7 @@ from functools import cached_property
 from .exactnum import QuadComplex, QuadReal, in_discrete_subgroup
 from .lattice import IntMatrix, Lattice
 from .quadfield import FieldDescriptor, FieldElement, chi
-from .units import DEFAULT_POWER_CAP
+from .units import unit_exponent
 
 
 class ParameterError(ValueError):
@@ -78,13 +78,14 @@ class AffineElement:
             raise ValueError("field mismatch")
         uy = self.v * other.x
         # self.v is a unit, so Norm(u)s in the law is s or -s
-        t = self.t + other.t if self.v.norm() == 1 else self.t - other.t
-        t = t - chi(self.x, uy) / 2
+        s = other.t if self.v._norm_num() > 0 else -other.t
+        re = self.t.re + s.re - chi(self.x, uy) / 2
+        t = QuadComplex._raw(re, self.t.im + s.im)
         return AffineElement._raw(self.v * other.v, self.x + uy, t)
 
     def inverse(self) -> "AffineElement":
         v_inv = self.v.inverse()
-        t = -self.t if self.v.norm() == 1 else self.t
+        t = -self.t if self.v._norm_num() > 0 else self.t
         return AffineElement._raw(v_inv, -(self.x * v_inv), t)
 
     def __pow__(self, n: int) -> "AffineElement":
@@ -206,36 +207,14 @@ def make_generators(
     return g0, g1, g2, g3
 
 
-def _power_exponent(
-    value: FieldElement, base: FieldElement, cap: int
-) -> int | None:
-    """k with value = base**k, searching both directions up to the cap."""
-    field = base.field
-    if value == field.one():
-        return 0
-    pos = base
-    neg = base.inverse()
-    inv_base = neg
-    for k in range(1, cap + 1):
-        if pos == value:
-            return k
-        if neg == value:
-            return -k
-        pos = pos * base
-        neg = neg * inv_base
-    return None
-
-
-def surface_group_contains(
-    params: SurfaceParams, g: AffineElement, cap: int = DEFAULT_POWER_CAP
-) -> bool:
+def surface_group_contains(params: SurfaceParams, g: AffineElement) -> bool:
     """Word problem for the discrete surface group (standard form assumed).
 
     Writes g against the canonical word g1^a g2^b g0^k and accepts iff the
     leftover central part is an integer power of g3.
     """
     field = params.field
-    k = _power_exponent(g.v, field.u(), cap)
+    k = unit_exponent(g.v, field.u())
     if k is None:
         return False
     coords = params.ideal.integer_coordinates(g.x)

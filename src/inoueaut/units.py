@@ -15,10 +15,6 @@ from .exactnum import square_decompose
 from .lattice import Lattice
 from .quadfield import FieldDescriptor, FieldElement
 
-# Far above any exponent reachable at desk scale; exceeding it means the
-# input was not an honest unit below u and is reported instead of looping.
-DEFAULT_POWER_CAP = 64
-
 
 def _cf_unit(disc: int) -> tuple[int, int]:
     """Fundamental unit (p + q*sqrt(disc))/2 of the order of discriminant disc.
@@ -68,29 +64,42 @@ def fundamental_unit(field: FieldDescriptor) -> FieldElement:
     return eta
 
 
-def utheta_exponent(
-    field: FieldDescriptor, base: FieldElement, cap: int = DEFAULT_POWER_CAP
-) -> int:
-    """The integer n >= 1 with base**n = u, by exact repeated multiplication."""
+def unit_exponent(value: FieldElement, base: FieldElement) -> int | None:
+    """The k in Z with value = base**k, or None if there is none.
+
+    Needs sigma1(base) > 1 and sigma1(value) > 0.  sigma1(base**k) grows
+    strictly with k, so the search walks from k = 0 towards value and stops
+    once sigma1 of the power passes sigma1(value): O(log sigma1(value))
+    products, bounded by the input alone.
+    """
+    sign = 1
+    if value.sigma1() < 1:  # k < 0: search for value^-1 = base**-k
+        value, sign = value.inverse(), -1
+    target = value.sigma1()
+    power, k = base.field.one(), 0
+    while power != value:
+        if power.sigma1() > target:
+            return None
+        power, k = power * base, k + 1
+    return sign * k
+
+
+def utheta_exponent(field: FieldDescriptor, base: FieldElement) -> int:
+    """The integer n >= 1 with base**n = u."""
     if base.field != field:
         raise ValueError("base lives in a different field")
     if not base.is_unit():
         raise ValueError(f"base must be a unit, got norm {base.norm()}")
     if not base.sigma1() > 1:
         raise ValueError(f"base must have sigma1 > 1, got {base}")
-    target = field.u()
-    power = base
-    for n in range(1, cap + 1):
-        if power == target:
-            return n
-        power = power * base
-    raise ValueError(f"u is not a power of {base} with exponent <= {cap}")
+    n = unit_exponent(field.u(), base)
+    if n is None:
+        raise ValueError(f"u is not a power of {base}")
+    return n
 
 
 def invariant_unit_generator(
-    lat: Lattice,
-    eta: FieldElement | None = None,
-    cap: int = DEFAULT_POWER_CAP,
+    lat: Lattice, eta: FieldElement | None = None
 ) -> tuple[FieldElement, int]:
     """Generator eta**j of the positive units mapping the lattice onto itself.
 
@@ -102,7 +111,7 @@ def invariant_unit_generator(
     field = lat.field
     if eta is None:
         eta = fundamental_unit(field)
-    n_max = utheta_exponent(field, eta, cap)
+    n_max = utheta_exponent(field, eta)
     power_unit = eta
     for j in range(1, n_max + 1):
         if lat.mult_matrix(power_unit) is not None:

@@ -190,6 +190,46 @@ def test_examples_command(capsys):
     assert out.count("... ok") == 4
 
 
+def test_examples_mismatch_exits_5(capsys, monkeypatch):
+    # a built-in example whose group no longer matches can only be a bug
+    import dataclasses
+
+    import inoueaut.cli as cli
+
+    first, *rest = cli.BUILTIN_EXAMPLES
+    broken = dataclasses.replace(first, matches=lambda structure: False)
+    monkeypatch.setattr(cli, "BUILTIN_EXAMPLES", (broken, *rest))
+    rc = main(["examples"])
+    captured = capsys.readouterr()
+    assert rc == 5
+    assert "internal consistency" in captured.err
+    lines = captured.out.splitlines()
+    assert len(lines) == 4
+    assert lines[0].endswith("... MISMATCH")
+    assert all(line.endswith("... ok") for line in lines[1:])
+
+
+# u = eta**66 (plus family) and u = eta**67 (minus family), eta = (1 + sqrt(5))/2:
+# theta is the Lucas number L_66 or L_67, past the old exponent cap of 64.
+LUCAS_SURFACES = {
+    "+": (62113250390418, "62113250390416", 0),
+    "-": (100501350283429, "100501350283429", 4),
+}
+
+
+@pytest.mark.parametrize("surface_type", sorted(LUCAS_SURFACES))
+def test_bound_past_the_old_exponent_cap(tmp_path, capsys, surface_type):
+    theta, bound, standard_form_rc = LUCAS_SURFACES[surface_type]
+    path = write(
+        tmp_path,
+        f"surface_type = {surface_type}\ntheta = {theta}\nr = 1\n"
+        "x1 = 1\nx2 = u\ne = 0\n",
+    )
+    assert main(["bound", path]) == 0
+    assert capsys.readouterr().out == f"{bound}\n"
+    assert main(["check-standard-form", path]) == standard_form_rc
+
+
 def test_param_file_details(tmp_path):
     params = load_param_file(write(tmp_path, EX319))
     assert params.field.theta == 6 and params.r == 6

@@ -2,6 +2,7 @@
 classification, oracle, bound, and the report pipeline."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,12 @@ from conftest import (
     random_standard_params,
 )
 from inoueaut import (
+    AffineElement,
     CosetPair,
     FieldDescriptor,
+    FieldElement,
+    QuadComplex,
+    QuadReal,
     StandardFormError,
     SurfaceParams,
     automorphism_report,
@@ -201,6 +206,49 @@ def test_normalizer_oracle_identity_and_examples():
         assert normalizer_oracle(params, field.one(), field.zero())
     assert oracle_crosscheck(example_theta6()) == 8
     assert oracle_crosscheck(example_theta7()) == 20
+
+
+def test_oracle_checks_each_value_once(monkeypatch):
+    # With the generators built, the sweep's products, inverses and powers
+    # keep their invariants without re-checking them: no QuadComplex or public
+    # QuadReal construction, and no Fraction norm inside the group law.
+    params = example_theta7()
+    q = component_group(params)
+    params.generators
+    calls = Counter()
+    depth = [0]
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def group_law(fn):
+        def wrapper(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    def norm(self):
+        calls["norm in the group law"] += depth[0] > 0
+        return original_norm(self)
+
+    original_norm = FieldElement.norm
+    monkeypatch.setattr(FieldElement, "norm", norm)
+    for name in ("__mul__", "inverse"):
+        monkeypatch.setattr(AffineElement, name, group_law(getattr(AffineElement, name)))
+    monkeypatch.setattr(
+        QuadComplex, "__post_init__", counted("QuadComplex", QuadComplex.__post_init__)
+    )
+    monkeypatch.setattr(QuadReal, "__init__", counted("QuadReal", QuadReal.__init__))
+    assert oracle_crosscheck(params, q) == 20
+    assert calls == Counter()
 
 
 def test_e_shift_by_ideal_over_r_preserves_q():

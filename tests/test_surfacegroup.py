@@ -152,11 +152,23 @@ def test_word_problem_accepts_generator_words():
             assert surface_group_contains(params, word)
 
 
+def test_word_problem_has_no_power_cap():
+    params = example_theta7()
+    g0, _, _, g3 = params.generators
+    assert surface_group_contains(params, g0**65)
+    assert surface_group_contains(params, g0 ** (-65))
+    assert surface_group_contains(params, g0**200 * g3)
+    half_central = AffineElement(
+        params.field.one(), params.field.zero(), QuadComplex.from_real(g3.t.re / 2)
+    )
+    assert not surface_group_contains(params, g0**65 * half_central)
+
+
 def test_word_problem_rejects_fractional_central_parts():
     params = example_theta6()
     g3 = params.generators[3]
     half_central = AffineElement(
-        params.field.one(), params.field.zero(), g3.t / 2
+        params.field.one(), params.field.zero(), QuadComplex.from_real(g3.t.re / 2)
     )
     assert not surface_group_contains(params, half_central)
     # a unit outside <u> is rejected at the first stage

@@ -3,15 +3,24 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lattice_reference as ref
+import units_reference
 from conftest import random_invariant_lattice
 from inoueaut import (
     FieldDescriptor,
     Lattice,
     fundamental_unit,
     invariant_unit_generator,
+    unit_exponent,
     utheta_exponent,
+)
+
+FIELDS = st.one_of(
+    st.builds(FieldDescriptor, st.integers(3, 60), st.just(1)),
+    st.builds(FieldDescriptor, st.integers(1, 60), st.just(-1)),
 )
 
 
@@ -102,6 +111,14 @@ def test_utheta_exponent_desk_cases():
     assert utheta_exponent(fm4, fundamental_unit(fm4)) == 3
 
 
+def test_utheta_exponent_past_the_old_cap():
+    # theta = L_66 and L_67 (Lucas numbers) give u = eta**66 and u = eta**67
+    plus = FieldDescriptor(62113250390418, 1)
+    assert utheta_exponent(plus, fundamental_unit(plus)) == 66
+    minus = FieldDescriptor(100501350283429, -1)
+    assert utheta_exponent(minus, fundamental_unit(minus)) == 67
+
+
 def test_utheta_exponent_errors():
     f6 = FieldDescriptor(6, 1)
     with pytest.raises(ValueError):
@@ -110,3 +127,42 @@ def test_utheta_exponent_errors():
         utheta_exponent(f6, f6.u().inverse())  # sigma1 < 1
     with pytest.raises(ValueError):
         utheta_exponent(f6, f6.element(2))  # not a unit
+
+
+@settings(max_examples=150, deadline=None)
+@given(FIELDS, st.integers(-64, 64))
+def test_unit_exponent_matches_the_capped_search(field, k):
+    eta = fundamental_unit(field)
+    for base in (eta, field.u()):
+        value = base**k
+        assert unit_exponent(value, base) == k
+        assert units_reference._power_exponent(value, base, 64) == k
+    n = units_reference.utheta_exponent(field, eta)
+    assert utheta_exponent(field, eta) == n
+    assert utheta_exponent(field, eta**n) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(FIELDS, st.integers(-300, 300))
+def test_unit_exponent_has_no_cap(field, k):
+    eta = fundamental_unit(field)
+    assert unit_exponent(eta**k, eta) == k
+
+
+@settings(max_examples=150, deadline=None)
+@given(FIELDS, st.integers(-64, 64), st.integers(2, 5))
+def test_unit_exponent_rejects_values_outside_the_subgroup(field, k, m):
+    eta = fundamental_unit(field)
+    n = utheta_exponent(field, eta)
+    u = field.u()
+    # eta**k lies in <u> = <eta**n> only when n divides k
+    expected = k // n if k % n == 0 else None
+    assert unit_exponent(eta**k, u) == expected
+    assert units_reference._power_exponent(eta**k, u, 64) == expected
+    # u**k lies in <u**m> only when m divides k
+    expected = k // m if k % m == 0 else None
+    assert unit_exponent(u**k, u**m) == expected
+    assert units_reference._power_exponent(u**k, u**m, 64) == expected
+    # a positive rational other than 1 times a power is never a power
+    assert unit_exponent(eta**k * m, eta) is None
+    assert unit_exponent(eta**k / m, eta) is None

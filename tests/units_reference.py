@@ -1,0 +1,53 @@
+"""The capped exponent searches that `inoueaut.units.unit_exponent` replaced,
+kept as the differential reference for tests/test_units.py: the word
+problem's `_power_exponent` (from `inoueaut.surfacegroup`) and the capped
+`utheta_exponent` (from `inoueaut.units`), with their default cap of 64.
+Bodies unchanged.
+"""
+
+from __future__ import annotations
+
+from inoueaut.quadfield import FieldDescriptor, FieldElement
+
+# Far above any exponent reachable at desk scale; exceeding it means the
+# input was not an honest unit below u and is reported instead of looping.
+DEFAULT_POWER_CAP = 64
+
+
+def utheta_exponent(
+    field: FieldDescriptor, base: FieldElement, cap: int = DEFAULT_POWER_CAP
+) -> int:
+    """The integer n >= 1 with base**n = u, by exact repeated multiplication."""
+    if base.field != field:
+        raise ValueError("base lives in a different field")
+    if not base.is_unit():
+        raise ValueError(f"base must be a unit, got norm {base.norm()}")
+    if not base.sigma1() > 1:
+        raise ValueError(f"base must have sigma1 > 1, got {base}")
+    target = field.u()
+    power = base
+    for n in range(1, cap + 1):
+        if power == target:
+            return n
+        power = power * base
+    raise ValueError(f"u is not a power of {base} with exponent <= {cap}")
+
+
+def _power_exponent(
+    value: FieldElement, base: FieldElement, cap: int
+) -> int | None:
+    """k with value = base**k, searching both directions up to the cap."""
+    field = base.field
+    if value == field.one():
+        return 0
+    pos = base
+    neg = base.inverse()
+    inv_base = neg
+    for k in range(1, cap + 1):
+        if pos == value:
+            return k
+        if neg == value:
+            return -k
+        pos = pos * base
+        neg = neg * inv_base
+    return None
