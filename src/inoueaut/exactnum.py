@@ -297,19 +297,22 @@ def in_discrete_subgroup(
     gen must be a pure sqrt(delta) multiple: the cyclic groups this test
     serves (chi(I,I)/r and its relatives) are always generated by one, so a
     generator with a rational part signals an upstream bug and raises.
+    Decided on the integer triples: with value = q sqrt(delta)/den, gen =
+    g sqrt(delta)/gden and scale = m/n, k = q gden n / (den g m).
     """
-    if gen.rat != 0 or gen.irr == 0:
+    if gen._p or not gen._q:
         raise ValueError(f"generator must be a nonzero pure surd, got {gen}")
     scale = Fraction(scale)
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
     if not value:
         return True
-    if value.delta != gen.delta:
+    if value._ctx != gen._ctx:
         raise ValueError(f"delta mismatch: {value.delta} vs {gen.delta}")
-    if value.rat != 0:
+    if value._p:
         return False
-    return (value.irr / (scale * gen.irr)).denominator == 1
+    num = value._q * gen._den * scale.denominator
+    return num % (value._den * gen._q * scale.numerator) == 0
 
 
 @dataclass(frozen=True)

@@ -207,43 +207,55 @@ def make_generators(
     return g0, g1, g2, g3
 
 
+def _word_center(params: SurfaceParams, a: int, b: int, k: int) -> QuadComplex:
+    """T(a, b, k), the central part of the word g1^a g2^b g0^k.
+
+    chi is antisymmetric, so g_i^a = [1, a x_i, a c_i] with c_i = chi(x_i, e)
+    and g1^a g2^b = [1, a x1 + b x2, a c1 + b c2 - ab chi0/2]; g0^k =
+    [u^k, 0, k t], since Norm(u) = +1 in the plus family and t = 0 in the
+    minus family.  So the word is [u^k, a x1 + b x2, T] with
+        T = a c1 + b c2 - ab chi0/2 + k t.
+    """
+    g0, g1, g2, _ = params.generators
+    re = a * g1.t.re + b * g2.t.re - Fraction(a * b, 2) * params.chi0
+    return QuadComplex._raw(re + k * g0.t.re, k * g0.t.im)
+
+
 def surface_group_contains(params: SurfaceParams, g: AffineElement) -> bool:
     """Word problem for the discrete surface group (standard form assumed).
 
-    Writes g against the canonical word g1^a g2^b g0^k and accepts iff the
-    leftover central part is an integer power of g3.
+    Writes g against the canonical word g1^a g2^b g0^k = [u^k, a x1 + b x2,
+    T(a, b, k)] (see _word_center), with k the exact exponent g.v = u^k
+    from unit_exponent and (a, b) the exact integer coordinates of g.x in I;
+    g is rejected if either does not exist.  Then g word^{-1} =
+    [1, 0, g.t - T]: its v- and x-parts are 1 and 0 by the choice of k and
+    (a, b), so they need no check, and g lies in the group iff
+    Im(g.t) = k Im(t) and Re(g.t) - Re(T) is an integer multiple of g3's t.
     """
-    field = params.field
-    k = unit_exponent(g.v, field.u())
+    k = unit_exponent(g.v, params.field.u())
     if k is None:
         return False
     coords = params.ideal.integer_coordinates(g.x)
     if coords is None:
         return False
-    a, b = coords
-    g0, g1, g2, g3 = params.generators
-    word = (g1 ** a) * (g2 ** b) * (g0 ** k)
-    leftover = g * word.inverse()
-    if leftover.v != field.one() or leftover.x:
-        return False
-    t = leftover.t
-    return not t.im and in_discrete_subgroup(t.re, g3.t.re)
+    center = _word_center(params, *coords, k)
+    return g.t.im == center.im and in_discrete_subgroup(
+        g.t.re - center.re, params.generators[3].t.re
+    )
 
 
 def is_standard_form_direct(params: SurfaceParams) -> bool:
     """Conjugation test: g0 g_i g0^{-1} (g1^{n_i1} g2^{n_i2})^{-1} in <g3>.
 
-    Works for both families; the minus family has no closed form.
+    The rows of N give u x_i = n_i1 x1 + n_i2 x2 exactly, so the conjugate
+    [1, u x_i, s] and the word [1, u x_i, T(n_i1, n_i2, 0)] differ only in
+    their central parts, and the quotient is [1, 0, s - T].  Works for both
+    families; only the plus family also has the residue test below.
     """
     g0, g1, g2, g3 = params.generators
     g0_inv = g0.inverse()
     for gi, (ni1, ni2) in zip((g1, g2), params.n_matrix):
-        conj = g0 * gi * g0_inv
-        word = (g1 ** ni1) * (g2 ** ni2)
-        leftover = conj * word.inverse()
-        if leftover.v != params.field.one() or leftover.x:
-            return False
-        t = leftover.t
+        t = (g0 * gi * g0_inv).t - _word_center(params, ni1, ni2, 0)
         if t.im or not in_discrete_subgroup(t.re, g3.t.re):
             return False
     return True

@@ -1,6 +1,6 @@
-"""The Fraction implementations of `QuadReal`, `FieldElement` and `chi` that
-the integer core in `exactnum` replaced, kept as the differential reference
-for tests/test_field_core.py.
+"""The Fraction implementations of `QuadReal`, `FieldElement`, `chi` and
+`in_discrete_subgroup` that the integer core in `exactnum` replaced, kept as
+the differential reference for tests/test_field_core.py.
 
 The bodies are unchanged but for one line: `FieldElement.__pow__` started
 from `self.field.one()`, which now builds the package's `FieldElement`, so
@@ -374,3 +374,26 @@ def chi(x: FieldElement, y: FieldElement) -> QuadReal:
     if x.field != y.field:
         raise ValueError(f"field mismatch: {x.field} vs {y.field}")
     return QuadReal(Fraction(0), -(x.a * y.b - y.a * x.b), x.field.delta)
+
+
+def in_discrete_subgroup(
+    value: QuadReal, gen: QuadReal, scale: Scalar = Fraction(1)
+) -> bool:
+    """True iff value = k * (scale * gen) for some integer k.
+
+    gen must be a pure sqrt(delta) multiple: the cyclic groups this test
+    serves (chi(I,I)/r and its relatives) are always generated by one, so a
+    generator with a rational part signals an upstream bug and raises.
+    """
+    if gen.rat != 0 or gen.irr == 0:
+        raise ValueError(f"generator must be a nonzero pure surd, got {gen}")
+    scale = Fraction(scale)
+    if scale <= 0:
+        raise ValueError(f"scale must be positive, got {scale}")
+    if not value:
+        return True
+    if value.delta != gen.delta:
+        raise ValueError(f"delta mismatch: {value.delta} vs {gen.delta}")
+    if value.rat != 0:
+        return False
+    return (value.irr / (scale * gen.irr)).denominator == 1

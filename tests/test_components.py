@@ -4,9 +4,11 @@ classification, oracle, bound, and the report pipeline."""
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import inoueaut.components
 from classify_reference import _abelian_invariant_factors, _classify
 from conftest import (
     example_theta4_shifted,
@@ -33,6 +35,7 @@ from inoueaut import (
     oracle_crosscheck,
     order_bound,
 )
+from inoueaut.cli import load_param_file
 
 
 def test_build_ambient_desk_cases():
@@ -249,6 +252,29 @@ def test_oracle_checks_each_value_once(monkeypatch):
     monkeypatch.setattr(QuadReal, "__init__", counted("QuadReal", QuadReal.__init__))
     assert oracle_crosscheck(params, q) == 20
     assert calls == Counter()
+
+
+@pytest.mark.parametrize("name", ["theta7", "minus_theta4_r2", "theta6"])
+def test_oracle_does_not_read_the_membership_filter(monkeypatch, name):
+    # Q comes from the filter; with the filter's forms made to raise, the
+    # oracle alone must still reproduce Q's member set on every element of H
+    # (Q = H for the first two, a proper subgroup for theta6).
+    params = load_param_file(str(Path(__file__).parent / "golden" / f"{name}.params"))
+    q = component_group(params)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle read the membership filter")
+
+    for attr in ("membership_form", "membership_conditions"):
+        monkeypatch.setattr(inoueaut.components, attr, refuse)
+    ambient = q.ambient
+    members = set(q.elements)
+    accepted = {
+        el
+        for el in ambient.elements()
+        if normalizer_oracle(params, ambient.unit_of(el), ambient.rep_of(el))
+    }
+    assert accepted == members
 
 
 def test_e_shift_by_ideal_over_r_preserves_q():

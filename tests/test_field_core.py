@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import field_reference as ref
-from inoueaut.exactnum import QuadReal
+from inoueaut.exactnum import QuadReal, in_discrete_subgroup
 from inoueaut.quadfield import FieldDescriptor, FieldElement, chi
 
 DELTAS = [2, 5, 8, 12, 13, 32, 45, 77]
@@ -134,6 +134,41 @@ def test_equality_and_hash_match_reference(xy):
         assert hash(x) == hash(y)
     if isinstance(x, QuadReal) and not x.irr:
         assert hash(x) == hash(x.rat) == hash(rx)
+
+
+@st.composite
+def discrete_cases(draw):
+    """A nonzero generator g (usually a pure surd), a scale (usually
+    positive), and a value that is often an integer multiple of scale * g,
+    sometimes a fraction of one, and sometimes anything (of any delta)."""
+    delta = draw(st.sampled_from(DELTAS))
+    rat = draw(st.sampled_from([0] * 7 + [1]))
+    gen = QuadReal(rat, draw(RATIONAL.filter(bool)), delta)
+    scale = draw(
+        st.one_of(
+            st.just(1),
+            st.fractions(min_value=Fraction(1, 12), max_value=30, max_denominator=12),
+            st.integers(-1, 6),
+        )
+    )
+    value = draw(
+        st.one_of(
+            st.integers(-40, 40).map(lambda k: k * gen * Fraction(scale)),
+            st.tuples(st.integers(-40, 40), st.integers(1, 9)).map(
+                lambda km: km[0] * gen * Fraction(scale) / km[1]
+            ),
+            real_pair().map(lambda pair: pair[0]),
+        )
+    )
+    return value, gen, scale
+
+
+@settings(max_examples=400, deadline=None)
+@given(discrete_cases())
+def test_in_discrete_subgroup_matches_reference(case):
+    assert outcome(in_discrete_subgroup, *case) == outcome(
+        ref.in_discrete_subgroup, *case
+    )
 
 
 def test_rational_values_across_deltas():

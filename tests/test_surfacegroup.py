@@ -1,18 +1,27 @@
 """Surface-group layer: group law, generators, word problem, standard form,
-solved e, and the classical-data export."""
+solved e, and the classical-data export; the closed-form word problem and
+standard-form gate against the square-and-multiply code they replaced
+(`tests/surfacegroup_reference.py`)."""
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import surfacegroup_reference as ref
 from conftest import (
+    _solve_standard_e_minus,
     example_theta4_shifted,
     example_theta4_zero,
     example_theta6,
     example_theta7,
     random_field_element,
     random_invariant_lattice,
+    random_standard_params,
+    random_surd_t,
     random_t,
     random_unit,
 )
@@ -32,6 +41,7 @@ from inoueaut import (
     surface_group_contains,
     to_inoue_data,
 )
+from inoueaut.cli import load_param_file
 
 F4 = FieldDescriptor(4, 1)
 F6 = FieldDescriptor(6, 1)
@@ -296,3 +306,97 @@ def test_to_inoue_data_rejects_non_standard():
     bad = SurfaceParams.create(F4, 6, F4.one(), F4.u(), e_bad)
     with pytest.raises(StandardFormError):
         to_inoue_data(bad)
+
+
+# -- the closed form against the square-and-multiply reference -----------------
+
+GOLDEN = {
+    path.stem: load_param_file(str(path))
+    for path in sorted((Path(__file__).parent / "golden").glob("*.params"))
+}
+
+
+@st.composite
+def standard_params(draw):
+    """A golden parameter set (both families; theta6_t_imag has a complex t)
+    or a random standard-form set of either family."""
+    if draw(st.booleans()):
+        return GOLDEN[draw(st.sampled_from(sorted(GOLDEN)))]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    c0 = draw(st.sampled_from((1, -1)))
+    t_draw = draw(st.sampled_from((random_t, random_surd_t)))
+    return random_standard_params(rng, c0, (3 if c0 == 1 else 1, 9), t_draw=t_draw)
+
+
+def perturbations(params):
+    """Elements that take a group element out of the group: a half-central
+    element, an imaginary central offset, a unit outside <u> (when there is
+    one) and an x outside I."""
+    field = params.field
+    zero, delta = field.zero(), field.delta
+    g3_re = params.generators[3].t.re
+    out = [
+        AffineElement(field.one(), zero, QuadComplex.from_real(g3_re / 2)),
+        AffineElement(field.one(), zero, QuadComplex(QuadReal.zero(delta), g3_re)),
+        AffineElement(field.one(), params.x1 / 2, QuadComplex.zero(delta)),
+        AffineElement(field.one(), params.x2 / 3, QuadComplex.zero(delta)),
+    ]
+    eta = fundamental_unit(field)
+    if eta != field.u():
+        out.append(AffineElement(eta, zero, QuadComplex.zero(delta)))
+    return out
+
+
+@st.composite
+def word_cases(draw):
+    """Standard-form parameters, a random word in the generators with g0
+    exponents up to +-200, and either nothing or a perturbation multiplied
+    on the left or on the right."""
+    params = draw(standard_params())
+    gens = params.generators
+    word = AffineElement.identity(params.field)
+    for _ in range(draw(st.integers(0, 5))):
+        i = draw(st.integers(0, 3))
+        power = draw(st.integers(-200, 200) if i == 0 else st.integers(-6, 6))
+        word = word * gens[i] ** power
+    if not draw(st.booleans()):
+        return params, word, True
+    bad = draw(st.sampled_from(perturbations(params)))
+    return params, word * bad if draw(st.booleans()) else bad * word, False
+
+
+@settings(max_examples=250, deadline=None)
+@given(word_cases())
+def test_closed_form_word_problem_matches_reference(case):
+    params, g, is_word = case
+    accepted = surface_group_contains(params, g)
+    assert accepted == ref.surface_group_contains(params, g)
+    if is_word:
+        assert accepted
+
+
+@st.composite
+def gate_cases(draw):
+    """Parameters of either family over a random ideal, with a standard e
+    (solved from random central offsets), that e moved by a random element,
+    or a random e, so both verdicts occur; t is random for the plus family."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    c0 = draw(st.sampled_from((1, -1)))
+    field = FieldDescriptor(draw(st.integers(3 if c0 == 1 else 1, 12)), c0)
+    x1, x2 = random_invariant_lattice(rng, field).basis
+    r = draw(st.integers(1, 12))
+    solve = solve_standard_e if c0 == 1 else _solve_standard_e_minus
+    e = solve(field, r, x1, x2, rng.randint(-2 * r, 2 * r), rng.randint(-2 * r, 2 * r))
+    kind = draw(st.sampled_from(("standard", "moved", "random")))
+    if kind == "moved":
+        e = e + random_field_element(rng, field)
+    elif kind == "random":
+        e = random_field_element(rng, field)
+    t = random_t(rng, field) if c0 == 1 else QuadComplex.zero(field.delta)
+    return SurfaceParams(field, r, x1, x2, e, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(gate_cases(), st.sampled_from(sorted(GOLDEN)).map(GOLDEN.get)))
+def test_closed_form_standard_form_gate_matches_reference(params):
+    assert is_standard_form_direct(params) == ref.is_standard_form_direct(params)
