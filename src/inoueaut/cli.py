@@ -2,8 +2,8 @@
 
 Commands: analyze, examples, fundamental-unit, check-standard-form, bound.
 Exit codes: 0 success, 2 parse error, 3 invalid parameters or a value too
-large to print, 4 not in standard form, 5 internal consistency failure (always
-a bug).  stdout carries reports, stderr carries diagnostics.
+large to print or to factor, 4 not in standard form, 5 internal consistency
+failure (always a bug).  stdout carries reports, stderr carries diagnostics.
 
 Parameter files are flat UTF-8 "key = value" lines with '#' comments; values
 follow the grammar of `exactnum.parse_surd`:
@@ -20,6 +20,7 @@ follow the grammar of `exactnum.parse_surd`:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -429,6 +430,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
+# Built once: parse_args leaves the parser unchanged, and building it costs
+# more than a small command (in-process callers run main many times).
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="inoueaut",
@@ -491,7 +495,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 3
     except ValueTooLargeError as exc:
-        print(f"value too large to print: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 3
     except StandardFormError as exc:
         print(f"not in standard form: {exc}", file=sys.stderr)

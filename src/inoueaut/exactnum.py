@@ -29,24 +29,54 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
+# The largest trial divisor of square_decompose: a cofactor that still needs
+# a larger one is at least its cube, 2**66.
+SQUAREFREE_TRIAL_LIMIT = 1 << 22
+
+
 @lru_cache(maxsize=1)
 def square_decompose(n: int) -> tuple[int, int]:
     """Write n = s**2 * m with m squarefree; returns (s, m).
 
-    Trial division; the radicands in this package stay desk-sized.  The
-    last result is kept: one command decomposes the same delta several
-    times (for the fundamental unit, then for each reduced_str).
+    Trial division in cube-root time: each prime p with p**3 <= rest, rest
+    the cofactor left so far, is divided out completely, and its exponent
+    e puts p**(e//2) into s and p into m when e is odd.  Every prime factor
+    of the final rest then exceeds its cube root, so rest is 1, a prime, a
+    product of two distinct primes, or the square of a prime: it is a
+    square exactly when isqrt(rest)**2 == rest, and squarefree otherwise.
+    Exact, with no primality test.
+
+    The work is bounded: a candidate past SQUAREFREE_TRIAL_LIMIT raises
+    ValueTooLargeError.  Every n < 2**66 decomposes, and so does any larger
+    n whose cofactor drops below the limit cubed.  The last result is kept,
+    because one command decomposes the same delta several times (for the
+    fundamental unit, then for each reduced_str) and a decomposition near
+    the limit costs about half a second.
     """
     if n <= 0:
         raise ValueError(f"expected a positive integer, got {n}")
-    s, m = 1, n
+    s, m, rest = 1, 1, n
     p = 2
-    while p * p <= m:
-        while m % (p * p) == 0:
-            m //= p * p
-            s *= p
-        p += 1
-    return s, m
+    while p * p * p <= rest:
+        if p > SQUAREFREE_TRIAL_LIMIT:
+            raise ValueTooLargeError(
+                f"value too large to factor: the squarefree part of a number "
+                f"of about {_decimal_digits(n)} decimal digits needs trial "
+                f"division past {SQUAREFREE_TRIAL_LIMIT}"
+            )
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            s *= p ** (e // 2)
+            if e & 1:
+                m *= p
+        p += 1 if p == 2 else 2
+    root = isqrt(rest)
+    if root * root == rest:
+        return s * root, m
+    return s, m * rest
 
 
 class QuadCore:
@@ -399,8 +429,15 @@ _INTEGER_RE = re.compile(_INTEGER)
 _RATIONAL_RE = re.compile(_INTEGER + r"(/[0-9]+)?")
 
 
+def _decimal_digits(n: int) -> int:
+    """About how many decimal digits n has, without converting it to text."""
+    return int(abs(n).bit_length() * 0.30103)  # log10(2)
+
+
 class ValueTooLargeError(ValueError):
-    """A number has more digits than the interpreter converts to text."""
+    """A number is too large for the work asked of it: it has more digits than
+    the interpreter converts to text, or its squarefree part would need trial
+    division past SQUAREFREE_TRIAL_LIMIT.  The CLI prints its message as is."""
 
 
 def parse_integer(text: str) -> int:
@@ -445,8 +482,10 @@ def format_surd(rat: Fraction, coeff: Fraction, symbol: str) -> str:
         rat_text, coeff_text = str(rat), str(abs(coeff))
     except ValueError as exc:  # past the interpreter's int -> str digit limit
         parts = (*rat.as_integer_ratio(), *coeff.as_integer_ratio())
-        digits = int(max(abs(n).bit_length() for n in parts) * 0.30103)  # log10(2)
-        raise ValueTooLargeError(f"a number of about {digits} decimal digits") from exc
+        digits = max(_decimal_digits(n) for n in parts)
+        raise ValueTooLargeError(
+            f"value too large to print: a number of about {digits} decimal digits"
+        ) from exc
     if coeff == 0:
         return rat_text
     part = symbol if abs(coeff) == 1 else f"{coeff_text}*{symbol}"

@@ -247,16 +247,19 @@ def surface_group_contains(params: SurfaceParams, g: AffineElement) -> bool:
 def is_standard_form_direct(params: SurfaceParams) -> bool:
     """Conjugation test: g0 g_i g0^{-1} (g1^{n_i1} g2^{n_i2})^{-1} in <g3>.
 
-    The rows of N give u x_i = n_i1 x1 + n_i2 x2 exactly, so the conjugate
-    [1, u x_i, s] and the word [1, u x_i, T(n_i1, n_i2, 0)] differ only in
-    their central parts, and the quotient is [1, 0, s - T].  Works for both
-    families; only the plus family also has the residue test below.
+    With g0^{-1} = [u^{-1}, 0, -Norm(u) t] the group law gives
+    g0 g_i g0^{-1} = [u, u x_i, t + Norm(u) c_i] g0^{-1} = [1, u x_i, Norm(u) c_i],
+    c_i = chi(x_i, e) real and Norm(u) = c0.  The rows of N give
+    u x_i = n_i1 x1 + n_i2 x2 exactly, so the conjugate and the word
+    [1, u x_i, T(n_i1, n_i2, 0)] differ only in their central parts, both
+    real, and the quotient is [1, 0, c0 c_i - T].  Works for both families;
+    only the plus family also has the residue test below.
     """
-    g0, g1, g2, g3 = params.generators
-    g0_inv = g0.inverse()
+    _, g1, g2, g3 = params.generators
+    c0 = params.field.c0
     for gi, (ni1, ni2) in zip((g1, g2), params.n_matrix):
-        t = (g0 * gi * g0_inv).t - _word_center(params, ni1, ni2, 0)
-        if t.im or not in_discrete_subgroup(t.re, g3.t.re):
+        t = c0 * gi.t.re - _word_center(params, ni1, ni2, 0).re
+        if not in_discrete_subgroup(t, g3.t.re):
             return False
     return True
 

@@ -169,6 +169,16 @@ def test_fundamental_unit_command(capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("surface_type", ["+", "-"])
+def test_fundamental_unit_past_the_trial_limit_exits_3(capsys, surface_type):
+    # delta = 10**42 -+ 4 keeps a cofactor above the trial limit cubed
+    rc = main(["fundamental-unit", str(10**21), surface_type])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (3, "")
+    assert "value too large to factor" in captured.err
+    assert "42 decimal digits" in captured.err
+
+
 def test_delta_is_trial_divided_once_per_command(tmp_path, capsys):
     path = write(tmp_path, EX323)
     for argv in (

@@ -1,13 +1,22 @@
 """Exact scalar layer: field axioms, exact signs, discrete-subgroup tests."""
 
+import math
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inoueaut import QuadComplex, QuadReal, in_discrete_subgroup
-from inoueaut.exactnum import is_perfect_square, square_decompose
+from inoueaut.exactnum import (
+    SQUAREFREE_TRIAL_LIMIT,
+    ValueTooLargeError,
+    is_perfect_square,
+    square_decompose,
+)
+from units_reference import square_decompose_reference
 
 
 def qr(rat, irr, delta=8) -> QuadReal:
@@ -159,11 +168,80 @@ def test_printing():
     assert qr(Fraction(1, 2), Fraction(1, 6), 45).reduced_str() == "1/2 + 1/2*sqrt(5)"
 
 
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _prime_after(n: int) -> int:
+    n += 1
+    while not _is_prime(n):
+        n += 1
+    return n
+
+
+def _prime_before(n: int) -> int:
+    n -= 1
+    while not _is_prime(n):
+        n -= 1
+    return n
+
+
+def _square_decompose_edge_cases() -> list[int]:
+    """1, 2**k, p**2, p**3, 4 p**2, and p q, p**2 q, p q**2 with p on both
+    sides of the cube root of the product (the p**3 <= rest boundary)."""
+    primes = (2, 3, 5, 7, 101, 1009, 65537)
+    cases = [1, *(2**k for k in range(41))]
+    for p in primes:
+        cases += [p * p, p**3, 4 * p * p]
+    for p in primes[:-1]:  # on p * q * q the reference loops up to q, about p**2
+        for q in (_prime_before(p * p), _prime_after(p * p)):  # p**2 <> q
+            cases += [p * q, p * p * q, p * q * q]
+    for p in primes:
+        for q in primes:
+            if p != q:
+                cases += [p * q, p * p * q]
+    return cases
+
+
 def test_square_decompose():
     assert square_decompose(32) == (4, 2)
     assert square_decompose(45) == (3, 5)
     assert square_decompose(5) == (1, 5)
+    assert square_decompose(8) == (2, 2)  # p**3, exactly at the boundary
+    assert square_decompose(4 * 65537**2) == (2 * 65537, 1)
     assert is_perfect_square(49) and not is_perfect_square(48)
+    for n in _square_decompose_edge_cases():
+        assert square_decompose(n) == square_decompose_reference(n), n
+    for bad in (0, -4):
+        with pytest.raises(ValueError):
+            square_decompose(bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.integers(1, 10**12),
+        st.builds(
+            lambda theta, sign: theta * theta + 4 * sign,
+            st.integers(3, 3 * 10**6),
+            st.sampled_from((1, -1)),
+        ),
+    )
+)
+def test_square_decompose_matches_reference(n):
+    assert square_decompose(n) == square_decompose_reference(n)
+
+
+def test_square_decompose_refuses_past_the_trial_limit():
+    # three primes just past the limit: no candidate up to it divides, and
+    # the cofactor stays above the cube of every candidate
+    p = _prime_after(SQUAREFREE_TRIAL_LIMIT)
+    q = _prime_after(p)
+    n = p * q * _prime_after(q)
+    with pytest.raises(ValueTooLargeError, match="20 decimal digits"):
+        square_decompose(n)
+    # the same size decomposes once its cofactor drops below the limit cubed
+    assert square_decompose(2**40 * p * q) == (2**20, p * q)
 
 
 def test_quad_complex_arithmetic():

@@ -1,8 +1,12 @@
-"""The capped exponent searches that `inoueaut.units.unit_exponent` replaced,
-kept as the differential reference for tests/test_units.py: the word
-problem's `_power_exponent` (from `inoueaut.surfacegroup`) and the capped
+"""Code that the unit layer replaced, kept as differential references.
+
+For tests/test_units.py, the capped exponent searches that
+`inoueaut.units.unit_exponent` replaced: the word problem's
+`_power_exponent` (from `inoueaut.surfacegroup`) and the capped
 `utheta_exponent` (from `inoueaut.units`), with their default cap of 64.
-Bodies unchanged.
+For tests/test_exactnum.py, `square_decompose_reference`: the trial
+division up to sqrt(n) that the cube-root `inoueaut.exactnum.square_decompose`
+replaced, without its cache.  Bodies unchanged.
 """
 
 from __future__ import annotations
@@ -51,3 +55,17 @@ def _power_exponent(
         pos = pos * base
         neg = neg * inv_base
     return None
+
+
+def square_decompose_reference(n: int) -> tuple[int, int]:
+    """Write n = s**2 * m with m squarefree; returns (s, m)."""
+    if n <= 0:
+        raise ValueError(f"expected a positive integer, got {n}")
+    s, m = 1, n
+    p = 2
+    while p * p <= m:
+        while m % (p * p) == 0:
+            m //= p * p
+            s *= p
+        p += 1
+    return s, m
