@@ -29,9 +29,7 @@ from .surfacegroup import (
     StandardFormError,
     SurfaceParams,
     is_standard_form_direct,
-    is_standard_form_residue,
     make_generators,
-    solve_standard_e,
     surface_group_contains,
     to_inoue_data,
 )
@@ -77,9 +75,7 @@ __all__ = [
     "StandardFormError",
     "SurfaceParams",
     "is_standard_form_direct",
-    "is_standard_form_residue",
     "make_generators",
-    "solve_standard_e",
     "surface_group_contains",
     "to_inoue_data",
     "AmbientGroup",

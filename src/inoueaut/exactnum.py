@@ -139,6 +139,10 @@ class QuadCore:
             self._ctx,
         )
 
+    def as_integer_triple(self) -> tuple[int, int, int]:
+        """(p, q, den) with self = (p + q*w)/den, den > 0, gcd(p, q, den) = 1."""
+        return self._p, self._q, self._den
+
     def _norm_num(self) -> int:
         """den^2 * Norm(self) = p^2 + T*p*q + C*q^2."""
         t, c = self._law()
@@ -283,13 +287,7 @@ class QuadReal(QuadCore):
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}, decided by integer case analysis."""
-        p, q = self._p, self._q
-        if p * q >= 0:
-            return (p > 0 or q > 0) - (p < 0 or q < 0)
-        lhs, rhs = p * p, q * q * self._ctx
-        if lhs == rhs:  # would force sqrt(delta) rational
-            raise AssertionError("non-square delta invariant violated")
-        return (p > 0) - (p < 0) if lhs > rhs else (q > 0) - (q < 0)
+        return surd_sign(self._p, self._q, self._ctx)
 
     def __lt__(self, other: object) -> bool:  # <=, >, >= by total_ordering
         diff = self.__sub__(other)
@@ -317,6 +315,18 @@ class QuadReal(QuadCore):
     @classmethod
     def from_rational(cls, value: Scalar, delta: int) -> "QuadReal":
         return cls(value, 0, delta)
+
+
+def surd_sign(p: int, q: int, delta: int) -> int:
+    """The sign of p + q*sqrt(delta), delta a positive non-square, in
+    {-1, 0, +1}: the signs of p and q decide unless they differ, and then
+    p*p against q*q*delta does."""
+    if p * q >= 0:
+        return (p > 0 or q > 0) - (p < 0 or q < 0)
+    lhs, rhs = p * p, q * q * delta
+    if lhs == rhs:  # would force sqrt(delta) rational
+        raise AssertionError("non-square delta invariant violated")
+    return (p > 0) - (p < 0) if lhs > rhs else (q > 0) - (q < 0)
 
 
 def in_discrete_subgroup(

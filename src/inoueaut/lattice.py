@@ -185,12 +185,10 @@ class Lattice:
 
     # -- membership and coordinates -----------------------------------------
 
-    def _solve(self, x: FieldElement) -> tuple[int, int, int]:
-        """(m, n, d) with x = (m*b1 + n*b2)/d, by the adjugate of the basis
-        matrix: d = den(x) * det and (m, n) = den * (p, q) * adj."""
-        if x.field != self.field:
-            raise ValueError("field mismatch")
-        p, q, d = x.as_integer_triple()
+    def _solve(self, p: int, q: int, d: int) -> tuple[int, int, int]:
+        """(m, n, e) with (p + q*u)/d = (m*b1 + n*b2)/e, by the adjugate of
+        the basis matrix: e = d * det and (m, n) = den * (p, q) * adj.  Any
+        triple of the value will do, reduced or not."""
         (p1, q1), (p2, q2) = self._rows
         return (
             self._den * (p * q2 - q * p2),
@@ -198,16 +196,25 @@ class Lattice:
             d * self._det,
         )
 
+    def _triple(self, x: FieldElement) -> tuple[int, int, int]:
+        if x.field != self.field:
+            raise ValueError("field mismatch")
+        return x.as_integer_triple()
+
     def contains(self, x: FieldElement) -> bool:
         return self.integer_coordinates(x) is not None
 
     def coordinates(self, x: FieldElement) -> tuple[Rational, Rational]:
         """(m, n) with x = m*b1 + n*b2, as exact rationals."""
-        m, n, d = self._solve(x)
+        m, n, d = self._solve(*self._triple(x))
         return Fraction(m, d), Fraction(n, d)
 
     def integer_coordinates(self, x: FieldElement) -> tuple[int, int] | None:
-        m, n, d = self._solve(x)
+        return self.triple_coordinates(*self._triple(x))
+
+    def triple_coordinates(self, p: int, q: int, d: int) -> tuple[int, int] | None:
+        """integer_coordinates of (p + q*u)/d, a value of this lattice's field."""
+        m, n, d = self._solve(p, q, d)
         if m % d or n % d:
             return None
         return m // d, n // d

@@ -85,10 +85,6 @@ class FieldElement(QuadCore):
     def field(self) -> FieldDescriptor:
         return self._ctx
 
-    def as_integer_triple(self) -> tuple[int, int, int]:
-        """(p, q, den) with self = (p + q*u)/den, den > 0, gcd(p, q, den) = 1."""
-        return self._p, self._q, self._den
-
     def _law(self) -> tuple[int, int]:
         return self._ctx.theta, self._ctx.c0
 

@@ -13,11 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
+from typing import NamedTuple
 
-from .exactnum import QuadComplex, QuadReal, in_discrete_subgroup
+from .exactnum import QuadComplex, QuadReal
 from .lattice import IntMatrix, Lattice
 from .quadfield import FieldDescriptor, FieldElement, chi
-from .units import unit_exponent
+from .units import triple_exponent
 
 
 class ParameterError(ValueError):
@@ -28,65 +30,148 @@ class StandardFormError(ValueError):
     """Parameters are valid but the generated group is not in standard form."""
 
 
-@dataclass(frozen=True)
+# [v, x, t] as one flat tuple of twelve integers: the triples (p, q, den) of
+# v = (p + q*u)/den and x likewise in the basis {1, u}, then of
+# Re t = (p + q*sqrt(delta))/den and Im t likewise; each triple is reduced
+# (den > 0, gcd(p, q, den) = 1), so the tuple is canonical.
+Flat = tuple[int, int, int, int, int, int, int, int, int, int, int, int]
+_IDENTITY = (1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1)
+
+
+def _compose(a: Flat, b: Flat, theta: int, c0: int) -> Flat:
+    """The group law [u, x, t][v, y, s] = [uv, x + uy, t + Norm(u)s - chi(x, uy)/2]
+    on flat tuples, by u^2 = theta*u - c0; one gcd reduction per triple.
+    u is a unit, so Norm(u) is the sign of its integer norm, and
+    -chi(x, uy)/2 = (p_x q_uy - p_uy q_x)/(2 den_x den_uy) * sqrt(delta)."""
+    up, uq, ud, xp, xq, xd, rp, rq, rd, ip, iq, id_ = a
+    vp, vq, vd, yp, yq, yd, sp, sq, sd, jp, jq, jd = b
+    qq = uq * vq
+    p, q, d = up * vp - c0 * qq, up * vq + uq * vp + theta * qq, ud * vd
+    g = gcd(p, q, d)
+    wp, wq, wd = p // g, q // g, d // g
+    qq = uq * yq
+    zp, zq, zd = up * yp - c0 * qq, up * yq + uq * yp + theta * qq, ud * yd  # uy
+    p, q, d = xp * zd + zp * xd, xq * zd + zq * xd, xd * zd
+    g = gcd(p, q, d)
+    mp, mq, md = p // g, q // g, d // g
+    if up * up + theta * up * uq + c0 * uq * uq < 0:  # Norm(u) = -1
+        sp, sq, jp, jq = -sp, -sq, -jp, -jq
+    p, q, d = rp * sd + sp * rd, rq * sd + sq * rd, rd * sd
+    c = xp * zq - zp * xq
+    if c:
+        cd = 2 * xd * zd
+        p, q, d = p * cd, q * cd + c * d, d * cd
+    g = gcd(p, q, d)
+    rp, rq, rd = p // g, q // g, d // g
+    if jp or jq:
+        p, q, d = ip * jd + jp * id_, iq * jd + jq * id_, id_ * jd
+        g = gcd(p, q, d)
+        ip, iq, id_ = p // g, q // g, d // g
+    return wp, wq, wd, mp, mq, md, rp, rq, rd, ip, iq, id_
+
+
+def _invert(a: Flat, theta: int, c0: int) -> Flat:
+    """[v, x, t]^-1 = [1/v, -x/v, -Norm(v) t]; for a unit v = (p + q*u)/den,
+    1/v = Norm(v) (p + theta*q - q*u)/den, already reduced."""
+    vp, vq, vd, xp, xq, xd, rp, rq, rd, ip, iq, id_ = a
+    n = 1 if vp * vp + theta * vp * vq + c0 * vq * vq > 0 else -1
+    wp, wq = n * (vp + theta * vq), -n * vq
+    qq = xq * wq
+    p, q, d = c0 * qq - xp * wp, -(xp * wq + xq * wp + theta * qq), xd * vd
+    g = gcd(p, q, d)
+    return (
+        wp, wq, vd, p // g, q // g, d // g,
+        -n * rp, -n * rq, rd, -n * ip, -n * iq, id_,
+    )  # fmt: skip
+
+
 class AffineElement:
     """Group element [v, x, t]: v a positive unit, x a field element, t complex.
 
     The group law is
-        [u, x, t][v, y, s] = [uv, x + uy, t + Norm(u)s - chi(x, uy)/2].
-    The public constructor validates; products, inverses and the identity
-    keep the invariants (v a unit with sigma1(v) > 0, one field and delta)
-    and are built by the trusted _raw.
+        [u, x, t][v, y, s] = [uv, x + uy, t + Norm(u)s - chi(x, uy)/2],
+    computed on the element's flat integer tuple (see _compose).  The public
+    constructor validates (v a unit with sigma1(v) > 0, one field and
+    delta); products, inverses and the identity keep those invariants and
+    are built by the trusted _of.  v, x and t are read off the tuple.
     """
 
-    v: FieldElement
-    x: FieldElement
-    t: QuadComplex
+    __slots__ = ("field", "_flat")
 
-    def __post_init__(self) -> None:
-        if self.v.field != self.x.field:
+    def __init__(self, v: FieldElement, x: FieldElement, t: QuadComplex) -> None:
+        if v.field != x.field:
             raise ValueError("v and x live in different fields")
-        if self.t.delta != self.v.field.delta:
+        if t.delta != v.field.delta:
             raise ValueError("t has the wrong delta for this field")
-        if abs(self.v.norm()) != 1:
-            raise ValueError(f"v must be a unit, got norm {self.v.norm()}")
-        if self.v.sigma1().sign() <= 0:
-            raise ValueError(f"v must have sigma1 > 0, got {self.v}")
+        if abs(v.norm()) != 1:
+            raise ValueError(f"v must be a unit, got norm {v.norm()}")
+        if v.sigma1().sign() <= 0:
+            raise ValueError(f"v must have sigma1 > 0, got {v}")
+        flat = (
+            v.as_integer_triple()
+            + x.as_integer_triple()
+            + t.re.as_integer_triple()
+            + t.im.as_integer_triple()
+        )
+        _set_field(self, v.field)
+        _set_flat(self, flat)
 
     @classmethod
-    def _raw(
-        cls, v: FieldElement, x: FieldElement, t: QuadComplex
-    ) -> "AffineElement":
+    def _of(cls, field: FieldDescriptor, flat: Flat) -> "AffineElement":
         self = object.__new__(cls)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "t", t)
+        _set_field(self, field)
+        _set_flat(self, flat)
         return self
 
+    @classmethod
+    def _real(
+        cls, v: FieldElement, x: FieldElement, t: tuple[int, int, int]
+    ) -> "AffineElement":
+        """[v, x, t] for a real t given by its reduced triple over
+        sqrt(delta), from parts the caller has validated."""
+        flat = v.as_integer_triple() + x.as_integer_triple() + t + (0, 0, 1)
+        return cls._of(v.field, flat)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"AffineElement is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"AffineElement is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):  # copy and pickle past __setattr__
+        return AffineElement._of, (self.field, self._flat)
+
     @property
-    def field(self) -> FieldDescriptor:
-        return self.v.field
+    def v(self) -> FieldElement:
+        return FieldElement._raw(*self._flat[0:3], self.field)
+
+    @property
+    def x(self) -> FieldElement:
+        return FieldElement._raw(*self._flat[3:6], self.field)
+
+    @property
+    def t(self) -> QuadComplex:
+        delta = self.field.delta
+        return QuadComplex._raw(
+            QuadReal._raw(*self._flat[6:9], delta),
+            QuadReal._raw(*self._flat[9:12], delta),
+        )
 
     @classmethod
     def identity(cls, field: FieldDescriptor) -> "AffineElement":
-        return cls._raw(field.one(), field.zero(), QuadComplex.zero(field.delta))
+        return cls._of(field, _IDENTITY)
 
     def __mul__(self, other: "AffineElement") -> "AffineElement":
-        if not isinstance(other, AffineElement):
+        if other.__class__ is not AffineElement:
             return NotImplemented
-        if other.field != self.field:
+        field = self.field
+        if other.field is not field and other.field != field:
             raise ValueError("field mismatch")
-        uy = self.v * other.x
-        # self.v is a unit, so Norm(u)s in the law is s or -s
-        s = other.t if self.v._norm_num() > 0 else -other.t
-        re = self.t.re + s.re - chi(self.x, uy) / 2
-        t = QuadComplex._raw(re, self.t.im + s.im)
-        return AffineElement._raw(self.v * other.v, self.x + uy, t)
+        return self._of(field, _compose(self._flat, other._flat, field.theta, field.c0))
 
     def inverse(self) -> "AffineElement":
-        v_inv = self.v.inverse()
-        t = -self.t if self.v._norm_num() > 0 else self.t
-        return AffineElement._raw(v_inv, -(self.x * v_inv), t)
+        field = self.field
+        return self._of(field, _invert(self._flat, field.theta, field.c0))
 
     def __pow__(self, n: int) -> "AffineElement":
         if not isinstance(n, int):
@@ -104,10 +189,26 @@ class AffineElement:
         return out
 
     def is_identity(self) -> bool:
-        return self.v == self.field.one() and not self.x and not self.t
+        return self._flat == _IDENTITY
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not AffineElement:
+            return NotImplemented
+        return self._flat == other._flat and self.field == other.field
+
+    def __hash__(self) -> int:
+        return hash((self.field, self._flat))
+
+    def __repr__(self) -> str:
+        return f"AffineElement(v={self.v!r}, x={self.x!r}, t={self.t!r})"
 
     def __str__(self) -> str:
         return f"[{self.v}, {self.x}, {self.t}]"
+
+
+# the slots' own setters, past the __setattr__ that keeps elements immutable
+_set_field = AffineElement.field.__set__
+_set_flat = AffineElement._flat.__set__
 
 
 @dataclass(frozen=True)
@@ -190,6 +291,18 @@ class SurfaceParams:
     ) -> tuple[AffineElement, AffineElement, AffineElement, AffineElement]:
         return make_generators(self)
 
+    @cached_property
+    def word_data(self) -> "WordData":
+        values = (
+            chi(self.x1, self.e), chi(self.x2, self.e), self.chi0, self.t.re, self.t.im
+        )  # fmt: skip
+        den = lcm(*(x._den for x in values))
+        (_, c1), (_, c2), (_, x0), t_re, t_im = (
+            (x._p * (den // x._den), x._q * (den // x._den)) for x in values
+        )
+        field = self.field
+        return WordData(field.theta, field.c0, self.r, den, c1, c2, x0, *t_re, *t_im)
+
 
 def make_generators(
     params: SurfaceParams,
@@ -207,40 +320,68 @@ def make_generators(
     return g0, g1, g2, g3
 
 
-def _word_center(params: SurfaceParams, a: int, b: int, k: int) -> QuadComplex:
-    """T(a, b, k), the central part of the word g1^a g2^b g0^k.
+class WordData(NamedTuple):
+    """The integers of the word problem, once per parameter set: over one
+    common denominator den, c_i = chi(x_i, e) = C_i/den * sqrt(delta),
+    chi0 = X0/den * sqrt(delta) and t = (TP + TQ sqrt(delta))/den +
+    i (IP + IQ sqrt(delta))/den."""
 
-    chi is antisymmetric, so g_i^a = [1, a x_i, a c_i] with c_i = chi(x_i, e)
-    and g1^a g2^b = [1, a x1 + b x2, a c1 + b c2 - ab chi0/2]; g0^k =
-    [u^k, 0, k t], since Norm(u) = +1 in the plus family and t = 0 in the
-    minus family.  So the word is [u^k, a x1 + b x2, T] with
-        T = a c1 + b c2 - ab chi0/2 + k t.
-    """
-    g0, g1, g2, _ = params.generators
-    re = a * g1.t.re + b * g2.t.re - Fraction(a * b, 2) * params.chi0
-    return QuadComplex._raw(re + k * g0.t.re, k * g0.t.im)
+    theta: int
+    c0: int
+    r: int
+    den: int
+    c1: int
+    c2: int
+    x0: int
+    tp: int
+    tq: int
+    ip: int
+    iq: int
+
+
+def _center(data: WordData, a: int, b: int) -> int:
+    """2 den/sqrt(delta) times Re T(a, b, 0) (see surface_group_contains):
+    W = 2a C1 + 2b C2 - ab X0."""
+    return 2 * (a * data.c1 + b * data.c2) - a * b * data.x0
 
 
 def surface_group_contains(params: SurfaceParams, g: AffineElement) -> bool:
     """Word problem for the discrete surface group (standard form assumed).
 
-    Writes g against the canonical word g1^a g2^b g0^k = [u^k, a x1 + b x2,
-    T(a, b, k)] (see _word_center), with k the exact exponent g.v = u^k
-    from unit_exponent and (a, b) the exact integer coordinates of g.x in I;
-    g is rejected if either does not exist.  Then g word^{-1} =
-    [1, 0, g.t - T]: its v- and x-parts are 1 and 0 by the choice of k and
-    (a, b), so they need no check, and g lies in the group iff
-    Im(g.t) = k Im(t) and Re(g.t) - Re(T) is an integer multiple of g3's t.
+    Writes g against the canonical word g1^a g2^b g0^k, with k the exact
+    exponent g.v = u^k from triple_exponent and (a, b) the exact integer
+    coordinates of g.x in I; g is rejected if either does not exist.  chi
+    is antisymmetric, so g_i^a = [1, a x_i, a c_i] with c_i = chi(x_i, e)
+    and g1^a g2^b = [1, a x1 + b x2, a c1 + b c2 - ab chi0/2]; g0^k =
+    [u^k, 0, k t], since Norm(u) = +1 in the plus family and t = 0 in the
+    minus family.  So the word is [u^k, a x1 + b x2, T] with
+        T = a c1 + b c2 - ab chi0/2 + k t,
+    and g word^{-1} = [1, 0, g.t - T]: g lies in the group iff
+    Im(g.t) = k Im(t) and Re(g.t) - Re(T) is an integer multiple of
+    g3's t = -chi0/r.  Decided on integers: with c1, c2, chi0 = (C1, C2,
+    X0)/den * sqrt(delta) and t = (TP + TQ sqrt(delta) + i(IP + IQ
+    sqrt(delta)))/den (WordData), the multiple is
+    r (2 den q - d (W + 2k TQ)) / (2 d X0) for Re(g.t) = (p + q
+    sqrt(delta))/d and W = 2a C1 + 2b C2 - ab X0.
     """
-    k = unit_exponent(g.v, params.field.u())
+    field = params.field
+    if g.field is not field and g.field != field:
+        raise ValueError("field mismatch")
+    data = params.word_data
+    vp, vq, vd, xp, xq, xd, rp, rq, rd, ip, iq, id_ = g._flat
+    k = triple_exponent((vp, vq, vd), (0, 1, 1), data.theta, data.c0)
     if k is None:
         return False
-    coords = params.ideal.integer_coordinates(g.x)
+    coords = params.ideal.triple_coordinates(xp, xq, xd)
     if coords is None:
         return False
-    center = _word_center(params, *coords, k)
-    return g.t.im == center.im and in_discrete_subgroup(
-        g.t.re - center.re, params.generators[3].t.re
+    den = data.den
+    w = _center(data, *coords) + 2 * k * data.tq
+    return (
+        ip * den == k * data.ip * id_
+        and iq * den == k * data.iq * id_
+        and rp * den == k * data.tp * rd
+        and (2 * den * rq - rd * w) * data.r % (2 * rd * data.x0) == 0
     )
 
 
@@ -252,59 +393,15 @@ def is_standard_form_direct(params: SurfaceParams) -> bool:
     c_i = chi(x_i, e) real and Norm(u) = c0.  The rows of N give
     u x_i = n_i1 x1 + n_i2 x2 exactly, so the conjugate and the word
     [1, u x_i, T(n_i1, n_i2, 0)] differ only in their central parts, both
-    real, and the quotient is [1, 0, c0 c_i - T].  Works for both families;
-    only the plus family also has the residue test below.
+    pure surds, and the quotient is [1, 0, c0 c_i - T]: a multiple of
+    -chi0/r iff r (2 c0 C_i - W) / (2 X0) is an integer (notation of
+    surface_group_contains).  Works for both families.
     """
-    _, g1, g2, g3 = params.generators
-    c0 = params.field.c0
-    for gi, (ni1, ni2) in zip((g1, g2), params.n_matrix):
-        t = c0 * gi.t.re - _word_center(params, ni1, ni2, 0).re
-        if not in_discrete_subgroup(t, g3.t.re):
+    data = params.word_data
+    for ci, row in zip((data.c1, data.c2), params.n_matrix):
+        if (2 * data.c0 * ci - _center(data, *row)) * data.r % (2 * data.x0):
             return False
     return True
-
-
-def is_standard_form_residue(params: SurfaceParams) -> bool:
-    """Closed-form test for the plus family:
-    (1-u)/u * e + (n21 n22 / 2) x1 - (n11 n12 / 2) x2 in I/r."""
-    if params.field.c0 != 1:
-        raise ValueError("the closed-form residue test only exists for c0 = +1")
-    field = params.field
-    u = field.u()
-    (n11, n12), (n21, n22) = params.n_matrix
-    z = (
-        ((field.one() - u) / u) * params.e
-        + Fraction(n21 * n22, 2) * params.x1
-        - Fraction(n11 * n12, 2) * params.x2
-    )
-    return params.ideal_over_r.contains(z)
-
-
-def solve_standard_e(
-    field: FieldDescriptor,
-    r: int,
-    x1: FieldElement,
-    x2: FieldElement,
-    p_int: int,
-    q_int: int,
-) -> FieldElement:
-    """The unique e putting the plus-family group in standard form with
-    central offsets (p_int, q_int):
-
-        e = u/(1-u) * ((n11 n12/2 + p/r) x2 - (n21 n22/2 + q/r) x1)
-    """
-    if field.c0 != 1:
-        raise ValueError("the solved form only exists for c0 = +1")
-    n = Lattice(x1, x2).mult_matrix(field.u())
-    if n is None:
-        raise ParameterError("Z<x1, x2> is not a fractional ideal")
-    (n11, n12), (n21, n22) = n
-    u = field.u()
-    factor = u / (field.one() - u)
-    return factor * (
-        (Fraction(n11 * n12, 2) + Fraction(p_int, r)) * x2
-        - (Fraction(n21 * n22, 2) + Fraction(q_int, r)) * x1
-    )
 
 
 @dataclass(frozen=True)

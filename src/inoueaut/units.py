@@ -9,9 +9,9 @@ logarithms.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
-from .exactnum import square_decompose
+from .exactnum import square_decompose, surd_sign
 from .lattice import Lattice
 from .quadfield import FieldDescriptor, FieldElement
 
@@ -67,20 +67,51 @@ def fundamental_unit(field: FieldDescriptor) -> FieldElement:
 def unit_exponent(value: FieldElement, base: FieldElement) -> int | None:
     """The k in Z with value = base**k, or None if there is none.
 
-    Needs sigma1(base) > 1 and sigma1(value) > 0.  sigma1(base**k) grows
-    strictly with k, so the search walks from k = 0 towards value and stops
-    once sigma1 of the power passes sigma1(value): O(log sigma1(value))
-    products, bounded by the input alone.
+    Needs sigma1(base) > 1 and sigma1(value) > 0; see triple_exponent.
     """
+    field = base.field
+    if value.field != field:
+        raise ValueError(f"field mismatch: {value.field} vs {field}")
+    return triple_exponent(
+        value.as_integer_triple(), base.as_integer_triple(), field.theta, field.c0
+    )
+
+
+Triple = tuple[int, int, int]
+
+
+def triple_exponent(value: Triple, base: Triple, theta: int, c0: int) -> int | None:
+    """unit_exponent on the integer triples (p, q, den) of (p + q*u)/den.
+
+    sigma1(base**k) grows strictly with k, so the search walks from k = 0
+    towards value and stops once sigma1 of the power passes sigma1(value):
+    O(log sigma1(value)) products, bounded by the input alone.  sigma1 is
+    compared by the exact sign of
+        2 den(b) den(a) (sigma1(a) - sigma1(b)) = A + B sqrt(delta),
+    A = (2 p_a + theta q_a) den_b - (2 p_b + theta q_b) den_a and
+    B = q_a den_b - q_b den_a.
+    """
+    delta = theta * theta - 4 * c0
+    p, q, d = value
     sign = 1
-    if value.sigma1() < 1:  # k < 0: search for value^-1 = base**-k
-        value, sign = value.inverse(), -1
-    target = value.sigma1()
-    power, k = base.field.one(), 0
-    while power != value:
-        if power.sigma1() > target:
+    if surd_sign(2 * p + theta * q - 2 * d, q, delta) < 0:
+        # sigma1(value) < 1, so k < 0: search for value^-1 = base**-k
+        nrm = p * p + theta * p * q + c0 * q * q
+        if nrm == 0:
+            raise ZeroDivisionError("division by zero")
+        p, q, d = d * (p + theta * q), -d * q, nrm
+        g = gcd(p, q, d) if d > 0 else -gcd(p, q, d)
+        p, q, d, sign = p // g, q // g, d // g, -1
+    bp, bq, bd = base
+    a = 2 * p + theta * q
+    pp, pq, pd, k = 1, 0, 1, 0
+    while pp != p or pq != q or pd != d:
+        if surd_sign((2 * pp + theta * pq) * d - a * pd, pq * d - q * pd, delta) > 0:
             return None
-        power, k = power * base, k + 1
+        qq = pq * bq
+        pp, pq, pd = pp * bp - c0 * qq, pp * bq + pq * bp + theta * qq, pd * bd
+        g = gcd(pp, pq, pd)
+        pp, pq, pd, k = pp // g, pq // g, pd // g, k + 1
     return sign * k
 
 

@@ -1,7 +1,9 @@
 """Shared builders: the four worked example parameter sets, random field
-elements, random fractional ideals, and random standard-form parameter sets
-for both surface families, over random ideals or over I = Z<1, eta>, with t
-drawn by random_t or, reaching the -2t term, by random_surd_t."""
+elements, random fractional ideals, the solved standard-form e of both
+families (solve_standard_e, which only tests use, lives here), and random
+standard-form parameter sets for both surface families, over random ideals
+or over I = Z<1, eta>, with t drawn by random_t or, reaching the -2t term,
+by random_surd_t."""
 
 from __future__ import annotations
 
@@ -12,15 +14,17 @@ from typing import Callable
 import pytest
 
 from inoueaut import (
+    AmbientGroup,
+    CosetPair,
     FieldDescriptor,
     FieldElement,
     Lattice,
+    ParameterError,
     QuadComplex,
     QuadReal,
     SurfaceParams,
     fundamental_unit,
     is_standard_form_direct,
-    solve_standard_e,
 )
 
 # -- the worked examples -------------------------------------------------------
@@ -119,6 +123,33 @@ def random_invariant_lattice(rng: random.Random, field: FieldDescriptor) -> Latt
     lat = Lattice(b1, b2)
     assert lat.mult_matrix(field.u()) is not None
     return lat
+
+
+def solve_standard_e(
+    field: FieldDescriptor,
+    r: int,
+    x1: FieldElement,
+    x2: FieldElement,
+    p_int: int,
+    q_int: int,
+) -> FieldElement:
+    """The unique e putting the plus-family group in standard form with
+    central offsets (p_int, q_int):
+
+        e = u/(1-u) * ((n11 n12/2 + p/r) x2 - (n21 n22/2 + q/r) x1)
+    """
+    if field.c0 != 1:
+        raise ValueError("the solved form only exists for c0 = +1")
+    n = Lattice(x1, x2).mult_matrix(field.u())
+    if n is None:
+        raise ParameterError("Z<x1, x2> is not a fractional ideal")
+    (n11, n12), (n21, n22) = n
+    u = field.u()
+    factor = u / (field.one() - u)
+    return factor * (
+        (Fraction(n11 * n12, 2) + Fraction(p_int, r)) * x2
+        - (Fraction(n21 * n22, 2) + Fraction(q_int, r)) * x1
+    )
 
 
 def _solve_standard_e_minus(
@@ -237,6 +268,21 @@ def random_unit(
 ) -> FieldElement:
     """A random element of the positive unit group (norm +-1, sigma1 > 0)."""
     return (field.u() ** rng.randint(-2, 2)) * (eta ** rng.randint(-2, 2))
+
+
+def ambient_mul(ambient: AmbientGroup, e1: CosetPair, e2: CosetPair) -> CosetPair:
+    """The product of two elements of H by its integer law (mul_row)."""
+    [key] = ambient.mul_row(ambient.key(e1), [ambient.key(e2)])
+    return CosetPair(*divmod(key, ambient.quotient.order))
+
+
+def ambient_inv(ambient: AmbientGroup, el: CosetPair) -> CosetPair:
+    """(i, k)^{-1} = (-i, 0)(0, -k)."""
+    d1, d2 = ambient.quotient.d1, ambient.quotient.d2
+    minus_k = -(el.coset // d2) % d1 * d2 + -el.coset % d2
+    return ambient_mul(
+        ambient, CosetPair(-el.unit_exp % ambient.n, 0), CosetPair(0, minus_k)
+    )
 
 
 @pytest.fixture(scope="session")

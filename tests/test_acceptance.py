@@ -38,11 +38,11 @@ from inoueaut import (
     fundamental_unit,
     invariant_unit_generator,
     is_standard_form_direct,
-    is_standard_form_residue,
     membership_conditions,
     normalizer_oracle,
 )
 from inoueaut.exactnum import square_decompose
+from surfacegroup_reference import is_standard_form_residue
 
 
 def verdict(num: int, ok: bool, text: str) -> None:

@@ -15,6 +15,7 @@ from conftest import (
     example_theta7,
     random_eta_params,
     random_standard_params,
+    solve_standard_e,
 )
 from inoueaut import (
     FieldDescriptor,
@@ -23,7 +24,6 @@ from inoueaut import (
     build_ambient,
     component_group,
     fundamental_unit,
-    solve_standard_e,
 )
 from inoueaut.components import (
     AmbientGroup,

@@ -1,9 +1,11 @@
 """CLI layer: commands, exit codes, file parsing, machine report round trip."""
 
 import json
+import time
 
 import pytest
 
+import inoueaut.components as components
 from inoueaut.cli import (
     ParamFileError,
     format_quad_complex,
@@ -270,3 +272,50 @@ def test_t_parsing_and_formatting(tmp_path):
     complex_t = EX319.replace("t = 0", "t = 1/2 + (1/3*sqrtD)i")
     params = load_param_file(write(tmp_path, complex_t))
     assert params.t.im == QuadReal(0, 1, 32) / 3
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-oracle"], ["--machine", "--double-r"]])
+@pytest.mark.parametrize("surface_type", ["+", "-"])
+def test_huge_ambient_group_is_refused_before_it_is_built(
+    tmp_path, capsys, surface_type, flags
+):
+    # |H| = n * |Norm(1 - u)| is about 10**9 at theta = 10**9; the cosets are
+    # never built, so the refusal is quick and stdout stays empty
+    path = write(
+        tmp_path,
+        f"surface_type = {surface_type}\ntheta = 1000000000\nr = 1\n"
+        "x1 = 1\nx2 = u\ne = 0\n",
+    )
+    start = time.perf_counter()
+    rc = main(["analyze", path, *flags])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (3, "")
+    assert "value too large to analyze" in captured.err
+    assert f"more than {components.AMBIENT_LIMIT}" in captured.err
+    assert elapsed < 1.0
+    # the order itself needs no cosets
+    assert main(["bound", path]) == 0
+    bound = 999999998 if surface_type == "+" else 1000000000
+    assert capsys.readouterr().out == f"{bound}\n"
+
+
+@pytest.mark.parametrize("limit", ["AMBIENT_LIMIT", "ORACLE_LIMIT"])
+def test_limits_refuse_only_past_them(tmp_path, capsys, monkeypatch, limit):
+    path = write(tmp_path, EX323)  # |H| = 20
+    expected = main(["analyze", "--machine", path])
+    report = capsys.readouterr().out
+    assert expected == 0
+    monkeypatch.setattr(components, limit, 20)
+    assert main(["analyze", "--machine", path]) == 0
+    assert capsys.readouterr().out == report
+    monkeypatch.setattr(components, limit, 19)
+    rc = main(["analyze", "--machine", path])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (3, "")
+    assert "20 elements, more than 19" in captured.err
+    # --no-oracle skips the sweep, and with it the oracle's limit
+    rc = main(["analyze", "--no-oracle", path])
+    captured = capsys.readouterr()
+    assert rc == (3 if limit == "AMBIENT_LIMIT" else 0)
+    assert ("value too large" in captured.err) == (limit == "AMBIENT_LIMIT")

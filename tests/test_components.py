@@ -4,17 +4,22 @@ classification, oracle, bound, and the report pipeline."""
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 import inoueaut.components
+import membership_reference
 from classify_reference import _abelian_invariant_factors, _classify
 from conftest import (
+    ambient_inv,
+    ambient_mul,
     example_theta4_shifted,
     example_theta4_zero,
     example_theta6,
     example_theta7,
+    random_eta_params,
     random_standard_params,
 )
 from inoueaut import (
@@ -36,6 +41,7 @@ from inoueaut import (
     order_bound,
 )
 from inoueaut.cli import load_param_file
+from inoueaut.exactnum import QuadCore
 
 
 def test_build_ambient_desk_cases():
@@ -56,14 +62,14 @@ def test_ambient_group_axioms():
     elements = ambient.elements()
     identity = ambient.identity
     for e1 in elements:
-        assert ambient.mul(e1, identity) == e1
-        assert ambient.mul(identity, e1) == e1
-        assert ambient.mul(e1, ambient.inv(e1)) == identity
+        assert ambient_mul(ambient, e1, identity) == e1
+        assert ambient_mul(ambient, identity, e1) == e1
+        assert ambient_mul(ambient, e1, ambient_inv(ambient, e1)) == identity
     for e1 in elements[:8]:
         for e2 in elements[:8]:
             for e3 in elements[:8]:
-                left = ambient.mul(ambient.mul(e1, e2), e3)
-                right = ambient.mul(e1, ambient.mul(e2, e3))
+                left = ambient_mul(ambient, ambient_mul(ambient, e1, e2), e3)
+                right = ambient_mul(ambient, e1, ambient_mul(ambient, e2, e3))
                 assert left == right
 
 
@@ -94,9 +100,9 @@ def assert_law_matches(ambient):
     ref_mul, ref_inv = field_arithmetic_law(ambient)
     elements = ambient.elements()
     for e1 in elements:
-        assert ambient.inv(e1) == ref_inv(e1)
+        assert ambient_inv(ambient, e1) == ref_inv(e1)
         for e2 in elements:
-            assert ambient.mul(e1, e2) == ref_mul(e1, e2)
+            assert ambient_mul(ambient, e1, e2) == ref_mul(e1, e2)
     return ref_mul
 
 
@@ -214,7 +220,10 @@ def test_normalizer_oracle_identity_and_examples():
 def test_oracle_checks_each_value_once(monkeypatch):
     # With the generators built, the sweep's products, inverses and powers
     # keep their invariants without re-checking them: no QuadComplex or public
-    # QuadReal construction, and no Fraction norm inside the group law.
+    # QuadReal construction, and no Fraction norm inside the group law.  The
+    # law and the word problem run on flat integer tuples, so nothing inside
+    # them builds a QuadCore value (every result goes through _reduced), and
+    # the whole sweep builds no Fraction.
     params = example_theta7()
     q = component_group(params)
     params.generators
@@ -242,16 +251,56 @@ def test_oracle_checks_each_value_once(monkeypatch):
         calls["norm in the group law"] += depth[0] > 0
         return original_norm(self)
 
+    def reduced(cls, *args):
+        calls["QuadCore._reduced in the group law"] += depth[0] > 0
+        return original_reduced(cls, *args)
+
     original_norm = FieldElement.norm
+    original_reduced = QuadCore.__dict__["_reduced"].__func__
     monkeypatch.setattr(FieldElement, "norm", norm)
+    monkeypatch.setattr(QuadCore, "_reduced", classmethod(reduced))
     for name in ("__mul__", "inverse"):
         monkeypatch.setattr(AffineElement, name, group_law(getattr(AffineElement, name)))
+    monkeypatch.setattr(
+        inoueaut.components,
+        "surface_group_contains",
+        group_law(inoueaut.components.surface_group_contains),
+    )
     monkeypatch.setattr(
         QuadComplex, "__post_init__", counted("QuadComplex", QuadComplex.__post_init__)
     )
     monkeypatch.setattr(QuadReal, "__init__", counted("QuadReal", QuadReal.__init__))
+    monkeypatch.setattr(Fraction, "__new__", counted("Fraction", Fraction.__new__))
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python >= 3.12 arithmetic
+        original = Fraction.__dict__["_from_coprime_ints"].__func__
+        monkeypatch.setattr(
+            Fraction, "_from_coprime_ints", classmethod(counted("Fraction", original))
+        )
     assert oracle_crosscheck(params, q) == 20
     assert calls == Counter()
+    # the counters do count: one product with a Fraction norm check
+    depth[0] += 1
+    AffineElement(params.field.u(), params.x1, params.t)
+    params.field.u() * Fraction(1, 2)
+    depth[0] -= 1
+    assert calls["Fraction"] > 0 and calls["QuadCore._reduced in the group law"] > 0
+    assert calls["norm in the group law"] > 0
+
+
+def test_minus_shift_on_integers_matches_reference():
+    # _central_expression gives the shift s of h = [v, y, s] in the minus
+    # family; its integer (q, den) against the Fraction body it replaced, at
+    # every coset representative of random minus-family parameters.
+    rng = random.Random(127)
+    for k in range(40):
+        build = random_eta_params if k % 4 == 0 else random_standard_params
+        params = build(rng, -1, (1, 12), (1, 12))
+        ambient = build_ambient(params)
+        for y in ambient.coset_reps:
+            q, den = inoueaut.components._central_expression(params, y)
+            assert den > 0 and gcd(q, den) == 1
+            expected = membership_reference._central_expression(params, y)
+            assert QuadReal(0, Fraction(q, den), params.field.delta) == expected
 
 
 @pytest.mark.parametrize("name", ["theta7", "minus_theta4_r2", "theta6"])

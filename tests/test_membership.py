@@ -9,7 +9,12 @@ from fractions import Fraction
 import pytest
 
 import membership_reference as reference
-from conftest import example_theta7, random_eta_params, random_standard_params
+from conftest import (
+    example_theta7,
+    random_eta_params,
+    random_standard_params,
+    solve_standard_e,
+)
 from inoueaut import (
     FieldDescriptor,
     Lattice,
@@ -23,7 +28,6 @@ from inoueaut import (
     fundamental_unit,
     is_standard_form_direct,
     membership_conditions,
-    solve_standard_e,
 )
 import inoueaut.components as components
 

@@ -1,8 +1,10 @@
 """Surface-group layer: group law, generators, word problem, standard form,
-solved e, and the classical-data export; the closed-form word problem and
-standard-form gate against the square-and-multiply code they replaced
-(`tests/surfacegroup_reference.py`)."""
+solved e, and the classical-data export; the flat integer group law, the
+closed-form word problem, the standard-form gate and the normalizer oracle
+against the code they replaced (`tests/surfacegroup_reference.py`)."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -19,11 +21,13 @@ from conftest import (
     example_theta6,
     example_theta7,
     random_field_element,
+    random_eta_params,
     random_invariant_lattice,
     random_standard_params,
     random_surd_t,
     random_t,
     random_unit,
+    solve_standard_e,
 )
 from inoueaut import (
     AffineElement,
@@ -33,15 +37,16 @@ from inoueaut import (
     QuadReal,
     StandardFormError,
     SurfaceParams,
+    build_ambient,
     chi,
     fundamental_unit,
     is_standard_form_direct,
-    is_standard_form_residue,
-    solve_standard_e,
+    normalizer_oracle,
     surface_group_contains,
     to_inoue_data,
 )
 from inoueaut.cli import load_param_file
+from surfacegroup_reference import is_standard_form_residue
 
 F4 = FieldDescriptor(4, 1)
 F6 = FieldDescriptor(6, 1)
@@ -76,6 +81,16 @@ def test_group_law_associativity_with_mixed_norms():
         b = random_affine(rng, field, eta)
         c = random_affine(rng, field, eta)
         assert (a * b) * c == a * (b * c)
+
+
+def test_affine_element_is_immutable_and_copies():
+    g = example_theta7().generators[0]
+    with pytest.raises(AttributeError):
+        g.v = g.v
+    with pytest.raises(AttributeError):
+        del g.x
+    for copied in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert copied == g and hash(copied) == hash(g) and str(copied) == str(g)
 
 
 def test_affine_element_validation():
@@ -365,12 +380,16 @@ def word_cases(draw):
     return params, word * bad if draw(st.booleans()) else bad * word, False
 
 
+def as_ref(g: AffineElement) -> ref.AffineElement:
+    return ref.AffineElement(g.v, g.x, g.t)
+
+
 @settings(max_examples=250, deadline=None)
 @given(word_cases())
 def test_closed_form_word_problem_matches_reference(case):
     params, g, is_word = case
     accepted = surface_group_contains(params, g)
-    assert accepted == ref.surface_group_contains(params, g)
+    assert accepted == ref.surface_group_contains(params, as_ref(g))
     if is_word:
         assert accepted
 
@@ -400,3 +419,90 @@ def gate_cases(draw):
 @given(st.one_of(gate_cases(), st.sampled_from(sorted(GOLDEN)).map(GOLDEN.get)))
 def test_closed_form_standard_form_gate_matches_reference(params):
     assert is_standard_form_direct(params) == ref.is_standard_form_direct(params)
+
+
+# -- the flat integer law against the reference AffineElement ------------------
+
+
+@st.composite
+def law_cases(draw):
+    """Standard-form parameters of either family and a random h = [v, y, s]
+    over their field: v = u^i eta^j (Norm(v) = -1 whenever an odd power of
+    a norm -1 unit occurs, which every minus-family u is), y a random field
+    element and s from random_t, which gives Im(s) != 0 in 15% of draws."""
+    params = draw(standard_params())
+    field = params.field
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    eta = fundamental_unit(field)
+    v = field.u() ** draw(st.integers(-3, 3)) * eta ** draw(st.integers(-3, 3))
+    h = AffineElement(v, random_field_element(rng, field), random_t(rng, field))
+    return params, h
+
+
+@settings(max_examples=300, deadline=None)
+@given(law_cases())
+def test_flat_law_matches_reference(case):
+    params, h = case
+    rh, rh_inv = as_ref(h), as_ref(h).inverse()
+    h_inv = h.inverse()
+    assert as_ref(h_inv) == rh_inv
+    assert (h * h_inv).is_identity() and (h_inv * h).is_identity()
+    for gen, rgen in zip(params.generators, ref.make_generators(params)):
+        assert as_ref(gen) == rgen
+        assert as_ref(h * gen) == rh * rgen
+        assert as_ref(gen * h) == rgen * rh
+        conjugates = (
+            (h * gen * h_inv, rh * rgen * rh_inv),
+            (h_inv * gen * h, rh_inv * rgen * rh),
+        )
+        for conj, rconj in conjugates:
+            assert as_ref(conj) == rconj
+            assert str(conj) == str(rconj)
+            accepted = surface_group_contains(params, conj)
+            assert accepted == ref.surface_group_contains(params, rconj)
+
+
+def test_flat_law_covers_norm_minus_one_and_complex_t():
+    # The cases law_cases is meant to reach, fixed: theta = 6 (eta = 1 +
+    # sqrt(2), Norm -1) and theta = 3 minus (Norm(u) = -1), with complex t.
+    for field in (F6, FieldDescriptor(3, -1)):
+        eta = fundamental_unit(field)
+        assert eta.norm() == -1
+        delta = field.delta
+        t = QuadComplex(
+            QuadReal(Fraction(1, 3), 2, delta), QuadReal(-1, Fraction(1, 2), delta)
+        )
+        for v in (eta, eta.inverse(), eta**3 * field.u()):
+            h = AffineElement(v, field.element(Fraction(1, 2), -1), t)
+            g = AffineElement(field.u(), field.element(2, Fraction(-1, 3)), -t)
+            rh, rg = as_ref(h), as_ref(g)
+            assert as_ref(h * g) == rh * rg
+            assert as_ref(g * h) == rg * rh
+            assert as_ref(h.inverse()) == rh.inverse()
+            assert as_ref(h * g * h.inverse()) == rh * rg * rh.inverse()
+
+
+def reference_oracle_agrees_on_all_of_h(params):
+    ambient = build_ambient(params)
+    for el in ambient.elements():
+        v, y = ambient.unit_of(el), ambient.rep_of(el)
+        assert normalizer_oracle(params, v, y) == ref.normalizer_oracle(params, v, y)
+    return ambient.order
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_oracle_matches_reference_on_goldens(name):
+    assert reference_oracle_agrees_on_all_of_h(GOLDEN[name]) > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from((1, -1)),
+    st.sampled_from((random_standard_params, random_eta_params)),
+    st.sampled_from((random_t, random_surd_t)),
+)
+def test_oracle_matches_reference_on_random_params(seed, c0, build, t_draw):
+    rng = random.Random(seed)
+    params = build(rng, c0, (3 if c0 == 1 else 1, 9), t_draw=t_draw)
+    reference_oracle_agrees_on_all_of_h(params)

@@ -166,3 +166,20 @@ def test_unit_exponent_rejects_values_outside_the_subgroup(field, k, m):
     # a positive rational other than 1 times a power is never a power
     assert unit_exponent(eta**k * m, eta) is None
     assert unit_exponent(eta**k / m, eta) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    FIELDS,
+    st.integers(-80, 80),
+    st.integers(-3, 3),
+    st.sampled_from((1, 1, 1, 2, 3)),
+    st.booleans(),
+)
+def test_integer_walk_matches_the_field_walk(field, k, j, m, use_u):
+    # values eta^k * u^j, scaled by 1/m, against bases eta and u: powers of
+    # either sign, values outside the subgroup and non-units
+    eta = fundamental_unit(field)
+    base = field.u() if use_u else eta
+    value = eta**k * field.u() ** j / m
+    assert unit_exponent(value, base) == units_reference.unit_exponent(value, base)

@@ -4,7 +4,9 @@ For tests/test_units.py, the capped exponent searches that
 `inoueaut.units.unit_exponent` replaced: the word problem's
 `_power_exponent` (from `inoueaut.surfacegroup`) and the capped
 `utheta_exponent` (from `inoueaut.units`), with their default cap of 64.
-For tests/test_exactnum.py, `square_decompose_reference`: the trial
+Also `unit_exponent`, the walk on `FieldElement` powers and `QuadReal`
+comparisons that the integer-triple walk (`inoueaut.units.triple_exponent`)
+replaced.  For tests/test_exactnum.py, `square_decompose_reference`: the trial
 division up to sqrt(n) that the cube-root `inoueaut.exactnum.square_decompose`
 replaced, without its cache.  Bodies unchanged.
 """
@@ -55,6 +57,26 @@ def _power_exponent(
         pos = pos * base
         neg = neg * inv_base
     return None
+
+
+def unit_exponent(value: FieldElement, base: FieldElement) -> int | None:
+    """The k in Z with value = base**k, or None if there is none.
+
+    Needs sigma1(base) > 1 and sigma1(value) > 0.  sigma1(base**k) grows
+    strictly with k, so the search walks from k = 0 towards value and stops
+    once sigma1 of the power passes sigma1(value): O(log sigma1(value))
+    products, bounded by the input alone.
+    """
+    sign = 1
+    if value.sigma1() < 1:  # k < 0: search for value^-1 = base**-k
+        value, sign = value.inverse(), -1
+    target = value.sigma1()
+    power, k = base.field.one(), 0
+    while power != value:
+        if power.sigma1() > target:
+            return None
+        power, k = power * base, k + 1
+    return sign * k
 
 
 def square_decompose_reference(n: int) -> tuple[int, int]:
