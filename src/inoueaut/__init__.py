@@ -5,7 +5,6 @@ from .exactnum import (
     QuadComplex,
     QuadReal,
     Rational,
-    in_discrete_subgroup,
     parse_rational,
 )
 from .quadfield import (
@@ -56,7 +55,6 @@ __all__ = [
     "QuadComplex",
     "QuadReal",
     "Rational",
-    "in_discrete_subgroup",
     "FieldDescriptor",
     "FieldElement",
     "chi",

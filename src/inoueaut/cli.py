@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Callable
 
 from .components import (
+    AmbientGroup,
     AutReport,
     ComponentGroup,
     GroupStructure,
@@ -41,6 +42,7 @@ from .exactnum import (
     QuadComplex,
     QuadReal,
     ValueTooLargeError,
+    format_quad,
     parse_integer,
     parse_surd,
 )
@@ -245,6 +247,11 @@ def _kernel_name(q: ComponentGroup) -> str:
     return "C*" if q.kernel_kind == "complex-torus-star" else "Z/2"
 
 
+def _coset_rep_texts(ambient: AmbientGroup) -> list[str]:
+    """Every coset representative's text, written from the integer rows."""
+    return [format_quad(*rep, "u") for rep in ambient.quotient.rep_triples()]
+
+
 def machine_payload(report: AutReport) -> dict:
     params = report.params
     ambient = report.ambient
@@ -277,7 +284,7 @@ def machine_payload(report: AutReport) -> dict:
             "unit_order": ambient.n,
             "coset_count": ambient.quotient.order,
             "invariant_factors": list(ambient.invariant_factors),
-            "coset_reps": [str(rep) for rep in ambient.coset_reps],
+            "coset_reps": _coset_rep_texts(ambient),
         },
         "q_group": _q_payload(report.q),
         "bound": ambient.order,
@@ -336,7 +343,7 @@ def render_report(report: AutReport) -> str:
         f"ambient group: order {ambient.order} = {ambient.n} x "
         f"{ambient.quotient.order}, coset factors {ambient.invariant_factors}"
     )
-    lines.append("  coset reps: " + ", ".join(str(rep) for rep in ambient.coset_reps))
+    lines.append("  coset reps: " + ", ".join(_coset_rep_texts(ambient)))
     lines.append(
         f"component group Q: order {report.q.order}, {report.q.structure.describe()}"
     )

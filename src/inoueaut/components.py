@@ -8,15 +8,14 @@ cross-check every answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exactnum import ValueTooLargeError, _decimal_digits
 from .lattice import IntMatrix, InternalConsistencyError, LatticeQuotient
-from .quadfield import FieldElement, chi
+from .quadfield import FieldElement
 from .surfacegroup import (
     AffineElement,
     StandardFormError,
@@ -59,10 +58,6 @@ class AmbientGroup:
         return self.n * self.quotient.order
 
     @property
-    def coset_reps(self) -> tuple[FieldElement, ...]:
-        return self.quotient.reps
-
-    @property
     def invariant_factors(self) -> tuple[int, int]:
         return self.quotient.invariant_factors
 
@@ -81,7 +76,7 @@ class AmbientGroup:
         return self.unit_powers[el.unit_exp]
 
     def rep_of(self, el: CosetPair) -> FieldElement:
-        return self.quotient.reps[el.coset]
+        return self.quotient.rep(el.coset)
 
     def key(self, el: CosetPair) -> int:
         return el.unit_exp * self.quotient.order + el.coset
@@ -107,13 +102,21 @@ class AmbientGroup:
 
 # The largest ambient group analyze builds; a larger one is refused (exit 3)
 # before its cosets are built.  The report prints every coset, and
-# analyze --no-oracle takes about 1 s and 85 MB at 10**5 elements, 3 s and
-# 210 MB at 3*10**5 (2 vCPU, CPython 3.11).
+# analyze --no-oracle at Q = H (Z[u], plus family, r = 2(theta-2)) takes
+# about 0.7 s and 69 MB peak RSS at 10**5 elements, 1.8-2.1 s and 160 MB at
+# 3*10**5 (2 vCPU, CPython 3.11).
 AMBIENT_LIMIT = 10**6
 
 # The largest ambient group the normalizer oracle sweeps, at about 0.04 ms
 # per element (same machine): about 4 s at the limit.
 ORACLE_LIMIT = 10**5
+
+
+# The largest Cayley table (|Q|^2 entries) --machine writes; a larger one is
+# refused (exit 3) before it is built.  analyze --no-oracle --machine takes
+# about 5.6 s and 237 MB peak RSS at |Q| = 2998 (9.0*10**6 entries, 42 MB of
+# JSON; same machine), so about 260 MB at the limit.
+TABLE_LIMIT = 10**7
 
 
 def _elements(order: int) -> str:
@@ -146,7 +149,8 @@ def build_ambient(params: SurfaceParams) -> AmbientGroup:
         unit_powers.append(unit_powers[-1] * u_gen)
     d1, d2 = quotient.invariant_factors
     (a11, a12), (a21, a22) = (
-        divmod(quotient.index_of(u_gen * b), d2) for b in quotient.smith_basis
+        divmod(quotient.index_of(u_gen * FieldElement._reduced(*b, field)), d2)
+        for b in quotient.smith_basis
     )
     actions = [((1 % d1, 0), (0, 1 % d2))]
     for _ in range(n):
@@ -165,86 +169,133 @@ def build_ambient(params: SurfaceParams) -> AmbientGroup:
     )
 
 
-def _over_common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    den = lcm(*(x.denominator for x in values))
-    return den, [int(x * den) for x in values]
+class MembershipForm(NamedTuple):
+    """The two membership conditions for [v, k1 b1 + k2 b2] as integer forms
+    in (k1, k2): the class is a member iff
+        a0 + a1 k1 + a2 k2 = b0 + b1 k1 + b2 k2 = 0 (mod den1) and
+        c + p1 k1 + p2 k2 + q11 k1^2 + q12 k1 k2 + q22 k2^2 = 0 (mod den2)."""
+
+    den1: int
+    a0: int
+    a1: int
+    a2: int
+    b0: int
+    b1: int
+    b2: int
+    den2: int
+    c: int
+    p1: int
+    p2: int
+    q11: int
+    q12: int
+    q22: int
+
+    def accepts(self, k1: int, k2: int) -> bool:
+        return (
+            (self.a0 + self.a1 * k1 + self.a2 * k2) % self.den1 == 0
+            and (self.b0 + self.b1 * k1 + self.b2 * k2) % self.den1 == 0
+            and (
+                self.c
+                + k1 * (self.p1 + self.q11 * k1 + self.q12 * k2)
+                + k2 * (self.p2 + self.q22 * k2)
+            )
+            % self.den2
+            == 0
+        )
+
+
+def _reduced_form(den: int, coefficients: Sequence[int]) -> list[int]:
+    """den and the coefficients of a form tested mod den, divided by their
+    gcd, the coefficients then taken mod den."""
+    g = gcd(den, *coefficients)
+    den //= g
+    return [den, *(x // g % den for x in coefficients)]
 
 
 def membership_form(
     params: SurfaceParams,
     v: FieldElement,
-    basis: tuple[FieldElement, FieldElement],
-) -> Callable[[int, int], bool]:
+    basis: tuple[tuple[int, int, int], tuple[int, int, int]],
+) -> MembershipForm | None:
     """The membership test for [v, k1 b1 + k2 b2], (b1, b2) a basis of
-    I(1-u)^{-1}, as integer forms in (k1, k2), each tested with one %.
+    I(1-u)^{-1} given by its integer triples (p, q, den), as integer forms
+    in (k1, k2); None when no class [v, y] is a member.
 
     Condition 1: z = (v-1)e + y - (m21 m22 v x1 - m11 m12 v x2)/2 in I/r, m
-    being v's matrix on (x1, x2); r times the coordinates of z in I are
-    affine in k and must be integers.
+    being v's matrix on (x1, x2), so v x_i has the coordinates of m's row
+    i; r times the coordinates of z in I are affine in k and must be
+    integers.
     Condition 2: (Norm(v)-1)t + chi((u-1)y, e - y/2) + a*b*chi0/2 in chi0 Z/r,
     with (a, b) the coordinates of (1-u)y in (x1, x2).  Every term but -2t
-    (present for Norm(v) = -1) is a multiple of sqrt(delta), so the test is
-    r * value / chi0 in Z on a quadratic in k.  For the minus family
-    condition 2 is always solvable in the free central parameter, so only
-    condition 1 constrains membership.
+    (present for Norm(v) = det m = -1) is a multiple of sqrt(delta), so the
+    test is r * value / chi0 in Z on a quadratic in k, over the common
+    denominator 2 den(chi0) den(b)^2 den(e) den(t) of its terms.  For the minus
+    family condition 2 is always solvable in the free central parameter, so
+    only condition 1 constrains membership.
     """
     field, ideal, r = params.field, params.ideal, params.r
     (m11, m12), (m21, m22) = _unit_matrix(params, v)
-    one = field.one()
-    correction = Fraction(m21 * m22, 2) * (v * params.x1) - Fraction(
-        m11 * m12, 2
-    ) * (v * params.x2)
-    shift = ideal.coordinates((v - one) * params.e - correction)
-    steps = [ideal.coordinates(b) for b in basis]
-    den1, (a0, a1, a2, b0, b1, b2) = _over_common_denominator(
-        [r * x for col in (0, 1) for x in (shift[col], steps[0][col], steps[1][col])]
+    (p1, q1, e1), (p2, q2, e2) = basis
+    den = lcm(e1, e2)
+    f1, f2 = den // e1, den // e2
+    p1, q1, p2, q2 = p1 * f1, q1 * f1, p2 * f2, q2 * f2
+    ep, eq, ed = params.e.as_integer_triple()
+    # e = (me x1 + ne x2)/de and b_i = (s_i x1 + t_i x2)/db
+    me, ne, de = ideal._solve(ep, eq, ed)
+    s1, t1, db = ideal._solve(p1, q1, den)
+    s2, t2, _ = ideal._solve(p2, q2, den)
+    # z at k = 0, over 2 de: (v-1)e less the correction m11 m21 (m22 - m12)/2,
+    # m12 m22 (m21 - m11)/2
+    a0 = 2 * (me * (m11 - 1) + ne * m21) - de * m11 * m21 * (m22 - m12)
+    b0 = 2 * (me * m12 + ne * (m22 - 1)) - de * m12 * m22 * (m21 - m11)
+    den1 = lcm(2 * de, db)
+    fz, fb = den1 // (2 * de) * r, den1 // db * r
+    form1 = _reduced_form(
+        den1, (a0 * fz, s1 * fb, s2 * fb, b0 * fz, t1 * fb, t2 * fb)
     )
-    t = params.t
-    if field.c0 == -1 or v.norm() == 1:
-        const = Fraction(0)
-    elif t.im or t.re.rat:
+    if field.c0 == -1:
+        return MembershipForm(*form1, 1, 0, 0, 0, 0, 0, 0)
+    tp, tq, td = params.t.re.as_integer_triple()
+    if m11 * m22 - m12 * m21 == 1:  # Norm(v) = +1
+        tq, td = 0, 1
+    elif params.t.im or tp:
         # Norm(v) = -1: -2t must itself be a rational multiple of sqrt(delta)
-        return lambda k1, k2: False
-    else:
-        const = -2 * t.re.irr
-    den2, (c, p1, p2, q11, q12, q22) = 1, (0,) * 6
-    if field.c0 == 1:
-        g = [(field.u() - one) * b for b in basis]  # (u-1) b_i
-        coords = [ideal.integer_coordinates(-x) for x in g]
-        for b, pair in zip(basis, coords):
-            if pair is None:
-                raise ValueError(f"(1-u)*{b} is not in the ideal")
-        # (a, b) = k1 (a_k, b_k) + k2 (a_l, b_l), from the coordinates of
-        # (1-u) b1 and (1-u) b2
-        (a_k, b_k), (a_l, b_l) = coords
-        chi0 = params.chi0.irr
-
-        def surd(x: FieldElement, w: FieldElement) -> Fraction:
-            return chi(x, w).irr
-
-        half = Fraction(1, 2)
-        coefficients = (
-            const,
-            surd(g[0], params.e),
-            surd(g[1], params.e),
-            half * (a_k * b_k * chi0 - surd(g[0], basis[0])),
-            half
-            * ((a_k * b_l + a_l * b_k) * chi0 - surd(g[0], basis[1]) - surd(g[1], basis[0])),
-            half * (a_l * b_l * chi0 - surd(g[1], basis[1])),
-        )
-        den2, (c, p1, p2, q11, q12, q22) = _over_common_denominator(
-            [x * r / chi0 for x in coefficients]
-        )
-
-    def accepts(k1: int, k2: int) -> bool:
-        return (
-            (a0 + a1 * k1 + a2 * k2) % den1 == 0
-            and (b0 + b1 * k1 + b2 * k2) % den1 == 0
-            and (c + k1 * (p1 + q11 * k1 + q12 * k2) + k2 * (p2 + q22 * k2)) % den2
-            == 0
-        )
-
-    return accepts
+        return None
+    theta = field.theta
+    _, x0, x0d = params.chi0.as_integer_triple()
+    # g_i = (u-1) b_i = (gp_i + gq_i u)/den, by u^2 = theta u - 1, and
+    # chi(x, w) = (p_w q_x - p_x q_w)/(d_x d_w) * sqrt(delta)
+    rows = ((p1, q1), (p2, q2))
+    (g1p, g1q), (g2p, g2q) = g = [(-q - p, p + (theta - 1) * q) for p, q in rows]
+    coords = []
+    for (gp, gq), (p, q) in zip(g, rows):
+        pair = ideal.triple_coordinates(-gp, -gq, den)
+        if pair is None:
+            b = FieldElement._reduced(p, q, den, field)
+            raise ValueError(f"(1-u)*{b} is not in the ideal")
+        coords.append(pair)
+    (ak, bk), (al, bl) = coords
+    # the surd parts of chi(g_i, e) times den*ed, of chi(g_i, b_j) times den^2
+    c1, c2 = ep * g1q - g1p * eq, ep * g2q - g2p * eq
+    s11, s12 = p1 * g1q - g1p * q1, p2 * g1q - g1p * q2
+    s21, s22 = p1 * g2q - g2p * q1, p2 * g2q - g2p * q2
+    x0e, wide = x0 * den * den, 2 * x0d * den
+    scale = r * x0d
+    form2 = _reduced_form(
+        abs(x0) * wide * den * ed * td,
+        [
+            x * scale
+            for x in (
+                -2 * tq * wide * den * ed,
+                c1 * wide * td,
+                c2 * wide * td,
+                (ak * bk * x0e - s11 * x0d) * ed * td,
+                ((ak * bl + al * bk) * x0e - (s12 + s21) * x0d) * ed * td,
+                (al * bl * x0e - s22 * x0d) * ed * td,
+            )
+        ],
+    )
+    return MembershipForm(*form1, *form2)
 
 
 def membership_conditions(
@@ -253,11 +304,12 @@ def membership_conditions(
     """Exact evaluation of the two membership conditions for the class [v, y]:
     membership_form over the basis of I(1-u)^{-1}, at y's coordinates."""
     cover = params.coset_cover
-    accepts = membership_form(params, v, cover.basis)
+    basis = tuple(b.as_integer_triple() for b in cover.basis)
+    form = membership_form(params, v, basis)
     coords = cover.integer_coordinates(y)
     if coords is None:
         raise ValueError(f"{y} lies outside I(1-u)^(-1)")
-    return accepts(*coords)
+    return form is not None and form.accepts(*coords)
 
 
 def _unit_matrix(params: SurfaceParams, v: FieldElement) -> IntMatrix:
@@ -507,7 +559,14 @@ class ComponentGroup:
     @cached_property
     def table(self) -> tuple[tuple[int, ...], ...]:
         """The Cayley table on element indices, built from H's law on first
-        access; only the --machine output reads it."""
+        access; only the --machine output reads it.  A table of more than
+        TABLE_LIMIT entries is refused before it is built."""
+        if self.order * self.order > TABLE_LIMIT:
+            raise ValueTooLargeError(
+                f"value too large for the --machine table: Q has "
+                f"{_elements(self.order)}, so its Cayley table would have "
+                f"{self.order * self.order} entries, more than {TABLE_LIMIT}"
+            )
         keys = [self.ambient.key(el) for el in self.elements]
         index = {key: k for k, key in enumerate(keys)}
         return tuple(
@@ -529,19 +588,33 @@ def require_standard_form(params: SurfaceParams) -> None:
 
 def _member_keys(params: SurfaceParams, ambient: AmbientGroup) -> list[int]:
     """Keys of the members of H, in order: one membership form per unit
-    power over the Smith basis, evaluated at every coset's coordinates."""
-    c = ambient.quotient.order
+    power over the Smith basis, stepped over the cosets' coordinates
+    (k1, k2) by integer adds (the quadratic form by its differences)."""
     d1, d2 = ambient.quotient.invariant_factors
     basis = ambient.quotient.smith_basis
     keys = []
     for i, v in enumerate(ambient.unit_powers):
-        accepts = membership_form(params, v, basis)
-        keys.extend(
-            i * c + k1 * d2 + k2
-            for k1 in range(d1)
-            for k2 in range(d2)
-            if accepts(k1, k2)
-        )
+        form = membership_form(params, v, basis)
+        if form is None:
+            continue
+        den1, a0, a1, a2, b0, b1, b2, den2, c, p1, p2, q11, q12, q22 = form
+        key = i * d1 * d2
+        # the forms at (k1, 0), and the quadratic's step to (k1, 1)
+        a, b, z, dz = a0, b0, c, p2 + q22
+        for k1 in range(d1):
+            x, y, w, dw = a, b, z, dz
+            for _ in range(d2):
+                if not (x % den1 or y % den1 or w % den2):
+                    keys.append(key)
+                key += 1
+                x += a2
+                y += b2
+                w += dw
+                dw += 2 * q22
+            a += a1
+            b += b1
+            z += p1 + q11 * (2 * k1 + 1)
+            dz += q12
     return keys
 
 
@@ -559,11 +632,12 @@ def component_group(
     # A spot check: the scalar conditions build their form over
     # I(1-u)^{-1}'s own basis and take y's coordinates there, so at H's last
     # element they check the filter's Smith coordinates and key layout
-    # against ambient.coset_reps.
+    # against the last coset representative.
     last = ambient.order - 1
-    if membership_conditions(
-        params, ambient.unit_powers[-1], ambient.coset_reps[-1]
-    ) != (keys[-1] == last):
+    y = ambient.quotient.rep(ambient.quotient.order - 1)
+    if membership_conditions(params, ambient.unit_powers[-1], y) != (
+        keys[-1] == last
+    ):
         raise InternalConsistencyError(
             f"filter and membership_conditions disagree at "
             f"{CosetPair(*divmod(last, ambient.quotient.order))}"

@@ -301,12 +301,12 @@ class QuadReal(QuadCore):
         return float(self.rat) + float(self.irr) * self.delta ** 0.5
 
     def __str__(self) -> str:
-        return format_surd(self.rat, self.irr, f"sqrt({self.delta})")
+        return format_quad(self._p, self._q, self._den, f"sqrt({self._ctx})")
 
     def reduced_str(self) -> str:
         """Like str(), but with the radicand reduced to its squarefree part."""
         s, m = square_decompose(self.delta)
-        return format_surd(self.rat, self.irr * s, f"sqrt({m})")
+        return format_quad(self._p, self._q * s, self._den, f"sqrt({m})")
 
     @classmethod
     def zero(cls, delta: int) -> "QuadReal":
@@ -327,32 +327,6 @@ def surd_sign(p: int, q: int, delta: int) -> int:
     if lhs == rhs:  # would force sqrt(delta) rational
         raise AssertionError("non-square delta invariant violated")
     return (p > 0) - (p < 0) if lhs > rhs else (q > 0) - (q < 0)
-
-
-def in_discrete_subgroup(
-    value: QuadReal, gen: QuadReal, scale: Scalar = Fraction(1)
-) -> bool:
-    """True iff value = k * (scale * gen) for some integer k.
-
-    gen must be a pure sqrt(delta) multiple: the cyclic groups this test
-    serves (chi(I,I)/r and its relatives) are always generated by one, so a
-    generator with a rational part signals an upstream bug and raises.
-    Decided on the integer triples: with value = q sqrt(delta)/den, gen =
-    g sqrt(delta)/gden and scale = m/n, k = q gden n / (den g m).
-    """
-    if gen._p or not gen._q:
-        raise ValueError(f"generator must be a nonzero pure surd, got {gen}")
-    scale = Fraction(scale)
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    if not value:
-        return True
-    if value._ctx != gen._ctx:
-        raise ValueError(f"delta mismatch: {value.delta} vs {gen.delta}")
-    if value._p:
-        return False
-    num = value._q * gen._den * scale.denominator
-    return num % (value._den * gen._q * scale.numerator) == 0
 
 
 @dataclass(frozen=True)
@@ -414,11 +388,11 @@ class QuadComplex:
         return self.to_text(f"sqrt({self.delta})", "*i")
 
     def to_text(self, symbol: str, imaginary: str) -> str:
-        """"re + (im)<imaginary>", each part written by format_surd."""
-        re_text = format_surd(self.re.rat, self.re.irr, symbol)
+        """"re + (im)<imaginary>", each part written by format_quad."""
+        re_text = format_quad(*self.re.as_integer_triple(), symbol)
         if not self.im:
             return re_text
-        im_text = f"({format_surd(self.im.rat, self.im.irr, symbol)}){imaginary}"
+        im_text = f"({format_quad(*self.im.as_integer_triple(), symbol)}){imaginary}"
         return f"{re_text} + {im_text}" if self.re else im_text
 
 
@@ -486,19 +460,31 @@ def parse_surd(text: str, symbol: str) -> tuple[Fraction, Fraction]:
     return rat, coeff
 
 
-def format_surd(rat: Fraction, coeff: Fraction, symbol: str) -> str:
-    """Write rat + coeff*SYMBOL in the syntax parse_surd reads."""
+def format_quad(p: int, q: int, den: int, symbol: str) -> str:
+    """Write (p + q*SYMBOL)/den, den > 0, in the syntax parse_surd reads:
+    each part reduced on its own, "p/den + q/den*SYMBOL".  The triple need
+    not be reduced.  The one formatter of every surd and field element."""
+    g = gcd(p, den)
+    rn, rd = p // g, den // g
+    g = gcd(q, den)
+    cn, cd = q // g, den // g
     try:
-        rat_text, coeff_text = str(rat), str(abs(coeff))
+        rat_text = str(rn) if rd == 1 else f"{rn}/{rd}"
+        coeff_text = str(abs(cn)) if cd == 1 else f"{abs(cn)}/{cd}"
     except ValueError as exc:  # past the interpreter's int -> str digit limit
-        parts = (*rat.as_integer_ratio(), *coeff.as_integer_ratio())
-        digits = max(_decimal_digits(n) for n in parts)
+        digits = max(_decimal_digits(n) for n in (rn, rd, cn, cd))
         raise ValueTooLargeError(
             f"value too large to print: a number of about {digits} decimal digits"
         ) from exc
-    if coeff == 0:
+    if not cn:
         return rat_text
-    part = symbol if abs(coeff) == 1 else f"{coeff_text}*{symbol}"
-    if rat == 0:
-        return part if coeff > 0 else f"-{part}"
-    return f"{rat_text} {'-' if coeff < 0 else '+'} {part}"
+    part = symbol if cd == 1 and abs(cn) == 1 else f"{coeff_text}*{symbol}"
+    if not rn:
+        return part if cn > 0 else f"-{part}"
+    return f"{rat_text} {'-' if cn < 0 else '+'} {part}"
+
+
+def format_surd(rat: Scalar, coeff: Scalar, symbol: str) -> str:
+    """Write rat + coeff*SYMBOL in the syntax parse_surd reads."""
+    a, b = Fraction(rat).as_integer_ratio(), Fraction(coeff).as_integer_ratio()
+    return format_quad(a[0] * b[1], b[0] * a[1], a[1] * b[1], symbol)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Iterator
 
 from .exactnum import Rational
 from .quadfield import FieldDescriptor, FieldElement
@@ -260,12 +261,13 @@ class Lattice:
 class LatticeQuotient:
     """The finite group big/small, with deterministic Smith-basis cosets.
 
-    Representatives carry the lexicographically minimal non-negative
-    coordinates (k1, k2), 0 <= ki < di, in the Smith basis; rep 0 is first
-    and stands for the identity coset.
+    The Smith basis e1, e2 of the covering lattice is kept as two integer
+    rows over one denominator.  Coset k = k1*d2 + k2 has the representative
+    k1*e1 + k2*e2, 0 <= ki < di, built only on request (rep 0 is 0, the
+    identity coset).
     """
 
-    __slots__ = ("big", "small", "d1", "d2", "reps", "_v", "_e1", "_e2")
+    __slots__ = ("big", "small", "d1", "d2", "_v", "_rows", "_den")
 
     def __init__(self, big: Lattice, small: Lattice):
         c1 = big.integer_coordinates(small.b1)
@@ -278,18 +280,16 @@ class LatticeQuotient:
         self.d1, self.d2 = d1, d2
         self._v = v
         det_v = v[0][0] * v[1][1] - v[0][1] * v[1][0]  # +-1
-        # V^{-1} rows give the Smith basis of the covering lattice.
-        inv = (
-            (v[1][1] * det_v, -v[0][1] * det_v),
-            (-v[1][0] * det_v, v[0][0] * det_v),
+        # V^{-1} rows give the Smith basis of the covering lattice, over the
+        # denominator of big's rows.
+        (p1, q1), (p2, q2) = big._rows
+        m1, m2 = v[1][1] * det_v, -v[0][1] * det_v
+        n1, n2 = -v[1][0] * det_v, v[0][0] * det_v
+        self._rows = (
+            (m1 * p1 + m2 * p2, m1 * q1 + m2 * q2),
+            (n1 * p1 + n2 * p2, n1 * q1 + n2 * q2),
         )
-        self._e1 = inv[0][0] * big.b1 + inv[0][1] * big.b2
-        self._e2 = inv[1][0] * big.b1 + inv[1][1] * big.b2
-        self.reps = tuple(
-            k1 * self._e1 + k2 * self._e2
-            for k1 in range(d1)
-            for k2 in range(d2)
-        )
+        self._den = big._den
 
     @property
     def order(self) -> int:
@@ -300,8 +300,30 @@ class LatticeQuotient:
         return self.d1, self.d2
 
     @property
-    def smith_basis(self) -> tuple[FieldElement, FieldElement]:
-        return self._e1, self._e2
+    def smith_basis(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+        """The Smith basis as integer triples (p, q, den) over one den."""
+        (p1, q1), (p2, q2) = self._rows
+        return (p1, q1, self._den), (p2, q2, self._den)
+
+    def rep(self, k: int) -> FieldElement:
+        """The representative of coset k."""
+        k1, k2 = divmod(k, self.d2)
+        (p1, q1), (p2, q2) = self._rows
+        return FieldElement._reduced(
+            k1 * p1 + k2 * p2, k1 * q1 + k2 * q2, self._den, self.big.field
+        )
+
+    def rep_triples(self) -> Iterator[tuple[int, int, int]]:
+        """Every representative in coset order, as an unreduced triple
+        (p, q, den) over the rows' denominator, stepped by integer adds."""
+        (p1, q1), (p2, q2) = self._rows
+        den, d2 = self._den, self.d2
+        for k1 in range(self.d1):
+            p, q = k1 * p1, k1 * q1
+            for _ in range(d2):
+                yield p, q, den
+                p += p2
+                q += q2
 
     def index_of(self, x: FieldElement) -> int:
         """Index of the representative congruent to x modulo the sublattice."""

@@ -16,6 +16,7 @@ from .exactnum import (
     QuadReal,
     Rational,
     Scalar,
+    format_quad,
     format_surd,
     is_perfect_square,
     parse_surd,
@@ -152,7 +153,7 @@ class FieldElement(QuadCore):
         return not self._q
 
     def __str__(self) -> str:
-        return format_field_element(self)
+        return format_quad(self._p, self._q, self._den, "u")
 
 
 def chi(x: FieldElement, y: FieldElement) -> QuadReal:

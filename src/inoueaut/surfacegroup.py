@@ -266,10 +266,6 @@ class SurfaceParams:
         return Lattice(self.x1, self.x2)
 
     @cached_property
-    def ideal_over_r(self) -> Lattice:
-        return self.ideal.scale(Fraction(1, self.r))
-
-    @cached_property
     def coset_cover(self) -> Lattice:
         """The lattice I*(1 - u)^{-1} containing all translation candidates."""
         one_minus_u = self.field.one() - self.field.u()

@@ -3,7 +3,9 @@ elements, random fractional ideals, the solved standard-form e of both
 families (solve_standard_e, which only tests use, lives here), and random
 standard-form parameter sets for both surface families, over random ideals
 or over I = Z<1, eta>, with t drawn by random_t or, reaching the -2t term,
-by random_surd_t."""
+by random_surd_t; and helpers that only tests and the references read: the
+discrete-subgroup test on QuadReals, a quotient's coset representatives
+and the lattice I/r."""
 
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from inoueaut import (
     FieldDescriptor,
     FieldElement,
     Lattice,
+    LatticeQuotient,
     ParameterError,
     QuadComplex,
     QuadReal,
@@ -26,6 +29,46 @@ from inoueaut import (
     fundamental_unit,
     is_standard_form_direct,
 )
+from inoueaut.exactnum import Scalar
+
+# -- test-only helpers ----------------------------------------------------------
+
+
+def in_discrete_subgroup(
+    value: QuadReal, gen: QuadReal, scale: Scalar = Fraction(1)
+) -> bool:
+    """True iff value = k * (scale * gen) for some integer k.
+
+    gen must be a pure sqrt(delta) multiple: the cyclic groups this test
+    serves (chi(I,I)/r and its relatives) are always generated by one, so a
+    generator with a rational part signals an upstream bug and raises.
+    Decided on the integer triples: with value = q sqrt(delta)/den, gen =
+    g sqrt(delta)/gden and scale = m/n, k = q gden n / (den g m).
+    """
+    if gen._p or not gen._q:
+        raise ValueError(f"generator must be a nonzero pure surd, got {gen}")
+    scale = Fraction(scale)
+    if scale <= 0:
+        raise ValueError(f"scale must be positive, got {scale}")
+    if not value:
+        return True
+    if value._ctx != gen._ctx:
+        raise ValueError(f"delta mismatch: {value.delta} vs {gen.delta}")
+    if value._p:
+        return False
+    num = value._q * gen._den * scale.denominator
+    return num % (value._den * gen._q * scale.numerator) == 0
+
+
+def coset_reps(quotient: LatticeQuotient) -> list[FieldElement]:
+    """Every coset representative of the quotient, in coset order."""
+    return [quotient.rep(k) for k in range(quotient.order)]
+
+
+def ideal_over_r(params: SurfaceParams) -> Lattice:
+    """The lattice I/r of condition 1."""
+    return params.ideal.scale(Fraction(1, params.r))
+
 
 # -- the worked examples -------------------------------------------------------
 

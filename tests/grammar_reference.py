@@ -3,7 +3,9 @@
 `tests/test_grammar.py`.
 
 The bodies are unchanged; only the imports were added, and the method
-`QuadComplex.__str__` became the function `quad_complex_str`.  The field-element
+`QuadComplex.__str__` became the function `quad_complex_str`.  The last
+section holds `exactnum.format_surd` as it was on Fractions, before it became
+an adapter over the integer formatter `exactnum.format_quad`.  The field-element
 parser and the CLI's surd parser each had their own `_TERM_RE`; the two
 regexes were identical, so one definition serves both here.
 """
@@ -14,7 +16,13 @@ import re
 from fractions import Fraction
 
 from inoueaut.cli import ParamFileError
-from inoueaut.exactnum import QuadComplex, QuadReal, Rational
+from inoueaut.exactnum import (
+    QuadComplex,
+    QuadReal,
+    Rational,
+    ValueTooLargeError,
+    _decimal_digits,
+)
 from inoueaut.quadfield import FieldDescriptor, FieldElement
 
 
@@ -176,3 +184,24 @@ def quad_complex_str(self: QuadComplex) -> str:
     if not self.re:
         return f"({_quad_real_str(self.im)})*i"
     return f"{_quad_real_str(self.re)} + ({_quad_real_str(self.im)})*i"
+
+
+# -- exactnum.format_surd on Fractions -------------------------------------
+
+
+def format_surd(rat: Fraction, coeff: Fraction, symbol: str) -> str:
+    """Write rat + coeff*SYMBOL in the syntax parse_surd reads."""
+    try:
+        rat_text, coeff_text = str(rat), str(abs(coeff))
+    except ValueError as exc:  # past the interpreter's int -> str digit limit
+        parts = (*rat.as_integer_ratio(), *coeff.as_integer_ratio())
+        digits = max(_decimal_digits(n) for n in parts)
+        raise ValueTooLargeError(
+            f"value too large to print: a number of about {digits} decimal digits"
+        ) from exc
+    if coeff == 0:
+        return rat_text
+    part = symbol if abs(coeff) == 1 else f"{coeff_text}*{symbol}"
+    if rat == 0:
+        return part if coeff > 0 else f"-{part}"
+    return f"{rat_text} {'-' if coeff < 0 else '+'} {part}"

@@ -2,7 +2,9 @@
 `inoueaut.lattice` replaced, kept as the differential reference for
 tests/test_lattice.py: the rational matrix `Matrix2Q`, and `Lattice`'s
 construction, membership, coordinates, index, invariance test and
-multiplication matrix.
+multiplication matrix; and a quotient's Smith basis and coset
+representatives as the quotient built them eagerly with field arithmetic
+(`smith_basis`, `quotient_reps`).
 
 `Lattice` here subclasses the package's and overrides exactly those methods
 with their old bodies, unchanged; scale, quotient, equality and hashing are
@@ -18,7 +20,7 @@ from math import gcd, lcm
 
 import inoueaut.lattice
 from inoueaut.exactnum import Rational
-from inoueaut.lattice import _hnf2
+from inoueaut.lattice import _hnf2, _snf2
 from inoueaut.quadfield import FieldElement, chi
 
 
@@ -159,3 +161,38 @@ class Lattice(inoueaut.lattice.Lattice):
         r1 = self.coordinates(v * self.b1)
         r2 = self.coordinates(v * self.b2)
         return Matrix2Q(r1[0], r1[1], r2[0], r2[1])
+
+
+def smith_basis(
+    big: Lattice, small: Lattice
+) -> tuple[int, int, FieldElement, FieldElement]:
+    """(d1, d2, e1, e2) for big/small as `LatticeQuotient.__init__` found
+    them, with field arithmetic, before it kept the Smith basis e1, e2 as
+    integer rows; the body is that constructor's, with its attributes as
+    locals."""
+    c1 = big.integer_coordinates(small.b1)
+    c2 = big.integer_coordinates(small.b2)
+    if c1 is None or c2 is None:
+        raise ValueError(f"{small} is not a sublattice of {big}")
+    d1, d2, v = _snf2(c1[0], c1[1], c2[0], c2[1])
+    det_v = v[0][0] * v[1][1] - v[0][1] * v[1][0]  # +-1
+    # V^{-1} rows give the Smith basis of the covering lattice.
+    inv = (
+        (v[1][1] * det_v, -v[0][1] * det_v),
+        (-v[1][0] * det_v, v[0][0] * det_v),
+    )
+    _e1 = inv[0][0] * big.b1 + inv[0][1] * big.b2
+    _e2 = inv[1][0] * big.b1 + inv[1][1] * big.b2
+    return d1, d2, _e1, _e2
+
+
+def quotient_reps(big: Lattice, small: Lattice) -> tuple[FieldElement, ...]:
+    """The coset representatives of big/small as `LatticeQuotient.__init__`
+    built them, all up front with field arithmetic, before they were built
+    on request from integer rows."""
+    d1, d2, _e1, _e2 = smith_basis(big, small)
+    return tuple(
+        k1 * _e1 + k2 * _e2
+        for k1 in range(d1)
+        for k2 in range(d2)
+    )

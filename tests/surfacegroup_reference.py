@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from inoueaut.exactnum import QuadComplex, in_discrete_subgroup
+from conftest import ideal_over_r, in_discrete_subgroup
+from inoueaut.exactnum import QuadComplex
 from inoueaut.quadfield import FieldDescriptor, FieldElement, chi
 from inoueaut.surfacegroup import SurfaceParams
 from inoueaut.units import unit_exponent
@@ -140,7 +141,7 @@ def is_standard_form_residue(params: SurfaceParams) -> bool:
         + Fraction(n21 * n22, 2) * params.x1
         - Fraction(n11 * n12, 2) * params.x2
     )
-    return params.ideal_over_r.contains(z)
+    return ideal_over_r(params).contains(z)
 
 
 def surface_group_contains(params: SurfaceParams, g: AffineElement) -> bool:

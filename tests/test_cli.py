@@ -2,6 +2,7 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,8 @@ from inoueaut.cli import (
     parse_quad_complex,
 )
 from inoueaut.exactnum import QuadComplex, QuadReal, square_decompose
+
+GOLDEN = Path(__file__).parent / "golden"
 
 EX319 = """\
 # worked example: theta = 6
@@ -319,3 +322,31 @@ def test_limits_refuse_only_past_them(tmp_path, capsys, monkeypatch, limit):
     captured = capsys.readouterr()
     assert rc == (3 if limit == "AMBIENT_LIMIT" else 0)
     assert ("value too large" in captured.err) == (limit == "AMBIENT_LIMIT")
+
+
+def test_machine_refuses_a_table_past_its_limit(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, EX323)  # |Q| = 20, so 400 table entries
+    assert main(["analyze", "--machine", path]) == 0
+    report = capsys.readouterr().out
+    monkeypatch.setattr(components, "TABLE_LIMIT", 400)
+    assert main(["analyze", "--machine", path]) == 0
+    assert capsys.readouterr().out == report
+    monkeypatch.setattr(components, "TABLE_LIMIT", 399)
+    rc = main(["analyze", "--machine", path])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (3, "")
+    assert captured.err.count("\n") == 1
+    assert "400 entries, more than 399" in captured.err
+    # the text report builds no table
+    assert main(["analyze", path]) == 0
+    assert "order 20" in capsys.readouterr().out
+    # the doubled-r group is checked too: |Q| = 3, doubled |Q| = 12
+    doubled = str(GOLDEN / "minus_theta4_r1.params")
+    monkeypatch.setattr(components, "TABLE_LIMIT", 144)
+    assert main(["analyze", "--machine", "--double-r", doubled]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "minus_theta4_r1.json").read_text()
+    monkeypatch.setattr(components, "TABLE_LIMIT", 143)
+    rc = main(["analyze", "--machine", "--double-r", doubled])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (3, "")
+    assert "144 entries, more than 143" in captured.err

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inoueaut import QuadComplex, QuadReal, in_discrete_subgroup
+from conftest import in_discrete_subgroup
+from inoueaut import QuadComplex, QuadReal
 from inoueaut.exactnum import (
     SQUAREFREE_TRIAL_LIMIT,
     ValueTooLargeError,

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import field_reference as ref
-from inoueaut.exactnum import QuadReal, in_discrete_subgroup
+from conftest import in_discrete_subgroup
+from inoueaut.exactnum import QuadReal
 from inoueaut.quadfield import FieldDescriptor, FieldElement, chi
 
 DELTAS = [2, 5, 8, 12, 13, 32, 45, 77]

@@ -6,7 +6,8 @@ arbitrary text they accept nothing the reference rejects, and every string the
 reference accepted but the new parsers reject falls in one of the classes in
 NEWLY_REJECTED.  The integer grammar of theta and r is held to `int()`, which
 read them before, in the same way.  The formatters are byte-identical on
-arbitrary Fraction pairs.
+arbitrary Fraction pairs, and the integer formatter under them on arbitrary
+integer triples, past the int -> str digit limit too.
 """
 
 import re
@@ -23,6 +24,7 @@ from inoueaut.exactnum import (
     QuadComplex,
     QuadReal,
     ValueTooLargeError,
+    format_quad,
     format_surd,
     parse_integer,
     parse_rational,
@@ -237,3 +239,52 @@ def test_value_too_large_to_print():
             format_surd(Fraction(rat), Fraction(coeff), "u")
     with pytest.raises(ValueTooLargeError):
         str(QuadComplex.from_real(QuadReal(0, huge, 5)))
+
+
+# Past the interpreter's int -> str digit limit, where there is one.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+INTEGER = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.integers(-(10**6), 10**6),
+    st.integers(-(10**60), 10**60),
+)
+HUGE = st.builds(
+    lambda k, sign, extra: sign * (10 ** (DIGIT_LIMIT + extra) + k),
+    st.integers(0, 10**6),
+    st.sampled_from([1, -1]),
+    st.integers(0, 20),
+)
+TRIPLE_PART = st.one_of(INTEGER, HUGE) if DIGIT_LIMIT else INTEGER
+
+
+def outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except ValueTooLargeError as exc:
+        return "too large", str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    TRIPLE_PART,
+    TRIPLE_PART,
+    st.one_of(st.integers(1, 10**6), TRIPLE_PART.map(lambda n: abs(n) + 1)),
+    st.sampled_from(["u", "sqrtD", "sqrt(12)"]),
+)
+def test_integer_formatter_matches_fraction_reference(p, q, den, symbol):
+    # the integer formatter on any triple, reduced or not, writes what the
+    # Fraction formatter wrote for its parts, or refuses with the same message
+    expected = outcome(ref.format_surd, Fraction(p, den), Fraction(q, den), symbol)
+    assert outcome(format_quad, p, q, den, symbol) == expected
+    assert outcome(format_surd, Fraction(p, den), Fraction(q, den), symbol) == expected
+    assert outcome(format_quad, 7 * p, 7 * q, 7 * den, symbol) == expected
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no int -> str digit limit")
+def test_integer_formatter_refuses_past_the_digit_limit():
+    huge = 10 ** (DIGIT_LIMIT + 10)
+    for p, q, den in [(huge, 0, 3), (1, huge, 3), (0, 3, huge), (huge, huge, huge + 1)]:
+        assert outcome(format_quad, p, q, den, "u")[0] == "too large"
+        assert outcome(format_quad, p, q, den, "u") == outcome(
+            ref.format_surd, Fraction(p, den), Fraction(q, den), "u"
+        )

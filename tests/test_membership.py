@@ -1,15 +1,21 @@
 """The membership filter, which evaluates both conditions as integer forms in
 the Smith coordinates once per unit power, against the Fraction
-implementation it replaced (tests/membership_reference.py); the standard-form
-gate of component_group; and the filter's work count."""
+implementations it replaced (tests/membership_reference.py); the coset
+representatives and their text against the eager field arithmetic and the
+Fraction formatter; the standard-form gate of component_group; and the
+filter's work count."""
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import grammar_reference
+import lattice_reference
 import membership_reference as reference
 from conftest import (
+    coset_reps,
     example_theta7,
     random_eta_params,
     random_standard_params,
@@ -29,7 +35,11 @@ from inoueaut import (
     is_standard_form_direct,
     membership_conditions,
 )
+import inoueaut.cli as cli
 import inoueaut.components as components
+from inoueaut.cli import load_param_file
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def ladder_sized_params(e_solved: bool = True) -> SurfaceParams:
@@ -165,3 +175,70 @@ def test_filter_computes_one_mult_matrix_per_unit_power(monkeypatch):
     assert q.ambient.order == 2998
     assert len(calls) <= q.ambient.n + 2
     assert q.ambient.order % q.order == 0
+
+
+def doubled_r(params: SurfaceParams) -> SurfaceParams:
+    return SurfaceParams(
+        params.field, 2 * params.r, params.x1, params.x2, params.e, params.t
+    )
+
+
+def test_integer_forms_accept_the_fraction_forms_keys():
+    # the forms built from integer triples and stepped by adds against the
+    # Fraction forms evaluated per coset, on the sample and its doubled-r
+    # sets (H does not depend on r)
+    for params in differential_sample():
+        ambient = build_ambient(params)
+        for p in (params, doubled_r(params)):
+            assert components._member_keys(p, ambient) == reference.member_keys(
+                p, ambient
+            )
+
+
+def test_coset_rep_text_matches_field_arithmetic():
+    # the representatives built on request, and their text written from the
+    # integer rows, against the eager field arithmetic and the Fraction
+    # formatter
+    families = set()
+    for params in differential_sample():
+        ambient = build_ambient(params)
+        quotient = ambient.quotient
+        reps = lattice_reference.quotient_reps(quotient.big, quotient.small)
+        assert coset_reps(quotient) == list(reps)
+        expected = [grammar_reference.format_surd(y.a, y.b, "u") for y in reps]
+        assert cli._coset_rep_texts(ambient) == expected
+        assert [str(y) for y in coset_reps(quotient)] == expected
+        families.add(params.field.c0)
+    assert families == {1, -1}
+
+
+@pytest.mark.parametrize("name", ["ladder_sized", "minus_theta4_r2"])
+def test_filter_builds_no_fraction(monkeypatch, name):
+    if name == "ladder_sized":
+        params = ladder_sized_params()
+    else:
+        params = load_param_file(str(GOLDEN / f"{name}.params"))
+    ambient = build_ambient(params)
+    expected = [
+        ambient.key(el) for el in component_group(params, ambient).elements
+    ]
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Fraction, "__new__", counted(Fraction.__new__))
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python >= 3.12 arithmetic
+        original = Fraction.__dict__["_from_coprime_ints"].__func__
+        monkeypatch.setattr(
+            Fraction, "_from_coprime_ints", classmethod(counted(original))
+        )
+    assert components._member_keys(params, ambient) == expected
+    assert calls == []
+    # the counter does count
+    Fraction(1, 2) + Fraction(1, 3)
+    assert calls
