@@ -4,14 +4,12 @@ from real quadratic number field data."""
 from .exactnum import (
     QuadComplex,
     QuadReal,
-    Rational,
     parse_rational,
 )
 from .quadfield import (
     FieldDescriptor,
     FieldElement,
     chi,
-    format_field_element,
     parse_field_element,
 )
 from .lattice import Lattice, LatticeQuotient
@@ -54,11 +52,9 @@ __version__ = "0.1.0"
 __all__ = [
     "QuadComplex",
     "QuadReal",
-    "Rational",
     "FieldDescriptor",
     "FieldElement",
     "chi",
-    "format_field_element",
     "parse_field_element",
     "parse_rational",
     "Lattice",

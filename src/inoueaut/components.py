@@ -25,7 +25,7 @@ from .surfacegroup import (
     surface_group_contains,
     to_inoue_data,
 )
-from .units import fundamental_unit, invariant_unit_generator, utheta_exponent
+from .units import fundamental_unit, invariant_unit_generator
 
 
 class CosetPair(NamedTuple):
@@ -60,10 +60,6 @@ class AmbientGroup:
     @property
     def invariant_factors(self) -> tuple[int, int]:
         return self.quotient.invariant_factors
-
-    @property
-    def identity(self) -> CosetPair:
-        return CosetPair(0, 0)
 
     def elements(self) -> list[CosetPair]:
         return [
@@ -125,24 +121,32 @@ def _elements(order: int) -> str:
     return f"about 10^{_decimal_digits(order)} elements"
 
 
+def _unit_head(
+    params: SurfaceParams, eta: FieldElement | None = None
+) -> tuple[FieldElement, int, int, int]:
+    """(u_gen, j, n, order): the unit generator u_gen = eta**j with
+    u_gen**n = u, and the ambient order n * |Norm(1 - u)|."""
+    field = params.field
+    u_gen, j, n = invariant_unit_generator(params.ideal, eta)
+    return u_gen, j, n, n * abs(1 - field.theta + field.c0)
+
+
 def build_ambient(params: SurfaceParams) -> AmbientGroup:
     """Runs the unit and quotient steps and packages the ambient group;
     refuses a group of more than AMBIENT_LIMIT elements before building
     its cosets."""
     field = params.field
     eta = fundamental_unit(field)
-    u_gen, j = invariant_unit_generator(params.ideal, eta)
-    n = utheta_exponent(field, u_gen)
-    expected = abs(1 - field.theta + field.c0)  # |Norm(1 - u)|
-    if n * expected > AMBIENT_LIMIT:
+    u_gen, j, n, order = _unit_head(params, eta)
+    if order > AMBIENT_LIMIT:
         raise ValueTooLargeError(
             f"value too large to analyze: the ambient group would have "
-            f"{_elements(n * expected)}, more than {AMBIENT_LIMIT}"
+            f"{_elements(order)}, more than {AMBIENT_LIMIT}"
         )
     quotient = params.coset_cover.quotient(params.ideal)
-    if quotient.order != expected:
+    if quotient.order * n != order:
         raise InternalConsistencyError(
-            f"coset count {quotient.order} != |Norm(1-u)| = {expected}"
+            f"coset count {quotient.order} != |Norm(1-u)| = {order // n}"
         )
     unit_powers = [field.one()]
     for _ in range(1, n):
@@ -655,10 +659,8 @@ def component_group(
 def order_bound(params: SurfaceParams) -> int:
     """The exact cardinality bound n * |Norm(1 - u)| (= the ambient order),
     computed without building the ambient group."""
-    field = params.field
-    u_gen, _ = invariant_unit_generator(params.ideal)
-    n = utheta_exponent(field, u_gen)
-    return n * abs(1 - field.theta + field.c0)  # |Norm(1 - u)|
+    *_, order = _unit_head(params)
+    return order
 
 
 def oracle_crosscheck(params: SurfaceParams, q: ComponentGroup | None = None) -> int:

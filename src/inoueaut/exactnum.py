@@ -15,10 +15,6 @@ from functools import lru_cache, total_ordering
 from math import gcd, isqrt, lcm
 from typing import Union
 
-# Arbitrary-precision rationals.  fractions.Fraction already maintains the
-# canonical form we rely on: reduced, with a positive denominator.
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 
@@ -161,33 +157,12 @@ class QuadCore:
         pair = self._coerce(other)
         return NotImplemented if pair is None else pair[0]._plus(pair[1], -1)
 
-    def __rsub__(self, other: object):
-        pair = self._coerce(other)
-        return NotImplemented if pair is None else pair[1]._plus(pair[0], -1)
-
     def __neg__(self):
         return self._raw(-self._p, -self._q, self._den, self._ctx)
 
     def __truediv__(self, other: object):
         pair = self._coerce(other)
         return NotImplemented if pair is None else pair[0]._times(pair[1].inverse())
-
-    def __rtruediv__(self, other: object):
-        pair = self._coerce(other)
-        return NotImplemented if pair is None else pair[1]._times(pair[0].inverse())
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        base = self.inverse() if n < 0 else self
-        n = abs(n)
-        out = self._scalar(1)
-        while n:
-            if n & 1:
-                out = out._times(base)
-            base = base._times(base)
-            n >>= 1
-        return out
 
     def inverse(self):
         """1/x = den * conjugate(p + q*w) / Norm(p + q*w)."""
@@ -197,11 +172,6 @@ class QuadCore:
         t, _ = self._law()
         d = self._den
         return self._reduced(d * (self._p + t * self._q), -d * self._q, nrm, self._ctx)
-
-    def conjugate(self):
-        """The nontrivial Galois automorphism: w -> T - w."""
-        t, _ = self._law()
-        return self._raw(self._p + t * self._q, -self._q, self._den, self._ctx)
 
     def __bool__(self) -> bool:
         return bool(self._p or self._q)
@@ -256,11 +226,6 @@ class QuadReal(QuadCore):
         return NotImplemented if pair is None else pair[0]._times(pair[1])
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "QuadReal":
-        if isinstance(n, int) and n < 0:
-            return NotImplemented
-        return super().__pow__(n)
 
     # -- comparisons --------------------------------------------------------
 
@@ -333,9 +298,8 @@ def surd_sign(p: int, q: int, delta: int) -> int:
 class QuadComplex:
     """Complex number with QuadReal real and imaginary parts (shared delta).
 
-    The public constructor checks the shared delta; zero, from_real and the
-    additive group operations keep it and are built by the trusted _raw
-    (+ and - check only that their operands share a delta).
+    The public constructor checks the shared delta; zero and from_real keep
+    it and are built by the trusted _raw.
     """
 
     re: QuadReal
@@ -365,21 +329,6 @@ class QuadComplex:
     @classmethod
     def from_real(cls, value: QuadReal) -> "QuadComplex":
         return cls._raw(value, value._scalar(0))
-
-    def __add__(self, other: object) -> "QuadComplex":
-        if not isinstance(other, QuadComplex):
-            return NotImplemented
-        if other.re._ctx != self.re._ctx:  # QuadReal would re-tag a rational part
-            raise ValueError(f"delta mismatch: {self.delta} vs {other.delta}")
-        return QuadComplex._raw(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: object) -> "QuadComplex":
-        if not isinstance(other, QuadComplex):
-            return NotImplemented
-        return self + -other
-
-    def __neg__(self) -> "QuadComplex":
-        return QuadComplex._raw(-self.re, -self.im)
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -431,7 +380,7 @@ def parse_integer(text: str) -> int:
     return int(text)
 
 
-def parse_rational(text: str) -> Rational:
+def parse_rational(text: str) -> Fraction:
     text = text.strip(" ")
     if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"bad rational: {text!r}")
@@ -483,8 +432,3 @@ def format_quad(p: int, q: int, den: int, symbol: str) -> str:
         return part if cn > 0 else f"-{part}"
     return f"{rat_text} {'-' if cn < 0 else '+'} {part}"
 
-
-def format_surd(rat: Scalar, coeff: Scalar, symbol: str) -> str:
-    """Write rat + coeff*SYMBOL in the syntax parse_surd reads."""
-    a, b = Fraction(rat).as_integer_ratio(), Fraction(coeff).as_integer_ratio()
-    return format_quad(a[0] * b[1], b[0] * a[1], a[1] * b[1], symbol)

@@ -1,20 +1,18 @@
-"""Rank-2 Z-lattices inside a quadratic field.
+"""Rank-2 Z-lattices inside a quadratic field, and their finite quotients.
 
 A lattice holds its basis as one integer matrix in {1, u}-coordinates over
-one denominator; coordinates, membership and multiplication matrices are
-integer adjugate arithmetic on it.  Equality and hashing go through the
-canonical form (primitive matrix over the least denominator, rows in
-Hermite normal form), so lattices behave as the sets they denote.
+the least common denominator of its basis; integer coordinates, membership
+and multiplication matrices are integer adjugate arithmetic on it.  A
+quotient big/small is read off the Smith form of small's basis in big's
+coordinates.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterator
 
-from .exactnum import Rational
-from .quadfield import FieldDescriptor, FieldElement
+from .quadfield import FieldElement
 
 # Row-major 2x2 integer matrix ((m11, m12), (m21, m22)).
 IntMatrix = tuple[tuple[int, int], tuple[int, int]]
@@ -37,29 +35,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def _hnf2(
-    m11: int, m12: int, m21: int, m22: int
-) -> tuple[int, int, int]:
-    """Row Hermite form of an invertible integer 2x2 matrix.
-
-    Returns (h11, h12, h22) for [[h11, h12], [0, h22]] with positive pivots
-    and 0 <= h12 < h22.
-    """
-    if m21 != 0:
-        g, x, y = xgcd(m11, m21)
-        r1 = (x * m11 + y * m21, x * m12 + y * m22)
-        r2 = (0, (-m21 // g) * m12 + (m11 // g) * m22)
-        (m11, m12), (_, m22) = r1, r2
-    if m11 < 0:
-        m11, m12 = -m11, -m12
-    if m22 < 0:
-        m22 = -m22
-    if m11 == 0 or m22 == 0:
-        raise ValueError("matrix is singular")
-    m12 %= m22
-    return m11, m12, m22
 
 
 def _snf2(
@@ -135,7 +110,7 @@ def _snf2(
 class Lattice:
     """Z-span of two Q-linearly independent field elements."""
 
-    __slots__ = ("b1", "b2", "field", "_den", "_rows", "_det", "_hnf")
+    __slots__ = ("b1", "b2", "field", "_den", "_rows", "_det")
 
     def __init__(self, b1: FieldElement, b2: FieldElement):
         if b1.field != b2.field:
@@ -147,37 +122,16 @@ class Lattice:
         det = p1 * q2 - q1 * p2
         if not det:
             raise ValueError("basis is Q-linearly dependent (chi(b1, b2) = 0)")
-        h11, h12, h22 = _hnf2(p1, q1, p2, q2)
-        # g divides the Hermite rows, hence every row of the basis as well
-        g = gcd(den, h11, h12, h22)
         self.b1 = b1
         self.b2 = b2
         self.field = b1.field
-        self._den = den // g
-        self._rows = ((p1 // g, q1 // g), (p2 // g, q2 // g))
-        self._det = det // (g * g)
-        self._hnf = (h11 // g, h12 // g, h22 // g)
-
-    @classmethod
-    def order_lattice(cls, field: FieldDescriptor) -> "Lattice":
-        """Z[u] with its standard basis (1, u)."""
-        return cls(field.one(), field.u())
+        self._den = den
+        self._rows = ((p1, q1), (p2, q2))
+        self._det = det
 
     @property
     def basis(self) -> tuple[FieldElement, FieldElement]:
         return self.b1, self.b2
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Lattice):
-            return NotImplemented
-        return (
-            self.field == other.field
-            and self._den == other._den
-            and self._hnf == other._hnf
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self._den, self._hnf))
 
     def __str__(self) -> str:
         return f"Z<{self.b1}, {self.b2}>"
@@ -197,21 +151,13 @@ class Lattice:
             d * self._det,
         )
 
-    def _triple(self, x: FieldElement) -> tuple[int, int, int]:
-        if x.field != self.field:
-            raise ValueError("field mismatch")
-        return x.as_integer_triple()
-
     def contains(self, x: FieldElement) -> bool:
         return self.integer_coordinates(x) is not None
 
-    def coordinates(self, x: FieldElement) -> tuple[Rational, Rational]:
-        """(m, n) with x = m*b1 + n*b2, as exact rationals."""
-        m, n, d = self._solve(*self._triple(x))
-        return Fraction(m, d), Fraction(n, d)
-
     def integer_coordinates(self, x: FieldElement) -> tuple[int, int] | None:
-        return self.triple_coordinates(*self._triple(x))
+        if x.field != self.field:
+            raise ValueError("field mismatch")
+        return self.triple_coordinates(*x.as_integer_triple())
 
     def triple_coordinates(self, p: int, q: int, d: int) -> tuple[int, int] | None:
         """integer_coordinates of (p + q*u)/d, a value of this lattice's field."""
@@ -222,30 +168,11 @@ class Lattice:
 
     # -- lattice operations ---------------------------------------------------
 
-    def scale(self, x) -> "Lattice":
-        """The lattice x * self; x is a nonzero field element or rational."""
-        if isinstance(x, (int, Fraction)):
-            x = self.field.element(x)
+    def scale(self, x: FieldElement) -> "Lattice":
+        """The lattice x * self; x is a nonzero field element."""
         if not x:
             raise ValueError("cannot scale a lattice by zero")
         return Lattice(x * self.b1, x * self.b2)
-
-    def index(self, other: "Lattice") -> Rational:
-        """[self : other] = |det(other)/den(other)^2| / |det(self)/den(self)^2|
-        for the basis matrices, i.e. the ratio of |chi| of the two bases.
-
-        The usual group index when other is a sublattice of self.
-        """
-        return Fraction(
-            abs(other._det) * self._den * self._den,
-            abs(self._det) * other._den * other._den,
-        )
-
-    def is_invariant_under(self, v: FieldElement) -> bool:
-        """True iff v * self = self; v must be a unit."""
-        if not v.is_unit():
-            raise ValueError(f"{v} is not a unit (norm {v.norm()})")
-        return self.mult_matrix(v) is not None
 
     def mult_matrix(self, v: FieldElement) -> IntMatrix | None:
         """The integer matrix M with M*(b1; b2) = (v*b1; v*b2), as rows, or

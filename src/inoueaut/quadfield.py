@@ -14,10 +14,8 @@ from fractions import Fraction
 from .exactnum import (
     QuadCore,
     QuadReal,
-    Rational,
     Scalar,
     format_quad,
-    format_surd,
     is_perfect_square,
     parse_surd,
 )
@@ -121,12 +119,9 @@ class FieldElement(QuadCore):
 
     # -- invariants of the element -------------------------------------------
 
-    def norm(self) -> Rational:
+    def norm(self) -> Fraction:
         """Norm(a + b*u) = a^2 + a*b*theta + b^2*c0."""
         return Fraction(self._norm_num(), self._den * self._den)
-
-    def trace(self) -> Rational:
-        return Fraction(2 * self._p + self._q * self._ctx.theta, self._den)
 
     def embed(self, which: int) -> QuadReal:
         """Real embedding sigma_which; sigma1(u) = (theta + sqrt(delta))/2."""
@@ -149,9 +144,6 @@ class FieldElement(QuadCore):
     def is_unit(self) -> bool:
         return abs(self._norm_num()) == self._den * self._den
 
-    def is_rational(self) -> bool:
-        return not self._q
-
     def __str__(self) -> str:
         return format_quad(self._p, self._q, self._den, "u")
 
@@ -173,7 +165,3 @@ def chi(x: FieldElement, y: FieldElement) -> QuadReal:
 
 def parse_field_element(text: str, field: FieldDescriptor) -> FieldElement:
     return FieldElement(*parse_surd(text, "u"), field)
-
-
-def format_field_element(x: FieldElement) -> str:
-    return format_surd(x.a, x.b, "u")

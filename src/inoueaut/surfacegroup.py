@@ -35,7 +35,6 @@ class StandardFormError(ValueError):
 # Re t = (p + q*sqrt(delta))/den and Im t likewise; each triple is reduced
 # (den > 0, gcd(p, q, den) = 1), so the tuple is canonical.
 Flat = tuple[int, int, int, int, int, int, int, int, int, int, int, int]
-_IDENTITY = (1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1)
 
 
 def _compose(a: Flat, b: Flat, theta: int, c0: int) -> Flat:
@@ -92,8 +91,8 @@ class AffineElement:
         [u, x, t][v, y, s] = [uv, x + uy, t + Norm(u)s - chi(x, uy)/2],
     computed on the element's flat integer tuple (see _compose).  The public
     constructor validates (v a unit with sigma1(v) > 0, one field and
-    delta); products, inverses and the identity keep those invariants and
-    are built by the trusted _of.  v, x and t are read off the tuple.
+    delta); products and inverses keep those invariants and are built by
+    the trusted _of.  v, x and t are read off the tuple.
     """
 
     __slots__ = ("field", "_flat")
@@ -157,10 +156,6 @@ class AffineElement:
             QuadReal._raw(*self._flat[9:12], delta),
         )
 
-    @classmethod
-    def identity(cls, field: FieldDescriptor) -> "AffineElement":
-        return cls._of(field, _IDENTITY)
-
     def __mul__(self, other: "AffineElement") -> "AffineElement":
         if other.__class__ is not AffineElement:
             return NotImplemented
@@ -172,24 +167,6 @@ class AffineElement:
     def inverse(self) -> "AffineElement":
         field = self.field
         return self._of(field, _invert(self._flat, field.theta, field.c0))
-
-    def __pow__(self, n: int) -> "AffineElement":
-        if not isinstance(n, int):
-            return NotImplemented
-        base = self
-        if n < 0:
-            base = self.inverse()
-            n = -n
-        out = AffineElement.identity(self.field)
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def is_identity(self) -> bool:
-        return self._flat == _IDENTITY
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not AffineElement:

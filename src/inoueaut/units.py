@@ -131,13 +131,14 @@ def utheta_exponent(field: FieldDescriptor, base: FieldElement) -> int:
 
 def invariant_unit_generator(
     lat: Lattice, eta: FieldElement | None = None
-) -> tuple[FieldElement, int]:
-    """Generator eta**j of the positive units mapping the lattice onto itself.
+) -> tuple[FieldElement, int, int]:
+    """(u_gen, j, n): the generator u_gen = eta**j of the positive units
+    mapping the lattice onto itself, and the n >= 1 with u_gen**n = u.
 
     j is the least positive exponent with eta**j mapping the lattice into
     itself; the search is bounded by the exponent n_max with
     eta**n_max = u, which exists because the lattice is required to be a
-    fractional ideal of Z[u].
+    fractional ideal of Z[u].  Then n = n_max / j.
     """
     field = lat.field
     if eta is None:
@@ -150,6 +151,6 @@ def invariant_unit_generator(
             # of j, so u = eta**n_max acts integrally iff j divides n_max.
             if n_max % j:
                 break
-            return power_unit, j
+            return power_unit, j, n_max // j
         power_unit = power_unit * eta
     raise ValueError(f"{lat} is not a fractional ideal: u does not act integrally")

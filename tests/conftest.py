@@ -5,7 +5,10 @@ standard-form parameter sets for both surface families, over random ideals
 or over I = Z<1, eta>, with t drawn by random_t or, reaching the -2t term,
 by random_surd_t; and helpers that only tests and the references read: the
 discrete-subgroup test on QuadReals, a quotient's coset representatives
-and the lattice I/r."""
+and the lattice I/r; and the API the package dropped because no command
+reaches it (powers, Galois conjugate, trace, the affine identity, rational
+lattice coordinates, lattice index and invariance, format_surd), kept here
+with its old bodies for the tests that still read it."""
 
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ from typing import Callable
 import pytest
 
 from inoueaut import (
+    AffineElement,
     AmbientGroup,
     CosetPair,
     FieldDescriptor,
@@ -29,7 +33,7 @@ from inoueaut import (
     fundamental_unit,
     is_standard_form_direct,
 )
-from inoueaut.exactnum import Scalar
+from inoueaut.exactnum import QuadCore, Scalar, format_quad
 
 # -- test-only helpers ----------------------------------------------------------
 
@@ -67,7 +71,90 @@ def coset_reps(quotient: LatticeQuotient) -> list[FieldElement]:
 
 def ideal_over_r(params: SurfaceParams) -> Lattice:
     """The lattice I/r of condition 1."""
-    return params.ideal.scale(Fraction(1, params.r))
+    return params.ideal.scale(params.field.element(Fraction(1, params.r)))
+
+
+# -- API the package dropped -----------------------------------------------------
+
+AFFINE_IDENTITY = (1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1)
+
+
+def affine_identity(field: FieldDescriptor) -> AffineElement:
+    return AffineElement._of(field, AFFINE_IDENTITY)
+
+
+def is_affine_identity(g: AffineElement) -> bool:
+    return g._flat == AFFINE_IDENTITY
+
+
+def power(x, n: int):
+    """x**n for a FieldElement or an AffineElement, n of either sign, by
+    square-and-multiply."""
+    if isinstance(x, FieldElement):
+        out = x.field.one()
+    else:
+        out = affine_identity(x.field)
+    base = x.inverse() if n < 0 else x
+    n = abs(n)
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
+def conjugate(x: QuadCore) -> QuadCore:
+    """The nontrivial Galois automorphism w -> T - w of a FieldElement or a
+    QuadReal."""
+    t, _ = x._law()
+    return x._raw(x._p + t * x._q, -x._q, x._den, x._ctx)
+
+
+def trace(x: FieldElement) -> Fraction:
+    return Fraction(2 * x._p + x._q * x.field.theta, x._den)
+
+
+def is_rational(x: FieldElement) -> bool:
+    return not x._q
+
+
+def format_surd(rat: Scalar, coeff: Scalar, symbol: str) -> str:
+    """Write rat + coeff*SYMBOL in the syntax parse_surd reads."""
+    a, b = Fraction(rat).as_integer_ratio(), Fraction(coeff).as_integer_ratio()
+    return format_quad(a[0] * b[1], b[0] * a[1], a[1] * b[1], symbol)
+
+
+def order_lattice(field: FieldDescriptor) -> Lattice:
+    """Z[u] with its standard basis (1, u)."""
+    return Lattice(field.one(), field.u())
+
+
+def lattice_coordinates(lat: Lattice, x: FieldElement) -> tuple[Fraction, Fraction]:
+    """(m, n) with x = m*b1 + n*b2, as exact rationals."""
+    if x.field != lat.field:
+        raise ValueError("field mismatch")
+    m, n, d = lat._solve(*x.as_integer_triple())
+    return Fraction(m, d), Fraction(n, d)
+
+
+def lattice_index(big: Lattice, small: Lattice) -> Fraction:
+    """[big : small] = |det(small)/den(small)^2| / |det(big)/den(big)^2| for
+    the basis matrices, i.e. the ratio of |chi| of the two bases.
+
+    The usual group index when small is a sublattice of big.
+    """
+    return Fraction(
+        abs(small._det) * big._den * big._den,
+        abs(big._det) * small._den * small._den,
+    )
+
+
+def is_invariant_under(lat: Lattice, v: FieldElement) -> bool:
+    """True iff v * lat = lat; v must be a unit."""
+    if not v.is_unit():
+        raise ValueError(f"{v} is not a unit (norm {v.norm()})")
+    return lat.mult_matrix(v) is not None
 
 
 # -- the worked examples -------------------------------------------------------
@@ -310,7 +397,7 @@ def random_unit(
     rng: random.Random, field: FieldDescriptor, eta: FieldElement
 ) -> FieldElement:
     """A random element of the positive unit group (norm +-1, sigma1 > 0)."""
-    return (field.u() ** rng.randint(-2, 2)) * (eta ** rng.randint(-2, 2))
+    return power(field.u(), rng.randint(-2, 2)) * power(eta, rng.randint(-2, 2))
 
 
 def ambient_mul(ambient: AmbientGroup, e1: CosetPair, e2: CosetPair) -> CosetPair:

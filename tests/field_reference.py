@@ -2,9 +2,12 @@
 `in_discrete_subgroup` that the integer core in `exactnum` replaced, kept as
 the differential reference for tests/test_field_core.py.
 
-The bodies are unchanged but for one line: `FieldElement.__pow__` started
+The bodies are unchanged but for two lines: `FieldElement.__pow__` started
 from `self.field.one()`, which now builds the package's `FieldElement`, so
-here it starts from the reference's own one.
+here it starts from the reference's own one; and `FieldElement.__str__`
+called the package's `format_field_element`, which the package dropped, so
+here it spells out that function's body.  The adapter `format_surd` it and
+`QuadReal` format with moved from `exactnum` to `tests/conftest.py`.
 """
 
 from __future__ import annotations
@@ -12,14 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from inoueaut.exactnum import (
-    Rational,
-    Scalar,
-    format_surd,
-    is_perfect_square,
-    square_decompose,
-)
-from inoueaut.quadfield import FieldDescriptor, format_field_element
+from conftest import format_surd
+from inoueaut.exactnum import Scalar, is_perfect_square, square_decompose
+from inoueaut.quadfield import FieldDescriptor
 
 
 def _sign_of(q: Fraction) -> int:
@@ -324,7 +322,7 @@ class FieldElement:
 
     # -- invariants of the element -------------------------------------------
 
-    def norm(self) -> Rational:
+    def norm(self) -> Fraction:
         """Norm(a + b*u) = a^2 + a*b*theta + b^2*c0."""
         return (
             self.a * self.a
@@ -332,7 +330,7 @@ class FieldElement:
             + self.b * self.b * self.field.c0
         )
 
-    def trace(self) -> Rational:
+    def trace(self) -> Fraction:
         return 2 * self.a + self.b * self.field.theta
 
     def conjugate(self) -> "FieldElement":
@@ -363,7 +361,7 @@ class FieldElement:
         return self.b == 0
 
     def __str__(self) -> str:
-        return format_field_element(self)
+        return format_surd(self.a, self.b, "u")
 
 
 def chi(x: FieldElement, y: FieldElement) -> QuadReal:

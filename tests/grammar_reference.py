@@ -5,7 +5,8 @@
 The bodies are unchanged; only the imports were added, and the method
 `QuadComplex.__str__` became the function `quad_complex_str`.  The last
 section holds `exactnum.format_surd` as it was on Fractions, before it became
-an adapter over the integer formatter `exactnum.format_quad`.  The field-element
+an adapter over the integer formatter `exactnum.format_quad` (that adapter
+now lives in `tests/conftest.py`).  The field-element
 parser and the CLI's surd parser each had their own `_TERM_RE`; the two
 regexes were identical, so one definition serves both here.
 """
@@ -19,7 +20,6 @@ from inoueaut.cli import ParamFileError
 from inoueaut.exactnum import (
     QuadComplex,
     QuadReal,
-    Rational,
     ValueTooLargeError,
     _decimal_digits,
 )
@@ -32,7 +32,7 @@ _TERM_RE = re.compile(r"[+-]?[^+-]+")
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-def parse_rational(text: str) -> Rational:
+def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _RAT_RE.match(text):
         raise ValueError(f"bad rational: {text!r}")

@@ -7,9 +7,13 @@ representatives as the quotient built them eagerly with field arithmetic
 (`smith_basis`, `quotient_reps`).
 
 `Lattice` here subclasses the package's and overrides exactly those methods
-with their old bodies, unchanged; scale, quotient, equality and hashing are
-inherited.  So `Lattice.mult_matrix` gives a `Matrix2Q` for any v, integral
-or not.
+with their old bodies, unchanged; scale and quotient are inherited.  So
+`Lattice.mult_matrix` gives a `Matrix2Q` for any v, integral or not.
+
+Equality and hashing went through the row Hermite form `_hnf2`, which the
+package dropped with them: no command compares two lattices.  Both live
+here now, with `hermite_key`, the canonical form the package's constructor
+computed, which makes any lattice of either class comparable.
 """
 
 from __future__ import annotations
@@ -19,9 +23,49 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import inoueaut.lattice
-from inoueaut.exactnum import Rational
-from inoueaut.lattice import _hnf2, _snf2
+from inoueaut.lattice import _snf2, xgcd
 from inoueaut.quadfield import FieldElement, chi
+
+
+def _hnf2(
+    m11: int, m12: int, m21: int, m22: int
+) -> tuple[int, int, int]:
+    """Row Hermite form of an invertible integer 2x2 matrix.
+
+    Returns (h11, h12, h22) for [[h11, h12], [0, h22]] with positive pivots
+    and 0 <= h12 < h22.
+    """
+    if m21 != 0:
+        g, x, y = xgcd(m11, m21)
+        r1 = (x * m11 + y * m21, x * m12 + y * m22)
+        r2 = (0, (-m21 // g) * m12 + (m11 // g) * m22)
+        (m11, m12), (_, m22) = r1, r2
+    if m11 < 0:
+        m11, m12 = -m11, -m12
+    if m22 < 0:
+        m22 = -m22
+    if m11 == 0 or m22 == 0:
+        raise ValueError("matrix is singular")
+    m12 %= m22
+    return m11, m12, m22
+
+
+def hermite_key(lat: inoueaut.lattice.Lattice) -> tuple:
+    """(field, least denominator, primitive Hermite rows) of the lattice, from
+    its basis on integers: the key of lattice equality and hashing."""
+    (p1, q1, d1), (p2, q2, d2) = lat.b1.as_integer_triple(), lat.b2.as_integer_triple()
+    den = lcm(d1, d2)
+    h11, h12, h22 = _hnf2(
+        p1 * (den // d1), q1 * (den // d1), p2 * (den // d2), q2 * (den // d2)
+    )
+    # g divides the Hermite rows, hence every row of the basis as well
+    g = gcd(den, h11, h12, h22)
+    return lat.field, den // g, (h11 // g, h12 // g, h22 // g)
+
+
+def same_lattice(a: inoueaut.lattice.Lattice, b: inoueaut.lattice.Lattice) -> bool:
+    """True iff the two lattices are the same set."""
+    return hermite_key(a) == hermite_key(b)
 
 
 @dataclass(frozen=True)
@@ -63,10 +107,10 @@ class Matrix2Q:
             n >>= 1
         return out
 
-    def det(self) -> Rational:
+    def det(self) -> Fraction:
         return self.m11 * self.m22 - self.m12 * self.m21
 
-    def trace(self) -> Rational:
+    def trace(self) -> Fraction:
         return self.m11 + self.m22
 
     def is_integral(self) -> bool:
@@ -111,6 +155,14 @@ class Lattice(inoueaut.lattice.Lattice):
         self._den = den // g
         self._hnf = (h11 // g, h12 // g, h22 // g)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, inoueaut.lattice.Lattice):
+            return NotImplemented
+        return (self.field, self._den, self._hnf) == hermite_key(other)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self._den, self._hnf))
+
     # -- membership and coordinates -----------------------------------------
 
     def contains(self, x: FieldElement) -> bool:
@@ -125,7 +177,7 @@ class Lattice(inoueaut.lattice.Lattice):
         n = (q2 - m * h12) / h22
         return n.denominator == 1
 
-    def coordinates(self, x: FieldElement) -> tuple[Rational, Rational]:
+    def coordinates(self, x: FieldElement) -> tuple[Fraction, Fraction]:
         """(m, n) with x = m*b1 + n*b2, as exact rationals."""
         if x.field != self.field:
             raise ValueError("field mismatch")
@@ -142,7 +194,7 @@ class Lattice(inoueaut.lattice.Lattice):
 
     # -- lattice operations ---------------------------------------------------
 
-    def index(self, other: "Lattice") -> Rational:
+    def index(self, other: "Lattice") -> Fraction:
         """[self : other] = |chi(other basis) / chi(self basis)|.
 
         The usual group index when other is a sublattice of self.

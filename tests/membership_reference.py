@@ -7,14 +7,15 @@ matrix on I comes from the Fraction lattice reference, since the package's
 matrices are now integer rows.  `membership_form` builds those forms per
 unit power from Fraction and field arithmetic, as the package did before it
 built them from integer triples, and `member_keys` runs it over every coset
-as the filter did."""
+as the filter did.  Rational coordinates in I come from
+`conftest.lattice_coordinates`, where `Lattice.coordinates` moved."""
 
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence
 
 import lattice_reference
-from conftest import ideal_over_r, in_discrete_subgroup
+from conftest import ideal_over_r, in_discrete_subgroup, lattice_coordinates
 from inoueaut import FieldElement, SurfaceParams, chi
 from inoueaut.components import _unit_matrix
 from lattice_reference import Matrix2Q
@@ -111,8 +112,8 @@ def membership_form(
     correction = Fraction(m21 * m22, 2) * (v * params.x1) - Fraction(
         m11 * m12, 2
     ) * (v * params.x2)
-    shift = ideal.coordinates((v - one) * params.e - correction)
-    steps = [ideal.coordinates(b) for b in basis]
+    shift = lattice_coordinates(ideal, (v - one) * params.e - correction)
+    steps = [lattice_coordinates(ideal, b) for b in basis]
     den1, (a0, a1, a2, b0, b1, b2) = _over_common_denominator(
         [r * x for col in (0, 1) for x in (shift[col], steps[0][col], steps[1][col])]
     )

@@ -14,7 +14,8 @@ reference for tests/test_surfacegroup.py and tests/test_components.py:
 
 Bodies unchanged, but for the word problem, the gate and the oracle, which
 take the generators from the reference `make_generators` instead of
-`params.generators`.
+`params.generators`, and for the group law, which negates t by `_neg`, the
+body of the `QuadComplex.__neg__` that the package dropped.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ from inoueaut.quadfield import FieldDescriptor, FieldElement, chi
 from inoueaut.surfacegroup import SurfaceParams
 from inoueaut.units import unit_exponent
 from membership_reference import _central_expression
+
+
+def _neg(t: QuadComplex) -> QuadComplex:
+    return QuadComplex._raw(-t.re, -t.im)
 
 
 @dataclass(frozen=True)
@@ -80,14 +85,14 @@ class AffineElement:
             raise ValueError("field mismatch")
         uy = self.v * other.x
         # self.v is a unit, so Norm(u)s in the law is s or -s
-        s = other.t if self.v._norm_num() > 0 else -other.t
+        s = other.t if self.v._norm_num() > 0 else _neg(other.t)
         re = self.t.re + s.re - chi(self.x, uy) / 2
         t = QuadComplex._raw(re, self.t.im + s.im)
         return AffineElement._raw(self.v * other.v, self.x + uy, t)
 
     def inverse(self) -> "AffineElement":
         v_inv = self.v.inverse()
-        t = -self.t if self.v._norm_num() > 0 else self.t
+        t = _neg(self.t) if self.v._norm_num() > 0 else self.t
         return AffineElement._raw(v_inv, -(self.x * v_inv), t)
 
     def __pow__(self, n: int) -> "AffineElement":

@@ -212,7 +212,7 @@ def test_examples_mismatch_exits_5(capsys, monkeypatch):
     import inoueaut.cli as cli
 
     first, *rest = cli.BUILTIN_EXAMPLES
-    broken = dataclasses.replace(first, matches=lambda structure: False)
+    broken = dataclasses.replace(first, expected="Z/3 (order 3)")
     monkeypatch.setattr(cli, "BUILTIN_EXAMPLES", (broken, *rest))
     rc = main(["examples"])
     captured = capsys.readouterr()

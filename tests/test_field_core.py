@@ -4,7 +4,10 @@ classes it replaced (`tests/field_reference.py`).
 Every operation is run on both implementations from the same rationals, and
 the outcomes must agree: the same value, or the same exception type.  The
 families cover several deltas and fields of both signs of c0, and the
-operands mix elements with int and Fraction on either side.
+operands mix elements with int and Fraction on either side; the core has
+no reflected - and /, so an int or Fraction on the left of those is refused.
+Galois conjugate, trace and is_rational left the package for
+tests/conftest.py and are held to the reference there.
 """
 
 import operator
@@ -15,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import field_reference as ref
-from conftest import in_discrete_subgroup
+from conftest import conjugate, in_discrete_subgroup, is_rational, trace
 from inoueaut.exactnum import QuadReal
 from inoueaut.quadfield import FieldDescriptor, FieldElement, chi
 
@@ -29,6 +32,7 @@ RATIONAL = st.one_of(
 )
 SCALAR = st.one_of(st.integers(-10, 10), RATIONAL)
 BINARY = [operator.add, operator.sub, operator.mul, operator.truediv]
+REFLECTED_ONLY_IN_REFERENCE = (operator.sub, operator.truediv)
 COMPARE = [operator.lt, operator.le, operator.gt, operator.ge]
 
 
@@ -89,25 +93,22 @@ FAMILY = st.sampled_from([real_pair, field_pair])
 def test_ring_operations_match_reference(xy):
     (x, rx), (y, ry) = xy
     for op in BINARY:
+        if isinstance(x, (int, Fraction)) and op in REFLECTED_ONLY_IN_REFERENCE:
+            assert outcome(op, x, y) == ("raises", TypeError), (op, rx, ry)
+            continue
         assert outcome(op, x, y) == outcome(op, rx, ry), (op, rx, ry)
     assert outcome(operator.neg, x) == outcome(operator.neg, rx)
     assert outcome(bool, x) == outcome(bool, rx)
-
-
-@settings(max_examples=200, deadline=None)
-@given(FAMILY.flatmap(lambda pair: pair()), st.integers(-4, 6))
-def test_powers_match_reference(pair, n):
-    x, rx = pair
-    assert outcome(operator.pow, x, n) == outcome(operator.pow, rx, n)
 
 
 @settings(max_examples=300, deadline=None)
 @given(field_pair(), field_pair())
 def test_field_invariants_match_reference(xp, yp):
     (x, rx), (y, ry) = xp, yp
-    for name in ("inverse", "norm", "trace", "conjugate", "sigma1", "sigma2",
-                 "is_unit", "is_rational", "__str__"):
+    for name in ("inverse", "norm", "sigma1", "sigma2", "is_unit", "__str__"):
         assert outcome(getattr(x, name)) == outcome(getattr(rx, name)), name
+    for fn in (trace, conjugate, is_rational):
+        assert outcome(fn, x) == outcome(getattr(rx, fn.__name__)), fn.__name__
     for which in (1, 2, 3):
         assert outcome(x.embed, which) == outcome(rx.embed, which)
     assert outcome(chi, x, y) == outcome(ref.chi, rx, ry)
@@ -121,8 +122,9 @@ def test_real_order_and_text_match_reference(xy):
         assert outcome(op, x, y) == outcome(op, rx, ry), op
     for value, rvalue in xy:
         if isinstance(value, QuadReal):
-            for name in ("sign", "conjugate", "__str__", "reduced_str", "__float__"):
+            for name in ("sign", "__str__", "reduced_str", "__float__"):
                 assert outcome(getattr(value, name)) == outcome(getattr(rvalue, name))
+            assert outcome(conjugate, value) == outcome(rvalue.conjugate)
 
 
 @settings(max_examples=400, deadline=None)
@@ -189,9 +191,8 @@ def test_rational_values_across_deltas():
         lambda QR, FE: QR(1, 1, 9),
         lambda QR, FE: QR(1, 1, 0),
         lambda QR, FE: QR(2, 1, 8) / 0,
-        lambda QR, FE: 1 / QR(0, 0, 8),
+        lambda QR, FE: QR(1, 0, 8) / QR(0, 0, 8),
         lambda QR, FE: FE(0, 0, FIELDS[2]).inverse(),
-        lambda QR, FE: FE(0, 0, FIELDS[2]) ** -2,
         lambda QR, FE: FE(1, 2, FIELDS[2]) / FE(0, 0, FIELDS[2]),
         lambda QR, FE: QR(2, 1, 8) ** -1,
         lambda QR, FE: QR(2, 1, 8) + FE(1, 0, FIELDS[1]),

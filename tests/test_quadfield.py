@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_field_element
+from conftest import conjugate, is_rational, power, random_field_element, trace
 from inoueaut import (
     FieldDescriptor,
     QuadReal,
@@ -51,7 +51,7 @@ def test_inverse():
 def test_eta_fourth_power_is_u_for_theta7():
     eta = fundamental_unit(F7)
     assert eta == F7.element(Fraction(-2, 3), Fraction(1, 3))
-    assert eta**4 == F7.u()
+    assert power(eta, 4) == F7.u()
 
 
 def test_norm_desk_values():
@@ -74,22 +74,22 @@ def test_norm_trace_properties_randomized():
             x = random_field_element(rng, field)
             y = random_field_element(rng, field)
             assert (x * y).norm() == x.norm() * y.norm()
-            assert (x + y).trace() == x.trace() + y.trace()
-            prod = x * x.conjugate()
-            assert prod.is_rational() and prod.a == x.norm()
+            assert trace(x + y) == trace(x) + trace(y)
+            prod = x * conjugate(x)
+            assert is_rational(prod) and prod.a == x.norm()
 
 
 def test_galois():
     for field in (F6, FM3):
         c = field.element(Fraction(5, 7))
-        assert c.conjugate() == c
+        assert conjugate(c) == c
         u = field.u()
-        assert u.conjugate() == field.element(field.theta, -1)
-        assert u.conjugate() == field.c0 * u.inverse()
+        assert conjugate(u) == field.element(field.theta, -1)
+        assert conjugate(u) == field.c0 * u.inverse()
     rng = random.Random(29)
     for _ in range(100):
         x = random_field_element(rng, F7)
-        assert x.conjugate().conjugate() == x
+        assert conjugate(conjugate(x)) == x
 
 
 def test_embeddings_desk_values():
@@ -107,7 +107,7 @@ def test_embedding_product_is_norm():
             prod = x.sigma1() * x.sigma2()
             assert prod.irr == 0 and prod.rat == x.norm()
             total = x.sigma1() + x.sigma2()
-            assert total.irr == 0 and total.rat == x.trace()
+            assert total.irr == 0 and total.rat == trace(x)
 
 
 def test_chi_desk_values():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import lattice_reference as ref
 import units_reference
-from conftest import random_invariant_lattice
+from conftest import order_lattice, power, random_invariant_lattice
 from inoueaut import (
     FieldDescriptor,
     Lattice,
@@ -50,16 +50,16 @@ def test_fundamental_unit_properties_across_fields():
 
 def test_invariant_generator_desk_cases():
     f6 = FieldDescriptor(6, 1)
-    gen, j = invariant_unit_generator(Lattice(f6.one(), fundamental_unit(f6)))
-    assert gen == fundamental_unit(f6) and j == 1
+    gen, j, n = invariant_unit_generator(Lattice(f6.one(), fundamental_unit(f6)))
+    assert gen == fundamental_unit(f6) and j == 1 and n == 2
     f4 = FieldDescriptor(4, 1)
-    gen, j = invariant_unit_generator(Lattice.order_lattice(f4))
-    assert gen == f4.u() and j == 1
+    gen, j, n = invariant_unit_generator(order_lattice(f4))
+    assert gen == f4.u() and j == 1 and n == 1
     f3 = FieldDescriptor(3, 1)
-    gen, j = invariant_unit_generator(Lattice.order_lattice(f3))
+    gen, j, n = invariant_unit_generator(order_lattice(f3))
     assert gen == f3.u() - f3.one()
     assert gen * gen == f3.u()
-    assert j == 1
+    assert j == 1 and n == 2
 
 
 def test_invariant_generator_rejects_non_ideal():
@@ -72,7 +72,7 @@ def test_invariant_generator_rejects_non_ideal():
     eta = fundamental_unit(f7)
     assert utheta_exponent(f7, eta) == 4
     with pytest.raises(ValueError):
-        invariant_unit_generator(Lattice(f7.one(), eta**3))
+        invariant_unit_generator(Lattice(f7.one(), power(eta, 3)))
 
 
 def test_invariant_generator_minimality():
@@ -82,18 +82,20 @@ def test_invariant_generator_minimality():
         eta = fundamental_unit(field)
         for _ in range(12):
             lat = random_invariant_lattice(rng, field)
-            gen, j = invariant_unit_generator(lat, eta)
-            assert gen == eta**j
+            gen, j, n = invariant_unit_generator(lat, eta)
+            assert gen == power(eta, j)
             n_max = utheta_exponent(field, eta)
             assert n_max % j == 0
             assert utheta_exponent(field, eta) == j * utheta_exponent(field, gen)
+            # n is the exponent the second walk over gen used to find
+            assert n == utheta_exponent(field, gen)
             m1 = ref.Lattice(*lat.basis).mult_matrix(eta)
             assert (m1**j).is_integral()
-            power = m1
+            matrix_power = m1
             for k in range(1, j):
-                assert not power.is_integral()
-                assert lat.mult_matrix(eta**k) is None
-                power = power * m1
+                assert not matrix_power.is_integral()
+                assert lat.mult_matrix(power(eta, k)) is None
+                matrix_power = matrix_power * m1
             m = lat.mult_matrix(gen)
             assert m is not None
             assert abs(m[0][0] * m[1][1] - m[0][1] * m[1][0]) == 1
@@ -122,7 +124,7 @@ def test_utheta_exponent_past_the_old_cap():
 def test_utheta_exponent_errors():
     f6 = FieldDescriptor(6, 1)
     with pytest.raises(ValueError):
-        utheta_exponent(f6, f6.u() ** 2)  # u is not a power of u^2
+        utheta_exponent(f6, power(f6.u(), 2))  # u is not a power of u^2
     with pytest.raises(ValueError):
         utheta_exponent(f6, f6.u().inverse())  # sigma1 < 1
     with pytest.raises(ValueError):
@@ -134,19 +136,19 @@ def test_utheta_exponent_errors():
 def test_unit_exponent_matches_the_capped_search(field, k):
     eta = fundamental_unit(field)
     for base in (eta, field.u()):
-        value = base**k
+        value = power(base, k)
         assert unit_exponent(value, base) == k
         assert units_reference._power_exponent(value, base, 64) == k
     n = units_reference.utheta_exponent(field, eta)
     assert utheta_exponent(field, eta) == n
-    assert utheta_exponent(field, eta**n) == 1
+    assert utheta_exponent(field, power(eta, n)) == 1
 
 
 @settings(max_examples=60, deadline=None)
 @given(FIELDS, st.integers(-300, 300))
 def test_unit_exponent_has_no_cap(field, k):
     eta = fundamental_unit(field)
-    assert unit_exponent(eta**k, eta) == k
+    assert unit_exponent(power(eta, k), eta) == k
 
 
 @settings(max_examples=150, deadline=None)
@@ -157,15 +159,15 @@ def test_unit_exponent_rejects_values_outside_the_subgroup(field, k, m):
     u = field.u()
     # eta**k lies in <u> = <eta**n> only when n divides k
     expected = k // n if k % n == 0 else None
-    assert unit_exponent(eta**k, u) == expected
-    assert units_reference._power_exponent(eta**k, u, 64) == expected
+    assert unit_exponent(power(eta, k), u) == expected
+    assert units_reference._power_exponent(power(eta, k), u, 64) == expected
     # u**k lies in <u**m> only when m divides k
     expected = k // m if k % m == 0 else None
-    assert unit_exponent(u**k, u**m) == expected
-    assert units_reference._power_exponent(u**k, u**m, 64) == expected
+    assert unit_exponent(power(u, k), power(u, m)) == expected
+    assert units_reference._power_exponent(power(u, k), power(u, m), 64) == expected
     # a positive rational other than 1 times a power is never a power
-    assert unit_exponent(eta**k * m, eta) is None
-    assert unit_exponent(eta**k / m, eta) is None
+    assert unit_exponent(power(eta, k) * m, eta) is None
+    assert unit_exponent(power(eta, k) / m, eta) is None
 
 
 @settings(max_examples=300, deadline=None)
@@ -181,5 +183,5 @@ def test_integer_walk_matches_the_field_walk(field, k, j, m, use_u):
     # either sign, values outside the subgroup and non-units
     eta = fundamental_unit(field)
     base = field.u() if use_u else eta
-    value = eta**k * field.u() ** j / m
+    value = power(eta, k) * power(field.u(), j) / m
     assert unit_exponent(value, base) == units_reference.unit_exponent(value, base)
