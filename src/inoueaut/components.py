@@ -7,6 +7,7 @@ cross-check every answer.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -99,7 +100,7 @@ class AmbientGroup:
 # The largest ambient group analyze builds; a larger one is refused (exit 3)
 # before its cosets are built.  The report prints every coset, and
 # analyze --no-oracle at Q = H (Z[u], plus family, r = 2(theta-2)) takes
-# about 0.7 s and 69 MB peak RSS at 10**5 elements, 1.8-2.1 s and 160 MB at
+# about 0.55 s and 38 MB peak RSS at 10**5 elements, 1.4-1.5 s and 82 MB at
 # 3*10**5 (2 vCPU, CPython 3.11).
 AMBIENT_LIMIT = 10**6
 
@@ -421,11 +422,6 @@ class GroupStructure:
         return f"{head}, {act}, non-split with twist {list(self.twist)}"
 
 
-def _coset_order(k: int, d1: int, d2: int) -> int:
-    k1, k2 = divmod(k, d2)
-    return lcm(d1 // gcd(k1, d1), d2 // gcd(k2, d2))
-
-
 def _det(m: list[list[int]]) -> int:
     if not m:
         return 1
@@ -446,14 +442,53 @@ def _minor_gcd(rows: list[list[int]], size: int) -> int:
     )
 
 
-def _classify(ambient: AmbientGroup, members: Sequence[CosetPair]) -> GroupStructure:
-    """Reads the structure of Q off H's integer law; raises
-    InternalConsistencyError unless the members form a subgroup of H.
+def _kernel_basis(kernel: list[int], d1: int, d2: int) -> list[tuple[int, int]]:
+    """K's basis as (key, order) pairs of order > 1, low before top: top is
+    the first element of the top order exp, low the first of order |K|/exp
+    whose span meets <top> only in 0, i.e. for which the gcd of the 2x2
+    minors of the rows (d1, 0), (0, d2), low, top is |C|/|K|.  Raises
+    InternalConsistencyError when there is no such pair."""
+    c, size = d1 * d2, len(kernel)
 
-    K = Q n (Z/d1 x Z/d2) has rank <= 2, and Q/K is cyclic of order
-    n' = n/step, step = gcd(n, unit exponents), generated by any member
-    q0 = (step, k).  Conjugation by q0 acts on K as A^step, and
-    q0^n' = (0, N k) with the norm matrix N = sum_{j<n'} A^(j step).
+    def meets_top_trivially(k: int) -> bool:
+        k1, k2 = divmod(k, d2)
+        minors = gcd(c, d1 * k2, d1 * t2, d2 * k1, d2 * t1, k1 * t2 - k2 * t1)
+        return minors * size == c
+
+    # (k1, k2) has order lcm(d1/gcd(k1, d1), d2/gcd(k2, d2)), which is
+    # d2/gcd(k1 d2/d1, k2, d2) as d1 | d2
+    f = d2 // d1
+    orders = [d2 // gcd(k // d2 * f, k % d2, d2) for k in kernel]
+    exp = lcm(*orders)
+    top = next((k for k, o in zip(kernel, orders) if o == exp), None)
+    low = None
+    if top is not None and size % exp == 0:
+        t1, t2 = divmod(top, d2)
+        low = next(
+            (
+                k
+                for k, o in zip(kernel, orders)
+                if o * exp == size and meets_top_trivially(k)
+            ),
+            None,
+        )
+    if low is None:
+        raise InternalConsistencyError("the unit kernel is not a group")
+    return [(g, o) for g, o in ((low, size // exp), (top, exp)) if o > 1]
+
+
+def _classify(ambient: AmbientGroup, keys: list[int]) -> GroupStructure:
+    """Reads the structure of Q off H's integer law from its members' keys
+    (ascending); raises InternalConsistencyError unless they form a subgroup
+    of H.
+
+    K = Q n (Z/d1 x Z/d2), the keys below |C|, has rank <= 2, and its law is
+    addition mod (d1, d2) in Smith coordinates, so its span is the sums of
+    multiples of its basis.  Q/K is cyclic of order n' = n/step, step =
+    gcd(n, unit exponents), generated by any member q0 = (step, k).
+    Conjugation by q0 acts on K as A^step, and q0^n' = (0, N k) with the
+    norm matrix N = sum_{j<n'} A^(j step).  Once q0 normalizes K, the coset
+    q0^a K is the translate (a step, k_a + K) of q0^a = (a step, k_a).
     """
     n, c = ambient.n, ambient.quotient.order
     d1, d2 = ambient.quotient.d1, ambient.quotient.d2
@@ -464,80 +499,87 @@ def _classify(ambient: AmbientGroup, members: Sequence[CosetPair]) -> GroupStruc
         k1, k2 = divmod(k, d2)
         return (k1 * m11 + k2 * m21) % d1 * d2 + (k1 * m12 + k2 * m22) % d2
 
-    def meets_top_trivially(k: int) -> bool:  # |<k, top>| = |K|, by minors
-        rows = [[d1, 0], [0, d2], list(divmod(k, d2)), list(divmod(top, d2))]
-        return _minor_gcd(rows, 2) * len(kernel) == d1 * d2
-
-    # K's basis: the first element of the top order exp, then the first of
-    # order |K|/exp whose span meets <top> only in 0.
-    kernel = [el.coset for el in members if el.unit_exp == 0]
-    orders = [_coset_order(k, d1, d2) for k in kernel]
-    exp = lcm(*orders)
-    top = next((k for k, o in zip(kernel, orders) if o == exp), None)
-    low = None
-    if top is not None and len(kernel) % exp == 0:
-        low = next(
-            (
-                k
-                for k, o in zip(kernel, orders)
-                if o * exp == len(kernel) and meets_top_trivially(k)
-            ),
-            None,
-        )
-    if low is None:
-        raise InternalConsistencyError("the unit kernel is not a group")
-    gens = [(g, o) for g, o in ((low, len(kernel) // exp), (top, exp)) if o > 1]
-    span: dict[int, tuple[int, ...]] = {0: ()}
+    kernel = keys[: bisect_left(keys, c)]
+    size = len(kernel)
+    gens = _kernel_basis(kernel, d1, d2)
+    # span lists e_low low + e_top top at position e_low + e_top o_low
+    span = [0]
     for gen, order in gens:
-        layer, span, x = span, {}, 0
-        for e in range(order):
-            for y, coords in zip(ambient.mul_row(x, layer), layer.values()):
-                span[y] = coords + (e,)
-            [x] = ambient.mul_row(x, [gen])
-    if span.keys() != set(kernel):
+        g1, g2 = divmod(gen, d2)
+        layer = [divmod(x, d2) for x in span]
+        span = [
+            (x1 + e * g1) % d1 * d2 + (x2 + e * g2) % d2
+            for e in range(order)
+            for x1, x2 in layer
+        ]
+    if sorted(span) != kernel:
         raise InternalConsistencyError("the unit kernel is not a group")
 
-    step = gcd(n, *(el.unit_exp for el in members))
+    def coordinates(x: int) -> tuple[int, ...]:
+        try:
+            p, out = span.index(x), []
+        except ValueError:
+            raise InternalConsistencyError(
+                "the quotient generator does not normalize K"
+            ) from None
+        for _, order in gens:
+            p, e = divmod(p, order)
+            out.append(e)
+        return tuple(out)
+
+    exps, lo = [], size  # the unit exponents present, by bisection
+    while lo < len(keys):
+        exps.append(keys[lo] // c)
+        lo = bisect_left(keys, (exps[-1] + 1) * c, lo)
+    step = gcd(n, *exps)
     quotient_order = n // step
     s = step % n
-    candidates = [el.coset for el in members if el.unit_exp == s]
+    base = s * c  # the candidates for q0 are the keys base + k, k < |C|
+    lo = bisect_left(keys, base)
+    candidates = keys[lo : bisect_left(keys, base + c, lo)]
     if not candidates:
         raise InternalConsistencyError(f"no member has unit exponent {s}")
     powers = [actions[j * s % n] for j in range(quotient_order)]
     norm = [[sum(a[i][col] for a in powers) for col in (0, 1)] for i in (0, 1)]
-    split = next((k for k in candidates if image(norm, k) == 0), None)
-    q0 = candidates[0] if split is None else split
+    split = next((k for k in candidates if image(norm, k - base) == 0), None)
+    q0 = (candidates[0] if split is None else split) - base
     conjugates = [image(actions[s], gen) for gen, _ in gens]
-    power = image(norm, q0)
-    if any(x not in span for x in (*conjugates, power)):
-        raise InternalConsistencyError("the quotient generator does not normalize K")
+    action = [coordinates(x) for x in conjugates]
+    twist = coordinates(image(norm, q0))
     # K is a group normalized by q0 and holds q0^n', so the cosets q0^a K,
-    # a < n', form a group; Q is a group iff it is that one.
-    generated, x = set(), 0
-    for _ in range(quotient_order):
-        generated.update(ambient.mul_row(x, span))
-        [x] = ambient.mul_row(x, [s * c + q0])
-    if generated != {ambient.key(el) for el in members}:
+    # a < n', form a group; Q is a group iff it is that one.  In key order
+    # the members are K and then, for 0 < a < n', the translates in turn.
+    if len(keys) != quotient_order * size:
         raise InternalConsistencyError("membership set is not closed")
+    (m11, m12), (m21, m22) = actions[s]
+    q1, q2 = a1, a2 = divmod(q0, d2)  # q0^a = (a step, a1 d2 + a2)
+    for lo in range(size, len(keys), size):
+        offset = lo // size * step * c
+        translate = [
+            offset + (k // d2 + a1) % d1 * d2 + (k % d2 + a2) % d2 for k in kernel
+        ]
+        translate.sort()
+        if keys[lo : lo + size] != translate:
+            raise InternalConsistencyError("membership set is not closed")
+        a1, a2 = (a1 * m11 + a2 * m21 + q1) % d1, (a1 * m12 + a2 * m22 + q2) % d2
 
-    twist = span[power]
     if conjugates == [gen for gen, _ in gens]:
         # Q = <gens, q0 | orders, n' q0 = twist>; the Smith form of these
         # relations gives the invariant factors as determinantal quotients.
-        size = len(gens) + 1
+        rank = len(gens) + 1
         relations = [
-            [o if j == i else 0 for j in range(size)] for i, (_, o) in enumerate(gens)
+            [o if j == i else 0 for j in range(rank)] for i, (_, o) in enumerate(gens)
         ]
         relations.append([-t for t in twist] + [quotient_order])
-        divisors = [_minor_gcd(relations, k) for k in range(size + 1)]
+        divisors = [_minor_gcd(relations, k) for k in range(rank + 1)]
         factors = tuple(b // a for a, b in zip(divisors, divisors[1:]) if b != a)
-        return GroupStructure(len(members), True, invariant_factors=factors)
+        return GroupStructure(len(keys), True, invariant_factors=factors)
     return GroupStructure(
-        len(members),
+        len(keys),
         False,
         quotient_order=quotient_order,
         kernel_factors=tuple(o for _, o in gens),
-        action=tuple(span[x] for x in conjugates),
+        action=tuple(action),
         split=split is not None,
         twist=None if split is not None else twist,
     )
@@ -646,14 +688,15 @@ def component_group(
             f"filter and membership_conditions disagree at "
             f"{CosetPair(*divmod(last, ambient.quotient.order))}"
         )
-    members = [CosetPair(*divmod(key, ambient.quotient.order)) for key in keys]
-    structure = _classify(ambient, members)
-    if ambient.order % len(members) != 0:
+    structure = _classify(ambient, keys)
+    if ambient.order % len(keys) != 0:
         raise InternalConsistencyError("component order does not divide the bound")
     kernel_kind = (
         "complex-torus-star" if params.field.c0 == 1 else "order-two"
     )
-    return ComponentGroup(tuple(members), structure, kernel_kind, ambient)
+    c = ambient.quotient.order
+    members = tuple(CosetPair(*divmod(key, c)) for key in keys)
+    return ComponentGroup(members, structure, kernel_kind, ambient)
 
 
 def order_bound(params: SurfaceParams) -> int:

@@ -1,13 +1,17 @@
-"""The table-driven classifier that components._classify replaced, kept
-unchanged as the differential reference: it reads the structure of the
-component group off element orders in its full Cayley table."""
+"""The two classifiers that components._classify replaced, kept unchanged
+as differential references: the table-driven one (_classify) reads the
+structure of the component group off element orders in its full Cayley
+table; the law-driven one (law_classify) reads it off H's integer law,
+building K's span and the cosets q0^a K through mul_row."""
 
 from __future__ import annotations
 
-from math import gcd
+from itertools import combinations
+from math import gcd, lcm
 from typing import Sequence
 
 from inoueaut.components import (
+    AmbientGroup,
     CosetPair,
     GroupStructure,
     InternalConsistencyError,
@@ -201,4 +205,126 @@ def _classify(
         action=tuple(action),
         split=split,
         twist=twist,
+    )
+
+
+def _coset_order(k: int, d1: int, d2: int) -> int:
+    k1, k2 = divmod(k, d2)
+    return lcm(d1 // gcd(k1, d1), d2 // gcd(k2, d2))
+
+
+def _det(m: list[list[int]]) -> int:
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+def _minor_gcd(rows: list[list[int]], size: int) -> int:
+    """The gcd of the size x size minors, i.e. the determinantal divisor."""
+    return gcd(
+        *(
+            _det([[rows[i][j] for j in cols] for i in picked])
+            for picked in combinations(range(len(rows)), size)
+            for cols in combinations(range(len(rows[0])), size)
+        )
+    )
+
+
+def law_classify(ambient: AmbientGroup, members: Sequence[CosetPair]) -> GroupStructure:
+    """Reads the structure of Q off H's integer law; raises
+    InternalConsistencyError unless the members form a subgroup of H.
+
+    K = Q n (Z/d1 x Z/d2) has rank <= 2, and Q/K is cyclic of order
+    n' = n/step, step = gcd(n, unit exponents), generated by any member
+    q0 = (step, k).  Conjugation by q0 acts on K as A^step, and
+    q0^n' = (0, N k) with the norm matrix N = sum_{j<n'} A^(j step).
+    """
+    n, c = ambient.n, ambient.quotient.order
+    d1, d2 = ambient.quotient.d1, ambient.quotient.d2
+    actions = ambient._actions
+
+    def image(m, k: int) -> int:
+        (m11, m12), (m21, m22) = m
+        k1, k2 = divmod(k, d2)
+        return (k1 * m11 + k2 * m21) % d1 * d2 + (k1 * m12 + k2 * m22) % d2
+
+    def meets_top_trivially(k: int) -> bool:  # |<k, top>| = |K|, by minors
+        rows = [[d1, 0], [0, d2], list(divmod(k, d2)), list(divmod(top, d2))]
+        return _minor_gcd(rows, 2) * len(kernel) == d1 * d2
+
+    # K's basis: the first element of the top order exp, then the first of
+    # order |K|/exp whose span meets <top> only in 0.
+    kernel = [el.coset for el in members if el.unit_exp == 0]
+    orders = [_coset_order(k, d1, d2) for k in kernel]
+    exp = lcm(*orders)
+    top = next((k for k, o in zip(kernel, orders) if o == exp), None)
+    low = None
+    if top is not None and len(kernel) % exp == 0:
+        low = next(
+            (
+                k
+                for k, o in zip(kernel, orders)
+                if o * exp == len(kernel) and meets_top_trivially(k)
+            ),
+            None,
+        )
+    if low is None:
+        raise InternalConsistencyError("the unit kernel is not a group")
+    gens = [(g, o) for g, o in ((low, len(kernel) // exp), (top, exp)) if o > 1]
+    span: dict[int, tuple[int, ...]] = {0: ()}
+    for gen, order in gens:
+        layer, span, x = span, {}, 0
+        for e in range(order):
+            for y, coords in zip(ambient.mul_row(x, layer), layer.values()):
+                span[y] = coords + (e,)
+            [x] = ambient.mul_row(x, [gen])
+    if span.keys() != set(kernel):
+        raise InternalConsistencyError("the unit kernel is not a group")
+
+    step = gcd(n, *(el.unit_exp for el in members))
+    quotient_order = n // step
+    s = step % n
+    candidates = [el.coset for el in members if el.unit_exp == s]
+    if not candidates:
+        raise InternalConsistencyError(f"no member has unit exponent {s}")
+    powers = [actions[j * s % n] for j in range(quotient_order)]
+    norm = [[sum(a[i][col] for a in powers) for col in (0, 1)] for i in (0, 1)]
+    split = next((k for k in candidates if image(norm, k) == 0), None)
+    q0 = candidates[0] if split is None else split
+    conjugates = [image(actions[s], gen) for gen, _ in gens]
+    power = image(norm, q0)
+    if any(x not in span for x in (*conjugates, power)):
+        raise InternalConsistencyError("the quotient generator does not normalize K")
+    # K is a group normalized by q0 and holds q0^n', so the cosets q0^a K,
+    # a < n', form a group; Q is a group iff it is that one.
+    generated, x = set(), 0
+    for _ in range(quotient_order):
+        generated.update(ambient.mul_row(x, span))
+        [x] = ambient.mul_row(x, [s * c + q0])
+    if generated != {ambient.key(el) for el in members}:
+        raise InternalConsistencyError("membership set is not closed")
+
+    twist = span[power]
+    if conjugates == [gen for gen, _ in gens]:
+        # Q = <gens, q0 | orders, n' q0 = twist>; the Smith form of these
+        # relations gives the invariant factors as determinantal quotients.
+        size = len(gens) + 1
+        relations = [
+            [o if j == i else 0 for j in range(size)] for i, (_, o) in enumerate(gens)
+        ]
+        relations.append([-t for t in twist] + [quotient_order])
+        divisors = [_minor_gcd(relations, k) for k in range(size + 1)]
+        factors = tuple(b // a for a, b in zip(divisors, divisors[1:]) if b != a)
+        return GroupStructure(len(members), True, invariant_factors=factors)
+    return GroupStructure(
+        len(members),
+        False,
+        quotient_order=quotient_order,
+        kernel_factors=tuple(o for _, o in gens),
+        action=tuple(span[x] for x in conjugates),
+        split=split is not None,
+        twist=None if split is not None else twist,
     )

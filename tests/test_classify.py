@@ -1,15 +1,19 @@
 """The component-group classifier, which reads Q off H's integer law, against
-the table-driven classifier it replaced (tests/classify_reference.py): on
-real parameter sets, on every subgroup generated by random elements of
-synthetic ambient groups, and on member sets one element away from a
-subgroup, which it must reject exactly when they are not subgroups."""
+the classifiers it replaced (tests/classify_reference.py): the table-driven
+one and the law-driven one built on mul_row.  On real parameter sets, on
+every subgroup generated by random elements of synthetic ambient groups,
+and on member sets one element away from a subgroup or with one member
+moved within its unit exponent, which it must reject exactly when they are
+not subgroups."""
 
 import random
+from collections import Counter
+from itertools import chain
 from types import SimpleNamespace
 
 import pytest
 
-from classify_reference import _classify as table_classify
+from classify_reference import _classify as table_classify, law_classify
 from conftest import (
     all_examples,
     example_theta7,
@@ -40,19 +44,22 @@ def reference_structure(ambient, members):
     return table_classify(list(members), table, ambient.n)
 
 
-def test_classify_matches_table_reference_on_parameter_sets():
+def parameter_sets():
+    """80 seeded standard-form sets of both families, half with I = Z<1, eta>."""
     rng = random.Random(127)
-    unit_orders = []
     for k in range(40):
         c0 = 1 if k % 2 else -1
         low = 3 if c0 == 1 else 1
-        for params in (
-            random_standard_params(rng, c0, (low, 12)),
-            random_eta_params(rng, c0, (low, 40)),
-        ):
-            q = component_group(params)
-            assert q.structure == reference_structure(q.ambient, q.elements)
-            unit_orders.append(q.ambient.n)
+        yield random_standard_params(rng, c0, (low, 12))
+        yield random_eta_params(rng, c0, (low, 40))
+
+
+def test_classify_matches_table_reference_on_parameter_sets():
+    unit_orders = []
+    for params in parameter_sets():
+        q = component_group(params)
+        assert q.structure == reference_structure(q.ambient, q.elements)
+        unit_orders.append(q.ambient.n)
     assert sum(n > 1 for n in unit_orders) >= 40
     # ladder size: theta = 47, I = Z<1, eta>, r = 15 makes Q all of H
     field = FieldDescriptor(47, 1)
@@ -107,6 +114,10 @@ def as_members(ambient: AmbientGroup, keys) -> list[CosetPair]:
     return [CosetPair(*divmod(k, ambient.quotient.order)) for k in sorted(keys)]
 
 
+def keys_of(ambient: AmbientGroup, members) -> list[int]:
+    return [ambient.key(el) for el in members]
+
+
 def random_subgroups(rng: random.Random, count: int, max_ambient: int):
     made = 0
     while made < count:
@@ -122,7 +133,7 @@ def test_classify_matches_table_reference_on_synthetic_subgroups():
     rng = random.Random(131)
     non_split = rank_three = 0
     for ambient, members in random_subgroups(rng, 1500, 200):
-        structure = _classify(ambient, members)
+        structure = _classify(ambient, keys_of(ambient, members))
         assert structure == reference_structure(ambient, members)
         non_split += structure.split is False
         rank_three += len(structure.invariant_factors or ()) == 3
@@ -139,18 +150,20 @@ def test_classify_rejects_unions_of_kernel_cosets():
     ambient = AmbientGroup(None, None, 0, 2, quotient, (), (((1, 0), (0, 1)), swap))
     not_normal = as_members(ambient, {0, 2, 4, 6})  # A moves K = <(1, 0)>
     with pytest.raises(InternalConsistencyError):
-        _classify(ambient, not_normal)
+        _classify(ambient, keys_of(ambient, not_normal))
     quotient = SimpleNamespace(order=3, d1=1, d2=3)
     ambient = AmbientGroup(None, None, 0, 2, quotient, (), (((0, 0), (0, 1)),) * 2)
     with pytest.raises(InternalConsistencyError):  # (1, 1)^2 = (0, 2)
-        _classify(ambient, as_members(ambient, {0, 4}))
+        _classify(ambient, sorted({0, 4}))
 
 
 def is_subgroup(ambient: AmbientGroup, keys: set[int]) -> bool:
     return 0 in keys and all(set(ambient.mul_row(x, keys)) <= keys for x in keys)
 
 
-def test_classify_rejects_exactly_the_non_subgroups():
+def mutated_key_sets():
+    """(ambient, key set) one element away from a subgroup: of 150 synthetic
+    subgroups, their trivial subgroups, the worked examples and one eta set."""
     rng = random.Random(137)
     cases = []
     for ambient, members in random_subgroups(rng, 150, 60):
@@ -159,19 +172,69 @@ def test_classify_rejects_exactly_the_non_subgroups():
     for params in all_examples() + [random_eta_params(rng, -1, (1, 12))]:
         q = component_group(params, build_ambient(params))
         cases.append((q.ambient, list(q.elements)))
-    still_groups = 0
     for ambient, members in cases:
         keys = {ambient.key(el) for el in members}
         removed = [keys - {x} for x in keys]
         added = [keys | {y} for y in range(ambient.order) if y not in keys]
         for mutated in removed + added:
-            if is_subgroup(ambient, mutated):
-                still_groups += 1
-                _classify(ambient, as_members(ambient, mutated))
-            else:
-                with pytest.raises(InternalConsistencyError):
-                    _classify(ambient, as_members(ambient, mutated))
+            yield ambient, mutated
+
+
+def test_classify_rejects_exactly_the_non_subgroups():
+    still_groups = 0
+    for ambient, mutated in mutated_key_sets():
+        if is_subgroup(ambient, mutated):
+            still_groups += 1
+            _classify(ambient, sorted(mutated))
+        else:
+            with pytest.raises(InternalConsistencyError):
+                _classify(ambient, sorted(mutated))
     assert still_groups > 0
+
+
+def classified(classify, ambient: AmbientGroup, members):
+    try:
+        return classify(ambient, members)
+    except InternalConsistencyError:
+        return None
+
+
+def test_classify_matches_law_reference():
+    # the same structure, or a refusal on the same member sets, as the
+    # mul_row classifier it replaced, over the cases of the tests above
+    cases = chain(
+        random_subgroups(random.Random(131), 1500, 200),
+        ((a, as_members(a, keys)) for a, keys in mutated_key_sets()),
+        ((q.ambient, q.elements) for q in map(component_group, parameter_sets())),
+    )
+    outcomes = Counter()
+    for ambient, members in cases:
+        new = classified(_classify, ambient, keys_of(ambient, members))
+        assert new == classified(law_classify, ambient, members)
+        outcomes[new is None] += 1
+    assert outcomes[True] and outcomes[False]
+
+
+def test_classify_rejects_moves_within_a_unit_exponent():
+    # One member of a subgroup moved to a free key of its unit exponent keeps
+    # the count and the unit exponents, so inside K only the span check and
+    # outside K only the translate check can reject it.
+    rng = random.Random(139)
+    rejected = Counter()
+    for ambient, members in random_subgroups(rng, 400, 120):
+        keys = set(keys_of(ambient, members))
+        c = ambient.quotient.order
+        x = rng.choice(sorted(keys))
+        free = [y for y in range(x - x % c, x - x % c + c) if y not in keys]
+        if not free:
+            continue
+        moved = keys - {x} | {rng.choice(free)}
+        structure = classified(_classify, ambient, sorted(moved))
+        assert (structure is not None) == is_subgroup(ambient, moved)
+        reference = classified(law_classify, ambient, as_members(ambient, moved))
+        assert structure == reference
+        rejected[x < c] += structure is None
+    assert rejected[True] and rejected[False]
 
 
 def test_only_machine_output_builds_the_table():

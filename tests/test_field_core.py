@@ -181,22 +181,43 @@ def test_rational_values_across_deltas():
     assert (QuadReal(3, 0, 5) + QuadReal(1, 1, 8)).delta == 8
 
 
+# Each case keeps the id its position gave it, so removing one renames no
+# other.
 @pytest.mark.parametrize(
     "fn",
     [
-        lambda QR, FE: QR(1, 1, 8) + QR(1, 1, 5),
-        lambda QR, FE: QR(1, 1, 8) * QR(0, 1, 12),
-        lambda QR, FE: FE(1, 1, FIELDS[0]) * FE(1, 1, FIELDS[1]),
-        lambda QR, FE: FE(1, 1, FIELDS[0]) - FE(0, 0, FIELDS[3]),
-        lambda QR, FE: QR(1, 1, 9),
-        lambda QR, FE: QR(1, 1, 0),
-        lambda QR, FE: QR(2, 1, 8) / 0,
-        lambda QR, FE: QR(1, 0, 8) / QR(0, 0, 8),
-        lambda QR, FE: FE(0, 0, FIELDS[2]).inverse(),
-        lambda QR, FE: FE(1, 2, FIELDS[2]) / FE(0, 0, FIELDS[2]),
-        lambda QR, FE: QR(2, 1, 8) ** -1,
-        lambda QR, FE: QR(2, 1, 8) + FE(1, 0, FIELDS[1]),
-        lambda QR, FE: QR(2, 1, 8) * 0.5,
+        # sum across two deltas
+        pytest.param(lambda QR, FE: QR(1, 1, 8) + QR(1, 1, 5), id="<lambda>0"),
+        # product across two deltas
+        pytest.param(lambda QR, FE: QR(1, 1, 8) * QR(0, 1, 12), id="<lambda>1"),
+        # product across two fields
+        pytest.param(
+            lambda QR, FE: FE(1, 1, FIELDS[0]) * FE(1, 1, FIELDS[1]), id="<lambda>2"
+        ),
+        # difference across two fields
+        pytest.param(
+            lambda QR, FE: FE(1, 1, FIELDS[0]) - FE(0, 0, FIELDS[3]), id="<lambda>3"
+        ),
+        # square delta
+        pytest.param(lambda QR, FE: QR(1, 1, 9), id="<lambda>4"),
+        # zero delta
+        pytest.param(lambda QR, FE: QR(1, 1, 0), id="<lambda>5"),
+        # division by the integer 0
+        pytest.param(lambda QR, FE: QR(2, 1, 8) / 0, id="<lambda>6"),
+        # division by QuadReal zero
+        pytest.param(lambda QR, FE: QR(1, 0, 8) / QR(0, 0, 8), id="<lambda>7"),
+        # inverse of FieldElement zero
+        pytest.param(lambda QR, FE: FE(0, 0, FIELDS[2]).inverse(), id="<lambda>8"),
+        # division by FieldElement zero
+        pytest.param(
+            lambda QR, FE: FE(1, 2, FIELDS[2]) / FE(0, 0, FIELDS[2]), id="<lambda>9"
+        ),
+        # QuadReal to a negative power
+        pytest.param(lambda QR, FE: QR(2, 1, 8) ** -1, id="<lambda>10"),
+        # QuadReal plus FieldElement
+        pytest.param(lambda QR, FE: QR(2, 1, 8) + FE(1, 0, FIELDS[1]), id="<lambda>11"),
+        # QuadReal times a float
+        pytest.param(lambda QR, FE: QR(2, 1, 8) * 0.5, id="<lambda>12"),
     ],
 )
 def test_errors_match_reference(fn):
