@@ -34,7 +34,6 @@ from .components import (
     AmbientGroup,
     AutReport,
     ComponentGroup,
-    CosetPair,
     GroupStructure,
     InternalConsistencyError,
     automorphism_report,
@@ -75,7 +74,6 @@ __all__ = [
     "AmbientGroup",
     "AutReport",
     "ComponentGroup",
-    "CosetPair",
     "GroupStructure",
     "InternalConsistencyError",
     "automorphism_report",

@@ -204,9 +204,9 @@ def _structure_payload(structure: GroupStructure) -> dict:
 
 
 def _q_payload(q: ComponentGroup) -> dict:
-    # json.dumps writes tuples, the CosetPair named tuples among them, as lists
+    # json.dumps writes tuples, the (i, k) pairs among them, as lists
     payload = _structure_payload(q.structure)
-    payload["elements"] = q.elements
+    payload["elements"] = list(map(q.ambient.pair, q.keys))
     payload["table"] = q.table
     return payload
 
@@ -250,7 +250,7 @@ def machine_payload(report: AutReport) -> dict:
             "order": ambient.order,
             "unit_order": ambient.n,
             "coset_count": ambient.quotient.order,
-            "invariant_factors": ambient.invariant_factors,
+            "invariant_factors": ambient.quotient.invariant_factors,
             "coset_reps": _coset_rep_texts(ambient),
         },
         "q_group": _q_payload(report.q),
@@ -308,7 +308,8 @@ def render_report(report: AutReport) -> str:
     )
     lines.append(
         f"ambient group: order {ambient.order} = {ambient.n} x "
-        f"{ambient.quotient.order}, coset factors {ambient.invariant_factors}"
+        f"{ambient.quotient.order}, "
+        f"coset factors {ambient.quotient.invariant_factors}"
     )
     lines.append("  coset reps: " + ", ".join(_coset_rep_texts(ambient)))
     lines.append(
@@ -316,7 +317,7 @@ def render_report(report: AutReport) -> str:
     )
     lines.append(
         "  elements: "
-        + " ".join(f"[{el.unit_exp},{el.coset}]" for el in report.q.elements)
+        + " ".join("[{},{}]".format(*ambient.pair(key)) for key in report.q.keys)
     )
     lines.append(f"bound: |Q| = {report.q.order} <= {ambient.order}")
     lines.append(f"kernel of Aut(X) -> Q: {_kernel_name(report.q)}")

@@ -29,21 +29,15 @@ from .surfacegroup import (
 from .units import fundamental_unit, invariant_unit_generator
 
 
-class CosetPair(NamedTuple):
-    """Index pair (unit_exp, coset) naming the class [u_gen^unit_exp, rep]."""
-
-    unit_exp: int
-    coset: int
-
-
 @dataclass
 class AmbientGroup:
     """The finite group (units fixing I / <u>) x| (I(1-u)^{-1} / I).
 
     Coset k1*d2 + k2 has Smith coordinates (k1, k2) mod (d1, d2), so this is
     (Z/n) x| (Z/d1 x Z/d2), with u_gen^i acting by the integer matrix
-    _actions[i] (rows: images of the Smith basis).  Elements are CosetPairs
-    (i, k) in lexicographic order, keyed i*|C| + k for mul_row.
+    _actions[i] (rows: images of the Smith basis).  An element (i, k), the
+    class [u_gen^i, rep(k)], is the integer key i*|C| + k, so the keys
+    range(order) list H in lexicographic order.
     """
 
     eta: FieldElement
@@ -58,25 +52,9 @@ class AmbientGroup:
     def order(self) -> int:
         return self.n * self.quotient.order
 
-    @property
-    def invariant_factors(self) -> tuple[int, int]:
-        return self.quotient.invariant_factors
-
-    def elements(self) -> list[CosetPair]:
-        return [
-            CosetPair(i, m)
-            for i in range(self.n)
-            for m in range(self.quotient.order)
-        ]
-
-    def unit_of(self, el: CosetPair) -> FieldElement:
-        return self.unit_powers[el.unit_exp]
-
-    def rep_of(self, el: CosetPair) -> FieldElement:
-        return self.quotient.rep(el.coset)
-
-    def key(self, el: CosetPair) -> int:
-        return el.unit_exp * self.quotient.order + el.coset
+    def pair(self, key: int) -> tuple[int, int]:
+        """The pair (i, k) of the key i*|C| + k."""
+        return divmod(key, self.quotient.order)
 
     def mul_row(self, x: int, ys: Iterable[int]) -> list[int]:
         """Keys of x*y for each key y, by (i, k)(j, l) = (i + j mod n, k + A^i l)."""
@@ -100,8 +78,8 @@ class AmbientGroup:
 # The largest ambient group analyze builds; a larger one is refused (exit 3)
 # before its cosets are built.  The report prints every coset, and
 # analyze --no-oracle at Q = H (Z[u], plus family, r = 2(theta-2)) takes
-# about 0.55 s and 38 MB peak RSS at 10**5 elements, 1.4-1.5 s and 82 MB at
-# 3*10**5 (2 vCPU, CPython 3.11).
+# about 0.5-0.6 s and 32 MB peak RSS at 10**5 elements, 1.25-1.5 s and 64 MB
+# at 3*10**5 (2 vCPU, CPython 3.11).
 AMBIENT_LIMIT = 10**6
 
 # The largest ambient group the normalizer oracle sweeps, at about 0.04 ms
@@ -591,16 +569,16 @@ def _classify(ambient: AmbientGroup, keys: list[int]) -> GroupStructure:
 @dataclass
 class ComponentGroup:
     """The group of connected components of the automorphism group: its
-    elements in H (in H's order, identity first) and its classification."""
+    elements as H's keys (ascending, identity first) and its classification."""
 
-    elements: tuple[CosetPair, ...]
+    keys: list[int]
     structure: GroupStructure
     kernel_kind: str  # "complex-torus-star" for S(+), "order-two" for S(-)
     ambient: AmbientGroup
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.keys)
 
     @cached_property
     def table(self) -> tuple[tuple[int, ...], ...]:
@@ -613,7 +591,7 @@ class ComponentGroup:
                 f"{_elements(self.order)}, so its Cayley table would have "
                 f"{self.order * self.order} entries, more than {TABLE_LIMIT}"
             )
-        keys = [self.ambient.key(el) for el in self.elements]
+        keys = self.keys
         index = {key: k for k, key in enumerate(keys)}
         return tuple(
             tuple(map(index.__getitem__, self.ambient.mul_row(x, keys)))
@@ -680,13 +658,13 @@ def component_group(
     # element they check the filter's Smith coordinates and key layout
     # against the last coset representative.
     last = ambient.order - 1
-    y = ambient.quotient.rep(ambient.quotient.order - 1)
-    if membership_conditions(params, ambient.unit_powers[-1], y) != (
+    i, k = ambient.pair(last)
+    y = ambient.quotient.rep(k)
+    if membership_conditions(params, ambient.unit_powers[i], y) != (
         keys[-1] == last
     ):
         raise InternalConsistencyError(
-            f"filter and membership_conditions disagree at "
-            f"{CosetPair(*divmod(last, ambient.quotient.order))}"
+            f"filter and membership_conditions disagree at [{i},{k}]"
         )
     structure = _classify(ambient, keys)
     if ambient.order % len(keys) != 0:
@@ -694,9 +672,7 @@ def component_group(
     kernel_kind = (
         "complex-torus-star" if params.field.c0 == 1 else "order-two"
     )
-    c = ambient.quotient.order
-    members = tuple(CosetPair(*divmod(key, c)) for key in keys)
-    return ComponentGroup(members, structure, kernel_kind, ambient)
+    return ComponentGroup(keys, structure, kernel_kind, ambient)
 
 
 def order_bound(params: SurfaceParams) -> int:
@@ -713,15 +689,16 @@ def oracle_crosscheck(params: SurfaceParams, q: ComponentGroup | None = None) ->
     if q is None:
         q = component_group(params)
     ambient = q.ambient
-    members = set(q.elements)
-    for el in ambient.elements():
-        v = ambient.unit_of(el)
-        y = ambient.rep_of(el)
-        member = el in members
+    members = set(q.keys)
+    for key in range(ambient.order):
+        i, k = ambient.pair(key)
+        v = ambient.unit_powers[i]
+        y = ambient.quotient.rep(k)
+        member = key in members
         oracle = normalizer_oracle(params, v, y)
         if member != oracle:
             raise InternalConsistencyError(
-                f"filter/oracle disagreement at [{v}, {y}]: "
+                f"filter/oracle disagreement at [{i},{k}] = [{v}, {y}]: "
                 f"filter={member}, oracle={oracle}"
             )
     return ambient.order

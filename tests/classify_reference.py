@@ -1,7 +1,8 @@
-"""The two classifiers that components._classify replaced, kept unchanged
-as differential references: the table-driven one (_classify) reads the
-structure of the component group off element orders in its full Cayley
-table; the law-driven one (law_classify) reads it off H's integer law,
+"""The two classifiers that components._classify replaced, kept with their
+logic unchanged as differential references: the table-driven one
+(_classify) reads the structure of the component group off element orders
+in its full Cayley table and its elements' unit exponents; the law-driven
+one (law_classify) reads it off H's integer law from the members' keys,
 building K's span and the cosets q0^a K through mul_row."""
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from typing import Sequence
 
 from inoueaut.components import (
     AmbientGroup,
-    CosetPair,
     GroupStructure,
     InternalConsistencyError,
 )
@@ -155,9 +155,9 @@ def _span_coordinates(
 
 
 def _classify(
-    elements: list[CosetPair], table: Sequence[Sequence[int]], unit_order: int
+    unit_exps: list[int], table: Sequence[Sequence[int]], unit_order: int
 ) -> GroupStructure:
-    order = len(elements)
+    order = len(unit_exps)
     orders = _element_orders(table)
     abelian = all(
         table[i][k] == table[k][i]
@@ -170,13 +170,13 @@ def _classify(
         )
     # Project onto the cyclic unit part; the kernel sits inside the abelian
     # coset group, so it has rank <= 2 and the presentation always exists.
-    step = gcd(unit_order, *[el.unit_exp for el in elements if el.unit_exp])
+    step = gcd(unit_order, *[i for i in unit_exps if i])
     quotient_order = unit_order // step
-    kernel_indices = [k for k, el in enumerate(elements) if el.unit_exp == 0]
+    kernel_indices = [k for k, i in enumerate(unit_exps) if i == 0]
     gens = _abelian_basis(kernel_indices, table, orders)
     kernel_factors = tuple(order_ for _, order_ in gens)
     span = _span_coordinates(gens, table)
-    candidates = [k for k, el in enumerate(elements) if el.unit_exp == step]
+    candidates = [k for k, i in enumerate(unit_exps) if i == step]
     q0 = None
     split = False
     for k in candidates:
@@ -233,9 +233,10 @@ def _minor_gcd(rows: list[list[int]], size: int) -> int:
     )
 
 
-def law_classify(ambient: AmbientGroup, members: Sequence[CosetPair]) -> GroupStructure:
-    """Reads the structure of Q off H's integer law; raises
-    InternalConsistencyError unless the members form a subgroup of H.
+def law_classify(ambient: AmbientGroup, keys: Sequence[int]) -> GroupStructure:
+    """Reads the structure of Q off H's integer law from its members' keys
+    (ascending); raises InternalConsistencyError unless they form a subgroup
+    of H.
 
     K = Q n (Z/d1 x Z/d2) has rank <= 2, and Q/K is cyclic of order
     n' = n/step, step = gcd(n, unit exponents), generated by any member
@@ -257,7 +258,8 @@ def law_classify(ambient: AmbientGroup, members: Sequence[CosetPair]) -> GroupSt
 
     # K's basis: the first element of the top order exp, then the first of
     # order |K|/exp whose span meets <top> only in 0.
-    kernel = [el.coset for el in members if el.unit_exp == 0]
+    members = [divmod(x, c) for x in keys]  # the pairs (unit exponent, coset)
+    kernel = [k for i, k in members if i == 0]
     orders = [_coset_order(k, d1, d2) for k in kernel]
     exp = lcm(*orders)
     top = next((k for k, o in zip(kernel, orders) if o == exp), None)
@@ -284,10 +286,10 @@ def law_classify(ambient: AmbientGroup, members: Sequence[CosetPair]) -> GroupSt
     if span.keys() != set(kernel):
         raise InternalConsistencyError("the unit kernel is not a group")
 
-    step = gcd(n, *(el.unit_exp for el in members))
+    step = gcd(n, *(i for i, _ in members))
     quotient_order = n // step
     s = step % n
-    candidates = [el.coset for el in members if el.unit_exp == s]
+    candidates = [k for i, k in members if i == s]
     if not candidates:
         raise InternalConsistencyError(f"no member has unit exponent {s}")
     powers = [actions[j * s % n] for j in range(quotient_order)]
@@ -304,7 +306,7 @@ def law_classify(ambient: AmbientGroup, members: Sequence[CosetPair]) -> GroupSt
     for _ in range(quotient_order):
         generated.update(ambient.mul_row(x, span))
         [x] = ambient.mul_row(x, [s * c + q0])
-    if generated != {ambient.key(el) for el in members}:
+    if generated != set(keys):
         raise InternalConsistencyError("membership set is not closed")
 
     twist = span[power]

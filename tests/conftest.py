@@ -21,7 +21,6 @@ import pytest
 from inoueaut import (
     AffineElement,
     AmbientGroup,
-    CosetPair,
     FieldDescriptor,
     FieldElement,
     Lattice,
@@ -400,19 +399,18 @@ def random_unit(
     return power(field.u(), rng.randint(-2, 2)) * power(eta, rng.randint(-2, 2))
 
 
-def ambient_mul(ambient: AmbientGroup, e1: CosetPair, e2: CosetPair) -> CosetPair:
-    """The product of two elements of H by its integer law (mul_row)."""
-    [key] = ambient.mul_row(ambient.key(e1), [ambient.key(e2)])
-    return CosetPair(*divmod(key, ambient.quotient.order))
+def ambient_mul(ambient: AmbientGroup, x: int, y: int) -> int:
+    """The key of the product of two keys of H by its integer law (mul_row)."""
+    [key] = ambient.mul_row(x, [y])
+    return key
 
 
-def ambient_inv(ambient: AmbientGroup, el: CosetPair) -> CosetPair:
-    """(i, k)^{-1} = (-i, 0)(0, -k)."""
-    d1, d2 = ambient.quotient.d1, ambient.quotient.d2
-    minus_k = -(el.coset // d2) % d1 * d2 + -el.coset % d2
-    return ambient_mul(
-        ambient, CosetPair(-el.unit_exp % ambient.n, 0), CosetPair(0, minus_k)
-    )
+def ambient_inv(ambient: AmbientGroup, x: int) -> int:
+    """(i, k)^{-1} = (-i, 0)(0, -k), on keys i*|C| + k."""
+    c, d1, d2 = ambient.quotient.order, ambient.quotient.d1, ambient.quotient.d2
+    i, k = divmod(x, c)
+    minus_k = -(k // d2) % d1 * d2 + -k % d2
+    return ambient_mul(ambient, -i % ambient.n * c, minus_k)
 
 
 @pytest.fixture(scope="session")

@@ -84,7 +84,7 @@ def test_criterion_01_example_theta6():
     q = component_group(params)
     ambient = q.ambient
     field = params.field
-    accepted = {el.coset for el in q.elements}
+    accepted = {ambient.pair(x)[1] for x in q.keys}
     expected = {
         ambient.quotient.index_of(field.zero()),
         ambient.quotient.index_of(field.element(Fraction(-3, 4), Fraction(1, 4))),
@@ -144,9 +144,10 @@ def test_criterion_05_oracle_equivalence(splus_sets, sminus_sets, reach_sets):
     disagreements = 0
     for params in sets:
         ambient = build_ambient(params)
-        for el in ambient.elements():
-            v = ambient.unit_of(el)
-            y = ambient.rep_of(el)
+        for key in range(ambient.order):
+            i, k = ambient.pair(key)
+            v = ambient.unit_powers[i]
+            y = ambient.quotient.rep(k)
             if membership_conditions(params, v, y) != normalizer_oracle(params, v, y):
                 disagreements += 1
             checked += 1

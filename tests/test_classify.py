@@ -32,16 +32,16 @@ from inoueaut import (
 from inoueaut.components import (
     AmbientGroup,
     ComponentGroup,
-    CosetPair,
     InternalConsistencyError,
     _classify,
 )
 from inoueaut.cli import dump_machine, render_report
 
 
-def reference_structure(ambient, members):
-    table = ComponentGroup(tuple(members), None, "", ambient).table
-    return table_classify(list(members), table, ambient.n)
+def reference_structure(ambient, keys):
+    table = ComponentGroup(keys, None, "", ambient).table
+    unit_exps = [x // ambient.quotient.order for x in keys]
+    return table_classify(unit_exps, table, ambient.n)
 
 
 def parameter_sets():
@@ -58,7 +58,7 @@ def test_classify_matches_table_reference_on_parameter_sets():
     unit_orders = []
     for params in parameter_sets():
         q = component_group(params)
-        assert q.structure == reference_structure(q.ambient, q.elements)
+        assert q.structure == reference_structure(q.ambient, q.keys)
         unit_orders.append(q.ambient.n)
     assert sum(n > 1 for n in unit_orders) >= 40
     # ladder size: theta = 47, I = Z<1, eta>, r = 15 makes Q all of H
@@ -68,7 +68,7 @@ def test_classify_matches_table_reference_on_parameter_sets():
     params = SurfaceParams.create(field, 15, x1, x2, e)
     q = component_group(params)
     assert q.order == 360 and q.ambient.n == 8
-    assert q.structure == reference_structure(q.ambient, q.elements)
+    assert q.structure == reference_structure(q.ambient, q.keys)
 
 
 def synthetic_ambient(rng: random.Random) -> AmbientGroup:
@@ -102,20 +102,12 @@ def synthetic_ambient(rng: random.Random) -> AmbientGroup:
         return AmbientGroup(None, None, 0, n, quotient, (), actions)
 
 
-def generated_subgroup(ambient: AmbientGroup, gens: list[int]) -> list[CosetPair]:
+def generated_subgroup(ambient: AmbientGroup, gens: list[int]) -> list[int]:
     keys, frontier = {0}, {0}
     while frontier:
         frontier = {y for x in frontier for y in ambient.mul_row(x, gens)} - keys
         keys |= frontier
-    return as_members(ambient, keys)
-
-
-def as_members(ambient: AmbientGroup, keys) -> list[CosetPair]:
-    return [CosetPair(*divmod(k, ambient.quotient.order)) for k in sorted(keys)]
-
-
-def keys_of(ambient: AmbientGroup, members) -> list[int]:
-    return [ambient.key(el) for el in members]
+    return sorted(keys)
 
 
 def random_subgroups(rng: random.Random, count: int, max_ambient: int):
@@ -133,7 +125,7 @@ def test_classify_matches_table_reference_on_synthetic_subgroups():
     rng = random.Random(131)
     non_split = rank_three = 0
     for ambient, members in random_subgroups(rng, 1500, 200):
-        structure = _classify(ambient, keys_of(ambient, members))
+        structure = _classify(ambient, members)
         assert structure == reference_structure(ambient, members)
         non_split += structure.split is False
         rank_three += len(structure.invariant_factors or ()) == 3
@@ -148,9 +140,9 @@ def test_classify_rejects_unions_of_kernel_cosets():
     quotient = SimpleNamespace(order=4, d1=2, d2=2)
     swap = ((0, 1), (1, 0))
     ambient = AmbientGroup(None, None, 0, 2, quotient, (), (((1, 0), (0, 1)), swap))
-    not_normal = as_members(ambient, {0, 2, 4, 6})  # A moves K = <(1, 0)>
+    not_normal = [0, 2, 4, 6]  # A moves K = <(1, 0)>
     with pytest.raises(InternalConsistencyError):
-        _classify(ambient, keys_of(ambient, not_normal))
+        _classify(ambient, not_normal)
     quotient = SimpleNamespace(order=3, d1=1, d2=3)
     ambient = AmbientGroup(None, None, 0, 2, quotient, (), (((0, 0), (0, 1)),) * 2)
     with pytest.raises(InternalConsistencyError):  # (1, 1)^2 = (0, 2)
@@ -171,9 +163,9 @@ def mutated_key_sets():
         cases += [(ambient, members), (ambient, members[:1])]
     for params in all_examples() + [random_eta_params(rng, -1, (1, 12))]:
         q = component_group(params, build_ambient(params))
-        cases.append((q.ambient, list(q.elements)))
+        cases.append((q.ambient, q.keys))
     for ambient, members in cases:
-        keys = {ambient.key(el) for el in members}
+        keys = set(members)
         removed = [keys - {x} for x in keys]
         added = [keys | {y} for y in range(ambient.order) if y not in keys]
         for mutated in removed + added:
@@ -204,12 +196,12 @@ def test_classify_matches_law_reference():
     # mul_row classifier it replaced, over the cases of the tests above
     cases = chain(
         random_subgroups(random.Random(131), 1500, 200),
-        ((a, as_members(a, keys)) for a, keys in mutated_key_sets()),
-        ((q.ambient, q.elements) for q in map(component_group, parameter_sets())),
+        ((a, sorted(keys)) for a, keys in mutated_key_sets()),
+        ((q.ambient, q.keys) for q in map(component_group, parameter_sets())),
     )
     outcomes = Counter()
     for ambient, members in cases:
-        new = classified(_classify, ambient, keys_of(ambient, members))
+        new = classified(_classify, ambient, members)
         assert new == classified(law_classify, ambient, members)
         outcomes[new is None] += 1
     assert outcomes[True] and outcomes[False]
@@ -222,7 +214,7 @@ def test_classify_rejects_moves_within_a_unit_exponent():
     rng = random.Random(139)
     rejected = Counter()
     for ambient, members in random_subgroups(rng, 400, 120):
-        keys = set(keys_of(ambient, members))
+        keys = set(members)
         c = ambient.quotient.order
         x = rng.choice(sorted(keys))
         free = [y for y in range(x - x % c, x - x % c + c) if y not in keys]
@@ -231,7 +223,7 @@ def test_classify_rejects_moves_within_a_unit_exponent():
         moved = keys - {x} | {rng.choice(free)}
         structure = classified(_classify, ambient, sorted(moved))
         assert (structure is not None) == is_subgroup(ambient, moved)
-        reference = classified(law_classify, ambient, as_members(ambient, moved))
+        reference = classified(law_classify, ambient, sorted(moved))
         assert structure == reference
         rejected[x < c] += structure is None
     assert rejected[True] and rejected[False]

@@ -1,6 +1,7 @@
 """Component-group layer: ambient group, membership conditions, Q assembly,
 classification, oracle, bound, and the report pipeline."""
 
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -26,9 +27,9 @@ from conftest import (
 )
 from inoueaut import (
     AffineElement,
-    CosetPair,
     FieldDescriptor,
     FieldElement,
+    InternalConsistencyError,
     QuadComplex,
     QuadReal,
     StandardFormError,
@@ -56,13 +57,12 @@ def test_build_ambient_desk_cases():
         assert ambient.n == n
         assert ambient.quotient.order == cosets
         assert ambient.order == n * cosets
-        assert len(ambient.elements()) == ambient.order
 
 
 def test_ambient_group_axioms():
     ambient = build_ambient(example_theta7())
-    elements = ambient.elements()
-    identity = CosetPair(0, 0)
+    elements = range(ambient.order)
+    identity = 0
     for e1 in elements:
         assert ambient_mul(ambient, e1, identity) == e1
         assert ambient_mul(ambient, identity, e1) == e1
@@ -80,27 +80,27 @@ def field_arithmetic_law(ambient):
     u_gen^i acts on a representative and representatives add in the field,
     each result resolved to its coset by index_of."""
     quotient = ambient.quotient
+    c = quotient.order
     reps = coset_reps(quotient)
     act = [[quotient.index_of(p * rep) for rep in reps] for p in ambient.unit_powers]
     add = [[quotient.index_of(r1 + r2) for r2 in reps] for r1 in reps]
 
-    def mul(e1, e2):
-        return CosetPair(
-            (e1.unit_exp + e2.unit_exp) % ambient.n,
-            add[e1.coset][act[e1.unit_exp][e2.coset]],
-        )
+    def mul(x1, x2):
+        (i1, k1), (i2, k2) = divmod(x1, c), divmod(x2, c)
+        return (i1 + i2) % ambient.n * c + add[k1][act[i1][k2]]
 
-    def inv(el):
-        i = (-el.unit_exp) % ambient.n
-        y = -(ambient.unit_powers[i] * ambient.rep_of(el))
-        return CosetPair(i, quotient.index_of(y))
+    def inv(x):
+        i0, k = divmod(x, c)
+        i = (-i0) % ambient.n
+        y = -(ambient.unit_powers[i] * quotient.rep(k))
+        return i * c + quotient.index_of(y)
 
     return mul, inv
 
 
 def assert_law_matches(ambient):
     ref_mul, ref_inv = field_arithmetic_law(ambient)
-    elements = ambient.elements()
+    elements = range(ambient.order)
     for e1 in elements:
         assert ambient_inv(ambient, e1) == ref_inv(e1)
         for e2 in elements:
@@ -118,9 +118,9 @@ def test_integer_law_matches_field_arithmetic():
         ambient = build_ambient(params)
         ref_mul = assert_law_matches(ambient)
         q = component_group(params, ambient)
-        index = {el: k for k, el in enumerate(q.elements)}
-        for e1, row in zip(q.elements, q.table):
-            assert row == tuple(index[ref_mul(e1, e2)] for e2 in q.elements)
+        index = {x: k for k, x in enumerate(q.keys)}
+        for e1, row in zip(q.keys, q.table):
+            assert row == tuple(index[ref_mul(e1, e2)] for e2 in q.keys)
     # Random ideals mostly give n = 1; I = Z<1, eta> over these fields gives
     # n = 6, 8, 3, 5, 7 with coset groups (4, 4), (3, 15), (2, 2), (1, 11),
     # (1, 29), so the unit action is exercised in full.
@@ -190,8 +190,9 @@ def test_component_group_accepted_cosets_theta6():
     sqrt2_half_idx = ambient.quotient.index_of(
         field.element(Fraction(-3, 4), Fraction(1, 4))
     )
-    assert {el.coset for el in q.elements} == {zero_idx, sqrt2_half_idx}
-    assert {el.unit_exp for el in q.elements} == {0, 1}
+    pairs = [ambient.pair(x) for x in q.keys]
+    assert {k for _, k in pairs} == {zero_idx, sqrt2_half_idx}
+    assert {i for i, _ in pairs} == {0, 1}
 
 
 def test_group_table_is_a_group():
@@ -319,13 +320,12 @@ def test_oracle_does_not_read_the_membership_filter(monkeypatch, name):
     for attr in ("membership_form", "membership_conditions"):
         monkeypatch.setattr(inoueaut.components, attr, refuse)
     ambient = q.ambient
-    members = set(q.elements)
-    accepted = {
-        el
-        for el in ambient.elements()
-        if normalizer_oracle(params, ambient.unit_of(el), ambient.rep_of(el))
-    }
-    assert accepted == members
+    accepted = set()
+    for key in range(ambient.order):
+        i, k = ambient.pair(key)
+        if normalizer_oracle(params, ambient.unit_powers[i], ambient.quotient.rep(k)):
+            accepted.add(key)
+    assert accepted == set(q.keys)
 
 
 def test_e_shift_by_ideal_over_r_preserves_q():
@@ -339,7 +339,7 @@ def test_e_shift_by_ideal_over_r_preserves_q():
             params.field, params.r, params.x1, params.x2, params.e + shift, params.t
         )
         moved = component_group(shifted)
-        assert moved.elements == base.elements
+        assert moved.keys == base.keys
         assert moved.table == base.table
 
 
@@ -367,11 +367,40 @@ def test_even_r_simplified_conditions_agree():
                 return False
             return in_discrete_subgroup(expr - 2 * params.t.re, params.chi0, scale)
 
-        for el in ambient.elements():
-            v = ambient.unit_of(el)
-            y = ambient.rep_of(el)
+        for key in range(ambient.order):
+            i, k = ambient.pair(key)
+            v = ambient.unit_powers[i]
+            y = ambient.quotient.rep(k)
             assert membership_conditions(params, v, y) == simplified(v, y)
         checked += 1
+
+
+def test_oracle_crosscheck_catches_one_changed_key():
+    # Q is half of H = (Z/2) x| (Z/2 x Z/2) here; one member key dropped, or
+    # one non-member key added, at the first, a middle and the last position
+    # must each end the sweep at that element.
+    params = example_theta6()
+    q = component_group(params)
+    ambient = q.ambient
+    assert ambient.n > 1 and ambient.quotient.d1 > 1
+    members = set(q.keys)
+    others = [x for x in range(ambient.order) if x not in members]
+
+    def spread(keys):
+        return keys[0], keys[len(keys) // 2], keys[-1]
+
+    changes = [(members - {x}, x, True) for x in spread(q.keys)]
+    changes += [(members | {x}, x, False) for x in spread(others)]
+    for keys, x, oracle in changes:
+        i, k = ambient.pair(x)
+        v, y = ambient.unit_powers[i], ambient.quotient.rep(k)
+        changed = dataclasses.replace(q, keys=sorted(keys))
+        with pytest.raises(InternalConsistencyError) as info:
+            oracle_crosscheck(params, changed)
+        message = str(info.value)
+        assert f"at [{i},{k}] = [{v}, {y}]:" in message
+        assert f"filter={not oracle}, oracle={oracle}" in message
+    assert oracle_crosscheck(params, q) == ambient.order
 
 
 def test_minus_family_membership_reduces_to_condition_one():
@@ -392,7 +421,7 @@ def test_minus_family_alternating_group():
     phi = field.element(Fraction(-1, 2), Fraction(1, 2))
     even = SurfaceParams.create(field, 2, field.one(), phi)
     q = component_group(even)
-    assert q.ambient.n == 3 and q.ambient.invariant_factors == (2, 2)
+    assert q.ambient.n == 3 and q.ambient.quotient.invariant_factors == (2, 2)
     assert q.order == 12 and not q.structure.abelian
     assert q.structure.quotient_order == 3
     assert q.structure.kernel_factors == (2, 2)
@@ -417,8 +446,9 @@ def test_minus_family_alternating_group():
     q1 = component_group(odd)
     assert q1.order == 3 and q1.structure.invariant_factors == (3,)
     # diagonal copy: the nontrivial unit classes pair with nonzero cosets
-    assert {el.unit_exp for el in q1.elements} == {0, 1, 2}
-    assert [el.coset for el in q1.elements if el.unit_exp][0] != 0
+    pairs = [q1.ambient.pair(x) for x in q1.keys]
+    assert {i for i, _ in pairs} == {0, 1, 2}
+    assert [k for i, k in pairs if i][0] != 0
     assert oracle_crosscheck(odd) == 12
 
 
@@ -430,7 +460,7 @@ def test_double_r_report():
     )
     direct = component_group(doubled)
     assert report.double_r.ambient is report.ambient  # H does not depend on r
-    assert report.double_r.elements == direct.elements
+    assert report.double_r.keys == direct.keys
     assert report.double_r.table == direct.table
     assert report.double_r.structure == direct.structure
 
@@ -476,7 +506,6 @@ def test_abelian_invariant_factors_synthetic():
 def test_classify_synthetic_cyclic():
     # Z/6 as a table
     table = [[(i + j) % 6 for j in range(6)] for i in range(6)]
-    elements = [CosetPair(0, k) for k in range(6)]
-    structure = _classify(elements, table, 1)
+    structure = _classify([0] * 6, table, 1)
     assert structure.abelian and structure.invariant_factors == (6,)
     assert structure.describe() == "Z/6"

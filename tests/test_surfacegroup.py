@@ -489,8 +489,9 @@ def test_flat_law_covers_norm_minus_one_and_complex_t():
 
 def reference_oracle_agrees_on_all_of_h(params):
     ambient = build_ambient(params)
-    for el in ambient.elements():
-        v, y = ambient.unit_of(el), ambient.rep_of(el)
+    for key in range(ambient.order):
+        i, k = ambient.pair(key)
+        v, y = ambient.unit_powers[i], ambient.quotient.rep(k)
         assert normalizer_oracle(params, v, y) == ref.normalizer_oracle(params, v, y)
     return ambient.order
 
