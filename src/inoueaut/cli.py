@@ -25,7 +25,6 @@ import json
 import re
 import sys
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Callable
 
 from .components import (
@@ -46,7 +45,7 @@ from .exactnum import (
     parse_integer,
     parse_surd,
 )
-from .quadfield import FieldDescriptor, FieldElement, parse_field_element
+from .quadfield import FieldDescriptor, parse_field_element
 from .surfacegroup import ParameterError, StandardFormError, SurfaceParams
 from .units import fundamental_unit
 
@@ -62,20 +61,25 @@ _COMPLEX_RE = re.compile(r"^(?P<re>[^()]*?)(?:(?:^|\+)\((?P<im>[^()]+)\)i)?$")
 
 
 def parse_quad_complex(text: str, delta: int, where: str = "t") -> QuadComplex:
-    """Parse "re + (im)i", each part a surd in sqrtD; an empty part is 0."""
+    """Parse "re + (im)i", each part a surd in sqrtD; an empty part is 0.
+    Errors are ParamFileErrors anchored at where."""
+    try:
+        return _parse_complex(text, delta)
+    except ValueError as exc:
+        raise ParamFileError(f"{where}: {exc}") from exc
+
+
+def _parse_complex(text: str, delta: int) -> QuadComplex:
+    """parse_quad_complex with unanchored ValueErrors.  delta is checked once,
+    by QuadReal.zero; the parts are built trusted."""
+    zero = QuadReal.zero(delta)
     match = _COMPLEX_RE.match(text.replace(" ", ""))
     if match is None:
-        raise ParamFileError(f"{where}: bad complex value {text!r}")
-
-    def surd(part: str | None) -> QuadReal:
-        if not part:
-            return QuadReal.zero(delta)
-        try:
-            return QuadReal(*parse_surd(part, "sqrtD"), delta)
-        except ValueError as exc:
-            raise ParamFileError(f"{where}: {exc}") from exc
-
-    return QuadComplex(surd(match.group("re")), surd(match.group("im")))
+        raise ValueError(f"bad complex value {text!r}")
+    re_text, im_text = match.groups()
+    re_part = QuadReal._raw(*parse_surd(re_text, "sqrtD"), delta) if re_text else zero
+    im_part = QuadReal._raw(*parse_surd(im_text, "sqrtD"), delta) if im_text else zero
+    return QuadComplex._raw(re_part, im_part)
 
 
 def format_quad_complex(value: QuadComplex) -> str:
@@ -84,10 +88,13 @@ def format_quad_complex(value: QuadComplex) -> str:
 
 def load_param_file(path: str) -> SurfaceParams:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # read as bytes: splitlines() below breaks at "\r\n" and "\r" as
+        # text mode would, without building a text wrapper
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParamFileError(f"{path}: {exc}") from exc
-    raw: dict[str, tuple[int, str]] = {}
+    raw: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -95,50 +102,50 @@ def load_param_file(path: str) -> SurfaceParams:
         key, eq, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        where = f"{path}:{lineno}"
         if not eq:
-            raise ParamFileError(f"{where}: expected 'key = value'")
-        if key not in _KEYS:
-            raise ParamFileError(f"{where}: unknown key {key!r}")
-        if key in raw:
-            raise ParamFileError(f"{where}: duplicate key {key!r}")
-        if not value:
-            raise ParamFileError(f"{where}: empty value for {key!r}")
-        raw[key] = (lineno, value)
+            error = "expected 'key = value'"
+        elif key not in _KEYS:
+            error = f"unknown key {key!r}"
+        elif key in raw:
+            error = f"duplicate key {key!r}"
+        elif not value:
+            error = f"empty value for {key!r}"
+        else:
+            raw[key] = (lineno, value)
+            continue
+        raise ParamFileError(f"{path}:{lineno}: {error}")
     missing = [k for k in _REQUIRED if k not in raw]
     if missing:
         raise ParamFileError(f"{path}: missing keys: {', '.join(missing)}")
 
-    def value_of(key: str) -> str:
-        return raw[key][1]
+    def parse(key: str, parser: Callable, context):
+        """parser(value of key, context), its errors anchored at path:line."""
+        lineno, value = raw[key]
+        try:
+            return parser(value, context)
+        except ValueError as exc:
+            raise ParamFileError(f"{path}:{lineno}: {exc}") from exc
 
-    def where_of(key: str) -> str:
-        return f"{path}:{raw[key][0]}"
-
-    if value_of("surface_type") not in ("+", "-"):
+    surface_type = raw["surface_type"][1]
+    if surface_type not in ("+", "-"):
         raise ParamFileError(
-            f"{where_of('surface_type')}: surface_type must be '+' or '-'"
+            f"{path}:{raw['surface_type'][0]}: surface_type must be '+' or '-'"
         )
     try:
-        theta = parse_integer(value_of("theta"))
-        r = parse_integer(value_of("r"))
+        theta = parse_integer(raw["theta"][1])
+        r = parse_integer(raw["r"][1])
     except ValueError as exc:
         raise ParamFileError(f"{path}: theta and r must be integers") from exc
     try:
-        field = FieldDescriptor.from_type(value_of("surface_type"), theta)
+        field = FieldDescriptor.from_type(surface_type, theta)
     except ValueError as exc:
         raise ParameterError(str(exc)) from exc
-    elements: dict[str, FieldElement] = {}
-    for key in ("x1", "x2", "e"):
-        try:
-            elements[key] = parse_field_element(value_of(key), field)
-        except ValueError as exc:
-            raise ParamFileError(f"{where_of(key)}: {exc}") from exc
+    x1, x2, e = (parse(key, parse_field_element, field) for key in ("x1", "x2", "e"))
     if "t" in raw:
-        t = parse_quad_complex(value_of("t"), field.delta, where_of("t"))
+        t = parse("t", _parse_complex, field.delta)
     else:
         t = QuadComplex.zero(field.delta)
-    return SurfaceParams(field, r, elements["x1"], elements["x2"], elements["e"], t)
+    return SurfaceParams(field, r, x1, x2, e, t)
 
 
 # -- built-in example parameter sets ------------------------------------------
@@ -315,9 +322,9 @@ def render_report(report: AutReport) -> str:
     lines.append(
         f"component group Q: order {report.q.order}, {report.q.structure.describe()}"
     )
+    c = ambient.quotient.order  # key = i*c + k, as AmbientGroup.pair decodes it
     lines.append(
-        "  elements: "
-        + " ".join("[{},{}]".format(*ambient.pair(key)) for key in report.q.keys)
+        "  elements: " + " ".join(f"[{key // c},{key % c}]" for key in report.q.keys)
     )
     lines.append(f"bound: |Q| = {report.q.order} <= {ambient.order}")
     lines.append(f"kernel of Aut(X) -> Q: {_kernel_name(report.q)}")

@@ -193,10 +193,7 @@ class QuadReal(QuadCore):
 
     def __init__(self, rat: Scalar, irr: Scalar, delta: int) -> None:
         super().__init__(rat, irr, delta)
-        if delta <= 0 or is_perfect_square(delta):
-            raise ValueError(
-                f"delta must be a positive non-square integer, got {delta}"
-            )
+        _check_delta(delta)
 
     rat, irr = QuadCore._rational, QuadCore._coefficient
 
@@ -275,11 +272,17 @@ class QuadReal(QuadCore):
 
     @classmethod
     def zero(cls, delta: int) -> "QuadReal":
-        return cls(0, 0, delta)
+        _check_delta(delta)
+        return cls._raw(0, 0, 1, delta)
 
     @classmethod
     def from_rational(cls, value: Scalar, delta: int) -> "QuadReal":
         return cls(value, 0, delta)
+
+
+def _check_delta(delta: int) -> None:
+    if delta <= 0 or is_perfect_square(delta):
+        raise ValueError(f"delta must be a positive non-square integer, got {delta}")
 
 
 def surd_sign(p: int, q: int, delta: int) -> int:
@@ -357,9 +360,17 @@ class QuadComplex:
 # "sqrt(delta)".
 
 _TERM_RE = re.compile(r"[+-]?[^+-]+")
-_INTEGER = r"[+-]?[0-9]+"
-_INTEGER_RE = re.compile(_INTEGER)
-_RATIONAL_RE = re.compile(_INTEGER + r"(/[0-9]+)?")
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+_RATIONAL_RE = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
+
+
+@lru_cache(maxsize=None)
+def _surd_term_re(symbol: str) -> re.Pattern:
+    """One term in SYMBOL: "[sign]rational", "[sign]rational[*]SYMBOL" or
+    "[sign]SYMBOL".  Groups: sign, the rational's text, its numerator, its
+    denominator, and the "[*]SYMBOL" after a rational."""
+    sym = re.escape(symbol)
+    return re.compile(rf"([+-]?)(?:(([0-9]+)(?:/([0-9]+))?)(\*?{sym})?|{sym})")
 
 
 def _decimal_digits(n: int) -> int:
@@ -380,33 +391,57 @@ def parse_integer(text: str) -> int:
     return int(text)
 
 
+def _ratio(text: str, num: str, den: str | None) -> tuple[int, int]:
+    """The integers of a matched rational's digit strings, numerator first
+    (den None means 1); text is the rational as written, for the message.
+    int() raises the interpreter's ValueError past its digit limit."""
+    n = int(num)
+    if den is None:
+        return n, 1
+    d = int(den)
+    if not d:
+        raise ValueError(f"zero denominator: {text!r}")
+    return n, d
+
+
 def parse_rational(text: str) -> Fraction:
     text = text.strip(" ")
-    if not _RATIONAL_RE.fullmatch(text):
+    match = _RATIONAL_RE.fullmatch(text)
+    if match is None:
         raise ValueError(f"bad rational: {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator: {text!r}") from None
+    sign, num, den = match.groups()
+    n, d = _ratio(text, num, den)
+    return Fraction(-n if sign == "-" else n, d)
 
 
-def parse_surd(text: str, symbol: str) -> tuple[Fraction, Fraction]:
-    """Parse "a/b + c/d*SYMBOL" into (rational part, coefficient of SYMBOL)."""
+def parse_surd(text: str, symbol: str) -> tuple[int, int, int]:
+    """Parse "a/b + c/d*SYMBOL" into the reduced triple (p, q, den) of
+    (p + q*SYMBOL)/den: den > 0 and gcd(p, q, den) = 1."""
     compact = text.replace(" ", "")
     terms = _TERM_RE.findall(compact)
     if not terms or "".join(terms) != compact:
         raise ValueError(f"bad value: {text!r}")
-    rat = coeff = Fraction(0)
+    term_re = _surd_term_re(symbol)
+    # rational part rn/rd and coefficient cn/cd, summed unreduced
+    rn, rd, cn, cd = 0, 1, 0, 1
     for term in terms:
-        sign = -1 if term[0] == "-" else 1
-        body = term.lstrip("+-")
-        if body == symbol:
-            coeff += sign
-        elif body.endswith(symbol):
-            coeff += sign * parse_rational(body[: -len(symbol)].removesuffix("*"))
+        match = term_re.fullmatch(term)
+        if match is None:
+            body = term.lstrip("+-")
+            if body.endswith(symbol):
+                body = body[: -len(symbol)].removesuffix("*")
+            raise ValueError(f"bad rational: {body!r}")
+        sign, rational, num, den, times = match.groups()
+        n, d = (1, 1) if rational is None else _ratio(rational, num, den)
+        if sign == "-":
+            n = -n
+        if rational is None or times:
+            cn, cd = cn * d + n * cd, cd * d
         else:
-            rat += sign * parse_rational(body)
-    return rat, coeff
+            rn, rd = rn * d + n * rd, rd * d
+    p, q, den = rn * cd, cn * rd, rd * cd
+    g = gcd(p, q, den)
+    return p // g, q // g, den // g
 
 
 def format_quad(p: int, q: int, den: int, symbol: str) -> str:

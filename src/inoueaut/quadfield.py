@@ -164,4 +164,4 @@ def chi(x: FieldElement, y: FieldElement) -> QuadReal:
 
 
 def parse_field_element(text: str, field: FieldDescriptor) -> FieldElement:
-    return FieldElement(*parse_surd(text, "u"), field)
+    return FieldElement._raw(*parse_surd(text, "u"), field)

@@ -211,7 +211,7 @@ class SurfaceParams:
                 raise ParameterError(f"{name} lives in a different field")
         if self.t.delta != self.field.delta:
             raise ParameterError("t has the wrong delta for this field")
-        if not chi(self.x1, self.x2):
+        if not self.chi0:
             raise ParameterError("x1, x2 are Q-linearly dependent (chi = 0)")
         if self.field.c0 == -1 and self.t:
             raise ParameterError("t must be 0 for the minus family")

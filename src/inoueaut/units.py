@@ -8,7 +8,6 @@ logarithms.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .exactnum import square_decompose, surd_sign
@@ -47,11 +46,11 @@ def fundamental_unit(field: FieldDescriptor) -> FieldElement:
         disc, scale = 4 * m, 2
     p, q = _cf_unit(disc)
     # eta = (p + q*sqrt(disc))/2 with sqrt(disc) = scale*sqrt(m) and
-    # sqrt(m) = (2u - theta)/s.
-    a = Fraction(p, 2) - Fraction(q * scale * field.theta, 2 * s)
-    b = Fraction(q * scale, s)
-    eta = FieldElement(a, b, field)
-    if abs(eta.norm()) != 1:
+    # sqrt(m) = (2u - theta)/s, so eta = (p*s - q*scale*theta + 2*q*scale*u)/(2s).
+    eta = FieldElement._reduced(
+        p * s - q * scale * field.theta, 2 * q * scale, 2 * s, field
+    )
+    if not eta.is_unit():
         raise AssertionError(f"continued fraction produced a non-unit: {eta}")
     # The reduced seed already lands at sigma1 > 1; keep the normalization as
     # a guard (sigma1 = 1 only at +-1, so there is no tie to break).

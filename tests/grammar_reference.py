@@ -8,7 +8,13 @@ section holds `exactnum.format_surd` as it was on Fractions, before it became
 an adapter over the integer formatter `exactnum.format_quad` (that adapter
 now lives in `tests/conftest.py`).  The field-element
 parser and the CLI's surd parser each had their own `_TERM_RE`; the two
-regexes were identical, so one definition serves both here.
+regexes were identical, so one definition serves both here, and also the
+`exactnum.parse_surd` of the last section.
+
+That last section holds `exactnum.parse_surd` as it was on Fractions, before
+it returned the reduced integer triple (p, q, den), with the
+`exactnum.parse_rational` it called, renamed `parse_rational_fraction` here so
+that the reference runs none of the code it checks.
 """
 
 from __future__ import annotations
@@ -205,3 +211,39 @@ def format_surd(rat: Fraction, coeff: Fraction, symbol: str) -> str:
     if rat == 0:
         return part if coeff > 0 else f"-{part}"
     return f"{rat_text} {'-' if coeff < 0 else '+'} {part}"
+
+
+# -- exactnum.parse_surd on Fractions ------------------------------------------
+
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def parse_rational_fraction(text: str) -> Fraction:
+    text = text.strip(" ")
+    if not _RATIONAL_RE.fullmatch(text):
+        raise ValueError(f"bad rational: {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
+
+
+def parse_surd(text: str, symbol: str) -> tuple[Fraction, Fraction]:
+    """Parse "a/b + c/d*SYMBOL" into (rational part, coefficient of SYMBOL)."""
+    compact = text.replace(" ", "")
+    terms = _TERM_RE.findall(compact)
+    if not terms or "".join(terms) != compact:
+        raise ValueError(f"bad value: {text!r}")
+    rat = coeff = Fraction(0)
+    for term in terms:
+        sign = -1 if term[0] == "-" else 1
+        body = term.lstrip("+-")
+        if body == symbol:
+            coeff += sign
+        elif body.endswith(symbol):
+            coeff += sign * parse_rational_fraction(
+                body[: -len(symbol)].removesuffix("*")
+            )
+        else:
+            rat += sign * parse_rational_fraction(body)
+    return rat, coeff

@@ -4,8 +4,11 @@ they replaced (`tests/grammar_reference.py`).
 On documented-grammar strings the new parsers give the reference's values; on
 arbitrary text they accept nothing the reference rejects, and every string the
 reference accepted but the new parsers reject falls in one of the classes in
-NEWLY_REJECTED.  The integer grammar of theta and r is held to `int()`, which
-read them before, in the same way.  The formatters are byte-identical on
+NEWLY_REJECTED.  `parse_surd`, which returns the reduced integer triple
+(p, q, den), is held to the Fraction parser it replaced exactly: the same
+values and the same error messages, past the int -> str digit limit too.
+The integer grammar of theta and r is held to `int()`, which read them
+before, in the same way.  The formatters are byte-identical on
 arbitrary Fraction pairs, and the integer formatter under them on arbitrary
 integer triples, past the int -> str digit limit too.
 """
@@ -13,6 +16,7 @@ integer triples, past the int -> str digit limit too.
 import re
 import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +43,8 @@ from inoueaut.quadfield import (
 
 F6 = FieldDescriptor(6, 1)
 DELTA = F6.delta
+# The interpreter's int -> str digit limit, or 0 where there is none.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 # Text the reference parsers let through `fractions.Fraction`'s looser syntax
 # and the grammar rejects, one predicate per class, on the text as written.
@@ -115,6 +121,19 @@ FRACTION = st.one_of(
 DELTAS = st.sampled_from([5, 8, 12, 13, 32, 45, 77])
 
 
+def surd_reference(text, symbol):
+    """The Fraction parse_surd's pair (rat, coeff) as the reduced triple
+    (p, q, den) of (p + q*SYMBOL)/den: over the lcm of the two reduced
+    denominators it is reduced."""
+    rat, coeff = ref.parse_surd(text, symbol)
+    den = lcm(rat.denominator, coeff.denominator)
+    return (
+        rat.numerator * (den // rat.denominator),
+        coeff.numerator * (den // coeff.denominator),
+        den,
+    )
+
+
 def reference_value(parse, *args):
     """The reference's value, or None where it raises (any exception)."""
     try:
@@ -132,6 +151,7 @@ PARSERS = [
     (parse_quad_complex, ref.parse_quad_complex, (DELTA,), ParamFileError),
     (parse_rational, ref.parse_rational, (), ValueError),
     (parse_integer, int, (), ValueError),
+    (parse_surd, surd_reference, ("sqrtD",), ValueError),
 ]
 SIGNED = st.tuples(st.sampled_from(["", "+", "-"]), NUMERAL).map("".join)
 
@@ -142,11 +162,14 @@ SIGNED = st.tuples(st.sampled_from(["", "+", "-"]), NUMERAL).map("".join)
     documented_complex(),
     st.tuples(st.sampled_from(["", "+", "-"]), RATIONAL).map("".join),
     st.tuples(SPACES, SIGNED, SPACES).map("".join),
+    documented_value("sqrtD"),
 )
-def test_parsers_match_reference_on_the_grammar(field_text, t_text, rational, integer):
-    for (parse, parse_reference, args, _), text in zip(
-        PARSERS, (field_text, t_text, rational, integer)
-    ):
+def test_parsers_match_reference_on_the_grammar(
+    field_text, t_text, rational, integer, surd_text
+):
+    texts = (field_text, t_text, rational, integer, surd_text)
+    assert len(texts) == len(PARSERS)
+    for (parse, parse_reference, args, _), text in zip(PARSERS, texts):
         assert parse(text, *args) == parse_reference(text, *args)
 
 
@@ -199,11 +222,44 @@ def test_zero_denominator_is_a_value_error(text):
 
 
 def test_parse_surd_reads_each_symbol():
-    assert parse_surd("-1/2 + 1/2*u", "u") == (Fraction(-1, 2), Fraction(1, 2))
-    assert parse_surd("2sqrtD - sqrtD + 3", "sqrtD") == (3, 1)
+    assert parse_surd("-1/2 + 1/2*u", "u") == (-1, 1, 2)
+    assert parse_surd("2sqrtD - sqrtD + 3", "sqrtD") == (3, 1, 1)
     for bad in ["", "sqrtD", "1 +", "u u", "+-1"]:
         with pytest.raises(ValueError):
             parse_surd(bad, "u")
+
+
+@st.composite
+def value_with_long_numeral(draw, symbol):
+    """A value with one numeral at or past the digit limit, as a numerator
+    or a denominator, between terms that may be bad themselves."""
+    numeral = draw(st.sampled_from("170")) + "0" * (
+        (DIGIT_LIMIT or 50) + draw(st.integers(-1, 2))
+    )
+    layout = draw(st.sampled_from(["{}", "{}/3", "3/{}", "{}*S", "1/{}S", "{}/0", "0/{}"]))
+    term = layout.format(numeral).replace("S", symbol)
+    head = draw(st.sampled_from(["", "-", "1/0 + ", "2**S - ", "S + "]))
+    if draw(st.booleans()):
+        head = draw(documented_value(symbol)) + " - "
+    tail = draw(st.sampled_from(["", " + 1/0", " - x", " +", " - S"]))
+    return (head + term + tail).replace("S", symbol)
+
+
+def surd_outcome(parse, text, symbol):
+    try:
+        return "value", parse(text, symbol)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_parse_surd_same_values_and_messages_as_fraction_reference(data):
+    symbol = data.draw(st.sampled_from(["u", "sqrtD"]))
+    text = data.draw(st.one_of(LOOSE_TEXT, value_with_long_numeral(symbol)))
+    assert surd_outcome(parse_surd, text, symbol) == surd_outcome(
+        surd_reference, text, symbol
+    )
 
 
 # -- formatters ----------------------------------------------------------------
@@ -214,7 +270,7 @@ def test_parse_surd_reads_each_symbol():
 def test_formatters_byte_identical_to_reference(rat, coeff, im_rat, im_coeff, delta):
     x = FieldElement(rat, coeff, F6)
     assert str(x) == ref.format_field_element(x)
-    assert parse_surd(format_surd(rat, coeff, "u"), "u") == (rat, coeff)
+    assert parse_surd(format_surd(rat, coeff, "u"), "u") == x.as_integer_triple()
     value = QuadReal(rat, coeff, delta)
     assert str(value) == ref._format_surd(rat, coeff, delta)
     s, m = square_decompose(delta)
@@ -241,7 +297,6 @@ def test_value_too_large_to_print():
 
 
 # Past the interpreter's int -> str digit limit, where there is one.
-DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 INTEGER = st.one_of(
     st.sampled_from([0, 1, -1]),
     st.integers(-(10**6), 10**6),

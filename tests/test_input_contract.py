@@ -1,6 +1,7 @@
 """Every parameter file ends in a documented exit code (0/2/3/4/5), never a
-traceback: malformed values and non-UTF-8 bytes exit 2, values too large to
-print exit 3, and fuzzed files and values only ever give those codes."""
+traceback: malformed values, numerals past the int -> str digit limit and
+non-UTF-8 bytes exit 2, values too large to print exit 3, and fuzzed files
+and values only ever give those codes."""
 
 import contextlib
 import io
@@ -102,6 +103,42 @@ def test_value_too_large_to_print_exits_3(tmp_path):
     # the text report prints no c_i and still succeeds
     rc, out, err = run(path, "--no-oracle")
     assert rc == 0 and f"x1 = {x1}" in out
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_other_line_endings_read_as_newlines(tmp_path, newline):
+    path = tmp_path / "lines.params"
+    path.write_text(param_text(), encoding="utf-8")
+    expected = run(path, "--no-oracle")
+    assert expected[0] == 0
+    path.write_bytes(param_text().replace("\n", newline).encode())
+    assert run(path, "--no-oracle") == expected
+    path.write_bytes(param_text(x1="1/0").replace("\n", newline).encode())
+    rc, out, err = run(path)
+    assert (rc, out) == (2, "") and f"{path}:4: zero denominator" in err
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter converts integers of any size to text",
+)
+@pytest.mark.parametrize(
+    "key, layout",
+    [
+        ("x1", "{}"),
+        ("x1", "1/{}"),
+        ("x1", "2 - {}*u"),
+        ("t", "{}"),
+        ("t", "1 + ({}/7*sqrtD)i"),
+        ("theta", "{}"),
+    ],
+)
+def test_numeral_past_the_digit_limit_exits_2(tmp_path, key, layout):
+    numeral = "1" + "0" * sys.get_int_max_str_digits()
+    path = tmp_path / "long.params"
+    path.write_text(param_text(**{key: layout.format(numeral)}), encoding="utf-8")
+    rc, out, err = run(path, "--no-oracle")
+    assert (rc, out) == (2, "") and "parse error" in err
 
 
 # -- fuzzing --------------------------------------------------------------------
