@@ -1,11 +1,7 @@
 """Exact computation of automorphism component groups of Inoue surfaces
 from real quadratic number field data."""
 
-from .exactnum import (
-    QuadComplex,
-    QuadReal,
-    parse_rational,
-)
+from .exactnum import QuadReal
 from .quadfield import (
     FieldDescriptor,
     FieldElement,
@@ -49,13 +45,11 @@ from .components import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "QuadComplex",
     "QuadReal",
     "FieldDescriptor",
     "FieldElement",
     "chi",
     "parse_field_element",
-    "parse_rational",
     "Lattice",
     "LatticeQuotient",
     "fundamental_unit",

@@ -3,7 +3,10 @@
 Commands: analyze, examples, fundamental-unit, check-standard-form, bound.
 Exit codes: 0 success, 2 parse error, 3 invalid parameters or a value too
 large to print or to factor, 4 not in standard form, 5 internal consistency
-failure (always a bug).  stdout carries reports, stderr carries diagnostics.
+failure (always a bug), 141 stdout closed before the report was written (the
+reader of a pipe left early, as `| head` does; 128 + SIGPIPE, what a process
+killed by SIGPIPE reports).  stdout carries reports, stderr carries
+diagnostics.
 
 Parameter files are flat UTF-8 "key = value" lines with '#' comments; values
 follow the grammar of `exactnum.parse_surd`:
@@ -15,6 +18,11 @@ follow the grammar of `exactnum.parse_surd`:
     x2 = -1/2 + 1/2*u
     e = 0
     t = 0          # optional; "p/q + r/s*sqrtD + (p/q + r/s*sqrtD)i"
+
+t is "re", "(im)i" or "re + (im)i", each part a value in the symbol sqrtD
+(an absent part is 0); it is read into the pair of reduced integer triples
+(p, q, den) of its parts (p + q*sqrt(delta))/den, which is how the library
+carries t, and written back by `exactnum.format_complex`.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from dataclasses import asdict, dataclass
@@ -38,9 +47,10 @@ from .components import (
     require_standard_form,
 )
 from .exactnum import (
-    QuadComplex,
-    QuadReal,
+    ZERO_T,
+    Complex,
     ValueTooLargeError,
+    format_complex,
     format_quad,
     parse_integer,
     parse_surd,
@@ -60,30 +70,17 @@ _REQUIRED = ("surface_type", "theta", "r", "x1", "x2", "e")
 _COMPLEX_RE = re.compile(r"^(?P<re>[^()]*?)(?:(?:^|\+)\((?P<im>[^()]+)\)i)?$")
 
 
-def parse_quad_complex(text: str, delta: int, where: str = "t") -> QuadComplex:
-    """Parse "re + (im)i", each part a surd in sqrtD; an empty part is 0.
-    Errors are ParamFileErrors anchored at where."""
-    try:
-        return _parse_complex(text, delta)
-    except ValueError as exc:
-        raise ParamFileError(f"{where}: {exc}") from exc
-
-
-def _parse_complex(text: str, delta: int) -> QuadComplex:
-    """parse_quad_complex with unanchored ValueErrors.  delta is checked once,
-    by QuadReal.zero; the parts are built trusted."""
-    zero = QuadReal.zero(delta)
+def _parse_complex(text: str, symbol: str) -> Complex:
+    """Parse "re + (im)i", each part a value in symbol, into the pair of
+    reduced triples of its parts; an empty part is 0."""
     match = _COMPLEX_RE.match(text.replace(" ", ""))
     if match is None:
         raise ValueError(f"bad complex value {text!r}")
     re_text, im_text = match.groups()
-    re_part = QuadReal._raw(*parse_surd(re_text, "sqrtD"), delta) if re_text else zero
-    im_part = QuadReal._raw(*parse_surd(im_text, "sqrtD"), delta) if im_text else zero
-    return QuadComplex._raw(re_part, im_part)
-
-
-def format_quad_complex(value: QuadComplex) -> str:
-    return value.to_text("sqrtD", "i")
+    return (
+        parse_surd(re_text, symbol) if re_text else ZERO_T[0],
+        parse_surd(im_text, symbol) if im_text else ZERO_T[1],
+    )
 
 
 def load_param_file(path: str) -> SurfaceParams:
@@ -141,10 +138,7 @@ def load_param_file(path: str) -> SurfaceParams:
     except ValueError as exc:
         raise ParameterError(str(exc)) from exc
     x1, x2, e = (parse(key, parse_field_element, field) for key in ("x1", "x2", "e"))
-    if "t" in raw:
-        t = parse("t", _parse_complex, field.delta)
-    else:
-        t = QuadComplex.zero(field.delta)
+    t = parse("t", _parse_complex, "sqrtD") if "t" in raw else ZERO_T
     return SurfaceParams(field, r, x1, x2, e, t)
 
 
@@ -239,7 +233,7 @@ def machine_payload(report: AutReport) -> dict:
             "x1": str(params.x1),
             "x2": str(params.x2),
             "e": str(params.e),
-            "t": format_quad_complex(params.t),
+            "t": format_complex(params.t, "sqrtD", "i"),
         },
         "standard_form": report.standard_form,
         "validation": {
@@ -307,7 +301,7 @@ def render_report(report: AutReport) -> str:
     lines.append(f"  x1 = {params.x1}")
     lines.append(f"  x2 = {params.x2}")
     lines.append(f"  e  = {params.e}")
-    lines.append(f"  t  = {format_quad_complex(params.t)}")
+    lines.append(f"  t  = {format_complex(params.t, 'sqrtD', 'i')}")
     lines.append("validation: fractional ideal: yes; standard form: yes")
     lines.append(
         f"units: eta = {ambient.eta} (sigma1 = {ambient.eta.sigma1().reduced_str()}), "
@@ -466,11 +460,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code when stdout is closed early.
+EXIT_STDOUT_CLOSED = 141
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at the null device, so that the interpreter's final
+        # flush of what is still buffered stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_STDOUT_CLOSED
     except ParamFileError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

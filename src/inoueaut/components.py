@@ -26,7 +26,7 @@ from .surfacegroup import (
     surface_group_contains,
     to_inoue_data,
 )
-from .units import fundamental_unit, invariant_unit_generator
+from .units import fundamental_unit, invariant_unit_generator, sigma1_sign
 
 
 @dataclass
@@ -101,13 +101,15 @@ def _elements(order: int) -> str:
 
 
 def _unit_head(
-    params: SurfaceParams, eta: FieldElement | None = None
-) -> tuple[FieldElement, int, int, int]:
-    """(u_gen, j, n, order): the unit generator u_gen = eta**j with
-    u_gen**n = u, and the ambient order n * |Norm(1 - u)|."""
+    params: SurfaceParams,
+) -> tuple[FieldElement, FieldElement, int, int, int]:
+    """(eta, u_gen, j, n, order): the fundamental unit eta, the unit
+    generator u_gen = eta**j with u_gen**n = u, and the ambient order
+    n * |Norm(1 - u)|."""
     field = params.field
+    eta = fundamental_unit(field)
     u_gen, j, n = invariant_unit_generator(params.ideal, eta)
-    return u_gen, j, n, n * abs(1 - field.theta + field.c0)
+    return eta, u_gen, j, n, n * abs(1 - field.theta + field.c0)
 
 
 def build_ambient(params: SurfaceParams) -> AmbientGroup:
@@ -115,8 +117,7 @@ def build_ambient(params: SurfaceParams) -> AmbientGroup:
     refuses a group of more than AMBIENT_LIMIT elements before building
     its cosets."""
     field = params.field
-    eta = fundamental_unit(field)
-    u_gen, j, n, order = _unit_head(params, eta)
+    eta, u_gen, j, n, order = _unit_head(params)
     if order > AMBIENT_LIMIT:
         raise ValueTooLargeError(
             f"value too large to analyze: the ambient group would have "
@@ -238,10 +239,10 @@ def membership_form(
     )
     if field.c0 == -1:
         return MembershipForm(*form1, 1, 0, 0, 0, 0, 0, 0)
-    tp, tq, td = params.t.re.as_integer_triple()
+    (tp, tq, td), (ip, iq, _) = params.t
     if m11 * m22 - m12 * m21 == 1:  # Norm(v) = +1
         tq, td = 0, 1
-    elif params.t.im or tp:
+    elif ip or iq or tp:
         # Norm(v) = -1: -2t must itself be a rational multiple of sqrt(delta)
         return None
     theta = field.theta
@@ -298,7 +299,9 @@ def membership_conditions(
 def _unit_matrix(params: SurfaceParams, v: FieldElement) -> IntMatrix:
     """Rejects v unless it is a unit with sigma1 > 0 mapping I onto itself;
     returns v's matrix on I (of determinant Norm(v) = +-1)."""
-    if not v.is_unit() or v.sigma1().sign() <= 0:
+    field = params.field
+    positive = sigma1_sign(v.as_integer_triple(), field.theta, field.delta) > 0
+    if not (v.is_unit() and positive):
         raise ValueError(f"v must be a unit with sigma1 > 0, got {v}")
     m = params.ideal.mult_matrix(v)
     if m is None:

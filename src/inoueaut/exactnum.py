@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: one integer core for quadratic numbers, the real
-quadratic irrationals p + q*sqrt(D) built on it, and complex numbers over them.
+quadratic irrationals p + q*sqrt(D) built on it, the exact sign of a surd,
+and the value grammar with its parsers and formatters.
 
 Every comparison and membership decision downstream reduces to operations in
 this module; nothing here ever touches floating point except the optional
@@ -9,13 +10,18 @@ this module; nothing here ever touches floating point except the optional
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 from typing import Union
 
 Scalar = Union[int, Fraction]
+# (p, q, den): the reduced (p + q*w)/den of QuadCore, den > 0
+Triple = tuple[int, int, int]
+# A complex t = Re t + i Im t as the triples of Re t and of Im t over
+# w = sqrt(delta): the one form of t, from the parameter file to the report.
+Complex = tuple[Triple, Triple]
+ZERO_T: Complex = ((0, 0, 1), (0, 0, 1))
 
 
 def is_perfect_square(n: int) -> bool:
@@ -135,7 +141,7 @@ class QuadCore:
             self._ctx,
         )
 
-    def as_integer_triple(self) -> tuple[int, int, int]:
+    def as_integer_triple(self) -> Triple:
         """(p, q, den) with self = (p + q*w)/den, den > 0, gcd(p, q, den) = 1."""
         return self._p, self._q, self._den
 
@@ -181,19 +187,22 @@ class QuadCore:
         return f"{type(self).__name__}({parts})"
 
 
-@total_ordering
 class QuadReal(QuadCore):
     """Exact real number rat + irr*sqrt(delta), delta a positive non-square.
 
     Two values interoperate only when their deltas agree (a mismatch raises);
-    purely rational values compare equal across deltas.
+    purely rational values compare equal across deltas.  Signs are taken on
+    the integers, by surd_sign.
     """
 
     __slots__ = ()
 
     def __init__(self, rat: Scalar, irr: Scalar, delta: int) -> None:
         super().__init__(rat, irr, delta)
-        _check_delta(delta)
+        if delta <= 0 or is_perfect_square(delta):
+            raise ValueError(
+                f"delta must be a positive non-square integer, got {delta}"
+            )
 
     rat, irr = QuadCore._rational, QuadCore._coefficient
 
@@ -205,18 +214,13 @@ class QuadReal(QuadCore):
         return 0, -self._ctx
 
     def _coerce(self, other: object) -> "tuple[QuadReal, QuadReal] | None":
-        """Bring self and other to a common delta; rational values re-tag freely."""
         if isinstance(other, (int, Fraction)):
             return self, self._scalar(other)
         if not isinstance(other, QuadReal):
             return None
-        if other._ctx == self._ctx:
-            return self, other
-        if not other._q:
-            return self, other._raw(other._p, 0, other._den, self._ctx)
-        if not self._q:
-            return self._raw(self._p, 0, self._den, other._ctx), other
-        raise ValueError(f"delta mismatch: {self._ctx} vs {other._ctx}")
+        if other._ctx != self._ctx:
+            raise ValueError(f"delta mismatch: {self._ctx} vs {other._ctx}")
+        return self, other
 
     def __mul__(self, other: object) -> "QuadReal":
         pair = self._coerce(other)
@@ -247,16 +251,6 @@ class QuadReal(QuadCore):
             return hash(Fraction(self._p, self._den))
         return hash((self._p, self._q, self._den, self._ctx))
 
-    def sign(self) -> int:
-        """Exact sign in {-1, 0, +1}, decided by integer case analysis."""
-        return surd_sign(self._p, self._q, self._ctx)
-
-    def __lt__(self, other: object) -> bool:  # <=, >, >= by total_ordering
-        diff = self.__sub__(other)
-        if diff is NotImplemented:
-            return NotImplemented
-        return diff.sign() < 0
-
     # -- presentation -------------------------------------------------------
 
     def __float__(self) -> float:
@@ -271,18 +265,8 @@ class QuadReal(QuadCore):
         return format_quad(self._p, self._q * s, self._den, f"sqrt({m})")
 
     @classmethod
-    def zero(cls, delta: int) -> "QuadReal":
-        _check_delta(delta)
-        return cls._raw(0, 0, 1, delta)
-
-    @classmethod
     def from_rational(cls, value: Scalar, delta: int) -> "QuadReal":
         return cls(value, 0, delta)
-
-
-def _check_delta(delta: int) -> None:
-    if delta <= 0 or is_perfect_square(delta):
-        raise ValueError(f"delta must be a positive non-square integer, got {delta}")
 
 
 def surd_sign(p: int, q: int, delta: int) -> int:
@@ -295,57 +279,6 @@ def surd_sign(p: int, q: int, delta: int) -> int:
     if lhs == rhs:  # would force sqrt(delta) rational
         raise AssertionError("non-square delta invariant violated")
     return (p > 0) - (p < 0) if lhs > rhs else (q > 0) - (q < 0)
-
-
-@dataclass(frozen=True)
-class QuadComplex:
-    """Complex number with QuadReal real and imaginary parts (shared delta).
-
-    The public constructor checks the shared delta; zero and from_real keep
-    it and are built by the trusted _raw.
-    """
-
-    re: QuadReal
-    im: QuadReal
-
-    def __post_init__(self) -> None:
-        if self.re.delta != self.im.delta:
-            raise ValueError("real and imaginary parts must share delta")
-
-    @classmethod
-    def _raw(cls, re: QuadReal, im: QuadReal) -> "QuadComplex":
-        self = object.__new__(cls)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-        return self
-
-    @property
-    def delta(self) -> int:
-        return self.re.delta
-
-    @classmethod
-    def zero(cls, delta: int) -> "QuadComplex":
-        """Zero over delta, which the caller has validated (a field's delta)."""
-        zero = QuadReal._raw(0, 0, 1, delta)
-        return cls._raw(zero, zero)
-
-    @classmethod
-    def from_real(cls, value: QuadReal) -> "QuadComplex":
-        return cls._raw(value, value._scalar(0))
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __str__(self) -> str:
-        return self.to_text(f"sqrt({self.delta})", "*i")
-
-    def to_text(self, symbol: str, imaginary: str) -> str:
-        """"re + (im)<imaginary>", each part written by format_quad."""
-        re_text = format_quad(*self.re.as_integer_triple(), symbol)
-        if not self.im:
-            return re_text
-        im_text = f"({format_quad(*self.im.as_integer_triple(), symbol)}){imaginary}"
-        return f"{re_text} + {im_text}" if self.re else im_text
 
 
 # -- text syntax ---------------------------------------------------------------
@@ -361,7 +294,6 @@ class QuadComplex:
 
 _TERM_RE = re.compile(r"[+-]?[^+-]+")
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
-_RATIONAL_RE = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+))?")
 
 
 @lru_cache(maxsize=None)
@@ -402,16 +334,6 @@ def _ratio(text: str, num: str, den: str | None) -> tuple[int, int]:
     if not d:
         raise ValueError(f"zero denominator: {text!r}")
     return n, d
-
-
-def parse_rational(text: str) -> Fraction:
-    text = text.strip(" ")
-    match = _RATIONAL_RE.fullmatch(text)
-    if match is None:
-        raise ValueError(f"bad rational: {text!r}")
-    sign, num, den = match.groups()
-    n, d = _ratio(text, num, den)
-    return Fraction(-n if sign == "-" else n, d)
 
 
 def parse_surd(text: str, symbol: str) -> tuple[int, int, int]:
@@ -467,3 +389,15 @@ def format_quad(p: int, q: int, den: int, symbol: str) -> str:
         return part if cn > 0 else f"-{part}"
     return f"{rat_text} {'-' if cn < 0 else '+'} {part}"
 
+
+
+def format_complex(t: Complex, symbol: str, imaginary: str) -> str:
+    """Write t = re + i*im, each part the triple (p, q, den) of
+    (p + q*SYMBOL)/den, as "re + (im)IMAGINARY", a zero part left out
+    ("0" when both are)."""
+    (rp, rq, rd), (ip, iq, id_) = t
+    re_text = format_quad(rp, rq, rd, symbol)
+    if not (ip or iq):
+        return re_text
+    im_text = f"({format_quad(ip, iq, id_, symbol)}){imaginary}"
+    return f"{re_text} + {im_text}" if rp or rq else im_text

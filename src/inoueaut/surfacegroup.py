@@ -16,10 +16,10 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .exactnum import QuadComplex, QuadReal
+from .exactnum import ZERO_T, Complex, QuadReal, format_complex
 from .lattice import IntMatrix, Lattice
 from .quadfield import FieldDescriptor, FieldElement, chi
-from .units import triple_exponent
+from .units import sigma1_sign, triple_exponent
 
 
 class ParameterError(ValueError):
@@ -31,10 +31,25 @@ class StandardFormError(ValueError):
 
 
 # [v, x, t] as one flat tuple of twelve integers: the triples (p, q, den) of
-# v = (p + q*u)/den and x likewise in the basis {1, u}, then of
-# Re t = (p + q*sqrt(delta))/den and Im t likewise; each triple is reduced
-# (den > 0, gcd(p, q, den) = 1), so the tuple is canonical.
+# v = (p + q*u)/den and x likewise in the basis {1, u}, then those of t; each
+# triple is reduced (den > 0, gcd(p, q, den) = 1), so the tuple is canonical.
 Flat = tuple[int, int, int, int, int, int, int, int, int, int, int, int]
+
+
+def _is_complex(t: object) -> bool:
+    """Whether t is a Complex: two reduced integer triples with den > 0."""
+    return (
+        isinstance(t, tuple)
+        and len(t) == 2
+        and all(
+            isinstance(part, tuple)
+            and len(part) == 3
+            and all(type(n) is int for n in part)
+            and part[2] > 0
+            and gcd(*part) == 1
+            for part in t
+        )
+    )
 
 
 def _compose(a: Flat, b: Flat, theta: int, c0: int) -> Flat:
@@ -85,35 +100,31 @@ def _invert(a: Flat, theta: int, c0: int) -> Flat:
 
 
 class AffineElement:
-    """Group element [v, x, t]: v a positive unit, x a field element, t complex.
+    """Group element [v, x, t]: v a positive unit, x a field element, t a
+    Complex.
 
     The group law is
         [u, x, t][v, y, s] = [uv, x + uy, t + Norm(u)s - chi(x, uy)/2],
     computed on the element's flat integer tuple (see _compose).  The public
-    constructor validates (v a unit with sigma1(v) > 0, one field and
-    delta); products and inverses keep those invariants and are built by
+    constructor validates (v a unit with sigma1(v) > 0, one field, t a
+    Complex); products and inverses keep those invariants and are built by
     the trusted _of.  v, x and t are read off the tuple.
     """
 
     __slots__ = ("field", "_flat")
 
-    def __init__(self, v: FieldElement, x: FieldElement, t: QuadComplex) -> None:
-        if v.field != x.field:
+    def __init__(self, v: FieldElement, x: FieldElement, t: Complex) -> None:
+        field = v.field
+        if field != x.field:
             raise ValueError("v and x live in different fields")
-        if t.delta != v.field.delta:
-            raise ValueError("t has the wrong delta for this field")
+        if not _is_complex(t):
+            raise ValueError(f"t must be two reduced integer triples, got {t!r}")
         if abs(v.norm()) != 1:
             raise ValueError(f"v must be a unit, got norm {v.norm()}")
-        if v.sigma1().sign() <= 0:
+        if sigma1_sign(v.as_integer_triple(), field.theta, field.delta) <= 0:
             raise ValueError(f"v must have sigma1 > 0, got {v}")
-        flat = (
-            v.as_integer_triple()
-            + x.as_integer_triple()
-            + t.re.as_integer_triple()
-            + t.im.as_integer_triple()
-        )
-        _set_field(self, v.field)
-        _set_flat(self, flat)
+        _set_field(self, field)
+        _set_flat(self, v.as_integer_triple() + x.as_integer_triple() + t[0] + t[1])
 
     @classmethod
     def _of(cls, field: FieldDescriptor, flat: Flat) -> "AffineElement":
@@ -149,12 +160,8 @@ class AffineElement:
         return FieldElement._raw(*self._flat[3:6], self.field)
 
     @property
-    def t(self) -> QuadComplex:
-        delta = self.field.delta
-        return QuadComplex._raw(
-            QuadReal._raw(*self._flat[6:9], delta),
-            QuadReal._raw(*self._flat[9:12], delta),
-        )
+    def t(self) -> Complex:
+        return self._flat[6:9], self._flat[9:12]
 
     def __mul__(self, other: "AffineElement") -> "AffineElement":
         if other.__class__ is not AffineElement:
@@ -180,7 +187,8 @@ class AffineElement:
         return f"AffineElement(v={self.v!r}, x={self.x!r}, t={self.t!r})"
 
     def __str__(self) -> str:
-        return f"[{self.v}, {self.x}, {self.t}]"
+        t = format_complex(self.t, f"sqrt({self.field.delta})", "*i")
+        return f"[{self.v}, {self.x}, {t}]"
 
 
 # the slots' own setters, past the __setattr__ that keeps elements immutable
@@ -193,7 +201,7 @@ class SurfaceParams:
     """Validated defining data (theta, r, x1, x2, e; t) of one surface.
 
     x1, x2 must span a fractional ideal of Z[u] (u acts integrally and
-    chi(x1, x2) != 0); t is pinned to 0 for the minus family.
+    chi(x1, x2) != 0); t is a Complex, pinned to 0 for the minus family.
     """
 
     field: FieldDescriptor
@@ -201,7 +209,7 @@ class SurfaceParams:
     x1: FieldElement
     x2: FieldElement
     e: FieldElement
-    t: QuadComplex
+    t: Complex
 
     def __post_init__(self) -> None:
         if not isinstance(self.r, int) or self.r <= 0:
@@ -209,11 +217,14 @@ class SurfaceParams:
         for name in ("x1", "x2", "e"):
             if getattr(self, name).field != self.field:
                 raise ParameterError(f"{name} lives in a different field")
-        if self.t.delta != self.field.delta:
-            raise ParameterError("t has the wrong delta for this field")
+        if not _is_complex(self.t):
+            raise ParameterError(
+                f"t must be two reduced integer triples (p, q, den), den > 0, "
+                f"got {self.t!r}"
+            )
         if not self.chi0:
             raise ParameterError("x1, x2 are Q-linearly dependent (chi = 0)")
-        if self.field.c0 == -1 and self.t:
+        if self.field.c0 == -1 and self.t != ZERO_T:
             raise ParameterError("t must be 0 for the minus family")
         if self.n_matrix is None:
             raise ParameterError(
@@ -228,12 +239,10 @@ class SurfaceParams:
         x1: FieldElement,
         x2: FieldElement,
         e: FieldElement | None = None,
-        t: QuadComplex | None = None,
+        t: Complex = ZERO_T,
     ) -> "SurfaceParams":
         if e is None:
             e = field.zero()
-        if t is None:
-            t = QuadComplex.zero(field.delta)
         return cls(field, r, x1, x2, e, t)
 
     # -- derived data (cached; the dataclass is frozen but not slotted) -------
@@ -267,11 +276,14 @@ class SurfaceParams:
     @cached_property
     def word_data(self) -> "WordData":
         values = (
-            chi(self.x1, self.e), chi(self.x2, self.e), self.chi0, self.t.re, self.t.im
-        )  # fmt: skip
-        den = lcm(*(x._den for x in values))
+            chi(self.x1, self.e).as_integer_triple(),
+            chi(self.x2, self.e).as_integer_triple(),
+            self.chi0.as_integer_triple(),
+            *self.t,
+        )
+        den = lcm(*(d for _, _, d in values))
         (_, c1), (_, c2), (_, x0), t_re, t_im = (
-            (x._p * (den // x._den), x._q * (den // x._den)) for x in values
+            (p * (den // d), q * (den // d)) for p, q, d in values
         )
         field = self.field
         return WordData(field.theta, field.c0, self.r, den, c1, c2, x0, *t_re, *t_im)
@@ -280,16 +292,15 @@ class SurfaceParams:
 def make_generators(
     params: SurfaceParams,
 ) -> tuple[AffineElement, AffineElement, AffineElement, AffineElement]:
-    """The four generators: [u, 0, t], [1, x_i, chi(x_i, e)], [1, 0, -chi0/r]."""
-    field = params.field
+    """The four generators: [u, 0, t], [1, x_i, chi(x_i, e)], [1, 0, -chi0/r],
+    built from validated parameters."""
+    field, x1, x2, e = params.field, params.x1, params.x2, params.e
     zero = field.zero()
     one = field.one()
     g0 = AffineElement(field.u(), zero, params.t)
-    g1 = AffineElement(one, params.x1, QuadComplex.from_real(chi(params.x1, params.e)))
-    g2 = AffineElement(one, params.x2, QuadComplex.from_real(chi(params.x2, params.e)))
-    g3 = AffineElement(
-        one, zero, QuadComplex.from_real(-params.chi0 / params.r)
-    )
+    g1 = AffineElement._real(one, x1, chi(x1, e).as_integer_triple())
+    g2 = AffineElement._real(one, x2, chi(x2, e).as_integer_triple())
+    g3 = AffineElement._real(one, zero, (-params.chi0 / params.r).as_integer_triple())
     return g0, g1, g2, g3
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import gcd, isqrt
 
-from .exactnum import square_decompose, surd_sign
+from .exactnum import Triple, square_decompose, surd_sign
 from .lattice import Lattice
 from .quadfield import FieldDescriptor, FieldElement
 
@@ -54,11 +54,12 @@ def fundamental_unit(field: FieldDescriptor) -> FieldElement:
         raise AssertionError(f"continued fraction produced a non-unit: {eta}")
     # The reduced seed already lands at sigma1 > 1; keep the normalization as
     # a guard (sigma1 = 1 only at +-1, so there is no tie to break).
-    if eta.sigma1().sign() < 0:
+    theta, delta = field.theta, field.delta
+    if sigma1_sign(eta.as_integer_triple(), theta, delta) < 0:
         eta = -eta
-    if eta.sigma1() < 1:
+    if sigma1_sign(eta.as_integer_triple(), theta, delta, 1) < 0:
         eta = eta.inverse()
-        if eta.sigma1().sign() < 0:
+        if sigma1_sign(eta.as_integer_triple(), theta, delta) < 0:
             eta = -eta
     return eta
 
@@ -76,7 +77,12 @@ def unit_exponent(value: FieldElement, base: FieldElement) -> int | None:
     )
 
 
-Triple = tuple[int, int, int]
+def sigma1_sign(x: Triple, theta: int, delta: int, c: int = 0) -> int:
+    """The sign of sigma1(x) - c, for the integer c and x = (p + q*u)/den:
+    with sigma1(u) = (theta + sqrt(delta))/2,
+        2 den (sigma1(x) - c) = 2p + theta q - 2c den + q sqrt(delta)."""
+    p, q, den = x
+    return surd_sign(2 * p + theta * q - 2 * c * den, q, delta)
 
 
 def triple_exponent(value: Triple, base: Triple, theta: int, c0: int) -> int | None:
@@ -93,7 +99,7 @@ def triple_exponent(value: Triple, base: Triple, theta: int, c0: int) -> int | N
     delta = theta * theta - 4 * c0
     p, q, d = value
     sign = 1
-    if surd_sign(2 * p + theta * q - 2 * d, q, delta) < 0:
+    if sigma1_sign(value, theta, delta, 1) < 0:
         # sigma1(value) < 1, so k < 0: search for value^-1 = base**-k
         nrm = p * p + theta * p * q + c0 * q * q
         if nrm == 0:
@@ -120,7 +126,7 @@ def utheta_exponent(field: FieldDescriptor, base: FieldElement) -> int:
         raise ValueError("base lives in a different field")
     if not base.is_unit():
         raise ValueError(f"base must be a unit, got norm {base.norm()}")
-    if not base.sigma1() > 1:
+    if sigma1_sign(base.as_integer_triple(), field.theta, field.delta, 1) <= 0:
         raise ValueError(f"base must have sigma1 > 1, got {base}")
     n = unit_exponent(field.u(), base)
     if n is None:

@@ -2,18 +2,20 @@
 elements, random fractional ideals, the solved standard-form e of both
 families (solve_standard_e, which only tests use, lives here), and random
 standard-form parameter sets for both surface families, over random ideals
-or over I = Z<1, eta>, with t drawn by random_t or, reaching the -2t term,
-by random_surd_t; and helpers that only tests and the references read: the
-discrete-subgroup test on QuadReals, a quotient's coset representatives
-and the lattice I/r; and the API the package dropped because no command
-reaches it (powers, Galois conjugate, trace, the affine identity, rational
-lattice coordinates, lattice index and invariance, format_surd), kept here
-with its old bodies for the tests that still read it."""
+or over I = Z<1, eta>, with t (two integer triples, built by surd_triple)
+drawn by random_t or, reaching the -2t term, by random_surd_t; and helpers
+that only tests and the references read: the discrete-subgroup test on
+QuadReals, a quotient's coset representatives, the lattice I/r and a real
+t (real_t); and the API the package dropped because no command reaches it
+(powers, Galois conjugate, trace, the affine identity, rational lattice
+coordinates, lattice index and invariance, format_surd), kept here with its
+old bodies for the tests that still read it."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 import pytest
@@ -26,13 +28,12 @@ from inoueaut import (
     Lattice,
     LatticeQuotient,
     ParameterError,
-    QuadComplex,
     QuadReal,
     SurfaceParams,
     fundamental_unit,
     is_standard_form_direct,
 )
-from inoueaut.exactnum import QuadCore, Scalar, format_quad
+from inoueaut.exactnum import ZERO_T, Complex, QuadCore, Scalar, format_quad
 
 # -- test-only helpers ----------------------------------------------------------
 
@@ -301,24 +302,35 @@ def _solve_standard_e_minus(
     )
 
 
-def random_t(rng: random.Random, field: FieldDescriptor) -> QuadComplex:
-    delta = field.delta
+def surd_triple(rat: Scalar, irr: Scalar) -> tuple[int, int, int]:
+    """The reduced triple (p, q, den) of rat + irr*sqrt(delta) =
+    (p + q*sqrt(delta))/den."""
+    rat, irr = Fraction(rat), Fraction(irr)
+    den = lcm(rat.denominator, irr.denominator)
+    p, q = rat.numerator * den // rat.denominator, irr.numerator * den // irr.denominator
+    return p, q, den
+
+
+def real_t(x: QuadReal) -> Complex:
+    """The real t = x, as two integer triples."""
+    return x.as_integer_triple(), ZERO_T[1]
+
+
+def random_t(rng: random.Random, field: FieldDescriptor) -> Complex:
     roll = rng.random()
     if roll < 0.5:
-        return QuadComplex.zero(delta)
+        return ZERO_T
     if roll < 0.65:
-        return QuadComplex.from_real(
-            QuadReal.from_rational(random_rational(rng, 3), delta)
-        )
+        return surd_triple(random_rational(rng, 3), 0), ZERO_T[1]
     if roll < 0.85:
-        return QuadComplex.from_real(QuadReal(0, random_rational(rng, 3), delta))
-    return QuadComplex(
-        QuadReal(random_rational(rng, 2), random_rational(rng, 2), delta),
-        QuadReal(random_rational(rng, 2), random_rational(rng, 2), delta),
+        return surd_triple(0, random_rational(rng, 3)), ZERO_T[1]
+    return (
+        surd_triple(random_rational(rng, 2), random_rational(rng, 2)),
+        surd_triple(random_rational(rng, 2), random_rational(rng, 2)),
     )
 
 
-def random_surd_t(rng: random.Random, field: FieldDescriptor) -> QuadComplex:
+def random_surd_t(rng: random.Random, field: FieldDescriptor) -> Complex:
     """A pure surd t = k/m * sqrt(delta) with m not dividing 6.
 
     random_t's surd parts have m | 6, which on the generated sets makes
@@ -327,7 +339,7 @@ def random_surd_t(rng: random.Random, field: FieldDescriptor) -> QuadComplex:
     """
     k = rng.choice([k for k in range(-9, 10) if k])
     m = rng.choice((4, 5, 7, 8, 9, 10, 16))
-    return QuadComplex.from_real(QuadReal(0, Fraction(k, m), field.delta))
+    return surd_triple(0, Fraction(k, m)), ZERO_T[1]
 
 
 def random_standard_params(
@@ -335,7 +347,7 @@ def random_standard_params(
     c0: int,
     theta_range: tuple[int, int],
     r_range: tuple[int, int] = (1, 12),
-    t_draw: Callable[[random.Random, FieldDescriptor], QuadComplex] = random_t,
+    t_draw: Callable[[random.Random, FieldDescriptor], Complex] = random_t,
 ) -> SurfaceParams:
     """A validated standard-form parameter set with randomized ideal and e;
     t_draw gives t for the plus family."""
@@ -351,7 +363,7 @@ def random_eta_params(
     c0: int,
     theta_range: tuple[int, int],
     r_range: tuple[int, int] = (1, 12),
-    t_draw: Callable[[random.Random, FieldDescriptor], QuadComplex] = random_t,
+    t_draw: Callable[[random.Random, FieldDescriptor], Complex] = random_t,
 ) -> SurfaceParams:
     """A validated standard-form parameter set over I = Z<1, eta> with the
     basis moved at random, at a theta where u is a proper power of eta.
@@ -375,7 +387,7 @@ def _standard_params(
     r: int,
     x1: FieldElement,
     x2: FieldElement,
-    t_draw: Callable[[random.Random, FieldDescriptor], QuadComplex] = random_t,
+    t_draw: Callable[[random.Random, FieldDescriptor], Complex] = random_t,
 ) -> SurfaceParams:
     """Completes the basis with a random standard-form e (and t for S(+))."""
     c0 = field.c0
@@ -386,7 +398,7 @@ def _standard_params(
         t = t_draw(rng, field)
     else:
         e = _solve_standard_e_minus(field, r, x1, x2, p_int, q_int)
-        t = QuadComplex.zero(field.delta)
+        t = ZERO_T
     params = SurfaceParams(field, r, x1, x2, e, t)
     assert is_standard_form_direct(params)
     return params

@@ -1,6 +1,9 @@
 """The Fraction implementations of `QuadReal`, `FieldElement`, `chi` and
 `in_discrete_subgroup` that the integer core in `exactnum` replaced, kept as
-the differential reference for tests/test_field_core.py.
+the differential reference for tests/test_field_core.py; and, in the last
+section, the complex type, the complex parser and formatter, and the
+members of the integer `QuadReal` that the package dropped when it came to
+carry t as integer triples.
 
 The bodies are unchanged but for two lines: `FieldElement.__pow__` started
 from `self.field.one()`, which now builds the package's `FieldElement`, so
@@ -12,11 +15,22 @@ here it spells out that function's body.  The adapter `format_surd` it and
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 
 from conftest import format_surd
-from inoueaut.exactnum import Scalar, is_perfect_square, square_decompose
+from inoueaut import exactnum
+from inoueaut.cli import ParamFileError
+from inoueaut.exactnum import (
+    Scalar,
+    format_quad,
+    is_perfect_square,
+    parse_surd,
+    square_decompose,
+    surd_sign,
+)
 from inoueaut.quadfield import FieldDescriptor
 
 
@@ -395,3 +409,159 @@ def in_discrete_subgroup(
     if value.rat != 0:
         return False
     return (value.irr / (scale * gen.irr)).denominator == 1
+
+
+# -- code the package dropped when t became two integer triples ----------------
+#
+# `exactnum.QuadComplex`, and the members of the integer `exactnum.QuadReal`
+# that no command needed once every sign of sigma1 was taken on integers: its
+# sign, its order, its zero and the cross-delta branch of its coercion, with
+# the `_check_delta` its zero called.  They are held here on a subclass of
+# the package's QuadReal, `OrderedQuadReal`, so that the differential tests
+# still run the package's integer core under them.  The bodies are unchanged
+# but for names: the package's QuadReal is `exactnum.QuadReal` here, where
+# `QuadReal` is the Fraction reference above.  `cli.parse_quad_complex`, its
+# `_parse_complex` and `format_quad_complex` follow, with
+# `QuadReal.zero`/`QuadReal._raw` read as `OrderedQuadReal.zero`/`._raw`.
+
+
+def _check_delta(delta: int) -> None:
+    if delta <= 0 or is_perfect_square(delta):
+        raise ValueError(f"delta must be a positive non-square integer, got {delta}")
+
+
+@total_ordering
+class OrderedQuadReal(exactnum.QuadReal):
+    """exactnum.QuadReal with the sign, order, zero and cross-delta
+    coercion the package dropped."""
+
+    __slots__ = ()
+
+    def _coerce(self, other: object) -> "tuple[exactnum.QuadReal, exactnum.QuadReal] | None":
+        """Bring self and other to a common delta; rational values re-tag freely."""
+        if isinstance(other, (int, Fraction)):
+            return self, self._scalar(other)
+        if not isinstance(other, exactnum.QuadReal):
+            return None
+        if other._ctx == self._ctx:
+            return self, other
+        if not other._q:
+            return self, other._raw(other._p, 0, other._den, self._ctx)
+        if not self._q:
+            return self._raw(self._p, 0, self._den, other._ctx), other
+        raise ValueError(f"delta mismatch: {self._ctx} vs {other._ctx}")
+
+    def sign(self) -> int:
+        """Exact sign in {-1, 0, +1}, decided by integer case analysis."""
+        return surd_sign(self._p, self._q, self._ctx)
+
+    def __lt__(self, other: object) -> bool:  # <=, >, >= by total_ordering
+        diff = self.__sub__(other)
+        if diff is NotImplemented:
+            return NotImplemented
+        return diff.sign() < 0
+
+    @classmethod
+    def zero(cls, delta: int) -> "OrderedQuadReal":
+        _check_delta(delta)
+        return cls._raw(0, 0, 1, delta)
+
+
+def ordered(x: exactnum.QuadReal) -> OrderedQuadReal:
+    """The package's QuadReal x as an OrderedQuadReal."""
+    return OrderedQuadReal._raw(*x.as_integer_triple(), x.delta)
+
+
+@dataclass(frozen=True)
+class QuadComplex:
+    """Complex number with QuadReal real and imaginary parts (shared delta).
+
+    The public constructor checks the shared delta; zero and from_real keep
+    it and are built by the trusted _raw.
+    """
+
+    re: exactnum.QuadReal
+    im: exactnum.QuadReal
+
+    def __post_init__(self) -> None:
+        if self.re.delta != self.im.delta:
+            raise ValueError("real and imaginary parts must share delta")
+
+    @classmethod
+    def _raw(cls, re: exactnum.QuadReal, im: exactnum.QuadReal) -> "QuadComplex":
+        self = object.__new__(cls)
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+        return self
+
+    @property
+    def delta(self) -> int:
+        return self.re.delta
+
+    @classmethod
+    def zero(cls, delta: int) -> "QuadComplex":
+        """Zero over delta, which the caller has validated (a field's delta)."""
+        zero = OrderedQuadReal._raw(0, 0, 1, delta)
+        return cls._raw(zero, zero)
+
+    @classmethod
+    def from_real(cls, value: exactnum.QuadReal) -> "QuadComplex":
+        return cls._raw(value, value._scalar(0))
+
+    def __bool__(self) -> bool:
+        return bool(self.re) or bool(self.im)
+
+    def __str__(self) -> str:
+        return self.to_text(f"sqrt({self.delta})", "*i")
+
+    def to_text(self, symbol: str, imaginary: str) -> str:
+        """"re + (im)<imaginary>", each part written by format_quad."""
+        re_text = format_quad(*self.re.as_integer_triple(), symbol)
+        if not self.im:
+            return re_text
+        im_text = f"({format_quad(*self.im.as_integer_triple(), symbol)}){imaginary}"
+        return f"{re_text} + {im_text}" if self.re else im_text
+
+
+def quad_complex(t: tuple, delta: int) -> QuadComplex:
+    """The package's t, two integer triples over sqrt(delta), as a
+    QuadComplex with OrderedQuadReal parts."""
+    re, im = t
+    return QuadComplex._raw(
+        OrderedQuadReal._raw(*re, delta), OrderedQuadReal._raw(*im, delta)
+    )
+
+
+def complex_triples(t: QuadComplex) -> tuple:
+    """A QuadComplex as the package's t: the triples of its parts."""
+    return t.re.as_integer_triple(), t.im.as_integer_triple()
+
+
+# "re", "(im)i" or "re + (im)i": the "+" is required after a real part.
+_COMPLEX_RE = re.compile(r"^(?P<re>[^()]*?)(?:(?:^|\+)\((?P<im>[^()]+)\)i)?$")
+
+
+def parse_quad_complex(text: str, delta: int, where: str = "t") -> QuadComplex:
+    """Parse "re + (im)i", each part a surd in sqrtD; an empty part is 0.
+    Errors are ParamFileErrors anchored at where."""
+    try:
+        return _parse_complex(text, delta)
+    except ValueError as exc:
+        raise ParamFileError(f"{where}: {exc}") from exc
+
+
+def _parse_complex(text: str, delta: int) -> QuadComplex:
+    """parse_quad_complex with unanchored ValueErrors.  delta is checked once,
+    by QuadReal.zero; the parts are built trusted."""
+    zero = OrderedQuadReal.zero(delta)
+    match = _COMPLEX_RE.match(text.replace(" ", ""))
+    if match is None:
+        raise ValueError(f"bad complex value {text!r}")
+    re_text, im_text = match.groups()
+    re_part = OrderedQuadReal._raw(*parse_surd(re_text, "sqrtD"), delta) if re_text else zero
+    im_part = OrderedQuadReal._raw(*parse_surd(im_text, "sqrtD"), delta) if im_text else zero
+    return QuadComplex._raw(re_part, im_part)
+
+
+def format_quad_complex(value: QuadComplex) -> str:
+    return value.to_text("sqrtD", "i")

@@ -3,7 +3,9 @@
 `tests/test_grammar.py`.
 
 The bodies are unchanged; only the imports were added, and the method
-`QuadComplex.__str__` became the function `quad_complex_str`.  The last
+`QuadComplex.__str__` became the function `quad_complex_str`.  `QuadComplex`,
+and the `QuadReal` with the zero and the order these bodies call, are the
+ones `tests/field_reference.py` keeps since the package dropped them.  The last
 section holds `exactnum.format_surd` as it was on Fractions, before it became
 an adapter over the integer formatter `exactnum.format_quad` (that adapter
 now lives in `tests/conftest.py`).  The field-element
@@ -22,13 +24,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from field_reference import OrderedQuadReal as QuadReal
+from field_reference import QuadComplex
 from inoueaut.cli import ParamFileError
-from inoueaut.exactnum import (
-    QuadComplex,
-    QuadReal,
-    ValueTooLargeError,
-    _decimal_digits,
-)
+from inoueaut.exactnum import ValueTooLargeError, _decimal_digits
 from inoueaut.quadfield import FieldDescriptor, FieldElement
 
 

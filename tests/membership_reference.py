@@ -8,7 +8,10 @@ matrices are now integer rows.  `membership_form` builds those forms per
 unit power from Fraction and field arithmetic, as the package did before it
 built them from integer triples, and `member_keys` runs it over every coset
 as the filter did.  Rational coordinates in I come from
-`conftest.lattice_coordinates`, where `Lattice.coordinates` moved."""
+`conftest.lattice_coordinates`, where `Lattice.coordinates` moved.  The
+package's t, two integer triples, is read as a `QuadComplex` through
+`field_reference.quad_complex`, and the sign of sigma1 through
+`field_reference.ordered`, where the code the package dropped moved."""
 
 from fractions import Fraction
 from math import lcm
@@ -16,6 +19,7 @@ from typing import Callable, Sequence
 
 import lattice_reference
 from conftest import ideal_over_r, in_discrete_subgroup, lattice_coordinates
+from field_reference import ordered, quad_complex
 from inoueaut import FieldElement, SurfaceParams, chi
 from inoueaut.components import _unit_matrix
 from lattice_reference import Matrix2Q
@@ -49,16 +53,17 @@ def membership_conditions(
         return in_discrete_subgroup(expr, params.chi0, scale)
     # Norm(v) = -1: the -2t contribution must itself be a rational multiple
     # of sqrt(delta) for membership in the discrete real group to make sense.
-    if params.t.im:
+    t = quad_complex(params.t, field.delta)
+    if t.im:
         return False
-    return in_discrete_subgroup(expr - 2 * params.t.re, params.chi0, scale)
+    return in_discrete_subgroup(expr - 2 * t.re, params.chi0, scale)
 
 
 def _validate_candidate(
     params: SurfaceParams, v: FieldElement, y: FieldElement
 ) -> Matrix2Q:
     """Rejects a malformed candidate [v, y]; returns v's matrix on I."""
-    if not v.is_unit() or v.sigma1().sign() <= 0:
+    if not v.is_unit() or ordered(v.sigma1()).sign() <= 0:
         raise ValueError(f"v must be a unit with sigma1 > 0, got {v}")
     m = lattice_reference.Lattice(*params.ideal.basis).mult_matrix(v)
     if not m.is_integral() or abs(m.det()) != 1:
@@ -117,7 +122,7 @@ def membership_form(
     den1, (a0, a1, a2, b0, b1, b2) = _over_common_denominator(
         [r * x for col in (0, 1) for x in (shift[col], steps[0][col], steps[1][col])]
     )
-    t = params.t
+    t = quad_complex(params.t, field.delta)
     if field.c0 == -1 or v.norm() == 1:
         const = Fraction(0)
     elif t.im or t.re.rat:

@@ -15,7 +15,11 @@ reference for tests/test_surfacegroup.py and tests/test_components.py:
 Bodies unchanged, but for the word problem, the gate and the oracle, which
 take the generators from the reference `make_generators` instead of
 `params.generators`, and for the group law, which negates t by `_neg`, the
-body of the `QuadComplex.__neg__` that the package dropped.
+body of the `QuadComplex.__neg__` that the package dropped.  `QuadComplex`
+and the sign of a `QuadReal` now come from `field_reference`, where the
+package's dropped code moved: the sign test reads `ordered(...).sign()`,
+and `make_generators` turns the package's t, two integer triples, into a
+`QuadComplex` by `quad_complex`.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from conftest import ideal_over_r, in_discrete_subgroup
-from inoueaut.exactnum import QuadComplex
+from field_reference import QuadComplex, ordered, quad_complex
 from inoueaut.quadfield import FieldDescriptor, FieldElement, chi
 from inoueaut.surfacegroup import SurfaceParams
 from inoueaut.units import unit_exponent
@@ -57,7 +61,7 @@ class AffineElement:
             raise ValueError("t has the wrong delta for this field")
         if abs(self.v.norm()) != 1:
             raise ValueError(f"v must be a unit, got norm {self.v.norm()}")
-        if self.v.sigma1().sign() <= 0:
+        if ordered(self.v.sigma1()).sign() <= 0:
             raise ValueError(f"v must have sigma1 > 0, got {self.v}")
 
     @classmethod
@@ -124,7 +128,7 @@ def make_generators(
     field = params.field
     zero = field.zero()
     one = field.one()
-    g0 = AffineElement(field.u(), zero, params.t)
+    g0 = AffineElement(field.u(), zero, quad_complex(params.t, field.delta))
     g1 = AffineElement(one, params.x1, QuadComplex.from_real(chi(params.x1, params.e)))
     g2 = AffineElement(one, params.x2, QuadComplex.from_real(chi(params.x2, params.e)))
     g3 = AffineElement(

@@ -28,11 +28,12 @@ from conftest import (
     random_surd_t,
     random_t,
     random_unit,
+    real_t,
 )
+from field_reference import quad_complex
 from inoueaut import (
     AffineElement,
     FieldDescriptor,
-    QuadComplex,
     QuadReal,
     SurfaceParams,
     build_ambient,
@@ -154,7 +155,8 @@ def test_criterion_05_oracle_equivalence(splus_sets, sminus_sets, reach_sets):
     ambients = [build_ambient(params) for params in reach_sets]
     minus_2t_decides = sum(
         any(v.norm() == -1 for v in ambient.unit_powers)
-        and (2 * params.r * params.t.re / params.chi0).rat.denominator != 1
+        and (2 * params.r * quad_complex(params.t, params.field.delta).re / params.chi0)
+        .rat.denominator != 1
         for params, ambient in zip(reach_sets, ambients)
     )
     ok = (
@@ -340,9 +342,9 @@ def test_criterion_10_property_suites():
         e = random_field_element(rng, field, span=3)
         r = rng.randint(1, 12)
         one = field.one()
-        g1 = AffineElement(one, x1, QuadComplex.from_real(chi(x1, e)))
-        g2 = AffineElement(one, x2, QuadComplex.from_real(chi(x2, e)))
-        g3 = AffineElement(one, field.zero(), QuadComplex.from_real(-chi(x1, x2) / r))
+        g1 = AffineElement(one, x1, real_t(chi(x1, e)))
+        g2 = AffineElement(one, x2, real_t(chi(x2, e)))
+        g3 = AffineElement(one, field.zero(), real_t(-chi(x1, x2) / r))
         assert g1 * g2 * g1.inverse() * g2.inverse() == power(g3, r)
         commutator_checked += 1
 

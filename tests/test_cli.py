@@ -1,6 +1,9 @@
 """CLI layer: commands, exit codes, file parsing, machine report round trip."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -8,15 +11,16 @@ import pytest
 
 import inoueaut.components as components
 from inoueaut.cli import (
+    EXIT_STDOUT_CLOSED,
     ParamFileError,
-    format_quad_complex,
+    _parse_complex,
     load_param_file,
     main,
-    parse_quad_complex,
 )
-from inoueaut.exactnum import QuadComplex, QuadReal, square_decompose
+from inoueaut.exactnum import format_complex, square_decompose
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 EX319 = """\
 # worked example: theta = 6
@@ -259,22 +263,25 @@ def test_param_file_details(tmp_path):
 
 
 def test_t_parsing_and_formatting(tmp_path):
+    # t is the pair of reduced triples (p, q, den) of (p + q*sqrt(delta))/den
     cases = [
-        ("0", QuadComplex.zero(32)),
-        ("1/2", QuadComplex.from_real(QuadReal(1, 0, 32) / 2)),
-        ("1/2 + 1/3*sqrtD", QuadComplex.from_real(QuadReal(1, 0, 32) / 2 + QuadReal(0, 1, 32) / 3)),
-        ("(1 + 2*sqrtD)i", QuadComplex(QuadReal.zero(32), QuadReal(1, 2, 32))),
-        ("-sqrtD + (1/2)i", QuadComplex(QuadReal(0, -1, 32), QuadReal(1, 0, 32) / 2)),
+        ("0", ((0, 0, 1), (0, 0, 1))),
+        ("1/2", ((1, 0, 2), (0, 0, 1))),
+        ("1/2 + 1/3*sqrtD", ((3, 2, 6), (0, 0, 1))),
+        ("(1 + 2*sqrtD)i", ((0, 0, 1), (1, 2, 1))),
+        ("-sqrtD + (1/2)i", ((0, -1, 1), (1, 0, 2))),
     ]
     for text, expected in cases:
-        parsed = parse_quad_complex(text, 32)
+        parsed = _parse_complex(text, "sqrtD")
         assert parsed == expected
-        assert parse_quad_complex(format_quad_complex(parsed), 32) == parsed
-    with pytest.raises(ParamFileError):
-        parse_quad_complex("nonsense!", 32)
+        assert _parse_complex(format_complex(parsed, "sqrtD", "i"), "sqrtD") == parsed
+    with pytest.raises(ValueError):
+        _parse_complex("nonsense!", "sqrtD")
+    with pytest.raises(ParamFileError, match=":8: bad complex value"):
+        load_param_file(write(tmp_path, EX319.replace("t = 0", "t = 1(2)i")))
     complex_t = EX319.replace("t = 0", "t = 1/2 + (1/3*sqrtD)i")
     params = load_param_file(write(tmp_path, complex_t))
-    assert params.t.im == QuadReal(0, 1, 32) / 3
+    assert params.t == ((1, 0, 2), (0, 1, 3))
 
 
 @pytest.mark.parametrize("flags", [[], ["--no-oracle"], ["--machine", "--double-r"]])
@@ -350,3 +357,34 @@ def test_machine_refuses_a_table_past_its_limit(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert (rc, captured.out) == (3, "")
     assert "144 entries, more than 143" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", str(GOLDEN / "theta6.params")],
+        ["examples"],
+        ["fundamental-unit", "7", "+"],
+    ],
+    ids=["analyze", "examples", "fundamental-unit"],
+)
+def test_closed_stdout_exits_quietly(argv):
+    # stdout is a pipe whose read end is closed before the command starts,
+    # so the first write fails with EPIPE, as under `| head -n 0`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "inoueaut.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    stderr = proc.stderr.decode()
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
+    assert proc.returncode == EXIT_STDOUT_CLOSED

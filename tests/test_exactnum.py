@@ -1,4 +1,5 @@
-"""Exact scalar layer: field axioms, exact signs, discrete-subgroup tests."""
+"""Exact scalar layer: field axioms, exact signs (taken on the integers by
+surd_sign), discrete-subgroup tests, the complex formatter."""
 
 import math
 import random
@@ -10,18 +11,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import in_discrete_subgroup
-from inoueaut import QuadComplex, QuadReal
+from inoueaut import QuadReal
 from inoueaut.exactnum import (
     SQUAREFREE_TRIAL_LIMIT,
+    ZERO_T,
     ValueTooLargeError,
+    format_complex,
     is_perfect_square,
     square_decompose,
+    surd_sign,
 )
 from units_reference import square_decompose_reference
 
 
 def qr(rat, irr, delta=8) -> QuadReal:
     return QuadReal(Fraction(rat), Fraction(irr), delta)
+
+
+def sign(x: QuadReal) -> int:
+    """The sign of x, by surd_sign on its integers."""
+    p, q, _ = x.as_integer_triple()
+    return surd_sign(p, q, x.delta)
 
 
 def test_construction_rejects_square_delta():
@@ -70,11 +80,11 @@ def test_rational_values_compare_across_deltas():
 
 
 def test_sign_desk_cases():
-    assert qr(3, -1, 8).sign() == 1  # 9 > 8
-    assert qr(1, -1, 5).sign() == -1  # 1 < 5
-    assert qr(Fraction(-7, 2), Fraction(3, 2), 5).sign() == -1  # 49 > 45
-    assert qr(0, 0).sign() == 0
-    assert qr(0, -3).sign() == -1
+    assert sign(qr(3, -1, 8)) == 1  # 9 > 8
+    assert sign(qr(1, -1, 5)) == -1  # 1 < 5
+    assert sign(qr(Fraction(-7, 2), Fraction(3, 2), 5)) == -1  # 49 > 45
+    assert sign(qr(0, 0)) == 0
+    assert sign(qr(0, -3)) == -1
 
 
 def test_sign_against_high_precision_decimal():
@@ -94,7 +104,7 @@ def test_sign_against_high_precision_decimal():
             * Decimal(delta).sqrt()
         )
         expected = 0 if approx == 0 else (1 if approx > 0 else -1)
-        assert a.sign() == expected
+        assert sign(a) == expected
 
 
 def test_sign_multiplicative():
@@ -103,12 +113,12 @@ def test_sign_multiplicative():
         a = qr(rng.randint(-9, 9), rng.randint(-9, 9))
         b = qr(rng.randint(-9, 9), rng.randint(-9, 9))
         if a and b:
-            assert (a * b).sign() == a.sign() * b.sign()
+            assert sign(a * b) == sign(a) * sign(b)
 
 
 def test_sign_agrees_with_rational_sign():
     for value in (-3, 0, Fraction(7, 5), Fraction(-1, 9)):
-        assert qr(value, 0).sign() == (value > 0) - (value < 0)
+        assert sign(qr(value, 0)) == (value > 0) - (value < 0)
 
 
 def test_field_axioms_randomized():
@@ -132,9 +142,12 @@ def test_canonical_form_idempotent():
 
 
 def test_ordering():
-    assert qr(3, -1) > 0
-    assert qr(1, -1, 5) < 0
-    assert qr(1, 1) > qr(1, 0)
+    # a < b is sign(a - b) < 0; QuadReal keeps no order of its own
+    assert sign(qr(3, -1) - 0) > 0
+    assert sign(qr(1, -1, 5) - 0) < 0
+    assert sign(qr(1, 1) - qr(1, 0)) > 0
+    with pytest.raises(TypeError):
+        qr(1, 1) < qr(1, 0)
 
 
 def test_in_discrete_subgroup_examples():
@@ -245,12 +258,13 @@ def test_square_decompose_refuses_past_the_trial_limit():
     assert square_decompose(2**40 * p * q) == (2**20, p * q)
 
 
-def test_quad_complex_arithmetic():
-    # QuadComplex has no arithmetic of its own; its zero prints as 0 and is falsy
-    assert str(QuadComplex.zero(8)) == "0"
-    assert not QuadComplex.zero(8)
-
-
-def test_quad_complex_delta_guard():
-    with pytest.raises(ValueError):
-        QuadComplex(qr(1, 1, 8), qr(1, 1, 5))
+def test_format_complex_desk_cases():
+    # t = re + i*im as two triples; a zero part is left out, and zero is "0"
+    assert format_complex(ZERO_T, "sqrt(8)", "*i") == "0"
+    half, surd = (1, 0, 2), (0, -2, 3)
+    assert format_complex((half, (0, 0, 1)), "sqrtD", "i") == "1/2"
+    assert format_complex(((0, 0, 1), surd), "sqrtD", "i") == "(-2/3*sqrtD)i"
+    assert format_complex((half, surd), "sqrt(8)", "*i") == "1/2 + (-2/3*sqrt(8))*i"
+    assert format_complex(((1, 1, 2), (3, 0, 1)), "sqrtD", "i") == (
+        "1/2 + 1/2*sqrtD + (3)i"
+    )

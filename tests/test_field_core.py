@@ -8,6 +8,13 @@ operands mix elements with int and Fraction on either side; the core has
 no reflected - and /, so an int or Fraction on the left of those is refused.
 Galois conjugate, trace and is_rational left the package for
 tests/conftest.py and are held to the reference there.
+
+The real values are `field_reference.OrderedQuadReal`s: the package's
+QuadReal with the sign, order and cross-delta coercion it dropped, which
+the Fraction reference still has.  Each ring operation is also run on the
+package's QuadReal itself, which must give the same outcome, except that it
+refuses two different deltas outright (ValueError) where the reference
+re-tags a rational value.
 """
 
 import operator
@@ -19,6 +26,7 @@ from hypothesis import strategies as st
 
 import field_reference as ref
 from conftest import conjugate, in_discrete_subgroup, is_rational, trace
+from field_reference import OrderedQuadReal
 from inoueaut.exactnum import QuadReal
 from inoueaut.quadfield import FieldDescriptor, FieldElement, chi
 
@@ -58,7 +66,14 @@ def real_pair(draw, contexts=st.sampled_from(DELTAS)):
     rat, irr, delta = draw(RATIONAL), draw(RATIONAL), draw(contexts)
     if draw(st.booleans()):
         irr = Fraction(0)  # rational values re-tag across deltas
-    return QuadReal(rat, irr, delta), ref.QuadReal(rat, irr, delta)
+    return OrderedQuadReal(rat, irr, delta), ref.QuadReal(rat, irr, delta)
+
+
+def package(x):
+    """An OrderedQuadReal as the package's own QuadReal; anything else as is."""
+    if isinstance(x, OrderedQuadReal):
+        return QuadReal._raw(*x.as_integer_triple(), x.delta)
+    return x
 
 
 @st.composite
@@ -96,7 +111,11 @@ def test_ring_operations_match_reference(xy):
         if isinstance(x, (int, Fraction)) and op in REFLECTED_ONLY_IN_REFERENCE:
             assert outcome(op, x, y) == ("raises", TypeError), (op, rx, ry)
             continue
-        assert outcome(op, x, y) == outcome(op, rx, ry), (op, rx, ry)
+        expected = outcome(op, rx, ry)
+        assert outcome(op, x, y) == expected, (op, rx, ry)
+        if isinstance(x, QuadReal) and isinstance(y, QuadReal) and x.delta != y.delta:
+            expected = ("raises", ValueError)
+        assert outcome(op, package(x), package(y)) == expected, (op, rx, ry)
     assert outcome(operator.neg, x) == outcome(operator.neg, rx)
     assert outcome(bool, x) == outcome(bool, rx)
 
@@ -178,7 +197,11 @@ def test_rational_values_across_deltas():
     assert QuadReal(3, 0, 8) == QuadReal(3, 0, 5) == 3
     assert len({QuadReal(3, 0, 8), QuadReal(3, 0, 5), 3, Fraction(3)}) == 1
     assert QuadReal(1, 1, 8) != QuadReal(1, 1, 5)
-    assert (QuadReal(3, 0, 5) + QuadReal(1, 1, 8)).delta == 8
+    # arithmetic takes one delta: the package refuses a rational of another
+    # delta, which the dropped coercion re-tagged
+    with pytest.raises(ValueError, match="delta mismatch"):
+        QuadReal(3, 0, 5) + QuadReal(1, 1, 8)
+    assert (OrderedQuadReal(3, 0, 5) + QuadReal(1, 1, 8)).delta == 8
 
 
 # Each case keeps the id its position gave it, so removing one renames no

@@ -8,7 +8,8 @@ NEWLY_REJECTED.  `parse_surd`, which returns the reduced integer triple
 (p, q, den), is held to the Fraction parser it replaced exactly: the same
 values and the same error messages, past the int -> str digit limit too.
 The integer grammar of theta and r is held to `int()`, which read them
-before, in the same way.  The formatters are byte-identical on
+before, in the same way, and the t reader, which gives two integer triples,
+to the complex-type parser it replaced (`tests/field_reference.py`).  The formatters are byte-identical on
 arbitrary Fraction pairs, and the integer formatter under them on arbitrary
 integer triples, past the int -> str digit limit too.
 """
@@ -22,16 +23,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import field_reference
 import grammar_reference as ref
 from conftest import format_surd
-from inoueaut.cli import ParamFileError, format_quad_complex, parse_quad_complex
+from field_reference import complex_triples, quad_complex
+from inoueaut.cli import ParamFileError, _parse_complex
 from inoueaut.exactnum import (
-    QuadComplex,
     QuadReal,
     ValueTooLargeError,
+    format_complex,
     format_quad,
     parse_integer,
-    parse_rational,
     parse_surd,
     square_decompose,
 )
@@ -134,6 +136,20 @@ def surd_reference(text, symbol):
     )
 
 
+def parse_t(text, delta):
+    """The parameter-file reader's t, two integer triples, with the errors
+    anchored at "t" as the reference parsers anchored them (delta unused)."""
+    try:
+        return _parse_complex(text, "sqrtD")
+    except ValueError as exc:
+        raise ParamFileError(f"t: {exc}") from exc
+
+
+def t_reference(text, delta):
+    """The Fraction t parser's value as two integer triples."""
+    return complex_triples(ref.parse_quad_complex(text, delta))
+
+
 def reference_value(parse, *args):
     """The reference's value, or None where it raises (any exception)."""
     try:
@@ -148,8 +164,7 @@ def reference_value(parse, *args):
 # (new parser, reference parser, extra arguments, the new parser's error)
 PARSERS = [
     (parse_field_element, ref.parse_field_element, (F6,), ValueError),
-    (parse_quad_complex, ref.parse_quad_complex, (DELTA,), ParamFileError),
-    (parse_rational, ref.parse_rational, (), ValueError),
+    (parse_t, t_reference, (DELTA,), ParamFileError),
     (parse_integer, int, (), ValueError),
     (parse_surd, surd_reference, ("sqrtD",), ValueError),
 ]
@@ -160,14 +175,11 @@ SIGNED = st.tuples(st.sampled_from(["", "+", "-"]), NUMERAL).map("".join)
 @given(
     documented_value("u"),
     documented_complex(),
-    st.tuples(st.sampled_from(["", "+", "-"]), RATIONAL).map("".join),
     st.tuples(SPACES, SIGNED, SPACES).map("".join),
     documented_value("sqrtD"),
 )
-def test_parsers_match_reference_on_the_grammar(
-    field_text, t_text, rational, integer, surd_text
-):
-    texts = (field_text, t_text, rational, integer, surd_text)
+def test_parsers_match_reference_on_the_grammar(field_text, t_text, integer, surd_text):
+    texts = (field_text, t_text, integer, surd_text)
     assert len(texts) == len(PARSERS)
     for (parse, parse_reference, args, _), text in zip(PARSERS, texts):
         assert parse(text, *args) == parse_reference(text, *args)
@@ -186,6 +198,24 @@ def test_parsers_only_drop_listed_classes(text):
             assert new == old, (parse, text)
 
 
+def t_outcome(parse, text):
+    try:
+        return "value", parse(text, DELTA)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(documented_complex(), LOOSE_TEXT))
+def test_t_parser_same_values_and_messages_as_the_complex_parser(text):
+    # the t reader on integer triples against the parser it replaced, which
+    # built the complex type (tests/field_reference.py)
+    def old(text, delta):
+        return complex_triples(field_reference.parse_quad_complex(text, delta))
+
+    assert t_outcome(parse_t, text) == t_outcome(old, text)
+
+
 def test_each_listed_class_was_accepted_and_is_now_rejected():
     examples = {
         "decimal point": ("0.5*u", "1.5*sqrtD"),
@@ -202,7 +232,7 @@ def test_each_listed_class_was_accepted_and_is_now_rejected():
         assert newly_rejected_classes(t_text)
         assert ref.parse_quad_complex(t_text, DELTA) is not None, name
         with pytest.raises(ParamFileError):
-            parse_quad_complex(t_text, DELTA)
+            parse_t(t_text, DELTA)
         if field_text is None:  # the class only exists in t's layout
             continue
         assert newly_rejected_classes(field_text)
@@ -218,7 +248,7 @@ def test_zero_denominator_is_a_value_error(text):
     with pytest.raises(ValueError):
         parse_field_element(text, F6)
     with pytest.raises(ParamFileError):
-        parse_quad_complex(text.replace("u", "sqrtD"), DELTA)
+        parse_t(text.replace("u", "sqrtD"), DELTA)
 
 
 def test_parse_surd_reads_each_symbol():
@@ -276,11 +306,18 @@ def test_formatters_byte_identical_to_reference(rat, coeff, im_rat, im_coeff, de
     s, m = square_decompose(delta)
     assert value.reduced_str() == ref._format_surd(rat, coeff * s, m)
     assert format_surd(rat, coeff, "sqrtD") == ref.format_surd_param(value)
-    im, zero = QuadReal(im_rat, im_coeff, delta), QuadReal.zero(delta)
-    for t in (QuadComplex(value, im), QuadComplex(zero, im), QuadComplex(value, zero)):
-        assert format_quad_complex(t) == ref.format_quad_complex(t)
-        assert str(t) == ref.quad_complex_str(t)
-        assert parse_quad_complex(format_quad_complex(t), delta) == t
+    re, im = value.as_integer_triple(), QuadReal(im_rat, im_coeff, delta).as_integer_triple()
+    zero = (0, 0, 1)
+    for t in ((re, im), (zero, im), (re, zero)):
+        # the report's t and AffineElement's t, against the Fraction
+        # formatters and the complex type's own
+        old = quad_complex(t, delta)
+        text = format_complex(t, "sqrtD", "i")
+        assert text == ref.format_quad_complex(old)
+        assert text == field_reference.format_quad_complex(old)
+        assert format_complex(t, f"sqrt({delta})", "*i") == ref.quad_complex_str(old)
+        assert format_complex(t, f"sqrt({delta})", "*i") == str(old)
+        assert parse_t(text, delta) == t
 
 
 @pytest.mark.skipif(
@@ -293,7 +330,7 @@ def test_value_too_large_to_print():
         with pytest.raises(ValueTooLargeError, match="decimal digits"):
             format_surd(Fraction(rat), Fraction(coeff), "u")
     with pytest.raises(ValueTooLargeError):
-        str(QuadComplex.from_real(QuadReal(0, huge, 5)))
+        format_complex((QuadReal(0, huge, 5).as_integer_triple(), (0, 0, 1)), "sqrtD", "i")
 
 
 # Past the interpreter's int -> str digit limit, where there is one.

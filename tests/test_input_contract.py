@@ -36,6 +36,34 @@ def run(path, *flags: str) -> tuple[int, str, str]:
     return rc, out.getvalue(), err.getvalue()
 
 
+# The minus_theta4_r2 golden, whose t is 0.
+MINUS = {"surface_type": "-", "theta": "4", "r": "2"}
+
+
+@pytest.mark.parametrize(
+    "t",
+    ["1/2", "-2*sqrtD", "(1/3)i", "1 + sqrtD + (1/3 - sqrtD)i"],
+    ids=["real", "surd", "imaginary", "complex"],
+)
+def test_minus_family_nonzero_t_exits_3(tmp_path, t):
+    path = tmp_path / "minus.params"
+    path.write_text(param_text(**MINUS, t=t), encoding="utf-8")
+    rc, out, err = run(path, "--no-oracle")
+    assert (rc, out) == (3, "")
+    assert "t must be 0 for the minus family" in err
+
+
+def test_minus_family_zero_t_written_out_is_accepted(tmp_path):
+    reports = []
+    for t in ("0", "0 + (0*sqrtD)i", "sqrtD - sqrtD + (0/5)i"):
+        path = tmp_path / "minus.params"
+        path.write_text(param_text(**MINUS, t=t), encoding="utf-8")
+        rc, out, err = run(path, "--no-oracle")
+        assert (rc, err) == (0, "")
+        reports.append(out)
+    assert reports[0] == reports[1] == reports[2]
+
+
 ZERO_DENOMINATORS = [
     (key, value)
     for key in ("x1", "x2", "e")

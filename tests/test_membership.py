@@ -24,8 +24,6 @@ from conftest import (
 from inoueaut import (
     FieldDescriptor,
     Lattice,
-    QuadComplex,
-    QuadReal,
     StandardFormError,
     SurfaceParams,
     automorphism_report,
@@ -63,7 +61,7 @@ def differential_sample() -> list[SurfaceParams]:
     # 2rt/chi0 an integer on these sets; t = sqrt(delta)/40 at theta = 7,
     # r = 10 does not, so there the -2t term decides the Norm(v) = -1 classes.
     theta7 = example_theta7()
-    t = QuadComplex.from_real(QuadReal(0, Fraction(1, 40), theta7.field.delta))
+    t = (0, 1, 40), (0, 0, 1)
     sample.append(
         SurfaceParams(theta7.field, 10, theta7.x1, theta7.x2, theta7.e, t)
     )
@@ -71,12 +69,12 @@ def differential_sample() -> list[SurfaceParams]:
 
 
 def t_kind(params: SurfaceParams) -> str:
-    t = params.t
-    if t.im:
+    (p, q, _), (ip, iq, _) = params.t
+    if ip or iq:
         return "imaginary"
-    if t.re.rat:
+    if p:
         return "rational"
-    if t.re.irr:
+    if q:
         return "surd"
     return "zero"
 

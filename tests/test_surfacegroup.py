@@ -30,13 +30,15 @@ from conftest import (
     random_surd_t,
     random_t,
     random_unit,
+    real_t,
     solve_standard_e,
+    surd_triple,
 )
+from field_reference import quad_complex
 from inoueaut import (
     AffineElement,
     FieldDescriptor,
     ParameterError,
-    QuadComplex,
     QuadReal,
     StandardFormError,
     SurfaceParams,
@@ -44,11 +46,13 @@ from inoueaut import (
     chi,
     fundamental_unit,
     is_standard_form_direct,
+    make_generators,
     normalizer_oracle,
     surface_group_contains,
     to_inoue_data,
 )
 from inoueaut.cli import load_param_file
+from inoueaut.exactnum import ZERO_T
 from surfacegroup_reference import is_standard_form_residue
 
 F4 = FieldDescriptor(4, 1)
@@ -96,11 +100,36 @@ def test_affine_element_is_immutable_and_copies():
         assert copied == g and hash(copied) == hash(g) and str(copied) == str(g)
 
 
+def half_of(t):
+    """t/2 for a real t."""
+    (p, q, den), _ = t
+    return surd_triple(Fraction(p, 2 * den), Fraction(q, 2 * den)), ZERO_T[1]
+
+
 def test_affine_element_validation():
     with pytest.raises(ValueError):
-        AffineElement(F6.element(2), F6.zero(), QuadComplex.zero(32))  # not a unit
+        AffineElement(F6.element(2), F6.zero(), ZERO_T)  # not a unit
     with pytest.raises(ValueError):
-        AffineElement(-F6.u(), F6.zero(), QuadComplex.zero(32))  # sigma1 < 0
+        AffineElement(-F6.u(), F6.zero(), ZERO_T)  # sigma1 < 0
+
+
+# t values that are not two reduced integer triples with den > 0
+MALFORMED_T = [
+    ((0, 0, 1),),  # one part
+    ((0, 0, 1), (0, 0, 1), (0, 0, 1)),  # three parts
+    ((1, 0, 1), (0, 0)),  # a part of two numbers
+    ((1, 0, -1), (0, 0, 1)),  # den < 0
+    ((1, 0, 0), (0, 0, 1)),  # den = 0
+    ((0, 0, 1), (2, 4, 6)),  # not reduced
+    ((0, 0, 1), (0, 0, 2)),  # zero, not reduced
+    ((Fraction(1, 2), 0, 1), (0, 0, 1)),  # not integers
+    ((True, 0, 1), (0, 0, 1)),  # a bool is no integer here
+    [(0, 0, 1), (0, 0, 1)],  # a list
+    ((0, 0, 1), [0, 0, 1]),  # a list part
+    0,
+    None,
+    "0",
+]
 
 
 def test_surface_params_validation():
@@ -113,14 +142,22 @@ def test_surface_params_validation():
         # Z<1, u/2> is not a fractional ideal
         SurfaceParams.create(field, 6, field.one(), field.u() / 2)
     minus = FieldDescriptor(3, -1)
-    with pytest.raises(ParameterError):
-        SurfaceParams.create(
-            minus,
-            4,
-            minus.one(),
-            minus.u(),
-            t=QuadComplex.from_real(QuadReal(1, 0, minus.delta)),
-        )
+    for t in [((1, 0, 1), (0, 0, 1)), ((0, 0, 1), (0, 1, 3))]:
+        with pytest.raises(ParameterError, match="t must be 0 for the minus family"):
+            SurfaceParams.create(minus, 4, minus.one(), minus.u(), t=t)
+
+
+def test_malformed_t_is_refused():
+    # t must be two reduced integer triples with den > 0: SurfaceParams
+    # refuses any other t with ParameterError in both families, as it refused
+    # a t over the wrong delta when t was a complex type, and so does the
+    # public AffineElement constructor, with ValueError
+    for field in (F6, FieldDescriptor(3, -1)):
+        for bad_t in MALFORMED_T:
+            with pytest.raises(ParameterError, match="t must be two reduced"):
+                SurfaceParams.create(field, 6, field.one(), field.u(), t=bad_t)
+            with pytest.raises(ValueError, match="t must be two reduced"):
+                AffineElement(field.u(), field.zero(), bad_t)
 
 
 def test_generators_desk_values():
@@ -129,9 +166,9 @@ def test_generators_desk_values():
     assert g1.x == params.x1
     assert g0.x == params.field.zero() and g0.t == params.t
     # g3.t = -chi(x1, x2)/6 = (1/12) sqrt(32)
-    assert g3.t == QuadComplex.from_real(QuadReal(0, Fraction(1, 12), 32))
+    assert g3.t == ((0, 1, 12), (0, 0, 1))
     zero_e = example_theta4_zero()
-    assert zero_e.generators[2].t == QuadComplex.zero(zero_e.field.delta)
+    assert zero_e.generators[2].t == ZERO_T
 
 
 def test_commutator_is_g3_to_the_r():
@@ -148,9 +185,9 @@ def test_commutator_is_g3_to_the_r():
         e = random_field_element(rng, field)
         r = rng.randint(1, 12)
         one = field.one()
-        g1 = AffineElement(one, x1, QuadComplex.from_real(chi(x1, e)))
-        g2 = AffineElement(one, x2, QuadComplex.from_real(chi(x2, e)))
-        g3 = AffineElement(one, field.zero(), QuadComplex.from_real(-chi(x1, x2) / r))
+        g1 = AffineElement(one, x1, real_t(chi(x1, e)))
+        g2 = AffineElement(one, x2, real_t(chi(x2, e)))
+        g3 = AffineElement(one, field.zero(), real_t(-chi(x1, x2) / r))
         commutator = g1 * g2 * g1.inverse() * g2.inverse()
         assert commutator == power(g3, r)
         count += 1
@@ -187,7 +224,7 @@ def test_word_problem_has_no_power_cap():
     assert surface_group_contains(params, power(g0, -65))
     assert surface_group_contains(params, power(g0, 200) * g3)
     half_central = AffineElement(
-        params.field.one(), params.field.zero(), QuadComplex.from_real(g3.t.re / 2)
+        params.field.one(), params.field.zero(), half_of(g3.t)
     )
     assert not surface_group_contains(params, power(g0, 65) * half_central)
 
@@ -196,19 +233,19 @@ def test_word_problem_rejects_fractional_central_parts():
     params = example_theta6()
     g3 = params.generators[3]
     half_central = AffineElement(
-        params.field.one(), params.field.zero(), QuadComplex.from_real(g3.t.re / 2)
+        params.field.one(), params.field.zero(), half_of(g3.t)
     )
     assert not surface_group_contains(params, half_central)
     # a unit outside <u> is rejected at the first stage
     eta = fundamental_unit(params.field)
     assert not surface_group_contains(
-        params, AffineElement(eta, params.field.zero(), QuadComplex.zero(32))
+        params, AffineElement(eta, params.field.zero(), ZERO_T)
     )
     # x outside the ideal is rejected at the second stage
     assert not surface_group_contains(
         params,
         AffineElement(
-            params.field.one(), params.field.element(Fraction(1, 2)), QuadComplex.zero(32)
+            params.field.one(), params.field.element(Fraction(1, 2)), ZERO_T
         ),
     )
 
@@ -351,17 +388,17 @@ def perturbations(params):
     element, an imaginary central offset, a unit outside <u> (when there is
     one) and an x outside I."""
     field = params.field
-    zero, delta = field.zero(), field.delta
-    g3_re = params.generators[3].t.re
+    zero = field.zero()
+    g3_t = params.generators[3].t
     out = [
-        AffineElement(field.one(), zero, QuadComplex.from_real(g3_re / 2)),
-        AffineElement(field.one(), zero, QuadComplex(QuadReal.zero(delta), g3_re)),
-        AffineElement(field.one(), params.x1 / 2, QuadComplex.zero(delta)),
-        AffineElement(field.one(), params.x2 / 3, QuadComplex.zero(delta)),
+        AffineElement(field.one(), zero, half_of(g3_t)),
+        AffineElement(field.one(), zero, (ZERO_T[0], g3_t[0])),
+        AffineElement(field.one(), params.x1 / 2, ZERO_T),
+        AffineElement(field.one(), params.x2 / 3, ZERO_T),
     ]
     eta = fundamental_unit(field)
     if eta != field.u():
-        out.append(AffineElement(eta, zero, QuadComplex.zero(delta)))
+        out.append(AffineElement(eta, zero, ZERO_T))
     return out
 
 
@@ -384,7 +421,7 @@ def word_cases(draw):
 
 
 def as_ref(g: AffineElement) -> ref.AffineElement:
-    return ref.AffineElement(g.v, g.x, g.t)
+    return ref.AffineElement(g.v, g.x, quad_complex(g.t, g.field.delta))
 
 
 @settings(max_examples=250, deadline=None)
@@ -414,7 +451,7 @@ def gate_cases(draw):
         e = e + random_field_element(rng, field)
     elif kind == "random":
         e = random_field_element(rng, field)
-    t = random_t(rng, field) if c0 == 1 else QuadComplex.zero(field.delta)
+    t = random_t(rng, field) if c0 == 1 else ZERO_T
     return SurfaceParams(field, r, x1, x2, e, t)
 
 
@@ -465,21 +502,28 @@ def test_flat_law_matches_reference(case):
             assert accepted == ref.surface_group_contains(params, rconj)
 
 
+@settings(max_examples=150, deadline=None)
+@given(standard_params())
+def test_make_generators_flats_match_reference(params):
+    # the generators built on integer triples hold the reference generators'
+    # v, x, Re t and Im t, triple by triple
+    for gen, rgen in zip(make_generators(params), ref.make_generators(params)):
+        parts = (rgen.v, rgen.x, rgen.t.re, rgen.t.im)
+        assert gen._flat == sum((x.as_integer_triple() for x in parts), ())
+        assert str(gen) == str(rgen)
+
+
 def test_flat_law_covers_norm_minus_one_and_complex_t():
     # The cases law_cases is meant to reach, fixed: theta = 6 (eta = 1 +
     # sqrt(2), Norm -1) and theta = 3 minus (Norm(u) = -1), with complex t.
     for field in (F6, FieldDescriptor(3, -1)):
         eta = fundamental_unit(field)
         assert eta.norm() == -1
-        delta = field.delta
-        t = QuadComplex(
-            QuadReal(Fraction(1, 3), 2, delta), QuadReal(-1, Fraction(1, 2), delta)
-        )
+        t = surd_triple(Fraction(1, 3), 2), surd_triple(-1, Fraction(1, 2))
+        minus_t = surd_triple(Fraction(-1, 3), -2), surd_triple(1, Fraction(-1, 2))
         for v in (eta, eta.inverse(), power(eta, 3) * field.u()):
             h = AffineElement(v, field.element(Fraction(1, 2), -1), t)
-            g = AffineElement(
-                field.u(), field.element(2, Fraction(-1, 3)), QuadComplex(-t.re, -t.im)
-            )
+            g = AffineElement(field.u(), field.element(2, Fraction(-1, 3)), minus_t)
             rh, rg = as_ref(h), as_ref(g)
             assert as_ref(h * g) == rh * rg
             assert as_ref(g * h) == rg * rh

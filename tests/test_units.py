@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import field_reference
 import lattice_reference as ref
 import units_reference
-from conftest import order_lattice, power, random_invariant_lattice
+from conftest import order_lattice, power, random_invariant_lattice, random_rational
+from field_reference import ordered
 from inoueaut import (
     FieldDescriptor,
     Lattice,
@@ -17,6 +19,7 @@ from inoueaut import (
     unit_exponent,
     utheta_exponent,
 )
+from inoueaut.units import sigma1_sign
 
 FIELDS = st.one_of(
     st.builds(FieldDescriptor, st.integers(3, 60), st.just(1)),
@@ -39,13 +42,13 @@ def test_fundamental_unit_properties_across_fields():
             field = FieldDescriptor(theta, c0)
             eta = fundamental_unit(field)
             assert abs(eta.norm()) == 1
-            assert eta.sigma1() > 1
+            assert ordered(eta.sigma1()) > 1
             # u is a positive power of eta
             assert utheta_exponent(field, eta) >= 1
     for theta in range(1, 3):
         field = FieldDescriptor(theta, -1)
         eta = fundamental_unit(field)
-        assert abs(eta.norm()) == 1 and eta.sigma1() > 1
+        assert abs(eta.norm()) == 1 and ordered(eta.sigma1()) > 1
 
 
 def test_invariant_generator_desk_cases():
@@ -185,3 +188,37 @@ def test_integer_walk_matches_the_field_walk(field, k, j, m, use_u):
     base = field.u() if use_u else eta
     value = power(eta, k) * power(field.u(), j) / m
     assert unit_exponent(value, base) == units_reference.unit_exponent(value, base)
+
+
+@st.composite
+def sigma1_cases(draw):
+    """x and c for sign(sigma1(x) - c): x a random element, a unit +-eta^k
+    (sigma1 = +-1 exactly at k = 0), or a unit near 1, 1 +- eta^-m, whose
+    sigma1 differs from 1 by sigma1(eta)^-m; c an integer around 0 and 1."""
+    field = draw(FIELDS)
+    eta = fundamental_unit(field)
+    kind = draw(st.sampled_from(["element", "unit", "near one"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "element":
+        x = field.element(random_rational(rng, 6), random_rational(rng, 6))
+    elif kind == "unit":
+        x = power(eta, draw(st.integers(-6, 6))) * draw(st.sampled_from([1, -1]))
+    else:
+        small = power(eta, -draw(st.integers(1, 12)))
+        x = field.one() + small * draw(st.sampled_from([1, -1]))
+    return field, x, draw(st.sampled_from([-2, -1, 0, 1, 2]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(sigma1_cases())
+def test_sigma1_sign_matches_the_dropped_sign_and_order(case):
+    # the one integer sign test of sigma1, against QuadReal's sign and order
+    # that the package dropped (tests/field_reference.py) and against the
+    # Fraction reference
+    field, x, c = case
+    got = sigma1_sign(x.as_integer_triple(), field.theta, field.delta, c)
+    value = ordered(x.sigma1())
+    assert got == (value - c).sign()
+    assert got == (value > c) - (value < c)
+    fraction_value = field_reference.FieldElement(x.a, x.b, field).sigma1()
+    assert got == (fraction_value - c).sign()

@@ -8,11 +8,14 @@ Also `unit_exponent`, the walk on `FieldElement` powers and `QuadReal`
 comparisons that the integer-triple walk (`inoueaut.units.triple_exponent`)
 replaced.  For tests/test_exactnum.py, `square_decompose_reference`: the trial
 division up to sqrt(n) that the cube-root `inoueaut.exactnum.square_decompose`
-replaced, without its cache.  Bodies unchanged.
+replaced, without its cache.  Bodies unchanged, but for the comparisons of
+sigma1, which take the package's QuadReal through `field_reference.ordered`
+since the package dropped the order of QuadReal.
 """
 
 from __future__ import annotations
 
+from field_reference import ordered
 from inoueaut.quadfield import FieldDescriptor, FieldElement
 
 # Far above any exponent reachable at desk scale; exceeding it means the
@@ -28,7 +31,7 @@ def utheta_exponent(
         raise ValueError("base lives in a different field")
     if not base.is_unit():
         raise ValueError(f"base must be a unit, got norm {base.norm()}")
-    if not base.sigma1() > 1:
+    if not ordered(base.sigma1()) > 1:
         raise ValueError(f"base must have sigma1 > 1, got {base}")
     target = field.u()
     power = base
@@ -68,12 +71,12 @@ def unit_exponent(value: FieldElement, base: FieldElement) -> int | None:
     products, bounded by the input alone.
     """
     sign = 1
-    if value.sigma1() < 1:  # k < 0: search for value^-1 = base**-k
+    if ordered(value.sigma1()) < 1:  # k < 0: search for value^-1 = base**-k
         value, sign = value.inverse(), -1
     target = value.sigma1()
     power, k = base.field.one(), 0
     while power != value:
-        if power.sigma1() > target:
+        if ordered(power.sigma1()) > target:
             return None
         power, k = power * base, k + 1
     return sign * k
