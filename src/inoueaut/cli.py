@@ -395,7 +395,7 @@ def cmd_check_standard_form(args: argparse.Namespace) -> int:
         require_standard_form(params)
     except StandardFormError as exc:
         print("standard form: no")
-        print(exc, file=sys.stderr)
+        _diagnose(str(exc))
         return 4
     print("standard form: yes")
     return 0
@@ -464,6 +464,22 @@ def _build_parser() -> argparse.ArgumentParser:
 EXIT_STDOUT_CLOSED = 141
 
 
+def _to_devnull(stream) -> None:
+    """Point the file descriptor under stream at the null device, so that the
+    interpreter's final flush of what is still buffered stays silent."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _diagnose(message: str) -> None:
+    """Print a diagnostic on stderr; when stderr's reader is gone, drop it."""
+    try:
+        print(message, file=sys.stderr, flush=True)
+    except BrokenPipeError:
+        _to_devnull(sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -472,26 +488,22 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # Point stdout at the null device, so that the interpreter's final
-        # flush of what is still buffered stays silent.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _to_devnull(sys.stdout)
         return EXIT_STDOUT_CLOSED
     except ParamFileError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+        _diagnose(f"parse error: {exc}")
         return 2
     except ParameterError as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
+        _diagnose(f"invalid parameters: {exc}")
         return 3
     except ValueTooLargeError as exc:
-        print(exc, file=sys.stderr)
+        _diagnose(str(exc))
         return 3
     except StandardFormError as exc:
-        print(f"not in standard form: {exc}", file=sys.stderr)
+        _diagnose(f"not in standard form: {exc}")
         return 4
     except InternalConsistencyError as exc:
-        print(f"internal consistency failure (bug): {exc}", file=sys.stderr)
+        _diagnose(f"internal consistency failure (bug): {exc}")
         return 5
 
 

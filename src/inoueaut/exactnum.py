@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, isqrt, lcm
 from typing import Union
 
@@ -40,32 +41,55 @@ SQUAREFREE_TRIAL_LIMIT = 1 << 22
 def square_decompose(n: int) -> tuple[int, int]:
     """Write n = s**2 * m with m squarefree; returns (s, m).
 
-    Trial division in cube-root time: each prime p with p**3 <= rest, rest
-    the cofactor left so far, is divided out completely, and its exponent
-    e puts p**(e//2) into s and p into m when e is odd.  Every prime factor
-    of the final rest then exceeds its cube root, so rest is 1, a prime, a
-    product of two distinct primes, or the square of a prime: it is a
-    square exactly when isqrt(rest)**2 == rest, and squarefree otherwise.
-    Exact, with no primality test.
+    Every delta = theta**2 - 4*c0 has one of two shapes, and each is
+    decomposed by its own shortcut:
+    - n + 4 = r**2, the plus family: n = (r - 2)(r + 2), and the gcd of the
+      factors divides 4, so only 2 can lie in both squarefree parts.  Each
+      factor is decomposed on its own, s = s1*s2 and m = m1*m2, with one
+      factor 4 moved from m into s**2 when m1 and m2 are both even.
+    - n - 4 = r**2, the minus family: every odd prime dividing r**2 + 4 is
+      1 (mod 4), so the trial division tries 2 and then only the odd
+      candidates 1 (mod 4).
+    Any other n is trial-divided by 2 and every odd candidate.
+
+    Trial division runs in cube-root time: each candidate p with
+    p**3 <= rest, rest the cofactor left so far, is divided out completely,
+    and its exponent e puts p**(e//2) into s and p into m when e is odd.
+    Every prime factor of the final rest then exceeds its cube root, so
+    rest is 1, a prime, a product of two distinct primes, or the square of
+    a prime: it is a square exactly when isqrt(rest)**2 == rest, and
+    squarefree otherwise.  Exact, with no primality test.
 
     The work is bounded: a candidate past SQUAREFREE_TRIAL_LIMIT raises
-    ValueTooLargeError.  Every n < 2**66 decomposes, and so does any larger
-    n whose cofactor drops below the limit cubed.  The last result is kept,
-    because one command decomposes the same delta several times (for the
-    fundamental unit, then for each reduced_str) and a decomposition near
-    the limit costs about half a second.
+    ValueTooLargeError, whose message names the digits of n.  A number
+    below 2**66 always decomposes, and so does a larger one whose cofactor
+    drops below the limit cubed; for the plus family that holds of r - 2
+    and r + 2 each.  The last result is kept, because one command
+    decomposes the same delta several times (for the fundamental unit,
+    then for each reduced_str).
     """
     if n <= 0:
         raise ValueError(f"expected a positive integer, got {n}")
+    r = isqrt(n + 4)
+    if r * r == n + 4:  # n >= 5, so r - 2 >= 1
+        s1, m1 = _trial_decompose(r - 2, 2, n)
+        s2, m2 = _trial_decompose(r + 2, 2, n)
+        if m1 & 1 or m2 & 1:
+            return s1 * s2, m1 * m2
+        return 2 * s1 * s2, (m1 >> 1) * (m2 >> 1)
+    return _trial_decompose(n, 4 if is_perfect_square(n - 4) else 2, n)
+
+
+def _trial_decompose(n: int, step: int, delta: int) -> tuple[int, int]:
+    """square_decompose(n) by cube-root trial division: 2, then the odd
+    candidates from 3 by 2 (step 2) or from 5 by 4 (step 4, for n whose odd
+    prime factors are all 1 (mod 4)).  A refusal names the digits of delta,
+    the number being decomposed."""
     s, m, rest = 1, 1, n
-    p = 2
-    while p * p * p <= rest:
-        if p > SQUAREFREE_TRIAL_LIMIT:
-            raise ValueTooLargeError(
-                f"value too large to factor: the squarefree part of a number "
-                f"of about {_decimal_digits(n)} decimal digits needs trial "
-                f"division past {SQUAREFREE_TRIAL_LIMIT}"
-            )
+    odd = range(3 if step == 2 else 5, SQUAREFREE_TRIAL_LIMIT + 1, step)
+    for p in chain((2,), odd):
+        if p * p * p > rest:
+            break
         if rest % p == 0:
             e = 0
             while rest % p == 0:
@@ -74,7 +98,13 @@ def square_decompose(n: int) -> tuple[int, int]:
             s *= p ** (e // 2)
             if e & 1:
                 m *= p
-        p += 1 if p == 2 else 2
+    else:  # SQUAREFREE_TRIAL_LIMIT + 1 is odd and 1 (mod 4): the next candidate
+        if (SQUAREFREE_TRIAL_LIMIT + 1) ** 3 <= rest:
+            raise ValueTooLargeError(
+                f"value too large to factor: the squarefree part of a number "
+                f"of about {_decimal_digits(delta)} decimal digits needs trial "
+                f"division past {SQUAREFREE_TRIAL_LIMIT}"
+            )
     root = isqrt(rest)
     if root * root == rest:
         return s * root, m

@@ -113,7 +113,7 @@ class Lattice:
     __slots__ = ("b1", "b2", "field", "_den", "_rows", "_det")
 
     def __init__(self, b1: FieldElement, b2: FieldElement):
-        if b1.field != b2.field:
+        if b1.field is not b2.field and b1.field != b2.field:
             raise ValueError("basis elements live in different fields")
         (p1, q1, d1), (p2, q2, d2) = b1.as_integer_triple(), b2.as_integer_triple()
         den = lcm(d1, d2)
@@ -155,7 +155,7 @@ class Lattice:
         return self.integer_coordinates(x) is not None
 
     def integer_coordinates(self, x: FieldElement) -> tuple[int, int] | None:
-        if x.field != self.field:
+        if x.field is not self.field and x.field != self.field:
             raise ValueError("field mismatch")
         return self.triple_coordinates(*x.as_integer_triple())
 
@@ -176,9 +176,24 @@ class Lattice:
 
     def mult_matrix(self, v: FieldElement) -> IntMatrix | None:
         """The integer matrix M with M*(b1; b2) = (v*b1; v*b2), as rows, or
-        None when v does not map the lattice into itself."""
-        r1 = self.integer_coordinates(v * self.b1)
-        r2 = self.integer_coordinates(v * self.b2)
+        None when v does not map the lattice into itself.
+
+        With v = (vp + vq*u)/vd and b = (p + q*u)/den a row, u^2 = theta*u - c0
+        gives v*b = (vp*p - c0*vq*q + (vp*q + vq*p + theta*vq*q)*u)/(vd*den),
+        whose coordinates triple_coordinates reads; no field product is built.
+        """
+        field = v.field
+        if field is not self.field and field != self.field:
+            raise ValueError("field mismatch")
+        theta, c0 = field.theta, field.c0
+        vp, vq, vd = v.as_integer_triple()
+        d = vd * self._den
+        r1, r2 = (
+            self.triple_coordinates(
+                vp * p - c0 * vq * q, vp * q + vq * p + theta * vq * q, d
+            )
+            for p, q in self._rows
+        )
         return None if r1 is None or r2 is None else (r1, r2)
 
     def quotient(self, sub: "Lattice") -> "LatticeQuotient":

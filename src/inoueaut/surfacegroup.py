@@ -115,7 +115,7 @@ class AffineElement:
 
     def __init__(self, v: FieldElement, x: FieldElement, t: Complex) -> None:
         field = v.field
-        if field != x.field:
+        if field is not x.field and field != x.field:
             raise ValueError("v and x live in different fields")
         if not _is_complex(t):
             raise ValueError(f"t must be two reduced integer triples, got {t!r}")
@@ -215,7 +215,8 @@ class SurfaceParams:
         if not isinstance(self.r, int) or self.r <= 0:
             raise ParameterError(f"r must be a positive integer, got {self.r}")
         for name in ("x1", "x2", "e"):
-            if getattr(self, name).field != self.field:
+            field = getattr(self, name).field
+            if field is not self.field and field != self.field:
                 raise ParameterError(f"{name} lives in a different field")
         if not _is_complex(self.t):
             raise ParameterError(

@@ -70,7 +70,7 @@ def unit_exponent(value: FieldElement, base: FieldElement) -> int | None:
     Needs sigma1(base) > 1 and sigma1(value) > 0; see triple_exponent.
     """
     field = base.field
-    if value.field != field:
+    if value.field is not field and value.field != field:
         raise ValueError(f"field mismatch: {value.field} vs {field}")
     return triple_exponent(
         value.as_integer_triple(), base.as_integer_triple(), field.theta, field.c0
@@ -122,7 +122,7 @@ def triple_exponent(value: Triple, base: Triple, theta: int, c0: int) -> int | N
 
 def utheta_exponent(field: FieldDescriptor, base: FieldElement) -> int:
     """The integer n >= 1 with base**n = u."""
-    if base.field != field:
+    if base.field is not field and base.field != field:
         raise ValueError("base lives in a different field")
     if not base.is_unit():
         raise ValueError(f"base must be a unit, got norm {base.norm()}")

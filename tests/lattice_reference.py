@@ -10,6 +10,10 @@ representatives as the quotient built them eagerly with field arithmetic
 with their old bodies, unchanged; scale and quotient are inherited.  So
 `Lattice.mult_matrix` gives a `Matrix2Q` for any v, integral or not.
 
+`field_mult_matrix(lat, v)` is the integer `Lattice.mult_matrix` as it was
+before it formed v*b1 and v*b2 on the lattice's integer rows: with two
+`FieldElement` products and `integer_coordinates`.
+
 Equality and hashing went through the row Hermite form `_hnf2`, which the
 package dropped with them: no command compares two lattices.  Both live
 here now, with `hermite_key`, the canonical form the package's constructor
@@ -248,3 +252,13 @@ def quotient_reps(big: Lattice, small: Lattice) -> tuple[FieldElement, ...]:
         for k1 in range(d1)
         for k2 in range(d2)
     )
+
+
+def field_mult_matrix(
+    lat: inoueaut.lattice.Lattice, v: FieldElement
+) -> inoueaut.lattice.IntMatrix | None:
+    """The integer matrix M with M*(b1; b2) = (v*b1; v*b2), as rows, or
+    None when v does not map the lattice into itself."""
+    r1 = lat.integer_coordinates(v * lat.b1)
+    r2 = lat.integer_coordinates(v * lat.b2)
+    return None if r1 is None or r2 is None else (r1, r2)

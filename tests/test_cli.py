@@ -18,6 +18,8 @@ from inoueaut.cli import (
     main,
 )
 from inoueaut.exactnum import format_complex, square_decompose
+from inoueaut.quadfield import FieldDescriptor, parse_field_element
+from inoueaut.units import unit_exponent
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -178,14 +180,36 @@ def test_fundamental_unit_command(capsys):
     assert rc == 3
 
 
-@pytest.mark.parametrize("surface_type", ["+", "-"])
-def test_fundamental_unit_past_the_trial_limit_exits_3(capsys, surface_type):
-    # delta = 10**42 -+ 4 keeps a cofactor above the trial limit cubed
-    rc = main(["fundamental-unit", str(10**21), surface_type])
+@pytest.mark.parametrize(
+    "surface_type, theta, digits",
+    [
+        # theta - 2 is the product of the three primes after 2**22
+        pytest.param("+", 73788542009189877705, 40, id="+"),
+        # delta = 10**42 + 4 keeps a cofactor above the trial limit cubed
+        pytest.param("-", 10**21, 42, id="-"),
+    ],
+)
+def test_fundamental_unit_past_the_trial_limit_exits_3(
+    capsys, surface_type, theta, digits
+):
+    rc = main(["fundamental-unit", str(theta), surface_type])
     captured = capsys.readouterr()
     assert (rc, captured.out) == (3, "")
     assert "value too large to factor" in captured.err
-    assert "42 decimal digits" in captured.err
+    assert f"{digits} decimal digits" in captured.err
+
+
+def test_fundamental_unit_splits_a_plus_delta_past_2_to_the_66(capsys):
+    # delta = 10**42 - 4 decomposes as (theta - 2)(theta + 2)
+    theta = 10**21
+    assert main(["fundamental-unit", str(theta), "+"]) == 0
+    out = capsys.readouterr().out
+    assert "norm: 1\n" in out
+    coordinates = out.split("coordinates: ", 1)[1].split("\n", 1)[0]
+    field = FieldDescriptor(theta, 1)
+    eta = parse_field_element(coordinates, field)
+    assert eta.norm() == 1
+    assert unit_exponent(field.u(), eta) is not None
 
 
 def test_delta_is_trial_divided_once_per_command(tmp_path, capsys):
@@ -371,20 +395,46 @@ def test_machine_refuses_a_table_past_its_limit(tmp_path, capsys, monkeypatch):
 def test_closed_stdout_exits_quietly(argv):
     # stdout is a pipe whose read end is closed before the command starts,
     # so the first write fails with EPIPE, as under `| head -n 0`
+    proc = run_with_closed_pipe(argv, "stdout")
+    stderr = proc.stderr.decode()
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
+    assert proc.returncode == EXIT_STDOUT_CLOSED
+
+
+NOT_PARSED = "surface_type = +\ntheta = x\n"
+NOT_STANDARD = EX321.replace("e = 1/4 - 1/12*u", "e = 1/17 - 1/17*u")
+
+
+@pytest.mark.parametrize(
+    "command, text, code, out",
+    [
+        ("analyze", NOT_PARSED, 2, ""),
+        ("analyze", NOT_STANDARD, 4, ""),
+        ("check-standard-form", NOT_STANDARD, 4, "standard form: no\n"),
+    ],
+    ids=["parse-error", "analyze-not-standard", "check-not-standard"],
+)
+def test_closed_stderr_keeps_the_exit_code(tmp_path, command, text, code, out):
+    # stderr is a pipe whose read end is closed before the command starts,
+    # so the diagnostic fails with EPIPE; the documented code still comes out
+    proc = run_with_closed_pipe([command, write(tmp_path, text)], "stderr")
+    assert (proc.returncode, proc.stdout.decode()) == (code, out)
+
+
+def run_with_closed_pipe(argv: list[str], stream: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a subprocess whose stream ("stdout" or "stderr") is a
+    pipe with its read end closed; the other stream is captured."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: write_end}
     try:
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "inoueaut.cli", *argv],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
             env=env,
             timeout=120,
+            **streams,
         )
     finally:
         os.close(write_end)
-    stderr = proc.stderr.decode()
-    assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
-    assert proc.returncode == EXIT_STDOUT_CLOSED

@@ -21,7 +21,7 @@ from inoueaut.exactnum import (
     square_decompose,
     surd_sign,
 )
-from units_reference import square_decompose_reference
+from units_reference import square_decompose_reference, square_decompose_trial
 
 
 def qr(rat, irr, delta=8) -> QuadReal:
@@ -243,7 +243,8 @@ def test_square_decompose():
     )
 )
 def test_square_decompose_matches_reference(n):
-    assert square_decompose(n) == square_decompose_reference(n)
+    reference = square_decompose_reference(n)
+    assert square_decompose(n) == reference == square_decompose_trial(n)
 
 
 def test_square_decompose_refuses_past_the_trial_limit():
@@ -256,6 +257,60 @@ def test_square_decompose_refuses_past_the_trial_limit():
         square_decompose(n)
     # the same size decomposes once its cofactor drops below the limit cubed
     assert square_decompose(2**40 * p * q) == (2**20, p * q)
+
+
+# -- the shape-split square_decompose against the trial division it replaced --
+
+
+def _delta(theta: int, c0: int) -> int:
+    return theta * theta - 4 * c0
+
+
+def _decompose_or_refusal(decompose, n: int):
+    """decompose(n), or the message of its ValueTooLargeError."""
+    try:
+        return decompose(n)
+    except ValueTooLargeError as exc:
+        return str(exc)
+
+
+def test_square_decompose_matches_trial_on_every_small_delta():
+    for theta in range(1, 2 * 10**4 + 1):
+        for c0 in (1, -1) if theta >= 3 else (-1,):
+            n = _delta(theta, c0)
+            assert square_decompose(n) == square_decompose_trial(n), (theta, c0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 10**9), st.sampled_from((1, -1)))
+def test_square_decompose_matches_trial_on_deltas(theta, c0):
+    n = _delta(theta, c0)
+    assert square_decompose(n) == square_decompose_trial(n)
+
+
+def test_square_decompose_splits_a_plus_delta_past_the_old_limit():
+    # theta - 2 and theta + 2 decompose on their own, where delta = 10**42 - 4
+    # left a cofactor above the trial limit cubed
+    n = _delta(10**21, 1)
+    s, m = square_decompose(n)
+    assert (s, s * s * m) == (2, n)
+    with pytest.raises(ValueTooLargeError, match="42 decimal digits"):
+        square_decompose_trial(n)
+    # refused once theta - 2 is the product of three primes past the limit;
+    # the message names the digits of delta
+    p = _prime_after(SQUAREFREE_TRIAL_LIMIT)
+    q = _prime_after(p)
+    theta = p * q * _prime_after(q) + 2
+    with pytest.raises(ValueTooLargeError, match="40 decimal digits"):
+        square_decompose(_delta(theta, 1))
+
+
+@pytest.mark.parametrize("theta", [10**21, 10**21 + 1])
+def test_square_decompose_refuses_a_minus_delta_as_trial_division_did(theta):
+    n = _delta(theta, -1)
+    expected = _decompose_or_refusal(square_decompose_trial, n)
+    assert "value too large to factor" in expected
+    assert _decompose_or_refusal(square_decompose, n) == expected
 
 
 def test_format_complex_desk_cases():

@@ -326,6 +326,8 @@ def test_integer_lattice_matches_reference(case):
     assert old == lat and old._den == lat._den
     matrix = old.mult_matrix(v)
     assert lat.mult_matrix(v) == (matrix.int_rows() if matrix.is_integral() else None)
+    # and against the products v*b1, v*b2 it formed before it used the rows
+    assert lat.mult_matrix(v) == ref.field_mult_matrix(lat, v)
     for probe in (x, v):
         assert lattice_coordinates(lat, probe) == old.coordinates(probe)
         assert lat.integer_coordinates(probe) == old.integer_coordinates(probe)
@@ -348,3 +350,5 @@ def test_integer_lattice_field_mismatch_matches_reference():
     for coordinates in (lambda x: lattice_coordinates(lat, x), old.coordinates):
         with pytest.raises(ValueError):
             coordinates(F7.element(1, 1))
+    with pytest.raises(ValueError):
+        ref.field_mult_matrix(lat, F7.element(1, 1))

@@ -8,14 +8,25 @@ Also `unit_exponent`, the walk on `FieldElement` powers and `QuadReal`
 comparisons that the integer-triple walk (`inoueaut.units.triple_exponent`)
 replaced.  For tests/test_exactnum.py, `square_decompose_reference`: the trial
 division up to sqrt(n) that the cube-root `inoueaut.exactnum.square_decompose`
-replaced, without its cache.  Bodies unchanged, but for the comparisons of
-sigma1, which take the package's QuadReal through `field_reference.ordered`
-since the package dropped the order of QuadReal.
+replaced, without its cache; and `square_decompose_trial`: that cube-root
+trial division over 2 and every odd candidate, for any n, before
+`square_decompose` split a plus-family delta = (theta - 2)(theta + 2) and
+skipped the candidates 3 (mod 4) on a minus-family delta = theta**2 + 4.
+Bodies unchanged, but for the comparisons of sigma1, which take the
+package's QuadReal through `field_reference.ordered` since the package
+dropped the order of QuadReal.
 """
 
 from __future__ import annotations
 
+from math import isqrt
+
 from field_reference import ordered
+from inoueaut.exactnum import (
+    SQUAREFREE_TRIAL_LIMIT,
+    ValueTooLargeError,
+    _decimal_digits,
+)
 from inoueaut.quadfield import FieldDescriptor, FieldElement
 
 # Far above any exponent reachable at desk scale; exceeding it means the
@@ -94,3 +105,44 @@ def square_decompose_reference(n: int) -> tuple[int, int]:
             s *= p
         p += 1
     return s, m
+
+
+def square_decompose_trial(n: int) -> tuple[int, int]:
+    """Write n = s**2 * m with m squarefree; returns (s, m).
+
+    Trial division in cube-root time: each prime p with p**3 <= rest, rest
+    the cofactor left so far, is divided out completely, and its exponent
+    e puts p**(e//2) into s and p into m when e is odd.  Every prime factor
+    of the final rest then exceeds its cube root, so rest is 1, a prime, a
+    product of two distinct primes, or the square of a prime: it is a
+    square exactly when isqrt(rest)**2 == rest, and squarefree otherwise.
+    Exact, with no primality test.
+
+    The work is bounded: a candidate past SQUAREFREE_TRIAL_LIMIT raises
+    ValueTooLargeError.  Every n < 2**66 decomposes, and so does any larger
+    n whose cofactor drops below the limit cubed.
+    """
+    if n <= 0:
+        raise ValueError(f"expected a positive integer, got {n}")
+    s, m, rest = 1, 1, n
+    p = 2
+    while p * p * p <= rest:
+        if p > SQUAREFREE_TRIAL_LIMIT:
+            raise ValueTooLargeError(
+                f"value too large to factor: the squarefree part of a number "
+                f"of about {_decimal_digits(n)} decimal digits needs trial "
+                f"division past {SQUAREFREE_TRIAL_LIMIT}"
+            )
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            s *= p ** (e // 2)
+            if e & 1:
+                m *= p
+        p += 1 if p == 2 else 2
+    root = isqrt(rest)
+    if root * root == rest:
+        return s * root, m
+    return s, m * rest
