@@ -8,8 +8,9 @@ reader of a pipe left early, as `| head` does; 128 + SIGPIPE, what a process
 killed by SIGPIPE reports).  stdout carries reports, stderr carries
 diagnostics.
 
-Parameter files are flat UTF-8 "key = value" lines with '#' comments; values
-follow the grammar of `exactnum.parse_surd`:
+Parameter files are flat UTF-8 "key = value" lines with '#' comments, a
+leading byte-order mark skipped; values follow the grammar of
+`exactnum.parse_surd`:
 
     surface_type = +
     theta = 6
@@ -66,6 +67,7 @@ class ParamFileError(ValueError):
 
 _KEYS = ("surface_type", "theta", "r", "x1", "x2", "e", "t")
 _REQUIRED = ("surface_type", "theta", "r", "x1", "x2", "e")
+_VALUE_KEYS = ("x1", "x2", "e", "t")
 # "re", "(im)i" or "re + (im)i": the "+" is required after a real part.
 _COMPLEX_RE = re.compile(r"^(?P<re>[^()]*?)(?:(?:^|\+)\((?P<im>[^()]+)\)i)?$")
 
@@ -85,15 +87,19 @@ def _parse_complex(text: str, symbol: str) -> Complex:
 
 def load_param_file(path: str) -> SurfaceParams:
     try:
-        # read as bytes: splitlines() below breaks at "\r\n" and "\r" as
-        # text mode would, without building a text wrapper
-        with open(path, "rb") as handle:
+        # one unbuffered read of the bytes: splitlines() below breaks at
+        # "\r\n" and "\r" as text mode would, without a buffer or a text
+        # wrapper
+        with open(path, "rb", buffering=0) as handle:
             text = handle.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParamFileError(f"{path}: {exc}") from exc
+    # a leading byte-order mark is dropped after decoding, as "utf-8-sig"
+    # would, so that a decode error still names a byte offset into the file
+    text = text.removeprefix("\ufeff")
     raw: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
     for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = line.partition("#")[0].strip()
         if not stripped:
             continue
         key, eq, value = stripped.partition("=")
@@ -114,15 +120,6 @@ def load_param_file(path: str) -> SurfaceParams:
     missing = [k for k in _REQUIRED if k not in raw]
     if missing:
         raise ParamFileError(f"{path}: missing keys: {', '.join(missing)}")
-
-    def parse(key: str, parser: Callable, context):
-        """parser(value of key, context), its errors anchored at path:line."""
-        lineno, value = raw[key]
-        try:
-            return parser(value, context)
-        except ValueError as exc:
-            raise ParamFileError(f"{path}:{lineno}: {exc}") from exc
-
     surface_type = raw["surface_type"][1]
     if surface_type not in ("+", "-"):
         raise ParamFileError(
@@ -137,9 +134,20 @@ def load_param_file(path: str) -> SurfaceParams:
         field = FieldDescriptor.from_type(surface_type, theta)
     except ValueError as exc:
         raise ParameterError(str(exc)) from exc
-    x1, x2, e = (parse(key, parse_field_element, field) for key in ("x1", "x2", "e"))
-    t = parse("t", _parse_complex, "sqrtD") if "t" in raw else ZERO_T
-    return SurfaceParams(field, r, x1, x2, e, t)
+    values = []  # x1, x2, e and t, each parse error anchored at path:line
+    for key in _VALUE_KEYS:
+        if key not in raw:  # only t is optional
+            values.append(ZERO_T)
+            continue
+        lineno, value = raw[key]
+        try:
+            if key == "t":
+                values.append(_parse_complex(value, "sqrtD"))
+            else:
+                values.append(parse_field_element(value, field))
+        except ValueError as exc:
+            raise ParamFileError(f"{path}:{lineno}: {exc}") from exc
+    return SurfaceParams(field, r, *values)
 
 
 # -- built-in example parameter sets ------------------------------------------
@@ -410,7 +418,10 @@ def cmd_bound(args: argparse.Namespace) -> int:
 # Built once: parse_args leaves the parser unchanged, and building it costs
 # more than a small command (in-process callers run main many times).
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[
+    argparse.ArgumentParser, dict[str, argparse.ArgumentParser]
+]:
+    """The top-level parser, and each command's own parser by its name."""
     parser = argparse.ArgumentParser(
         prog="inoueaut",
         description=(
@@ -457,7 +468,22 @@ def _build_parser() -> argparse.ArgumentParser:
     bound.add_argument("file")
     bound.set_defaults(func=cmd_bound)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse_argv(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the top-level parser would parse it, at a fraction of
+    the cost.  The top level hands every argument after a command's name to
+    that command's parser, so that parser is called on them directly.  When
+    it leaves arguments over, or argv names no command, the top-level parser
+    parses argv itself and writes its own usage and error text."""
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return parser.parse_args(argv)
 
 
 # The exit code when stdout is closed early.
@@ -481,8 +507,7 @@ def _diagnose(message: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_argv(sys.argv[1:] if argv is None else argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

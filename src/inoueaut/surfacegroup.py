@@ -39,16 +39,19 @@ Flat = tuple[int, int, int, int, int, int, int, int, int, int, int, int]
 def _is_complex(t: object) -> bool:
     """Whether t is a Complex: two reduced integer triples with den > 0."""
     return (
-        isinstance(t, tuple)
-        and len(t) == 2
-        and all(
-            isinstance(part, tuple)
-            and len(part) == 3
-            and all(type(n) is int for n in part)
-            and part[2] > 0
-            and gcd(*part) == 1
-            for part in t
-        )
+        isinstance(t, tuple) and len(t) == 2 and _is_triple(t[0]) and _is_triple(t[1])
+    )
+
+
+def _is_triple(part: object) -> bool:
+    """Whether part is a reduced integer triple (p, q, den) with den > 0;
+    tested without a generator, as every parameter file load runs it."""
+    return (
+        isinstance(part, tuple)
+        and len(part) == 3
+        and type(part[0]) is type(part[1]) is type(part[2]) is int
+        and part[2] > 0
+        and gcd(*part) == 1
     )
 
 
@@ -202,6 +205,9 @@ class SurfaceParams:
 
     x1, x2 must span a fractional ideal of Z[u] (u acts integrally and
     chi(x1, x2) != 0); t is a Complex, pinned to 0 for the minus family.
+    Validation computes, and keeps as plain attributes, chi0 = chi(x1, x2),
+    the lattice ideal = Z<x1, x2> and n_matrix, the integer matrix of u
+    acting on (x1, x2), of trace theta and det c0.
     """
 
     field: FieldDescriptor
@@ -223,14 +229,20 @@ class SurfaceParams:
                 f"t must be two reduced integer triples (p, q, den), den > 0, "
                 f"got {self.t!r}"
             )
-        if not self.chi0:
+        chi0 = chi(self.x1, self.x2)
+        if not chi0:
             raise ParameterError("x1, x2 are Q-linearly dependent (chi = 0)")
         if self.field.c0 == -1 and self.t != ZERO_T:
             raise ParameterError("t must be 0 for the minus family")
-        if self.n_matrix is None:
+        ideal = Lattice(self.x1, self.x2)
+        n_matrix = ideal.mult_matrix(self.field.u())
+        if n_matrix is None:
             raise ParameterError(
                 "Z<x1, x2> is not a fractional ideal: u does not act integrally"
             )
+        # past the frozen __setattr__; dataclass equality and hashing read
+        # only the fields
+        self.__dict__.update(chi0=chi0, ideal=ideal, n_matrix=n_matrix)
 
     @classmethod
     def create(
@@ -249,24 +261,10 @@ class SurfaceParams:
     # -- derived data (cached; the dataclass is frozen but not slotted) -------
 
     @cached_property
-    def ideal(self) -> Lattice:
-        return Lattice(self.x1, self.x2)
-
-    @cached_property
     def coset_cover(self) -> Lattice:
         """The lattice I*(1 - u)^{-1} containing all translation candidates."""
         one_minus_u = self.field.one() - self.field.u()
         return self.ideal.scale(one_minus_u.inverse())
-
-    @cached_property
-    def n_matrix(self) -> IntMatrix | None:
-        """Integer matrix of u acting on (x1, x2), trace theta and det c0;
-        None only while __post_init__ rejects a non-ideal."""
-        return self.ideal.mult_matrix(self.field.u())
-
-    @cached_property
-    def chi0(self) -> QuadReal:
-        return chi(self.x1, self.x2)
 
     @cached_property
     def generators(

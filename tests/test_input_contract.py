@@ -3,8 +3,11 @@ traceback: malformed values, numerals past the int -> str digit limit and
 non-UTF-8 bytes exit 2, values too large to print exit 3, and fuzzed files
 and values only ever give those codes."""
 
+import codecs
 import contextlib
+import errno
 import io
+import os
 import sys
 
 import pytest
@@ -30,9 +33,13 @@ def param_text(**values: str) -> str:
 
 
 def run(path, *flags: str) -> tuple[int, str, str]:
+    return run_command("analyze", path, *flags)
+
+
+def run_command(command: str, path, *flags: str) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(["analyze", *flags, str(path)])
+        rc = main([command, *flags, str(path)])
     return rc, out.getvalue(), err.getvalue()
 
 
@@ -106,12 +113,49 @@ def test_fundamental_unit_theta_grammar_exits_2(theta):
     assert exc.value.code == 2
 
 
-def test_non_utf8_file_exits_2(tmp_path):
+@pytest.mark.parametrize("head", [b"", codecs.BOM_UTF8], ids=["plain", "bom"])
+def test_non_utf8_file_exits_2(tmp_path, head):
     path = tmp_path / "latin.params"
-    path.write_bytes(param_text().encode() + b"# caf\x80\n")
+    data = head + param_text().encode() + b"# caf\x80\n"
+    path.write_bytes(data)
     rc, out, err = run(path)
     assert (rc, out) == (2, "")
-    assert "parse error" in err and "utf-8" in err
+    # the position is the byte's offset in the file, a leading BOM counted
+    position = data.index(b"\x80")
+    assert err == (
+        f"parse error: {path}: 'utf-8' codec can't decode byte 0x80 in "
+        f"position {position}: invalid start byte\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["analyze", "bound", "check-standard-form"])
+def test_leading_byte_order_mark_is_skipped(tmp_path, command):
+    plain, marked = tmp_path / "plain.params", tmp_path / "marked.params"
+    plain.write_text(param_text(), encoding="utf-8")
+    marked.write_text(param_text(), encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(codecs.BOM_UTF8)
+    expected = run_command(command, plain)
+    assert expected[0] == 0
+    assert run_command(command, marked) == expected
+    # only one leading mark is a byte-order mark
+    marked.write_text("\ufeff" + param_text(), encoding="utf-8-sig")
+    rc, out, err = run_command(command, marked)
+    assert (rc, out) == (2, "")
+    assert err == f"parse error: {marked}:1: unknown key '\\ufeffsurface_type'\n"
+
+
+@pytest.mark.parametrize(
+    "name, number",
+    [("missing.params", errno.ENOENT), ("", errno.EISDIR)],
+    ids=["missing", "directory"],
+)
+def test_unreadable_file_exits_2_with_the_os_message(tmp_path, name, number):
+    path = tmp_path / name  # name "" leaves the directory itself
+    rc, out, err = run(path)
+    assert (rc, out) == (2, "")
+    assert err == (
+        f"parse error: {path}: [Errno {number}] {os.strerror(number)}: '{path}'\n"
+    )
 
 
 @pytest.mark.skipif(
@@ -142,8 +186,7 @@ def test_other_line_endings_read_as_newlines(tmp_path, newline):
     path.write_bytes(param_text().replace("\n", newline).encode())
     assert run(path, "--no-oracle") == expected
     path.write_bytes(param_text(x1="1/0").replace("\n", newline).encode())
-    rc, out, err = run(path)
-    assert (rc, out) == (2, "") and f"{path}:4: zero denominator" in err
+    assert run(path) == (2, "", f"parse error: {path}:4: zero denominator: '1/0'\n")
 
 
 @pytest.mark.skipif(
