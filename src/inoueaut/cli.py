@@ -34,7 +34,10 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, fields
+from itertools import repeat
+from operator import mod, sub
 from typing import Callable
 
 from .components import (
@@ -52,7 +55,6 @@ from .exactnum import (
     Complex,
     ValueTooLargeError,
     format_complex,
-    format_quad,
     parse_integer,
     parse_surd,
 )
@@ -209,7 +211,10 @@ BUILTIN_EXAMPLES: tuple[BuiltinExample, ...] = (
 
 
 def _structure_payload(structure: GroupStructure) -> dict:
-    return {**asdict(structure), "description": structure.describe()}
+    # the fields themselves: json.dumps writes their tuples as lists
+    payload = {f.name: getattr(structure, f.name) for f in fields(structure)}
+    payload["description"] = structure.describe()
+    return payload
 
 
 def _q_payload(q: ComponentGroup) -> dict:
@@ -224,9 +229,25 @@ def _kernel_name(q: ComponentGroup) -> str:
     return "C*" if q.kernel_kind == "complex-torus-star" else "Z/2"
 
 
-def _coset_rep_texts(ambient: AmbientGroup) -> list[str]:
-    """Every coset representative's text, written from the integer rows."""
-    return [format_quad(*rep, "u") for rep in ambient.quotient.rep_triples()]
+def _element_texts(ambient: AmbientGroup, keys: list[int]) -> str:
+    """"[i,k]" for each key i*|C| + k (ascending), space-separated: written
+    one unit exponent's block at a time, with "] [i," as the separator of
+    the block's texts of k.  When some k must repeat (|Q| > |C|), each
+    distinct k is formatted once."""
+    c = ambient.quotient.order
+    if len(keys) > c:
+        distinct = set(map(mod, keys, repeat(c)))
+        text = dict(zip(distinct, map(str, distinct))).__getitem__
+    else:
+        text = str
+    blocks, lo = [], 0
+    while lo < len(keys):
+        i = keys[lo] // c
+        hi = bisect_left(keys, (i + 1) * c, lo)
+        ks = map(text, map(sub, keys[lo:hi], repeat(i * c)))
+        blocks.append(f"[{i}," + f"] [{i},".join(ks) + "]")
+        lo = hi
+    return " ".join(blocks)
 
 
 def machine_payload(report: AutReport) -> dict:
@@ -260,7 +281,7 @@ def machine_payload(report: AutReport) -> dict:
             "unit_order": ambient.n,
             "coset_count": ambient.quotient.order,
             "invariant_factors": ambient.quotient.invariant_factors,
-            "coset_reps": _coset_rep_texts(ambient),
+            "coset_reps": ambient.quotient.rep_texts("u"),
         },
         "q_group": _q_payload(report.q),
         "bound": ambient.order,
@@ -320,14 +341,11 @@ def render_report(report: AutReport) -> str:
         f"{ambient.quotient.order}, "
         f"coset factors {ambient.quotient.invariant_factors}"
     )
-    lines.append("  coset reps: " + ", ".join(_coset_rep_texts(ambient)))
+    lines.append("  coset reps: " + ", ".join(ambient.quotient.rep_texts("u")))
     lines.append(
         f"component group Q: order {report.q.order}, {report.q.structure.describe()}"
     )
-    c = ambient.quotient.order  # key = i*c + k, as AmbientGroup.pair decodes it
-    lines.append(
-        "  elements: " + " ".join(f"[{key // c},{key % c}]" for key in report.q.keys)
-    )
+    lines.append("  elements: " + _element_texts(ambient, report.q.keys))
     lines.append(f"bound: |Q| = {report.q.order} <= {ambient.order}")
     lines.append(f"kernel of Aut(X) -> Q: {_kernel_name(report.q)}")
     rows = inoue.matrix

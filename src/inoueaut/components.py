@@ -10,8 +10,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .exactnum import ValueTooLargeError, _decimal_digits
@@ -78,8 +79,8 @@ class AmbientGroup:
 # The largest ambient group analyze builds; a larger one is refused (exit 3)
 # before its cosets are built.  The report prints every coset, and
 # analyze --no-oracle at Q = H (Z[u], plus family, r = 2(theta-2)) takes
-# about 0.5-0.6 s and 32 MB peak RSS at 10**5 elements, 1.25-1.5 s and 64 MB
-# at 3*10**5 (2 vCPU, CPython 3.11).
+# about 0.23-0.31 s and 32 MB peak RSS at 10**5 elements, 0.58-0.73 s and
+# 64 MB at 3*10**5 (2 vCPU, CPython 3.11).
 AMBIENT_LIMIT = 10**6
 
 # The largest ambient group the normalizer oracle sweeps, at about 0.04 ms
@@ -89,8 +90,9 @@ ORACLE_LIMIT = 10**5
 
 # The largest Cayley table (|Q|^2 entries) --machine writes; a larger one is
 # refused (exit 3) before it is built.  analyze --no-oracle --machine takes
-# about 5.6 s and 237 MB peak RSS at |Q| = 2998 (9.0*10**6 entries, 42 MB of
-# JSON; same machine), so about 260 MB at the limit.
+# about 1.1-1.5 s and 167 MB peak RSS at |Q| = 2998 (9.0*10**6 entries, 42 MB
+# of JSON; same machine), most of the time in json.dumps, so
+# about 185 MB at the limit.
 TABLE_LIMIT = 10**7
 
 
@@ -532,14 +534,22 @@ def _classify(ambient: AmbientGroup, keys: list[int]) -> GroupStructure:
     # the members are K and then, for 0 < a < n', the translates in turn.
     if len(keys) != quotient_order * size:
         raise InternalConsistencyError("membership set is not closed")
+    # K's rows: row 0 is the multiples of row_step below d2, and the other
+    # nonempty rows, every gap-th, are its cosets t + row_step Z, t < row_step.
+    # A translate by (a1, a2) moves them to rows a1 + j gap mod d1, with t
+    # moved to (t + a2) mod row_step, so in key order it is one range per row.
+    per_row = bisect_left(kernel, d2)
+    row_step = d2 // per_row
+    starts = [k % d2 for k in kernel[::per_row]]
+    gap = d1 // len(starts)
     (m11, m12), (m21, m22) = actions[s]
     q1, q2 = a1, a2 = divmod(q0, d2)  # q0^a = (a step, a1 d2 + a2)
     for lo in range(size, len(keys), size):
-        offset = lo // size * step * c
-        translate = [
-            offset + (k // d2 + a1) % d1 * d2 + (k % d2 + a2) % d2 for k in kernel
-        ]
-        translate.sort()
+        first = lo // size * step * c + a1 % gap * d2  # the first row's key
+        j = -(a1 // gap) % len(starts)  # the row of K that lands there
+        translate = []
+        for t, row in zip(starts[j:] + starts[:j], range(first, first + c, gap * d2)):
+            translate.extend(range(row + (t + a2) % row_step, row + d2, row_step))
         if keys[lo : lo + size] != translate:
             raise InternalConsistencyError("membership set is not closed")
         a1, a2 = (a1 * m11 + a2 * m21 + q1) % d1, (a1 * m12 + a2 * m22 + q2) % d2
@@ -594,12 +604,28 @@ class ComponentGroup:
                 f"{_elements(self.order)}, so its Cayley table would have "
                 f"{self.order * self.order} entries, more than {TABLE_LIMIT}"
             )
+        # Row x*g is row x composed with row g: (x g) y = x (g y).  So only
+        # the rows of a generating set, each first element outside the span
+        # of those before, come from H's law; every other row is a lookup.
         keys = self.keys
         index = {key: k for k, key in enumerate(keys)}
-        return tuple(
-            tuple(map(index.__getitem__, self.ambient.mul_row(x, keys)))
-            for x in keys
-        )
+        rows: list[tuple[int, ...] | None] = [None] * len(keys)
+        rows[0] = tuple(range(len(keys)))  # keys[0] is the identity
+        reached, gens = [0], []
+        for x, key in enumerate(keys):
+            if rows[x] is not None:
+                continue
+            rows[x] = tuple(map(index.__getitem__, self.ambient.mul_row(key, keys)))
+            gens.append(x)
+            reached.append(x)
+            for y in reached:  # grows as the span does
+                row = rows[y]
+                for g in gens:
+                    z = row[g]
+                    if rows[z] is None:
+                        rows[z] = itemgetter(*rows[g])(row)
+                        reached.append(z)
+        return tuple(rows)
 
 
 def require_standard_form(params: SurfaceParams) -> None:
@@ -615,25 +641,37 @@ def require_standard_form(params: SurfaceParams) -> None:
 
 def _member_keys(params: SurfaceParams, ambient: AmbientGroup) -> list[int]:
     """Keys of the members of H, in order: one membership form per unit
-    power over the Smith basis, stepped over the cosets' coordinates
-    (k1, k2) by integer adds (the quadratic form by its differences)."""
+    power over the Smith basis, evaluated on one period of its accepted set.
+
+    Each reduced form is a function of the coset: its residue does not move
+    when k1 moves by d1 or k2 by d2.  An integer form mod L = lcm(den1,
+    den2) also repeats with period L, so the accepted (k1, k2) repeat with
+    periods g1 = gcd(d1, L) in k1 and g2 = gcd(d2, L) in k2.  The forms are
+    stepped over the g1 x g2 grid by integer adds (the quadratic form by its
+    differences).  An accepted grid point (k1, k2) stands for the keys
+    k1 d2 + k2 + m g2 of its row, or, when g1 = 1, of every row; the first
+    g1 rows, shifted by g1 d2 at a time, make up the unit power's block."""
     d1, d2 = ambient.quotient.invariant_factors
+    c = d1 * d2
     basis = ambient.quotient.smith_basis
     keys = []
     for i, v in enumerate(ambient.unit_powers):
         form = membership_form(params, v, basis)
         if form is None:
             continue
-        den1, a0, a1, a2, b0, b1, b2, den2, c, p1, p2, q11, q12, q22 = form
-        key = i * d1 * d2
+        den1, a0, a1, a2, b0, b1, b2, den2, c0, p1, p2, q11, q12, q22 = form
+        period = lcm(den1, den2)
+        g1, g2 = gcd(d1, period), gcd(d2, period)
+        width = c if g1 == 1 else d2  # how far a run of step g2 goes
+        runs = []  # the accepted keys of the first g1 rows, as ranges
         # the forms at (k1, 0), and the quadratic's step to (k1, 1)
-        a, b, z, dz = a0, b0, c, p2 + q22
-        for k1 in range(d1):
+        a, b, z, dz = a0, b0, c0, p2 + q22
+        for k1 in range(g1):
+            row = i * c + k1 * d2
             x, y, w, dw = a, b, z, dz
-            for _ in range(d2):
+            for key in range(row, row + g2):
                 if not (x % den1 or y % den1 or w % den2):
-                    keys.append(key)
-                key += 1
+                    runs.append(range(key, row + width, g2))
                 x += a2
                 y += b2
                 w += dw
@@ -642,6 +680,12 @@ def _member_keys(params: SurfaceParams, ambient: AmbientGroup) -> list[int]:
             b += b1
             z += p1 + q11 * (2 * k1 + 1)
             dz += q12
+        if not runs:
+            continue
+        block = runs[0] if len(runs) == 1 else sorted(chain.from_iterable(runs))
+        keys.extend(block)
+        for shift in range(g1 * width, c, g1 * width):
+            keys.extend(map(shift.__add__, block))
     return keys
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd, isqrt, lcm
-from typing import Union
+from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 # (p, q, den): the reduced (p + q*w)/den of QuadCore, den > 0
@@ -399,26 +399,38 @@ def parse_surd(text: str, symbol: str) -> tuple[int, int, int]:
 def format_quad(p: int, q: int, den: int, symbol: str) -> str:
     """Write (p + q*SYMBOL)/den, den > 0, in the syntax parse_surd reads:
     each part reduced on its own, "p/den + q/den*SYMBOL".  The triple need
-    not be reduced.  The one formatter of every surd and field element."""
-    g = gcd(p, den)
-    rn, rd = p // g, den // g
-    g = gcd(q, den)
-    cn, cd = q // g, den // g
-    try:
-        rat_text = str(rn) if rd == 1 else f"{rn}/{rd}"
-        coeff_text = str(abs(cn)) if cd == 1 else f"{abs(cn)}/{cd}"
-    except ValueError as exc:  # past the interpreter's int -> str digit limit
-        digits = max(_decimal_digits(n) for n in (rn, rd, cn, cd))
-        raise ValueTooLargeError(
-            f"value too large to print: a number of about {digits} decimal digits"
-        ) from exc
-    if not cn:
-        return rat_text
-    part = symbol if cd == 1 and abs(cn) == 1 else f"{coeff_text}*{symbol}"
-    if not rn:
-        return part if cn > 0 else f"-{part}"
-    return f"{rat_text} {'-' if cn < 0 else '+'} {part}"
+    not be reduced."""
+    return format_quads(((p, q),), den, symbol)[0]
 
+
+def format_quads(
+    pairs: Iterable[tuple[int, int]], den: int, symbol: str
+) -> list[str]:
+    """format_quad's text of (p + q*SYMBOL)/den for each pair (p, q), in one
+    loop.  The one formatter of every surd and field element."""
+    texts = []
+    for p, q in pairs:
+        g = gcd(p, den)
+        rn, rd = p // g, den // g
+        g = gcd(q, den)
+        cn, cd = q // g, den // g
+        try:
+            rat_text = str(rn) if rd == 1 else f"{rn}/{rd}"
+            coeff_text = str(abs(cn)) if cd == 1 else f"{abs(cn)}/{cd}"
+        except ValueError as exc:  # past the interpreter's int -> str digit limit
+            digits = max(_decimal_digits(n) for n in (rn, rd, cn, cd))
+            raise ValueTooLargeError(
+                f"value too large to print: a number of about {digits} decimal digits"
+            ) from exc
+        if not cn:
+            texts.append(rat_text)
+            continue
+        part = symbol if cd == 1 and abs(cn) == 1 else f"{coeff_text}*{symbol}"
+        if not rn:
+            texts.append(part if cn > 0 else f"-{part}")
+        else:
+            texts.append(f"{rat_text} {'-' if cn < 0 else '+'} {part}")
+    return texts
 
 
 def format_complex(t: Complex, symbol: str, imaginary: str) -> str:

@@ -9,9 +9,11 @@ coordinates.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from math import lcm
 from typing import Iterator
 
+from .exactnum import format_quads
 from .quadfield import FieldElement
 
 # Row-major 2x2 integer matrix ((m11, m12), (m21, m22)).
@@ -255,17 +257,20 @@ class LatticeQuotient:
             k1 * p1 + k2 * p2, k1 * q1 + k2 * q2, self._den, self.big.field
         )
 
-    def rep_triples(self) -> Iterator[tuple[int, int, int]]:
-        """Every representative in coset order, as an unreduced triple
-        (p, q, den) over the rows' denominator, stepped by integer adds."""
+    def rep_texts(self, symbol: str) -> list[str]:
+        """Every representative's text in coset order, written by
+        format_quads from the Smith rows: row k1 of each coordinate,
+        k1 c1 + k2 c2 for k2 < d2, is one range of step c2."""
+        d1, d2 = self.d1, self.d2
+
+        def column(c1: int, c2: int) -> Iterator[int]:
+            return chain.from_iterable(
+                range(k1 * c1, k1 * c1 + d2 * c2, c2) if c2 else repeat(k1 * c1, d2)
+                for k1 in range(d1)
+            )
+
         (p1, q1), (p2, q2) = self._rows
-        den, d2 = self._den, self.d2
-        for k1 in range(self.d1):
-            p, q = k1 * p1, k1 * q1
-            for _ in range(d2):
-                yield p, q, den
-                p += p2
-                q += q2
+        return format_quads(zip(column(p1, p2), column(q1, q2)), self._den, symbol)
 
     def index_of(self, x: FieldElement) -> int:
         """Index of the representative congruent to x modulo the sublattice."""

@@ -1,12 +1,17 @@
-"""The two classifiers that components._classify replaced, kept with their
-logic unchanged as differential references: the table-driven one
-(_classify) reads the structure of the component group off element orders
-in its full Cayley table and its elements' unit exponents; the law-driven
-one (law_classify) reads it off H's integer law from the members' keys,
-building K's span and the cosets q0^a K through mul_row."""
+"""The classifiers that components._classify replaced, and the Cayley table
+that ComponentGroup.table replaced, kept with their logic unchanged as
+differential references: the table-driven classifier (_classify) reads the
+structure of the component group off element orders in its full Cayley
+table and its elements' unit exponents; the law-driven one (law_classify)
+reads it off H's integer law from the members' keys, building K's span and
+the cosets q0^a K through mul_row; sorted_translate_classify is the integer
+classifier as it was while it checked closure by building each translate
+q0^a K element by element and sorting it; mul_row_table builds every row of
+the table from H's law."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
 from math import gcd, lcm
 from typing import Sequence
@@ -15,7 +20,19 @@ from inoueaut.components import (
     AmbientGroup,
     GroupStructure,
     InternalConsistencyError,
+    _kernel_basis,
 )
+
+
+def mul_row_table(
+    ambient: AmbientGroup, keys: list[int]
+) -> tuple[tuple[int, ...], ...]:
+    """The Cayley table of the subgroup with these keys, on element indices,
+    one mul_row call per row."""
+    index = {key: k for k, key in enumerate(keys)}
+    return tuple(
+        tuple(map(index.__getitem__, ambient.mul_row(x, keys))) for x in keys
+    )
 
 
 def _factorint(n: int) -> dict[int, int]:
@@ -327,6 +344,114 @@ def law_classify(ambient: AmbientGroup, keys: Sequence[int]) -> GroupStructure:
         quotient_order=quotient_order,
         kernel_factors=tuple(o for _, o in gens),
         action=tuple(span[x] for x in conjugates),
+        split=split is not None,
+        twist=None if split is not None else twist,
+    )
+
+
+def sorted_translate_classify(ambient: AmbientGroup, keys: list[int]) -> GroupStructure:
+    """Reads the structure of Q off H's integer law from its members' keys
+    (ascending); raises InternalConsistencyError unless they form a subgroup
+    of H.
+
+    K = Q n (Z/d1 x Z/d2), the keys below |C|, has rank <= 2, and its law is
+    addition mod (d1, d2) in Smith coordinates, so its span is the sums of
+    multiples of its basis.  Q/K is cyclic of order n' = n/step, step =
+    gcd(n, unit exponents), generated by any member q0 = (step, k).
+    Conjugation by q0 acts on K as A^step, and q0^n' = (0, N k) with the
+    norm matrix N = sum_{j<n'} A^(j step).  Once q0 normalizes K, the coset
+    q0^a K is the translate (a step, k_a + K) of q0^a = (a step, k_a).
+    """
+    n, c = ambient.n, ambient.quotient.order
+    d1, d2 = ambient.quotient.d1, ambient.quotient.d2
+    actions = ambient._actions
+
+    def image(m, k: int) -> int:
+        (m11, m12), (m21, m22) = m
+        k1, k2 = divmod(k, d2)
+        return (k1 * m11 + k2 * m21) % d1 * d2 + (k1 * m12 + k2 * m22) % d2
+
+    kernel = keys[: bisect_left(keys, c)]
+    size = len(kernel)
+    gens = _kernel_basis(kernel, d1, d2)
+    # span lists e_low low + e_top top at position e_low + e_top o_low
+    span = [0]
+    for gen, order in gens:
+        g1, g2 = divmod(gen, d2)
+        layer = [divmod(x, d2) for x in span]
+        span = [
+            (x1 + e * g1) % d1 * d2 + (x2 + e * g2) % d2
+            for e in range(order)
+            for x1, x2 in layer
+        ]
+    if sorted(span) != kernel:
+        raise InternalConsistencyError("the unit kernel is not a group")
+
+    def coordinates(x: int) -> tuple[int, ...]:
+        try:
+            p, out = span.index(x), []
+        except ValueError:
+            raise InternalConsistencyError(
+                "the quotient generator does not normalize K"
+            ) from None
+        for _, order in gens:
+            p, e = divmod(p, order)
+            out.append(e)
+        return tuple(out)
+
+    exps, lo = [], size  # the unit exponents present, by bisection
+    while lo < len(keys):
+        exps.append(keys[lo] // c)
+        lo = bisect_left(keys, (exps[-1] + 1) * c, lo)
+    step = gcd(n, *exps)
+    quotient_order = n // step
+    s = step % n
+    base = s * c  # the candidates for q0 are the keys base + k, k < |C|
+    lo = bisect_left(keys, base)
+    candidates = keys[lo : bisect_left(keys, base + c, lo)]
+    if not candidates:
+        raise InternalConsistencyError(f"no member has unit exponent {s}")
+    powers = [actions[j * s % n] for j in range(quotient_order)]
+    norm = [[sum(a[i][col] for a in powers) for col in (0, 1)] for i in (0, 1)]
+    split = next((k for k in candidates if image(norm, k - base) == 0), None)
+    q0 = (candidates[0] if split is None else split) - base
+    conjugates = [image(actions[s], gen) for gen, _ in gens]
+    action = [coordinates(x) for x in conjugates]
+    twist = coordinates(image(norm, q0))
+    # K is a group normalized by q0 and holds q0^n', so the cosets q0^a K,
+    # a < n', form a group; Q is a group iff it is that one.  In key order
+    # the members are K and then, for 0 < a < n', the translates in turn.
+    if len(keys) != quotient_order * size:
+        raise InternalConsistencyError("membership set is not closed")
+    (m11, m12), (m21, m22) = actions[s]
+    q1, q2 = a1, a2 = divmod(q0, d2)  # q0^a = (a step, a1 d2 + a2)
+    for lo in range(size, len(keys), size):
+        offset = lo // size * step * c
+        translate = [
+            offset + (k // d2 + a1) % d1 * d2 + (k % d2 + a2) % d2 for k in kernel
+        ]
+        translate.sort()
+        if keys[lo : lo + size] != translate:
+            raise InternalConsistencyError("membership set is not closed")
+        a1, a2 = (a1 * m11 + a2 * m21 + q1) % d1, (a1 * m12 + a2 * m22 + q2) % d2
+
+    if conjugates == [gen for gen, _ in gens]:
+        # Q = <gens, q0 | orders, n' q0 = twist>; the Smith form of these
+        # relations gives the invariant factors as determinantal quotients.
+        rank = len(gens) + 1
+        relations = [
+            [o if j == i else 0 for j in range(rank)] for i, (_, o) in enumerate(gens)
+        ]
+        relations.append([-t for t in twist] + [quotient_order])
+        divisors = [_minor_gcd(relations, k) for k in range(rank + 1)]
+        factors = tuple(b // a for a, b in zip(divisors, divisors[1:]) if b != a)
+        return GroupStructure(len(keys), True, invariant_factors=factors)
+    return GroupStructure(
+        len(keys),
+        False,
+        quotient_order=quotient_order,
+        kernel_factors=tuple(o for _, o in gens),
+        action=tuple(action),
         split=split is not None,
         twist=None if split is not None else twist,
     )

@@ -4,11 +4,17 @@ reference for the dispatch tests in `tests/test_cli_dispatch.py`.
 
 The body is unchanged; only the imports were added, and the parser is the
 top-level one of the pair that `cli._build_parser` now returns.
+
+`element_texts` is the text of the report's `elements:` line as
+`render_report` wrote it, one f-string per key, before it wrote the line one
+unit exponent's block at a time.
 """
 
 from __future__ import annotations
 
 import sys
+
+from inoueaut.components import AmbientGroup
 
 from inoueaut.cli import (
     EXIT_STDOUT_CLOSED,
@@ -48,3 +54,8 @@ def main(argv: list[str] | None = None) -> int:
     except InternalConsistencyError as exc:
         _diagnose(f"internal consistency failure (bug): {exc}")
         return 5
+
+
+def element_texts(ambient: AmbientGroup, keys: list[int]) -> str:
+    c = ambient.quotient.order  # key = i*c + k, as AmbientGroup.pair decodes it
+    return " ".join(f"[{key // c},{key % c}]" for key in keys)

@@ -8,7 +8,9 @@ matrices are now integer rows.  `membership_form` builds those forms per
 unit power from Fraction and field arithmetic, as the package did before it
 built them from integer triples, and `member_keys` runs it over every coset
 as the filter did.  Rational coordinates in I come from
-`conftest.lattice_coordinates`, where `Lattice.coordinates` moved.  The
+`conftest.lattice_coordinates`, where `Lattice.coordinates` moved.
+`stepped_member_keys` is the integer filter as it was while it stepped the
+integer forms over every coset, before it evaluated them on one period.  The
 package's t, two integer triples, is read as a `QuadComplex` through
 `field_reference.quad_complex`, and the sign of sigma1 through
 `field_reference.ordered`, where the code the package dropped moved."""
@@ -21,7 +23,7 @@ import lattice_reference
 from conftest import ideal_over_r, in_discrete_subgroup, lattice_coordinates
 from field_reference import ordered, quad_complex
 from inoueaut import FieldElement, SurfaceParams, chi
-from inoueaut.components import _unit_matrix
+from inoueaut.components import _unit_matrix, membership_form as integer_form
 from lattice_reference import Matrix2Q
 
 
@@ -189,3 +191,36 @@ def member_keys(params: SurfaceParams, ambient) -> list[int]:
         )
     return keys
 
+
+def stepped_member_keys(params: SurfaceParams, ambient) -> list[int]:
+    """Keys of the members of H, in order, as `components._member_keys`
+    found them before it evaluated the forms on one period only: one
+    membership form per unit power over the Smith basis, stepped over the
+    cosets' coordinates (k1, k2) by integer adds (the quadratic form by its
+    differences)."""
+    d1, d2 = ambient.quotient.invariant_factors
+    basis = ambient.quotient.smith_basis
+    keys = []
+    for i, v in enumerate(ambient.unit_powers):
+        form = integer_form(params, v, basis)
+        if form is None:
+            continue
+        den1, a0, a1, a2, b0, b1, b2, den2, c, p1, p2, q11, q12, q22 = form
+        key = i * d1 * d2
+        # the forms at (k1, 0), and the quadratic's step to (k1, 1)
+        a, b, z, dz = a0, b0, c, p2 + q22
+        for k1 in range(d1):
+            x, y, w, dw = a, b, z, dz
+            for _ in range(d2):
+                if not (x % den1 or y % den1 or w % den2):
+                    keys.append(key)
+                key += 1
+                x += a2
+                y += b2
+                w += dw
+                dw += 2 * q22
+            a += a1
+            b += b1
+            z += p1 + q11 * (2 * k1 + 1)
+            dz += q12
+    return keys

@@ -1,10 +1,11 @@
 """The component-group classifier, which reads Q off H's integer law, against
 the classifiers it replaced (tests/classify_reference.py): the table-driven
-one and the law-driven one built on mul_row.  On real parameter sets, on
-every subgroup generated by random elements of synthetic ambient groups,
-and on member sets one element away from a subgroup or with one member
-moved within its unit exponent, which it must reject exactly when they are
-not subgroups."""
+one, the law-driven one built on mul_row and the one that sorted each
+translate of K.  On real parameter sets, on every subgroup generated by
+random elements of synthetic ambient groups, and on member sets one element
+away from a subgroup or with one member moved within its unit exponent,
+which it must reject exactly when they are not subgroups.  The Cayley table
+built by composing rows against the one built row by row from H's law."""
 
 import random
 from collections import Counter
@@ -13,7 +14,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from classify_reference import _classify as table_classify, law_classify
+from classify_reference import (
+    _classify as table_classify,
+    law_classify,
+    mul_row_table,
+    sorted_translate_classify,
+)
 from conftest import (
     all_examples,
     example_theta7,
@@ -39,7 +45,7 @@ from inoueaut.cli import dump_machine, render_report
 
 
 def reference_structure(ambient, keys):
-    table = ComponentGroup(keys, None, "", ambient).table
+    table = mul_row_table(ambient, keys)
     unit_exps = [x // ambient.quotient.order for x in keys]
     return table_classify(unit_exps, table, ambient.n)
 
@@ -235,3 +241,53 @@ def test_only_machine_output_builds_the_table():
     assert "table" not in vars(report.q) and "table" not in vars(report.double_r)
     dump_machine(report)
     assert "table" in vars(report.q)
+
+
+def moved_key_sets():
+    """(ambient, key set) with one member of a synthetic subgroup moved to
+    a free key of its unit exponent."""
+    rng = random.Random(139)
+    for ambient, members in random_subgroups(rng, 400, 120):
+        c = ambient.quotient.order
+        x = rng.choice(members)
+        free = [y for y in range(x - x % c, x - x % c + c) if y not in members]
+        if free:
+            yield ambient, sorted(set(members) - {x} | {rng.choice(free)})
+
+
+def test_classify_matches_sorted_translate_reference():
+    # the translates of K built from its rows by ranges against the ones
+    # built element by element and sorted: the same structure or the same
+    # refusal
+    cases = chain(
+        random_subgroups(random.Random(131), 1500, 200),
+        ((a, sorted(keys)) for a, keys in mutated_key_sets()),
+        moved_key_sets(),
+    )
+    outcomes = Counter()
+    for ambient, members in cases:
+        new = classified(_classify, ambient, members)
+        assert new == classified(sorted_translate_classify, ambient, members)
+        outcomes[new is None] += 1
+    assert outcomes[True] and outcomes[False]
+
+
+def test_table_matches_mul_row_reference():
+    # rows composed from a generating set's rows against every row from H's
+    # law, on real and synthetic groups, among them Q = H at |Q| = 598
+    field = FieldDescriptor(600, 1)
+    x1, x2 = field.one(), field.u()
+    r = 2 * (600 - 2)
+    e = solve_standard_e(field, r, x1, x2, 0, 0)
+    large = component_group(SurfaceParams.create(field, r, x1, x2, e))
+    groups = chain(
+        ((q.ambient, q.keys) for q in map(component_group, parameter_sets())),
+        random_subgroups(random.Random(151), 300, 200),
+        [(large.ambient, large.keys)],
+    )
+    sizes = set()
+    for ambient, keys in groups:
+        table = ComponentGroup(keys, None, "", ambient).table
+        assert table == mul_row_table(ambient, keys)
+        sizes.add(len(keys))
+    assert {1, 598} <= sizes

@@ -2,17 +2,21 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import cli_reference
 import inoueaut.components as components
 from inoueaut.cli import (
     EXIT_STDOUT_CLOSED,
     ParamFileError,
+    _element_texts,
     _parse_complex,
     load_param_file,
     main,
@@ -20,6 +24,7 @@ from inoueaut.cli import (
 from inoueaut.exactnum import format_complex, square_decompose
 from inoueaut.quadfield import FieldDescriptor, parse_field_element
 from inoueaut.units import unit_exponent
+from test_classify import parameter_sets, random_subgroups
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -438,3 +443,22 @@ def run_with_closed_pipe(argv: list[str], stream: str) -> subprocess.CompletedPr
         )
     finally:
         os.close(write_end)
+
+
+def test_element_texts_match_one_text_per_key():
+    # by blocks of a unit exponent against one f-string per key, on real
+    # groups and on synthetic subgroups, many of which miss unit exponents
+    groups = [
+        (q.ambient, q.keys)
+        for q in map(components.component_group, parameter_sets())
+    ]
+    groups += random_subgroups(random.Random(157), 300, 200)
+    shapes = Counter()
+    for ambient, keys in groups:
+        expected = cli_reference.element_texts(ambient, keys)
+        assert _element_texts(ambient, keys) == expected
+        c = ambient.quotient.order
+        shapes["gaps"] += len({key // c for key in keys}) < ambient.n
+        shapes["repeated k"] += len(keys) > c
+        shapes["distinct k"] += len(keys) <= c
+    assert shapes["gaps"] and shapes["repeated k"] and shapes["distinct k"]

@@ -1,12 +1,17 @@
 """The membership filter, which evaluates both conditions as integer forms in
 the Smith coordinates once per unit power, against the Fraction
-implementations it replaced (tests/membership_reference.py); the coset
-representatives and their text against the eager field arithmetic and the
-Fraction formatter; the standard-form gate of component_group; and the
-filter's work count."""
+implementations it replaced (tests/membership_reference.py); its evaluation
+on one period of the forms against the sweep over every coset, with the
+premise that makes the forms periodic; the coset representatives and their
+text against the eager field arithmetic and the Fraction formatter; the
+standard-form gate of component_group; and the filter's work count."""
 
+import importlib.util
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -14,6 +19,7 @@ import pytest
 import grammar_reference
 import lattice_reference
 import membership_reference as reference
+from classify_reference import sorted_translate_classify
 from conftest import (
     coset_reps,
     example_theta7,
@@ -33,11 +39,11 @@ from inoueaut import (
     is_standard_form_direct,
     membership_conditions,
 )
-import inoueaut.cli as cli
 import inoueaut.components as components
 from inoueaut.cli import load_param_file
 
-GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def ladder_sized_params(e_solved: bool = True) -> SurfaceParams:
@@ -206,7 +212,7 @@ def test_coset_rep_text_matches_field_arithmetic():
         reps = lattice_reference.quotient_reps(quotient.big, quotient.small)
         assert coset_reps(quotient) == list(reps)
         expected = [grammar_reference.format_surd(y.a, y.b, "u") for y in reps]
-        assert cli._coset_rep_texts(ambient) == expected
+        assert quotient.rep_texts("u") == expected
         assert [str(y) for y in coset_reps(quotient)] == expected
         families.add(params.field.c0)
     assert families == {1, -1}
@@ -240,3 +246,107 @@ def test_filter_builds_no_fraction(monkeypatch, name):
     # the counter does count
     Fraction(1, 2) + Fraction(1, 3)
     assert calls
+
+
+# -- the filter on one period of its accepted set -------------------------------
+
+F16 = 987  # the Fibonacci number F_16, with L_16 = 2207
+
+
+def lucas_params(r: int) -> SurfaceParams:
+    """theta = L_16 = 2207 and I = Z<1, phi>, phi = (F16 - theta)/(2 F16) +
+    u/F16 the golden ratio: n = 16, C = Z/21 x Z/105 and |H| = 35 280."""
+    field = FieldDescriptor(2207, 1)
+    x1 = field.one()
+    x2 = Fraction(F16 - 2207, 2 * F16) * x1 + Fraction(1, F16) * field.u()
+    e = solve_standard_e(field, r, x1, x2, 0, 0)
+    return SurfaceParams.create(field, r, x1, x2, e)
+
+
+def ladder_params(tmp_path, monkeypatch) -> list[SurfaceParams]:
+    """The surfaces of the benchmark's ladder workload (seed 1), read from
+    the parameter files it writes."""
+    name = "inoubench_workloads"
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "inoubench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)  # dataclass looks it up there
+    spec.loader.exec_module(module)
+    params = []
+    for k, op in enumerate(module.ladder(1)):
+        path = tmp_path / f"rung{k}.params"
+        path.write_text(op.text)
+        params.append(load_param_file(str(path)))
+    return params
+
+
+def random_sets(count: int):
+    """Seeded standard-form sets of both families, half over Z<1, eta>, with
+    r up to 40 so that the denominators share more factors with |C|."""
+    rng = random.Random(149)
+    for k in range(count):
+        c0 = 1 if k % 2 else -1
+        low = 3 if c0 == 1 else 1
+        draw = random_standard_params if k % 4 < 2 else random_eta_params
+        yield draw(rng, c0, (low, 60), (1, 40))
+
+
+def filter_cases(tmp_path, monkeypatch):
+    yield from differential_sample()
+    yield from map(doubled_r, differential_sample())
+    yield from random_sets(600)
+    yield from ladder_params(tmp_path, monkeypatch)
+    yield lucas_params(2)
+    yield lucas_params(2 * (2207 - 2))
+
+
+def test_reduced_forms_are_functions_of_the_coset(tmp_path, monkeypatch):
+    # the premise of the periodic filter: moving k1 by d1 or k2 by d2 moves
+    # no reduced form's residue
+    for params in filter_cases(tmp_path, monkeypatch):
+        ambient = build_ambient(params)
+        d1, d2 = ambient.quotient.invariant_factors
+        for v in ambient.unit_powers:
+            form = components.membership_form(params, v, ambient.quotient.smith_basis)
+            if form is None:
+                continue
+            den1, a0, a1, a2, b0, b1, b2, den2, c, p1, p2, q11, q12, q22 = form
+
+            def residues(k1: int, k2: int) -> tuple[int, int, int]:
+                return (
+                    (a0 + a1 * k1 + a2 * k2) % den1,
+                    (b0 + b1 * k1 + b2 * k2) % den1,
+                    (c + k1 * (p1 + q11 * k1 + q12 * k2) + k2 * (p2 + q22 * k2))
+                    % den2,
+                )
+
+            for k1 in range(d1):
+                for k2 in range(d2):
+                    here = residues(k1, k2)
+                    assert residues(k1 + d1, k2) == here
+                    assert residues(k1, k2 + d2) == here
+
+
+def test_periodic_filter_and_classifier_match_the_code_they_replaced(
+    tmp_path, monkeypatch
+):
+    # the filter against the one that stepped over every coset, and the
+    # classifier against the one that sorted each translate of K
+    shapes = Counter()
+    for params in filter_cases(tmp_path, monkeypatch):
+        ambient = build_ambient(params)
+        keys = components._member_keys(params, ambient)
+        assert keys == reference.stepped_member_keys(params, ambient)
+        assert components._classify(ambient, keys) == sorted_translate_classify(
+            ambient, keys
+        )
+        d1, d2 = ambient.quotient.invariant_factors
+        for v in ambient.unit_powers:
+            form = components.membership_form(params, v, ambient.quotient.smith_basis)
+            if form is not None:
+                period = lcm(form.den1, form.den2)
+                g1, g2 = gcd(d1, period), gcd(d2, period)
+                shapes["shifted periods"] += 1 < g1 < d1
+                shapes["runs through every row"] += g1 == 1 < g2 < d2
+    assert shapes["shifted periods"] and shapes["runs through every row"]
