@@ -38,7 +38,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, fields
 from itertools import repeat
 from operator import mod, sub
-from typing import Callable
 
 from .components import (
     AmbientGroup,
@@ -55,6 +54,7 @@ from .exactnum import (
     Complex,
     ValueTooLargeError,
     format_complex,
+    format_quads,
     parse_integer,
     parse_surd,
 )
@@ -89,13 +89,26 @@ def _parse_complex(text: str, symbol: str) -> Complex:
 
 def load_param_file(path: str) -> SurfaceParams:
     try:
-        # one unbuffered read of the bytes: splitlines() below breaks at
-        # "\r\n" and "\r" as text mode would, without a buffer or a text
+        # one unbuffered read of the bytes: splitlines() in parse_params breaks
+        # at "\r\n" and "\r" as text mode would, without a buffer or a text
         # wrapper
         with open(path, "rb", buffering=0) as handle:
             text = handle.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParamFileError(f"{path}: {exc}") from exc
+    return parse_params(text, path)
+
+
+def _field(surface_type: str, theta: int) -> FieldDescriptor:
+    try:
+        return FieldDescriptor.from_type(surface_type, theta)
+    except ValueError as exc:
+        raise ParameterError(str(exc)) from exc
+
+
+def parse_params(text: str, source: str) -> SurfaceParams:
+    """The parameter set of a file's text; each error message is anchored at
+    source (the file's path) and the line."""
     # a leading byte-order mark is dropped after decoding, as "utf-8-sig"
     # would, so that a decode error still names a byte offset into the file
     text = text.removeprefix("\ufeff")
@@ -118,25 +131,22 @@ def load_param_file(path: str) -> SurfaceParams:
         else:
             raw[key] = (lineno, value)
             continue
-        raise ParamFileError(f"{path}:{lineno}: {error}")
+        raise ParamFileError(f"{source}:{lineno}: {error}")
     missing = [k for k in _REQUIRED if k not in raw]
     if missing:
-        raise ParamFileError(f"{path}: missing keys: {', '.join(missing)}")
+        raise ParamFileError(f"{source}: missing keys: {', '.join(missing)}")
     surface_type = raw["surface_type"][1]
     if surface_type not in ("+", "-"):
         raise ParamFileError(
-            f"{path}:{raw['surface_type'][0]}: surface_type must be '+' or '-'"
+            f"{source}:{raw['surface_type'][0]}: surface_type must be '+' or '-'"
         )
     try:
         theta = parse_integer(raw["theta"][1])
         r = parse_integer(raw["r"][1])
     except ValueError as exc:
-        raise ParamFileError(f"{path}: theta and r must be integers") from exc
-    try:
-        field = FieldDescriptor.from_type(surface_type, theta)
-    except ValueError as exc:
-        raise ParameterError(str(exc)) from exc
-    values = []  # x1, x2, e and t, each parse error anchored at path:line
+        raise ParamFileError(f"{source}: theta and r must be integers") from exc
+    field = _field(surface_type, theta)
+    values = []  # x1, x2, e and t, each parse error anchored at source:line
     for key in _VALUE_KEYS:
         if key not in raw:  # only t is optional
             values.append(ZERO_T)
@@ -148,7 +158,7 @@ def load_param_file(path: str) -> SurfaceParams:
             else:
                 values.append(parse_field_element(value, field))
         except ValueError as exc:
-            raise ParamFileError(f"{path}:{lineno}: {exc}") from exc
+            raise ParamFileError(f"{source}:{lineno}: {exc}") from exc
     return SurfaceParams(field, r, *values)
 
 
@@ -157,52 +167,34 @@ def load_param_file(path: str) -> SurfaceParams:
 
 @dataclass(frozen=True)
 class BuiltinExample:
+    """A worked example: its parameter text (the key lines of its golden
+    file) and its published component group."""
+
     name: str
     expected: str
-    build: Callable[[], SurfaceParams]
-
-
-def _theta6_params() -> SurfaceParams:
-    field = FieldDescriptor(6, 1)
-    return SurfaceParams.create(field, 6, field.one(), fundamental_unit(field))
-
-
-def _theta4_shifted_params() -> SurfaceParams:
-    field = FieldDescriptor(4, 1)
-    e = field.one() / (6 * (field.one() - field.u()))
-    return SurfaceParams.create(field, 6, field.one(), field.u(), e)
-
-
-def _theta4_zero_params() -> SurfaceParams:
-    field = FieldDescriptor(4, 1)
-    return SurfaceParams.create(field, 6, field.one(), field.u())
-
-
-def _theta7_params() -> SurfaceParams:
-    field = FieldDescriptor(7, 1)
-    return SurfaceParams.create(field, 10, field.one(), fundamental_unit(field))
+    text: str
 
 
 BUILTIN_EXAMPLES: tuple[BuiltinExample, ...] = (
     BuiltinExample(
         "theta=6 r=6 I=Z<1,eta> e=0",
         "Z/2 x Z/2 (order 4)",
-        _theta6_params,
+        "surface_type = +\ntheta = 6\nr = 6\nx1 = 1\nx2 = -1/2 + 1/2*u\ne = 0\n",
     ),
     BuiltinExample(
         "theta=4 r=6 I=Z[u] e=1/(6(1-u))",
         "Z/2 (order 2)",
-        _theta4_shifted_params,
+        "surface_type = +\ntheta = 4\nr = 6\nx1 = 1\nx2 = u\ne = 1/4 - 1/12*u\n",
     ),
     BuiltinExample(
         "theta=4 r=6 I=Z[u] e=0",
         "trivial (order 1)",
-        _theta4_zero_params,
+        "surface_type = +\ntheta = 4\nr = 6\nx1 = 1\nx2 = u\ne = 0\n",
     ),
     BuiltinExample(
         "theta=7 r=10 I=Z<1,eta> e=0",
         "(Z/4) ⋉ (Z/5), action = multiplication by 3 (order 20)",
-        _theta7_params,
+        "surface_type = +\ntheta = 7\nr = 10\nx1 = 1\nx2 = -2/3 + 1/3*u\ne = 0\n",
     ),
 )
 
@@ -225,8 +217,9 @@ def _q_payload(q: ComponentGroup) -> dict:
     return payload
 
 
-def _kernel_name(q: ComponentGroup) -> str:
-    return "C*" if q.kernel_kind == "complex-torus-star" else "Z/2"
+def _kernel_name(params: SurfaceParams) -> str:
+    """The kernel of Aut(X) -> Q: C* for S(+), Z/2 for S(-)."""
+    return "C*" if params.field.c0 == 1 else "Z/2"
 
 
 def _element_texts(ambient: AmbientGroup, keys: list[int]) -> str:
@@ -250,9 +243,20 @@ def _element_texts(ambient: AmbientGroup, keys: list[int]) -> str:
     return " ".join(blocks)
 
 
+def _require_printable(report: AutReport) -> None:
+    """Raises format_quads' ValueTooLargeError (exit 3) when N, p, q or the
+    doubled r, the report's integers that grow with the input, has more
+    digits than the interpreter converts to text."""
+    inoue = report.inoue
+    doubled = () if report.double_r is None else (2 * report.params.r,)
+    numbers = (*inoue.matrix[0], *inoue.matrix[1], inoue.p, inoue.q, *doubled)
+    format_quads(zip(numbers, repeat(0)), 1, "")
+
+
 def machine_payload(report: AutReport) -> dict:
+    _require_printable(report)
     params = report.params
-    ambient = report.ambient
+    ambient = report.q.ambient
     inoue = report.inoue
     payload = {
         "params": {
@@ -264,11 +268,8 @@ def machine_payload(report: AutReport) -> dict:
             "e": str(params.e),
             "t": format_complex(params.t, "sqrtD", "i"),
         },
-        "standard_form": report.standard_form,
-        "validation": {
-            "fractional_ideal": True,
-            "standard_form": report.standard_form,
-        },
+        "standard_form": True,  # the report exists only in standard form
+        "validation": {"fractional_ideal": True, "standard_form": True},
         "units": {
             "eta": str(ambient.eta),
             "eta_sigma1": ambient.eta.sigma1().reduced_str(),
@@ -285,7 +286,7 @@ def machine_payload(report: AutReport) -> dict:
         },
         "q_group": _q_payload(report.q),
         "bound": ambient.order,
-        "kernel": _kernel_name(report.q),
+        "kernel": _kernel_name(params),
         "inoue": {
             "N": inoue.matrix,
             "p": inoue.p,
@@ -318,8 +319,9 @@ def dump_machine(report: AutReport) -> str:
 
 
 def render_report(report: AutReport) -> str:
+    _require_printable(report)
     params = report.params
-    ambient = report.ambient
+    ambient = report.q.ambient
     inoue = report.inoue
     lines = []
     kind = "S(+)" if params.field.c0 == 1 else "S(-)"
@@ -347,7 +349,7 @@ def render_report(report: AutReport) -> str:
     )
     lines.append("  elements: " + _element_texts(ambient, report.q.keys))
     lines.append(f"bound: |Q| = {report.q.order} <= {ambient.order}")
-    lines.append(f"kernel of Aut(X) -> Q: {_kernel_name(report.q)}")
+    lines.append(f"kernel of Aut(X) -> Q: {_kernel_name(params)}")
     rows = inoue.matrix
     lines.append(
         f"Inoue data: N = [{list(rows[0])}, {list(rows[1])}], "
@@ -387,8 +389,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_examples(args: argparse.Namespace) -> int:
     all_ok = True
     for example in BUILTIN_EXAMPLES:
-        params = example.build()
-        report = automorphism_report(params)
+        report = automorphism_report(parse_params(example.text, example.name))
         structure = report.q.structure
         computed = f"{structure.describe()} (order {structure.order})"
         ok = computed == example.expected
@@ -404,11 +405,7 @@ def cmd_examples(args: argparse.Namespace) -> int:
 
 
 def cmd_fundamental_unit(args: argparse.Namespace) -> int:
-    try:
-        field = FieldDescriptor.from_type(args.type, args.theta)
-    except ValueError as exc:
-        raise ParameterError(str(exc)) from exc
-    eta = fundamental_unit(field)
+    eta = fundamental_unit(_field(args.type, args.theta))
     print(f"fundamental unit: {eta.sigma1().reduced_str()}")
     print(f"coordinates: {eta}")
     print(f"norm: {eta.norm()}")

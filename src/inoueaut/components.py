@@ -83,8 +83,9 @@ class AmbientGroup:
 # 64 MB at 3*10**5 (2 vCPU, CPython 3.11).
 AMBIENT_LIMIT = 10**6
 
-# The largest ambient group the normalizer oracle sweeps, at about 0.04 ms
-# per element (same machine): about 4 s at the limit.
+# The largest ambient group the normalizer oracle sweeps, at 50-105 us per
+# element (theta = 2000 and 10**4, Q = H; same machine, the spread its load):
+# about 5-10 s at the limit.
 ORACLE_LIMIT = 10**5
 
 
@@ -586,7 +587,6 @@ class ComponentGroup:
 
     keys: list[int]
     structure: GroupStructure
-    kernel_kind: str  # "complex-torus-star" for S(+), "order-two" for S(-)
     ambient: AmbientGroup
 
     @property
@@ -716,10 +716,7 @@ def component_group(
     structure = _classify(ambient, keys)
     if ambient.order % len(keys) != 0:
         raise InternalConsistencyError("component order does not divide the bound")
-    kernel_kind = (
-        "complex-torus-star" if params.field.c0 == 1 else "order-two"
-    )
-    return ComponentGroup(keys, structure, kernel_kind, ambient)
+    return ComponentGroup(keys, structure, ambient)
 
 
 def order_bound(params: SurfaceParams) -> int:
@@ -759,8 +756,6 @@ class AutReport:
     """Everything the analysis produces for one parameter set."""
 
     params: SurfaceParams
-    standard_form: bool
-    ambient: AmbientGroup
     q: ComponentGroup
     inoue: InoueData
     oracle_checked: bool
@@ -798,8 +793,6 @@ def automorphism_report(
         double_r = component_group(doubled, ambient)  # H does not depend on r
     return AutReport(
         params=params,
-        standard_form=True,
-        ambient=ambient,
         q=q,
         inoue=inoue,
         oracle_checked=run_oracle,

@@ -287,7 +287,7 @@ def test_table_matches_mul_row_reference():
     )
     sizes = set()
     for ambient, keys in groups:
-        table = ComponentGroup(keys, None, "", ambient).table
+        table = ComponentGroup(keys, None, ambient).table
         assert table == mul_row_table(ambient, keys)
         sizes.add(len(keys))
     assert {1, 598} <= sizes

@@ -13,13 +13,21 @@ import pytest
 
 import cli_reference
 import inoueaut.components as components
+from conftest import (
+    example_theta4_shifted,
+    example_theta4_zero,
+    example_theta6,
+    example_theta7,
+)
 from inoueaut.cli import (
+    BUILTIN_EXAMPLES,
     EXIT_STDOUT_CLOSED,
     ParamFileError,
     _element_texts,
     _parse_complex,
     load_param_file,
     main,
+    parse_params,
 )
 from inoueaut.exactnum import format_complex, square_decompose
 from inoueaut.quadfield import FieldDescriptor, parse_field_element
@@ -231,11 +239,46 @@ def test_delta_is_trial_divided_once_per_command(tmp_path, capsys):
     capsys.readouterr()
 
 
+EXAMPLES_OUT = """\
+theta=6 r=6 I=Z<1,eta> e=0: expected Z/2 x Z/2 (order 4); computed Z/2 x Z/2 \
+(order 4) ... ok
+theta=4 r=6 I=Z[u] e=1/(6(1-u)): expected Z/2 (order 2); computed Z/2 \
+(order 2) ... ok
+theta=4 r=6 I=Z[u] e=0: expected trivial (order 1); computed trivial \
+(order 1) ... ok
+theta=7 r=10 I=Z<1,eta> e=0: expected (Z/4) ⋉ (Z/5), action = multiplication \
+by 3 (order 20); computed (Z/4) ⋉ (Z/5), action = multiplication by 3 \
+(order 20) ... ok
+"""
+
+
 def test_examples_command(capsys):
     rc = main(["examples"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert out.count("... ok") == 4
+    assert out == EXAMPLES_OUT
+
+
+EXAMPLE_GOLDENS = ["theta6", "theta4_shifted", "theta4_zero", "theta7"]
+
+
+@pytest.mark.parametrize(
+    "example, golden, build",
+    zip(
+        BUILTIN_EXAMPLES,
+        EXAMPLE_GOLDENS,
+        [example_theta6, example_theta4_shifted, example_theta4_zero, example_theta7],
+    ),
+    ids=EXAMPLE_GOLDENS,
+)
+def test_examples_have_one_source(example, golden, build):
+    # the built-in text is the key lines of the golden file, and it, the file
+    # and the programmatic construction are one parameter set
+    path = GOLDEN / f"{golden}.params"
+    assert example.text in path.read_text(encoding="utf-8")
+    params = parse_params(example.text, example.name)
+    assert params == load_param_file(str(path))
+    assert params == build()
 
 
 def test_examples_mismatch_exits_5(capsys, monkeypatch):

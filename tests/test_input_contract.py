@@ -175,6 +175,16 @@ def test_value_too_large_to_print_exits_3(tmp_path):
     # the text report prints no c_i and still succeeds
     rc, out, err = run(path, "--no-oracle")
     assert rc == 0 and f"x1 = {x1}" in out
+    # a 4201-digit r and a 101-digit shift: the Inoue q has about 4500 digits,
+    # in the text report as well as in --machine
+    path.write_text(
+        param_text(theta="4", r=str(10**4200), x1="1", x2=f"{10**100} + u"),
+        encoding="utf-8",
+    )
+    for flags in ((), ("--machine",)):
+        rc, out, err = run(path, *flags)
+        assert (rc, out) == (3, ""), flags
+        assert err.startswith("value too large to print: a number of about "), flags
 
 
 @pytest.mark.parametrize("newline", ["\r\n", "\r"])
