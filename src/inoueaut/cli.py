@@ -54,7 +54,6 @@ from .exactnum import (
     Complex,
     ValueTooLargeError,
     format_complex,
-    format_quads,
     parse_integer,
     parse_surd,
 )
@@ -243,18 +242,7 @@ def _element_texts(ambient: AmbientGroup, keys: list[int]) -> str:
     return " ".join(blocks)
 
 
-def _require_printable(report: AutReport) -> None:
-    """Raises format_quads' ValueTooLargeError (exit 3) when N, p, q or the
-    doubled r, the report's integers that grow with the input, has more
-    digits than the interpreter converts to text."""
-    inoue = report.inoue
-    doubled = () if report.double_r is None else (2 * report.params.r,)
-    numbers = (*inoue.matrix[0], *inoue.matrix[1], inoue.p, inoue.q, *doubled)
-    format_quads(zip(numbers, repeat(0)), 1, "")
-
-
 def machine_payload(report: AutReport) -> dict:
-    _require_printable(report)
     params = report.params
     ambient = report.q.ambient
     inoue = report.inoue
@@ -319,7 +307,6 @@ def dump_machine(report: AutReport) -> str:
 
 
 def render_report(report: AutReport) -> str:
-    _require_printable(report)
     params = report.params
     ambient = report.q.ambient
     inoue = report.inoue

@@ -10,12 +10,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .exactnum import ValueTooLargeError, _decimal_digits
+from .exactnum import ValueTooLargeError, _decimal_digits, format_quads
 from .lattice import IntMatrix, InternalConsistencyError, LatticeQuotient
 from .quadfield import FieldElement
 from .surfacegroup import (
@@ -83,9 +83,11 @@ class AmbientGroup:
 # 64 MB at 3*10**5 (2 vCPU, CPython 3.11).
 AMBIENT_LIMIT = 10**6
 
-# The largest ambient group the normalizer oracle sweeps, at 50-105 us per
-# element (theta = 2000 and 10**4, Q = H; same machine, the spread its load):
-# about 5-10 s at the limit.
+# The largest ambient group the normalizer oracle checks.  The check decides
+# one element per coset of Q, so its worst case is |Q| = 1, where the oracle
+# refuses every element of H: 12-15 us per element (theta = 2000, 10**4 and
+# 10**5 + 1, Z[u], plus family, r = 2; same machine), about 1.5 s at the
+# limit.  At Q = H it takes 1.2-2.2 us per element.
 ORACLE_LIMIT = 10**5
 
 
@@ -726,25 +728,93 @@ def order_bound(params: SurfaceParams) -> int:
     return order
 
 
+def _check_law(ambient: AmbientGroup) -> None:
+    """Checks H's integer law against field multiplication: u_gen^i times
+    each Smith basis vector must land in the coset that row s of
+    _actions[i] names.  index_of is additive, so these 2n values are all
+    that mul_row reads beyond the unit exponents' sum mod n."""
+    quotient, d2 = ambient.quotient, ambient.quotient.d2
+    field = ambient.u_gen.field
+    basis = [FieldElement._reduced(*b, field) for b in quotient.smith_basis]
+    for i, (v, action) in enumerate(zip(ambient.unit_powers, ambient._actions)):
+        for s, (b, (a1, a2)) in enumerate(zip(basis, action), 1):
+            if quotient.index_of(v * b) != a1 * d2 + a2:
+                raise InternalConsistencyError(
+                    f"H's integer law disagrees with the field: u_gen^{i} b{s} "
+                    f"is not in coset {a1 * d2 + a2}"
+                )
+
+
 def oracle_crosscheck(params: SurfaceParams, q: ComponentGroup | None = None) -> int:
-    """Checks the member set of Q against the normalizer oracle on every
-    element of the ambient group; returns the element count, raises on any
-    disagreement (which is always a bug, never a data problem)."""
+    """Checks the member set S of Q against the normalizer oracle on the
+    whole ambient group H; returns |H|, raises on any disagreement (which is
+    always a bug, never a data problem).
+
+    The keys whose class normalizes the surface group form a subgroup N of
+    H, the image of the normalizer, so N = S follows from three checks:
+    (a) the identity is in S, and a walk from it by H's law, left
+        multiplying by generators taken greedily in key order (each key of
+        S not yet reached), reaches exactly S; so S is a subgroup;
+    (b) each generator passes the oracle, so S <= N;
+    (c) the first key x of each left coset x S != S fails it; N is a union
+        of cosets of S, so it meets no other coset.
+    That is m + |H|/|S| - 1 oracle calls for m generators.  The walk and
+    the cosets trust H's integer law, which is checked first.
+    """
     if q is None:
         q = component_group(params)
     ambient = q.ambient
-    members = set(q.keys)
-    for key in range(ambient.order):
+    _check_law(ambient)
+
+    def expect(key: int, member: bool) -> None:
+        """Runs the oracle on key; raises a disagreement unless its verdict
+        is member."""
         i, k = ambient.pair(key)
-        v = ambient.unit_powers[i]
-        y = ambient.quotient.rep(k)
-        member = key in members
+        v, y = ambient.unit_powers[i], ambient.quotient.rep(k)
         oracle = normalizer_oracle(params, v, y)
-        if member != oracle:
+        if oracle != member:
             raise InternalConsistencyError(
                 f"filter/oracle disagreement at [{i},{k}] = [{v}, {y}]: "
                 f"filter={member}, oracle={oracle}"
             )
+
+    keys = q.keys
+    if not keys or keys[0] != 0:
+        expect(0, False)  # raises, unless the oracle refuses the identity too
+        raise InternalConsistencyError("the oracle refuses the identity")
+    members = set(keys)
+    covered = bytearray(ambient.order)  # the walk's keys, then the cosets'
+    covered[0] = 1
+    reached, gens, done = [0], [], []  # gens[g] has multiplied reached[:done[g]]
+    for key in keys:
+        if covered[key]:
+            continue
+        expect(key, True)
+        gens.append(key)
+        done.append(0)
+        while min(done) < len(reached):
+            for g, gen in enumerate(gens):
+                batch = reached[done[g] :]
+                done[g] = len(reached)
+                for z in ambient.mul_row(gen, batch):
+                    if covered[z]:
+                        continue
+                    if z not in members:
+                        expect(z, False)  # raises, unless the oracle refuses z too
+                        i, k = ambient.pair(z)
+                        raise InternalConsistencyError(
+                            f"the oracle accepts the generators but not their "
+                            f"product [{i},{k}]"
+                        )
+                    covered[z] = 1
+                    reached.append(z)
+    x = covered.find(0)
+    while x >= 0:
+        expect(x, False)
+        if len(keys) > 1:  # else the coset is x alone
+            for z in ambient.mul_row(x, keys):
+                covered[z] = 1
+        x = covered.find(0, x + 1)
     return ambient.order
 
 
@@ -769,7 +839,7 @@ def automorphism_report(
     with_double_r: bool = False,
 ) -> AutReport:
     """Runs the whole pipeline: standard form gate, ambient group, component
-    group, bound, classical-data export, and (optionally) the oracle sweep
+    group, bound, classical-data export, and (optionally) the oracle check
     and the doubled-r cross-check for odd r."""
     q = component_group(params)
     ambient = q.ambient
@@ -782,6 +852,12 @@ def automorphism_report(
             f"skips the oracle)"
         )
     inoue = to_inoue_data(params)
+    # N, p, q and the doubled r grow with the input: one with more digits
+    # than the interpreter converts to text is refused (exit 3) here, before
+    # the oracle check, rather than when the report is written
+    doubled = (2 * params.r,) if with_double_r else ()
+    numbers = (*inoue.matrix[0], *inoue.matrix[1], inoue.p, inoue.q, *doubled)
+    format_quads(zip(numbers, repeat(0)), 1, "")
     oracle_elements = 0
     if run_oracle:
         oracle_elements = oracle_crosscheck(params, q)

@@ -12,6 +12,7 @@ import pytest
 
 import inoueaut.components
 import membership_reference
+import oracle_reference
 from classify_reference import _abelian_invariant_factors, _classify
 from conftest import (
     ambient_inv,
@@ -324,6 +325,8 @@ def test_oracle_does_not_read_the_membership_filter(monkeypatch, name):
         if normalizer_oracle(params, ambient.unit_powers[i], ambient.quotient.rep(k)):
             accepted.add(key)
     assert accepted == set(q.keys)
+    # and the coset check, which reads H's law but not the filter, passes
+    assert oracle_crosscheck(params, q) == ambient.order
 
 
 def test_e_shift_by_ideal_over_r_preserves_q():
@@ -400,6 +403,107 @@ def test_oracle_crosscheck_catches_one_changed_key():
         assert f"at [{i},{k}] = [{v}, {y}]:" in message
         assert f"filter={not oracle}, oracle={oracle}" in message
     assert oracle_crosscheck(params, q) == ambient.order
+
+
+def crosscheck_message(check, params, q) -> str:
+    with pytest.raises(InternalConsistencyError) as info:
+        check(params, q)
+    return str(info.value)
+
+
+def element_text(ambient, key) -> str:
+    i, k = ambient.pair(key)
+    return f"[{i},{k}] = [{ambient.unit_powers[i]}, {ambient.quotient.rep(k)}]"
+
+
+def test_oracle_crosscheck_refuses_a_proper_subgroup():
+    # theta7: Q = H = (Z/4) x| (Z/5).  Its kernel Z/5, the keys below |C|, is
+    # a subgroup whose generator passes the oracle, so only the coset check
+    # can refuse it: the first key of the next coset, [1,0], passes too.
+    params = example_theta7()
+    q = component_group(params)
+    ambient = q.ambient
+    assert q.order == ambient.order == 20 and ambient.quotient.order == 5
+    kernel = dataclasses.replace(q, keys=list(range(5)))
+    message = crosscheck_message(oracle_crosscheck, params, kernel)
+    assert f"at {element_text(ambient, 5)}: filter=False, oracle=True" in message
+
+
+def test_oracle_crosscheck_refuses_a_larger_subgroup():
+    # theta6: Q is half of H.  All of H is a subgroup with no other coset, so
+    # only the generator check can refuse it, at the first key outside Q.
+    params = example_theta6()
+    q = component_group(params)
+    ambient = q.ambient
+    outside = min(set(range(ambient.order)) - set(q.keys))
+    whole = dataclasses.replace(q, keys=list(range(ambient.order)))
+    message = crosscheck_message(oracle_crosscheck, params, whole)
+    assert f"at {element_text(ambient, outside)}: filter=True, oracle=False" in message
+
+
+def test_oracle_crosscheck_checks_the_integer_law():
+    # theta7's unit generator acts on Z/5 by a nontrivial A; a law that acts
+    # by the identity must be refused before any element is decided
+    params = example_theta7()
+    q = component_group(params)
+    ambient = q.ambient
+    identity = ambient._actions[0]  # u_gen^0 acts by the identity mod (d1, d2)
+    assert ambient._actions[1] != identity
+    flat = dataclasses.replace(ambient, _actions=(identity,) * ambient.n)
+    mutant = dataclasses.replace(q, ambient=flat)
+    message = crosscheck_message(oracle_crosscheck, params, mutant)
+    assert message.startswith("H's integer law disagrees with the field: u_gen^1")
+
+
+def single_key_mutants(q):
+    """Q's member set with one key dropped, or one key of H outside Q added,
+    at the first, a middle and the last position."""
+    members = set(q.keys)
+    others = [x for x in range(q.ambient.order) if x not in members]
+    for keys, pick in ((q.keys, members.__sub__), (others, members.__or__)):
+        for x in sorted({keys[0], keys[len(keys) // 2], keys[-1]} if keys else ()):
+            yield dataclasses.replace(q, keys=sorted(pick({x})))
+
+
+def crosscheck_verdict(check, params, q):
+    try:
+        return check(params, q)
+    except InternalConsistencyError as error:
+        return str(error)
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def differential_sets():
+    yield from (
+        pytest.param(load_param_file(str(path)), id=path.stem)
+        for path in sorted(GOLDEN_DIR.glob("*.params"))
+    )
+    rng = random.Random(131)
+    for c0 in (1, -1):
+        for build in (random_standard_params, random_eta_params):
+            for k in range(6):
+                params = build(rng, c0, (3 if c0 == 1 else 1, 30))
+                yield pytest.param(params, id=f"{build.__name__}{c0:+d}-{k}")
+
+
+@pytest.mark.parametrize("params", differential_sets())
+def test_oracle_crosscheck_matches_the_sweep(params):
+    # the coset check against the per-element sweep it replaced: the same
+    # |H| on Q, and on Q's subgroup and supergroup mutants and on every
+    # single-key mutant the same message, so the same element named
+    q = component_group(params)
+    ambient = q.ambient
+    mutants = [q, *single_key_mutants(q)]
+    if q.order < ambient.order:
+        mutants.append(dataclasses.replace(q, keys=list(range(ambient.order))))
+    if q.order > 1:
+        mutants.append(dataclasses.replace(q, keys=[0]))
+    for mutant in mutants:
+        expected = crosscheck_verdict(oracle_reference.oracle_crosscheck, params, mutant)
+        assert crosscheck_verdict(oracle_crosscheck, params, mutant) == expected
+    assert crosscheck_verdict(oracle_crosscheck, params, q) == ambient.order
 
 
 def test_minus_family_membership_reduces_to_condition_one():

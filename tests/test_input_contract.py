@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from inoueaut import components
 from inoueaut.cli import main
 
 VALID = {
@@ -182,6 +183,28 @@ def test_value_too_large_to_print_exits_3(tmp_path):
         encoding="utf-8",
     )
     for flags in ((), ("--machine",)):
+        rc, out, err = run(path, *flags)
+        assert (rc, out) == (3, ""), flags
+        assert err.startswith("value too large to print: a number of about "), flags
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter converts integers of any size to text",
+)
+def test_value_too_large_to_print_is_refused_before_the_oracle(tmp_path, monkeypatch):
+    # N, p and q are computed before the oracle check, so a report that
+    # cannot print one of them exits 3 without running it (|H| = 9998 here)
+    def check(*args, **kwargs):
+        raise AssertionError("the oracle ran for a report it cannot print")
+
+    monkeypatch.setattr(components, "oracle_crosscheck", check)
+    path = tmp_path / "big.params"
+    path.write_text(
+        param_text(theta="10000", r=str(10**4200), x1="1", x2=f"{10**100} + u"),
+        encoding="utf-8",
+    )
+    for flags in ((), ("--machine",), ("--double-r",)):
         rc, out, err = run(path, *flags)
         assert (rc, out) == (3, ""), flags
         assert err.startswith("value too large to print: a number of about "), flags
