@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import chain, combinations, repeat
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exactnum import ValueTooLargeError, _decimal_digits, format_quads
 from .lattice import IntMatrix, InternalConsistencyError, LatticeQuotient
@@ -201,6 +201,99 @@ def _reduced_form(den: int, coefficients: Sequence[int]) -> list[int]:
     return [den, *(x // g % den for x in coefficients)]
 
 
+def _surface_forms(
+    params: SurfaceParams,
+    basis: tuple[tuple[int, int, int], tuple[int, int, int]],
+) -> Callable[[FieldElement], MembershipForm | None]:
+    """membership_form in two parts, over the basis (b1, b2) given by its
+    integer triples (p, q, den): the work that is the same for every unit
+    power runs here, once, and the returned function does the rest for
+    each unit power v."""
+    field, ideal, r = params.field, params.ideal, params.r
+    (p1, q1, e1), (p2, q2, e2) = basis
+    den = lcm(e1, e2)
+    f1, f2 = den // e1, den // e2
+    p1, q1, p2, q2 = p1 * f1, q1 * f1, p2 * f2, q2 * f2
+    ep, eq, ed = params.e.as_integer_triple()
+    # e = (me x1 + ne x2)/de and b_i = (s_i x1 + t_i x2)/db
+    me, ne, de = ideal._solve(ep, eq, ed)
+    s1, t1, db = ideal._solve(p1, q1, den)
+    s2, t2, _ = ideal._solve(p2, q2, den)
+    den1 = lcm(2 * de, db)
+    fz, fb = den1 // (2 * de) * r, den1 // db * r
+    s1, s2, t1, t2 = s1 * fb, s2 * fb, t1 * fb, t2 * fb
+    # form 2 for Norm(v) = -1, +1; None when no class [v, y] is a member
+    if field.c0 == -1:
+        form2 = ((1, 0, 0, 0, 0, 0, 0),) * 2
+    else:
+        form2 = _central_forms(params, ((p1, q1), (p2, q2)), den)
+
+    def unit_form(v: FieldElement) -> MembershipForm | None:
+        (m11, m12), (m21, m22) = _unit_matrix(params, v)
+        central = form2[m11 * m22 - m12 * m21 == 1]  # Norm(v) = det m
+        if central is None:
+            return None
+        # z at k = 0, over 2 de: (v-1)e less the correction m11 m21 (m22 - m12)/2,
+        # m12 m22 (m21 - m11)/2
+        a0 = 2 * (me * (m11 - 1) + ne * m21) - de * m11 * m21 * (m22 - m12)
+        b0 = 2 * (me * m12 + ne * (m22 - 1)) - de * m12 * m22 * (m21 - m11)
+        form1 = _reduced_form(den1, (a0 * fz, s1, s2, b0 * fz, t1, t2))
+        return MembershipForm(*form1, *central)
+
+    return unit_form
+
+
+def _central_forms(
+    params: SurfaceParams, rows: tuple[tuple[int, int], tuple[int, int]], den: int
+) -> tuple[list[int] | None, list[int]]:
+    """Form 2 of the plus family over the basis b_i = (p_i + q_i u)/den,
+    rows = ((p1, q1), (p2, q2)), for Norm(v) = -1 and for Norm(v) = +1;
+    None for Norm(v) = -1 when -2t is not a rational multiple of
+    sqrt(delta)."""
+    field, ideal, r = params.field, params.ideal, params.r
+    (p1, q1), (p2, q2) = rows
+    ep, eq, ed = params.e.as_integer_triple()
+    theta = field.theta
+    _, x0, x0d = params.chi0.as_integer_triple()
+    # g_i = (u-1) b_i = (gp_i + gq_i u)/den, by u^2 = theta u - 1, and
+    # chi(x, w) = (p_w q_x - p_x q_w)/(d_x d_w) * sqrt(delta)
+    (g1p, g1q), (g2p, g2q) = g = [(-q - p, p + (theta - 1) * q) for p, q in rows]
+    coords = []
+    for (gp, gq), (p, q) in zip(g, rows):
+        pair = ideal.triple_coordinates(-gp, -gq, den)
+        if pair is None:
+            b = FieldElement._reduced(p, q, den, field)
+            raise ValueError(f"(1-u)*{b} is not in the ideal")
+        coords.append(pair)
+    (ak, bk), (al, bl) = coords
+    # the surd parts of chi(g_i, e) times den*ed, of chi(g_i, b_j) times den^2
+    c1, c2 = ep * g1q - g1p * eq, ep * g2q - g2p * eq
+    s11, s12 = p1 * g1q - g1p * q1, p2 * g1q - g1p * q2
+    s21, s22 = p1 * g2q - g2p * q1, p2 * g2q - g2p * q2
+    x0e, wide = x0 * den * den, 2 * x0d * den
+    scale = r * x0d
+
+    def form2(tq: int, td: int) -> list[int]:
+        return _reduced_form(
+            abs(x0) * wide * den * ed * td,
+            [
+                x * scale
+                for x in (
+                    -2 * tq * wide * den * ed,
+                    c1 * wide * td,
+                    c2 * wide * td,
+                    (ak * bk * x0e - s11 * x0d) * ed * td,
+                    ((ak * bl + al * bk) * x0e - (s12 + s21) * x0d) * ed * td,
+                    (al * bl * x0e - s22 * x0d) * ed * td,
+                )
+            ],
+        )
+
+    (tp, tq, td), (ip, iq, _) = params.t
+    # Norm(v) = -1: -2t must itself be a rational multiple of sqrt(delta)
+    return None if ip or iq or tp else form2(tq, td), form2(0, 1)
+
+
 def membership_form(
     params: SurfaceParams,
     v: FieldElement,
@@ -221,70 +314,11 @@ def membership_form(
     denominator 2 den(chi0) den(b)^2 den(e) den(t) of its terms.  For the minus
     family condition 2 is always solvable in the free central parameter, so
     only condition 1 constrains membership.
+
+    v enters only through m: form 1's constant and, by det m, which of the
+    two forms 2 applies.  So _surface_forms builds the rest once per basis.
     """
-    field, ideal, r = params.field, params.ideal, params.r
-    (m11, m12), (m21, m22) = _unit_matrix(params, v)
-    (p1, q1, e1), (p2, q2, e2) = basis
-    den = lcm(e1, e2)
-    f1, f2 = den // e1, den // e2
-    p1, q1, p2, q2 = p1 * f1, q1 * f1, p2 * f2, q2 * f2
-    ep, eq, ed = params.e.as_integer_triple()
-    # e = (me x1 + ne x2)/de and b_i = (s_i x1 + t_i x2)/db
-    me, ne, de = ideal._solve(ep, eq, ed)
-    s1, t1, db = ideal._solve(p1, q1, den)
-    s2, t2, _ = ideal._solve(p2, q2, den)
-    # z at k = 0, over 2 de: (v-1)e less the correction m11 m21 (m22 - m12)/2,
-    # m12 m22 (m21 - m11)/2
-    a0 = 2 * (me * (m11 - 1) + ne * m21) - de * m11 * m21 * (m22 - m12)
-    b0 = 2 * (me * m12 + ne * (m22 - 1)) - de * m12 * m22 * (m21 - m11)
-    den1 = lcm(2 * de, db)
-    fz, fb = den1 // (2 * de) * r, den1 // db * r
-    form1 = _reduced_form(
-        den1, (a0 * fz, s1 * fb, s2 * fb, b0 * fz, t1 * fb, t2 * fb)
-    )
-    if field.c0 == -1:
-        return MembershipForm(*form1, 1, 0, 0, 0, 0, 0, 0)
-    (tp, tq, td), (ip, iq, _) = params.t
-    if m11 * m22 - m12 * m21 == 1:  # Norm(v) = +1
-        tq, td = 0, 1
-    elif ip or iq or tp:
-        # Norm(v) = -1: -2t must itself be a rational multiple of sqrt(delta)
-        return None
-    theta = field.theta
-    _, x0, x0d = params.chi0.as_integer_triple()
-    # g_i = (u-1) b_i = (gp_i + gq_i u)/den, by u^2 = theta u - 1, and
-    # chi(x, w) = (p_w q_x - p_x q_w)/(d_x d_w) * sqrt(delta)
-    rows = ((p1, q1), (p2, q2))
-    (g1p, g1q), (g2p, g2q) = g = [(-q - p, p + (theta - 1) * q) for p, q in rows]
-    coords = []
-    for (gp, gq), (p, q) in zip(g, rows):
-        pair = ideal.triple_coordinates(-gp, -gq, den)
-        if pair is None:
-            b = FieldElement._reduced(p, q, den, field)
-            raise ValueError(f"(1-u)*{b} is not in the ideal")
-        coords.append(pair)
-    (ak, bk), (al, bl) = coords
-    # the surd parts of chi(g_i, e) times den*ed, of chi(g_i, b_j) times den^2
-    c1, c2 = ep * g1q - g1p * eq, ep * g2q - g2p * eq
-    s11, s12 = p1 * g1q - g1p * q1, p2 * g1q - g1p * q2
-    s21, s22 = p1 * g2q - g2p * q1, p2 * g2q - g2p * q2
-    x0e, wide = x0 * den * den, 2 * x0d * den
-    scale = r * x0d
-    form2 = _reduced_form(
-        abs(x0) * wide * den * ed * td,
-        [
-            x * scale
-            for x in (
-                -2 * tq * wide * den * ed,
-                c1 * wide * td,
-                c2 * wide * td,
-                (ak * bk * x0e - s11 * x0d) * ed * td,
-                ((ak * bl + al * bk) * x0e - (s12 + s21) * x0d) * ed * td,
-                (al * bl * x0e - s22 * x0d) * ed * td,
-            )
-        ],
-    )
-    return MembershipForm(*form1, *form2)
+    return _surface_forms(params, basis)(v)
 
 
 def membership_conditions(
@@ -643,7 +677,8 @@ def require_standard_form(params: SurfaceParams) -> None:
 
 def _member_keys(params: SurfaceParams, ambient: AmbientGroup) -> list[int]:
     """Keys of the members of H, in order: one membership form per unit
-    power over the Smith basis, evaluated on one period of its accepted set.
+    power over the Smith basis (the surface's part of the forms built once),
+    evaluated on one period of its accepted set.
 
     Each reduced form is a function of the coset: its residue does not move
     when k1 moves by d1 or k2 by d2.  An integer form mod L = lcm(den1,
@@ -655,10 +690,10 @@ def _member_keys(params: SurfaceParams, ambient: AmbientGroup) -> list[int]:
     g1 rows, shifted by g1 d2 at a time, make up the unit power's block."""
     d1, d2 = ambient.quotient.invariant_factors
     c = d1 * d2
-    basis = ambient.quotient.smith_basis
+    unit_form = _surface_forms(params, ambient.quotient.smith_basis)
     keys = []
     for i, v in enumerate(ambient.unit_powers):
-        form = membership_form(params, v, basis)
+        form = unit_form(v)
         if form is None:
             continue
         den1, a0, a1, a2, b0, b1, b2, den2, c0, p1, p2, q11, q12, q22 = form

@@ -294,10 +294,6 @@ class QuadReal(QuadCore):
         s, m = square_decompose(self.delta)
         return format_quad(self._p, self._q * s, self._den, f"sqrt({m})")
 
-    @classmethod
-    def from_rational(cls, value: Scalar, delta: int) -> "QuadReal":
-        return cls(value, 0, delta)
-
 
 def surd_sign(p: int, q: int, delta: int) -> int:
     """The sign of p + q*sqrt(delta), delta a positive non-square, in

@@ -11,7 +11,6 @@ triples is needed here, never the action itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import NamedTuple
@@ -409,47 +408,67 @@ def to_inoue_data(params: SurfaceParams) -> InoueData:
 
     alpha = sigma1(u), a_i = sigma1(x_i), b_i = sigma2(x_i),
     c_i = Norm(x_i)/2 + chi(x_i, e), d = (b1 a2 - b2 a1)/r, and (p, q) the
-    integers solving (N - c0 I)(c1; c2) = -(e1; e2) - d (p; q).  The solution
-    is integral exactly when the group is in standard form.
+    integers solving (N - c0 I)(c1; c2) = -(e1; e2) - d (p; q), with
+    e_i = n_i1(n_i1-1)/2 a1 b1 + n_i2(n_i2-1)/2 a2 b2 + n_i1 n_i2 b1 a2.
+    The solution is integral exactly when the group is in standard form.
+
+    Solved on integers.  For x = (p + q u)/d_x, sigma1 and sigma2 give
+    (T_x +- q sqrt(delta))/(2 d_x) with T_x = 2p + q theta; so
+    Norm(x) = M_x/(4 d_x^2) with M_x = T_x^2 - delta q^2, and
+    chi(x_i, e) = G_i/(2 d_i d_e) sqrt(delta) with G_i = T_e q_i - T_i q_e.
+    With D = T_1 q_2 - T_2 q_1, b1 a2 has surd part D/(4 d1 d2) and
+    d = D/(2 d1 d2 r) sqrt(delta), D != 0 as chi0 != 0.  The rational part
+    of equation i is (Norm(u x_i) - c0 Norm(x_i))/2 = 0; its surd part,
+    times 4 d1 d2 d_e r, is r K_i + 2 d_e D P_i = 0 for (P_1, P_2) = (p, q),
+        K_i = 2 d2 G_1 (n_i1 - c0 [i = 1]) + 2 d1 G_2 (n_i2 - c0 [i = 2])
+              + n_i1 n_i2 d_e D.
+    The solution is checked against r (W_i - 2 c0 C_i)/(2 X0), the quotient
+    is_standard_form_direct reads off the word data (chi's triples over
+    their common denominator), and each rational part, times 8 d1^2 d2^2,
+    is checked to vanish.  The printed values are built from their triples; only d is a
+    QuadReal product.
     """
     field = params.field
+    theta, c0, delta, r = field.theta, field.c0, field.delta, params.r
     n = params.n_matrix
-    (n11, n12), (n21, n22) = n
+    p1, q1, d1 = params.x1.as_integer_triple()
+    p2, q2, d2 = params.x2.as_integer_triple()
+    pe, qe, de = params.e.as_integer_triple()
+    tr1, tr2, tre = 2 * p1 + q1 * theta, 2 * p2 + q2 * theta, 2 * pe + qe * theta
+    cross = tr1 * q2 - tr2 * q1
+    g1, g2 = tre * q1 - tr1 * qe, tre * q2 - tr2 * qe
+    m1, m2 = tr1 * tr1 - delta * q1 * q1, tr2 * tr2 - delta * q2 * q2
+    a1 = QuadReal._reduced(tr1, q1, 2 * d1, delta)
+    b1 = QuadReal._reduced(tr1, -q1, 2 * d1, delta)
+    a2 = QuadReal._reduced(tr2, q2, 2 * d2, delta)
+    b2 = QuadReal._reduced(tr2, -q2, 2 * d2, delta)
+    c1 = QuadReal._reduced(m1 * de, 4 * d1 * g1, 8 * d1 * d1 * de, delta)
+    c2 = QuadReal._reduced(m2 * de, 4 * d2 * g2, 8 * d2 * d2 * de, delta)
+    d = (b1 * a2 - b2 * a1) / r
+    data = params.word_data
+    solution = []
+    for i, ((ni1, ni2), ci) in enumerate(zip(n, (data.c1, data.c2))):
+        k = (
+            2 * d2 * g1 * (ni1 - c0 * (i == 0))
+            + 2 * d1 * g2 * (ni2 - c0 * (i == 1))
+            + ni1 * ni2 * de * cross
+        )
+        value, rest = divmod(-r * k, 2 * de * cross)
+        if rest:
+            raise StandardFormError(
+                "no integer (p, q) solves the translation system; the group is "
+                "not in standard form ((1-u)/u e + (n21 n22/2) x1 - (n11 n12/2) x2 "
+                "is not in I/r)"
+            )
+        # Exact re-substitution; a failure here is an arithmetic bug.
+        rational = (
+            (ni1 * ni1 - c0 * (i == 0)) * m1 * d2 * d2
+            + (ni2 * ni2 - c0 * (i == 1)) * m2 * d1 * d1
+            + 2 * ni1 * ni2 * (tr1 * tr2 - delta * q1 * q2) * d1 * d2
+        )
+        quotient = r * (_center(data, ni1, ni2) - 2 * c0 * ci)
+        if rational or quotient != 2 * data.x0 * value:
+            raise AssertionError("translation system re-substitution failed")
+        solution.append(value)
     alpha = field.u().sigma1()
-    a1, b1 = params.x1.sigma1(), params.x1.sigma2()
-    a2, b2 = params.x2.sigma1(), params.x2.sigma2()
-    c1 = QuadReal.from_rational(params.x1.norm() / 2, field.delta) + chi(
-        params.x1, params.e
-    )
-    c2 = QuadReal.from_rational(params.x2.norm() / 2, field.delta) + chi(
-        params.x2, params.e
-    )
-    d = (b1 * a2 - b2 * a1) / params.r
-
-    def trans(ni1: int, ni2: int) -> QuadReal:
-        return (
-            Fraction(ni1 * (ni1 - 1), 2) * (a1 * b1)
-            + Fraction(ni2 * (ni2 - 1), 2) * (a2 * b2)
-            + Fraction(ni1 * ni2) * (b1 * a2)
-        )
-
-    e1, e2 = trans(n11, n12), trans(n21, n22)
-    lhs1 = (n11 - field.c0) * c1 + n12 * c2
-    lhs2 = n21 * c1 + (n22 - field.c0) * c2
-    p_val = (-e1 - lhs1) / d
-    q_val = (-e2 - lhs2) / d
-    if p_val.irr != 0 or q_val.irr != 0 or (
-        p_val.rat.denominator != 1 or q_val.rat.denominator != 1
-    ):
-        raise StandardFormError(
-            "no integer (p, q) solves the translation system; the group is "
-            "not in standard form ((1-u)/u e + (n21 n22/2) x1 - (n11 n12/2) x2 "
-            "is not in I/r)"
-        )
-    p_int, q_int = int(p_val.rat), int(q_val.rat)
-    # Exact re-substitution; a failure here is an arithmetic bug.
-    check1 = lhs1 + e1 + d * p_int
-    check2 = lhs2 + e2 + d * q_int
-    if check1 or check2:
-        raise AssertionError("translation system re-substitution failed")
-    return InoueData(n, p_int, q_int, alpha, a1, a2, b1, b2, c1, c2, d)
+    return InoueData(n, *solution, alpha, a1, a2, b1, b2, c1, c2, d)

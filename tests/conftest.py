@@ -3,7 +3,8 @@ elements, random fractional ideals, the solved standard-form e of both
 families (solve_standard_e, which only tests use, lives here), and random
 standard-form parameter sets for both surface families, over random ideals
 or over I = Z<1, eta>, with t (two integer triples, built by surd_triple)
-drawn by random_t or, reaching the -2t term, by random_surd_t; and helpers
+drawn by random_t or, reaching the -2t term, by random_surd_t, and the
+Z[phi] set at the Lucas number theta = L_16 (lucas_params); and helpers
 that only tests and the references read: the discrete-subgroup test on
 QuadReals, a quotient's coset representatives, the lattice I/r and a real
 t (real_t); and the API the package dropped because no command reaches it
@@ -402,6 +403,19 @@ def _standard_params(
     params = SurfaceParams(field, r, x1, x2, e, t)
     assert is_standard_form_direct(params)
     return params
+
+
+F16 = 987  # the Fibonacci number F_16, with L_16 = 2207
+
+
+def lucas_params(r: int) -> SurfaceParams:
+    """theta = L_16 = 2207 and I = Z<1, phi>, phi = (F16 - theta)/(2 F16) +
+    u/F16 the golden ratio: n = 16, C = Z/21 x Z/105 and |H| = 35 280."""
+    field = FieldDescriptor(2207, 1)
+    x1 = field.one()
+    x2 = Fraction(F16 - 2207, 2 * F16) * x1 + Fraction(1, F16) * field.u()
+    e = solve_standard_e(field, r, x1, x2, 0, 0)
+    return SurfaceParams.create(field, r, x1, x2, e)
 
 
 def random_unit(

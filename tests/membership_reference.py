@@ -9,8 +9,10 @@ unit power from Fraction and field arithmetic, as the package did before it
 built them from integer triples, and `member_keys` runs it over every coset
 as the filter did.  Rational coordinates in I come from
 `conftest.lattice_coordinates`, where `Lattice.coordinates` moved.
-`stepped_member_keys` is the integer filter as it was while it stepped the
-integer forms over every coset, before it evaluated them on one period.  The
+`integer_membership_form` is the integer form as the package built it per
+unit power, before it built the unit-free part once per surface;
+`stepped_member_keys` is the integer filter as it was while it stepped
+those forms over every coset, before it evaluated them on one period.  The
 package's t, two integer triples, is read as a `QuadComplex` through
 `field_reference.quad_complex`, and the sign of sigma1 through
 `field_reference.ordered`, where the code the package dropped moved."""
@@ -23,7 +25,7 @@ import lattice_reference
 from conftest import ideal_over_r, in_discrete_subgroup, lattice_coordinates
 from field_reference import ordered, quad_complex
 from inoueaut import FieldElement, SurfaceParams, chi
-from inoueaut.components import _unit_matrix, membership_form as integer_form
+from inoueaut.components import MembershipForm, _reduced_form, _unit_matrix
 from lattice_reference import Matrix2Q
 
 
@@ -202,7 +204,7 @@ def stepped_member_keys(params: SurfaceParams, ambient) -> list[int]:
     basis = ambient.quotient.smith_basis
     keys = []
     for i, v in enumerate(ambient.unit_powers):
-        form = integer_form(params, v, basis)
+        form = integer_membership_form(params, v, basis)
         if form is None:
             continue
         den1, a0, a1, a2, b0, b1, b2, den2, c, p1, p2, q11, q12, q22 = form
@@ -224,3 +226,92 @@ def stepped_member_keys(params: SurfaceParams, ambient) -> list[int]:
             z += p1 + q11 * (2 * k1 + 1)
             dz += q12
     return keys
+
+
+# -- the integer forms as built per unit power --------------------------------
+
+
+def integer_membership_form(
+    params: SurfaceParams,
+    v: FieldElement,
+    basis: tuple[tuple[int, int, int], tuple[int, int, int]],
+) -> MembershipForm | None:
+    """The membership test for [v, k1 b1 + k2 b2], (b1, b2) a basis of
+    I(1-u)^{-1} given by its integer triples (p, q, den), as integer forms
+    in (k1, k2); None when no class [v, y] is a member.
+
+    Condition 1: z = (v-1)e + y - (m21 m22 v x1 - m11 m12 v x2)/2 in I/r, m
+    being v's matrix on (x1, x2), so v x_i has the coordinates of m's row
+    i; r times the coordinates of z in I are affine in k and must be
+    integers.
+    Condition 2: (Norm(v)-1)t + chi((u-1)y, e - y/2) + a*b*chi0/2 in chi0 Z/r,
+    with (a, b) the coordinates of (1-u)y in (x1, x2).  Every term but -2t
+    (present for Norm(v) = det m = -1) is a multiple of sqrt(delta), so the
+    test is r * value / chi0 in Z on a quadratic in k, over the common
+    denominator 2 den(chi0) den(b)^2 den(e) den(t) of its terms.  For the minus
+    family condition 2 is always solvable in the free central parameter, so
+    only condition 1 constrains membership.
+    """
+    field, ideal, r = params.field, params.ideal, params.r
+    (m11, m12), (m21, m22) = _unit_matrix(params, v)
+    (p1, q1, e1), (p2, q2, e2) = basis
+    den = lcm(e1, e2)
+    f1, f2 = den // e1, den // e2
+    p1, q1, p2, q2 = p1 * f1, q1 * f1, p2 * f2, q2 * f2
+    ep, eq, ed = params.e.as_integer_triple()
+    # e = (me x1 + ne x2)/de and b_i = (s_i x1 + t_i x2)/db
+    me, ne, de = ideal._solve(ep, eq, ed)
+    s1, t1, db = ideal._solve(p1, q1, den)
+    s2, t2, _ = ideal._solve(p2, q2, den)
+    # z at k = 0, over 2 de: (v-1)e less the correction m11 m21 (m22 - m12)/2,
+    # m12 m22 (m21 - m11)/2
+    a0 = 2 * (me * (m11 - 1) + ne * m21) - de * m11 * m21 * (m22 - m12)
+    b0 = 2 * (me * m12 + ne * (m22 - 1)) - de * m12 * m22 * (m21 - m11)
+    den1 = lcm(2 * de, db)
+    fz, fb = den1 // (2 * de) * r, den1 // db * r
+    form1 = _reduced_form(
+        den1, (a0 * fz, s1 * fb, s2 * fb, b0 * fz, t1 * fb, t2 * fb)
+    )
+    if field.c0 == -1:
+        return MembershipForm(*form1, 1, 0, 0, 0, 0, 0, 0)
+    (tp, tq, td), (ip, iq, _) = params.t
+    if m11 * m22 - m12 * m21 == 1:  # Norm(v) = +1
+        tq, td = 0, 1
+    elif ip or iq or tp:
+        # Norm(v) = -1: -2t must itself be a rational multiple of sqrt(delta)
+        return None
+    theta = field.theta
+    _, x0, x0d = params.chi0.as_integer_triple()
+    # g_i = (u-1) b_i = (gp_i + gq_i u)/den, by u^2 = theta u - 1, and
+    # chi(x, w) = (p_w q_x - p_x q_w)/(d_x d_w) * sqrt(delta)
+    rows = ((p1, q1), (p2, q2))
+    (g1p, g1q), (g2p, g2q) = g = [(-q - p, p + (theta - 1) * q) for p, q in rows]
+    coords = []
+    for (gp, gq), (p, q) in zip(g, rows):
+        pair = ideal.triple_coordinates(-gp, -gq, den)
+        if pair is None:
+            b = FieldElement._reduced(p, q, den, field)
+            raise ValueError(f"(1-u)*{b} is not in the ideal")
+        coords.append(pair)
+    (ak, bk), (al, bl) = coords
+    # the surd parts of chi(g_i, e) times den*ed, of chi(g_i, b_j) times den^2
+    c1, c2 = ep * g1q - g1p * eq, ep * g2q - g2p * eq
+    s11, s12 = p1 * g1q - g1p * q1, p2 * g1q - g1p * q2
+    s21, s22 = p1 * g2q - g2p * q1, p2 * g2q - g2p * q2
+    x0e, wide = x0 * den * den, 2 * x0d * den
+    scale = r * x0d
+    form2 = _reduced_form(
+        abs(x0) * wide * den * ed * td,
+        [
+            x * scale
+            for x in (
+                -2 * tq * wide * den * ed,
+                c1 * wide * td,
+                c2 * wide * td,
+                (ak * bk * x0e - s11 * x0d) * ed * td,
+                ((ak * bl + al * bk) * x0e - (s12 + s21) * x0d) * ed * td,
+                (al * bl * x0e - s22 * x0d) * ed * td,
+            )
+        ],
+    )
+    return MembershipForm(*form1, *form2)

@@ -10,7 +10,9 @@ reference for tests/test_surfacegroup.py and tests/test_components.py:
 - `is_standard_form_residue`, the closed-form plus-family gate, used only
   by tests;
 - `normalizer_oracle`, the oracle on the reference law and word problem,
-  with the minus-family shift from `membership_reference`.
+  with the minus-family shift from `membership_reference`;
+- `to_inoue_data`, which solved the translation system in `QuadReal`
+  arithmetic before the package solved it on integers.
 
 Bodies unchanged, but for the word problem, the gate and the oracle, which
 take the generators from the reference `make_generators` instead of
@@ -19,7 +21,9 @@ body of the `QuadComplex.__neg__` that the package dropped.  `QuadComplex`
 and the sign of a `QuadReal` now come from `field_reference`, where the
 package's dropped code moved: the sign test reads `ordered(...).sign()`,
 and `make_generators` turns the package's t, two integer triples, into a
-`QuadComplex` by `quad_complex`.
+`QuadComplex` by `quad_complex`.  `to_inoue_data` builds its rational
+`QuadReal`s by the constructor, `QuadReal(x, 0, delta)`, in place of the
+`QuadReal.from_rational(x, delta)` that the package dropped.
 """
 
 from __future__ import annotations
@@ -29,8 +33,9 @@ from fractions import Fraction
 
 from conftest import ideal_over_r, in_discrete_subgroup
 from field_reference import QuadComplex, ordered, quad_complex
+from inoueaut.exactnum import QuadReal
 from inoueaut.quadfield import FieldDescriptor, FieldElement, chi
-from inoueaut.surfacegroup import SurfaceParams
+from inoueaut.surfacegroup import InoueData, StandardFormError, SurfaceParams
 from inoueaut.units import unit_exponent
 from membership_reference import _central_expression
 
@@ -211,3 +216,54 @@ def normalizer_oracle(params: SurfaceParams, v: FieldElement, y: FieldElement) -
         if not surface_group_contains(params, h_inv * gen * h):
             return False
     return True
+
+
+def to_inoue_data(params: SurfaceParams) -> InoueData:
+    """Export to the classical matrix-and-eigenvector data.
+
+    alpha = sigma1(u), a_i = sigma1(x_i), b_i = sigma2(x_i),
+    c_i = Norm(x_i)/2 + chi(x_i, e), d = (b1 a2 - b2 a1)/r, and (p, q) the
+    integers solving (N - c0 I)(c1; c2) = -(e1; e2) - d (p; q).  The solution
+    is integral exactly when the group is in standard form.
+    """
+    field = params.field
+    n = params.n_matrix
+    (n11, n12), (n21, n22) = n
+    alpha = field.u().sigma1()
+    a1, b1 = params.x1.sigma1(), params.x1.sigma2()
+    a2, b2 = params.x2.sigma1(), params.x2.sigma2()
+    c1 = QuadReal(params.x1.norm() / 2, 0, field.delta) + chi(
+        params.x1, params.e
+    )
+    c2 = QuadReal(params.x2.norm() / 2, 0, field.delta) + chi(
+        params.x2, params.e
+    )
+    d = (b1 * a2 - b2 * a1) / params.r
+
+    def trans(ni1: int, ni2: int) -> QuadReal:
+        return (
+            Fraction(ni1 * (ni1 - 1), 2) * (a1 * b1)
+            + Fraction(ni2 * (ni2 - 1), 2) * (a2 * b2)
+            + Fraction(ni1 * ni2) * (b1 * a2)
+        )
+
+    e1, e2 = trans(n11, n12), trans(n21, n22)
+    lhs1 = (n11 - field.c0) * c1 + n12 * c2
+    lhs2 = n21 * c1 + (n22 - field.c0) * c2
+    p_val = (-e1 - lhs1) / d
+    q_val = (-e2 - lhs2) / d
+    if p_val.irr != 0 or q_val.irr != 0 or (
+        p_val.rat.denominator != 1 or q_val.rat.denominator != 1
+    ):
+        raise StandardFormError(
+            "no integer (p, q) solves the translation system; the group is "
+            "not in standard form ((1-u)/u e + (n21 n22/2) x1 - (n11 n12/2) x2 "
+            "is not in I/r)"
+        )
+    p_int, q_int = int(p_val.rat), int(q_val.rat)
+    # Exact re-substitution; a failure here is an arithmetic bug.
+    check1 = lhs1 + e1 + d * p_int
+    check2 = lhs2 + e2 + d * q_int
+    if check1 or check2:
+        raise AssertionError("translation system re-substitution failed")
+    return InoueData(n, p_int, q_int, alpha, a1, a2, b1, b2, c1, c2, d)

@@ -23,6 +23,7 @@ from classify_reference import sorted_translate_classify
 from conftest import (
     coset_reps,
     example_theta7,
+    lucas_params,
     random_eta_params,
     random_standard_params,
     solve_standard_e,
@@ -250,18 +251,6 @@ def test_filter_builds_no_fraction(monkeypatch, name):
 
 # -- the filter on one period of its accepted set -------------------------------
 
-F16 = 987  # the Fibonacci number F_16, with L_16 = 2207
-
-
-def lucas_params(r: int) -> SurfaceParams:
-    """theta = L_16 = 2207 and I = Z<1, phi>, phi = (F16 - theta)/(2 F16) +
-    u/F16 the golden ratio: n = 16, C = Z/21 x Z/105 and |H| = 35 280."""
-    field = FieldDescriptor(2207, 1)
-    x1 = field.one()
-    x2 = Fraction(F16 - 2207, 2 * F16) * x1 + Fraction(1, F16) * field.u()
-    e = solve_standard_e(field, r, x1, x2, 0, 0)
-    return SurfaceParams.create(field, r, x1, x2, e)
-
 
 def ladder_params(tmp_path, monkeypatch) -> list[SurfaceParams]:
     """The surfaces of the benchmark's ladder workload (seed 1), read from
@@ -326,6 +315,49 @@ def test_reduced_forms_are_functions_of_the_coset(tmp_path, monkeypatch):
                     here = residues(k1, k2)
                     assert residues(k1 + d1, k2) == here
                     assert residues(k1, k2 + d2) == here
+
+
+def test_membership_forms_match_the_per_unit_forms(tmp_path, monkeypatch):
+    # the forms built in two parts, the surface's once and then the unit
+    # power's, against the forms built whole for each unit power; over the
+    # Smith basis the filter reads and the cover basis that
+    # membership_conditions reads
+    seen = Counter()
+    for params in filter_cases(tmp_path, monkeypatch):
+        ambient = build_ambient(params)
+        cover = tuple(b.as_integer_triple() for b in params.coset_cover.basis)
+        for basis in (ambient.quotient.smith_basis, cover):
+            unit_form = components._surface_forms(params, basis)
+            for v in ambient.unit_powers:
+                expected = reference.integer_membership_form(params, v, basis)
+                form = components.membership_form(params, v, basis)
+                assert form == expected and type(form) is type(expected)
+                assert unit_form(v) == expected
+                key = params.field.c0, v.norm(), expected is not None
+                seen[key] += 1
+                if key == (1, -1, True):
+                    seen[t_kind(params)] += 1
+    # both families and both norms; in the plus family a Norm(v) = -1 form
+    # for a surd or zero t, and none for a rational or imaginary t
+    assert {(1, 1, True), (1, -1, True), (1, -1, False)} <= set(seen)
+    assert {(-1, 1, True), (-1, -1, True)} <= set(seen)
+    assert seen["surd"] and seen["zero"]
+
+
+def test_filter_builds_the_surface_part_once(monkeypatch):
+    params = ladder_sized_params()
+    ambient = build_ambient(params)
+    expected = components._member_keys(params, ambient)
+    calls = []
+    real = components._surface_forms
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(components, "_surface_forms", counted)
+    assert components._member_keys(params, ambient) == expected
+    assert ambient.n == 8 and len(calls) == 1
 
 
 def test_periodic_filter_and_classifier_match_the_code_they_replaced(

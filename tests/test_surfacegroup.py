@@ -21,6 +21,7 @@ from conftest import (
     example_theta6,
     example_theta7,
     affine_identity,
+    lucas_params,
     is_affine_identity,
     power,
     random_field_element,
@@ -318,8 +319,8 @@ def test_to_inoue_data_theta6():
     assert data.alpha == QuadReal(3, Fraction(1, 2), 32)
     assert (data.p, data.q) == (-6, -30)
     # e = 0 makes c_i = Norm(x_i)/2
-    assert data.c1 == QuadReal.from_rational(Fraction(1, 2), 32)
-    assert data.c2 == QuadReal.from_rational(Fraction(-1, 2), 32)
+    assert data.c1 == QuadReal(Fraction(1, 2), 0, 32)
+    assert data.c2 == QuadReal(Fraction(-1, 2), 0, 32)
     # eigenvector relations N a = alpha a and N b = (c0/alpha) b
     for column, value in ((
         (data.a1, data.a2), data.alpha), ((data.b1, data.b2), data.alpha.inverse())):
@@ -347,13 +348,13 @@ def test_to_inoue_data_round_trip():
 def test_to_inoue_data_minus_family():
     minus = FieldDescriptor(2, -1)
     params = SurfaceParams.create(minus, 4, minus.one(), minus.u())
-    if is_standard_form_direct(params):
-        data = to_inoue_data(params)
-        (n11, n12), (n21, n22) = data.matrix
-        assert n11 * n22 - n12 * n21 == -1
-        lhs = apply(data.matrix, data.b1, data.b2)
-        assert lhs[0] == -data.alpha.inverse() * data.b1
-        assert lhs[1] == -data.alpha.inverse() * data.b2
+    assert is_standard_form_direct(params)
+    data = to_inoue_data(params)
+    (n11, n12), (n21, n22) = data.matrix
+    assert n11 * n22 - n12 * n21 == -1
+    lhs = apply(data.matrix, data.b1, data.b2)
+    assert lhs[0] == -data.alpha.inverse() * data.b1
+    assert lhs[1] == -data.alpha.inverse() * data.b2
 
 
 def test_to_inoue_data_rejects_non_standard():
@@ -361,6 +362,90 @@ def test_to_inoue_data_rejects_non_standard():
     bad = SurfaceParams.create(F4, 6, F4.one(), F4.u(), e_bad)
     with pytest.raises(StandardFormError):
         to_inoue_data(bad)
+
+
+def test_to_inoue_data_checks_its_solution():
+    # the re-substitution is not true by construction: a wrong row of N
+    # leaves a rational part, and wrong word data a different quotient
+    params = example_theta6()
+    params.__dict__["n_matrix"] = ((1, 3), (2, 5))
+    with pytest.raises(AssertionError, match="re-substitution failed"):
+        to_inoue_data(params)
+    params = example_theta6()
+    params.__dict__["word_data"] = params.word_data._replace(c2=1)
+    with pytest.raises(AssertionError, match="re-substitution failed"):
+        to_inoue_data(params)
+    assert to_inoue_data(example_theta6()).p == -6
+
+
+def inoue_fields(data) -> list:
+    """All eleven fields of an InoueData, each value as its type, triple,
+    radicand and text, so that equal lists mean equal printed data."""
+    values = data.alpha, data.a1, data.a2, data.b1, data.b2, data.c1, data.c2, data.d
+    return [data.matrix, data.p, data.q] + [
+        (type(x), x.as_integer_triple(), x.delta, str(x)) for x in values
+    ]
+
+
+def inoue_cases() -> list[SurfaceParams]:
+    """The nine goldens, seeded standard-form sets of both families over
+    random ideals and over Z<1, eta> (r up to 40), and the Z[phi] Lucas
+    sets at theta = L_16."""
+    cases = list(GOLDEN.values())
+    rng = random.Random(157)
+    for k in range(160):
+        c0 = 1 if k % 2 else -1
+        draw = random_standard_params if k % 4 < 2 else random_eta_params
+        t_draw = random_surd_t if k % 8 < 4 else random_t
+        cases.append(draw(rng, c0, (3 if c0 == 1 else 1, 60), (1, 40), t_draw))
+    return cases + [lucas_params(2), lucas_params(2 * (2207 - 2))]
+
+
+def test_to_inoue_data_matches_the_quadreal_solver():
+    # the integer solver against the QuadReal one it replaced: the same
+    # eleven values on standard sets, the same StandardFormError off them
+    rng = random.Random(163)
+    cases = inoue_cases()
+    assert len(cases) == 171 and {p.field.c0 for p in cases} == {1, -1}
+    refused = 0
+    for params in cases:
+        expected = inoue_fields(ref.to_inoue_data(params))
+        assert inoue_fields(to_inoue_data(params)) == expected
+        # e moved by x1/(k r): off standard form unless k divides the
+        # leftover's denominator
+        k = rng.choice((2, 3, 5, 7))
+        e = params.e + params.x1 / (k * params.r)
+        moved = SurfaceParams(
+            params.field, params.r, params.x1, params.x2, e, params.t
+        )
+        try:
+            expected = inoue_fields(ref.to_inoue_data(moved))
+        except StandardFormError as exc:
+            with pytest.raises(StandardFormError) as got:
+                to_inoue_data(moved)
+            assert str(got.value) == str(exc)
+            assert not is_standard_form_direct(moved)
+            refused += 1
+        else:
+            assert inoue_fields(to_inoue_data(moved)) == expected
+    assert refused >= 100
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_inoue_p_q_is_the_word_data_quotient(data):
+    # (p, q) = r (W_i - 2 c0 C_i)/(2 X0), W_i = 2 n_i1 C1 + 2 n_i2 C2 -
+    # n_i1 n_i2 X0, the quotient the standard-form gate tests
+    params = data.draw(standard_params())
+    words = params.word_data
+    expected = []
+    for (ni1, ni2), ci in zip(params.n_matrix, (words.c1, words.c2)):
+        w = 2 * ni1 * words.c1 + 2 * ni2 * words.c2 - ni1 * ni2 * words.x0
+        value, rest = divmod(words.r * (w - 2 * words.c0 * ci), 2 * words.x0)
+        assert rest == 0
+        expected.append(value)
+    inoue = to_inoue_data(params)
+    assert [inoue.p, inoue.q] == expected
 
 
 # -- the closed form against the square-and-multiply reference -----------------
