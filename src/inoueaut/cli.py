@@ -269,7 +269,7 @@ def machine_payload(report: AutReport) -> dict:
             "order": ambient.order,
             "unit_order": ambient.n,
             "coset_count": ambient.quotient.order,
-            "invariant_factors": ambient.quotient.invariant_factors,
+            "invariant_factors": (ambient.quotient.d1, ambient.quotient.d2),
             "coset_reps": ambient.quotient.rep_texts("u"),
         },
         "q_group": _q_payload(report.q),
@@ -287,7 +287,7 @@ def machine_payload(report: AutReport) -> dict:
         },
         "oracle": {
             "checked": report.oracle_checked,
-            "elements": report.oracle_elements,
+            "elements": ambient.order if report.oracle_checked else 0,
         },
         "double_r": (
             {
@@ -328,7 +328,7 @@ def render_report(report: AutReport) -> str:
     lines.append(
         f"ambient group: order {ambient.order} = {ambient.n} x "
         f"{ambient.quotient.order}, "
-        f"coset factors {ambient.quotient.invariant_factors}"
+        f"coset factors ({ambient.quotient.d1}, {ambient.quotient.d2})"
     )
     lines.append("  coset reps: " + ", ".join(ambient.quotient.rep_texts("u")))
     lines.append(
@@ -346,7 +346,7 @@ def render_report(report: AutReport) -> str:
     if report.oracle_checked:
         lines.append(
             f"oracle: membership conditions agree with the normalizer test on "
-            f"all {report.oracle_elements} ambient elements"
+            f"all {ambient.order} ambient elements"
         )
     else:
         lines.append("oracle: skipped (--no-oracle)")

@@ -136,7 +136,7 @@ def build_ambient(params: SurfaceParams) -> AmbientGroup:
     unit_powers = [field.one()]
     for _ in range(1, n):
         unit_powers.append(unit_powers[-1] * u_gen)
-    d1, d2 = quotient.invariant_factors
+    d1, d2 = quotient.d1, quotient.d2
     (a11, a12), (a21, a22) = (
         divmod(quotient.index_of(u_gen * FieldElement._reduced(*b, field)), d2)
         for b in quotient.smith_basis
@@ -201,14 +201,30 @@ def _reduced_form(den: int, coefficients: Sequence[int]) -> list[int]:
     return [den, *(x // g % den for x in coefficients)]
 
 
-def _surface_forms(
+def membership_forms(
     params: SurfaceParams,
     basis: tuple[tuple[int, int, int], tuple[int, int, int]],
 ) -> Callable[[FieldElement], MembershipForm | None]:
-    """membership_form in two parts, over the basis (b1, b2) given by its
-    integer triples (p, q, den): the work that is the same for every unit
-    power runs here, once, and the returned function does the rest for
-    each unit power v."""
+    """The membership test for [v, k1 b1 + k2 b2], (b1, b2) a basis of
+    I(1-u)^{-1} given by its integer triples (p, q, den), as integer forms
+    in (k1, k2): the returned function maps a unit power v to its
+    MembershipForm, or to None when no class [v, y] is a member.
+
+    Condition 1: z = (v-1)e + y - (m21 m22 v x1 - m11 m12 v x2)/2 in I/r, m
+    being v's matrix on (x1, x2), so v x_i has the coordinates of m's row
+    i; r times the coordinates of z in I are affine in k and must be
+    integers.
+    Condition 2: (Norm(v)-1)t + chi((u-1)y, e - y/2) + a*b*chi0/2 in chi0 Z/r,
+    with (a, b) the coordinates of (1-u)y in (x1, x2).  Every term but -2t
+    (present for Norm(v) = det m = -1) is a multiple of sqrt(delta), so the
+    test is r * value / chi0 in Z on a quadratic in k, over the common
+    denominator 2 den(chi0) den(b)^2 den(e) den(t) of its terms.  For the minus
+    family condition 2 is always solvable in the free central parameter, so
+    only condition 1 constrains membership.
+
+    v enters only through m: form 1's constant and, by det m, which of the
+    two forms 2 applies.  So the rest is built here, once per basis.
+    """
     field, ideal, r = params.field, params.ideal, params.r
     (p1, q1, e1), (p2, q2, e2) = basis
     den = lcm(e1, e2)
@@ -294,41 +310,14 @@ def _central_forms(
     return None if ip or iq or tp else form2(tq, td), form2(0, 1)
 
 
-def membership_form(
-    params: SurfaceParams,
-    v: FieldElement,
-    basis: tuple[tuple[int, int, int], tuple[int, int, int]],
-) -> MembershipForm | None:
-    """The membership test for [v, k1 b1 + k2 b2], (b1, b2) a basis of
-    I(1-u)^{-1} given by its integer triples (p, q, den), as integer forms
-    in (k1, k2); None when no class [v, y] is a member.
-
-    Condition 1: z = (v-1)e + y - (m21 m22 v x1 - m11 m12 v x2)/2 in I/r, m
-    being v's matrix on (x1, x2), so v x_i has the coordinates of m's row
-    i; r times the coordinates of z in I are affine in k and must be
-    integers.
-    Condition 2: (Norm(v)-1)t + chi((u-1)y, e - y/2) + a*b*chi0/2 in chi0 Z/r,
-    with (a, b) the coordinates of (1-u)y in (x1, x2).  Every term but -2t
-    (present for Norm(v) = det m = -1) is a multiple of sqrt(delta), so the
-    test is r * value / chi0 in Z on a quadratic in k, over the common
-    denominator 2 den(chi0) den(b)^2 den(e) den(t) of its terms.  For the minus
-    family condition 2 is always solvable in the free central parameter, so
-    only condition 1 constrains membership.
-
-    v enters only through m: form 1's constant and, by det m, which of the
-    two forms 2 applies.  So _surface_forms builds the rest once per basis.
-    """
-    return _surface_forms(params, basis)(v)
-
-
 def membership_conditions(
     params: SurfaceParams, v: FieldElement, y: FieldElement
 ) -> bool:
     """Exact evaluation of the two membership conditions for the class [v, y]:
-    membership_form over the basis of I(1-u)^{-1}, at y's coordinates."""
+    membership_forms over the basis of I(1-u)^{-1}, at y's coordinates."""
     cover = params.coset_cover
     basis = tuple(b.as_integer_triple() for b in cover.basis)
-    form = membership_form(params, v, basis)
+    form = membership_forms(params, basis)(v)
     coords = cover.integer_coordinates(y)
     if coords is None:
         raise ValueError(f"{y} lies outside I(1-u)^(-1)")
@@ -688,9 +677,9 @@ def _member_keys(params: SurfaceParams, ambient: AmbientGroup) -> list[int]:
     differences).  An accepted grid point (k1, k2) stands for the keys
     k1 d2 + k2 + m g2 of its row, or, when g1 = 1, of every row; the first
     g1 rows, shifted by g1 d2 at a time, make up the unit power's block."""
-    d1, d2 = ambient.quotient.invariant_factors
+    d1, d2 = ambient.quotient.d1, ambient.quotient.d2
     c = d1 * d2
-    unit_form = _surface_forms(params, ambient.quotient.smith_basis)
+    unit_form = membership_forms(params, ambient.quotient.smith_basis)
     keys = []
     for i, v in enumerate(ambient.unit_powers):
         form = unit_form(v)
@@ -864,7 +853,6 @@ class AutReport:
     q: ComponentGroup
     inoue: InoueData
     oracle_checked: bool
-    oracle_elements: int
     double_r: ComponentGroup | None = None
 
 
@@ -878,8 +866,6 @@ def automorphism_report(
     and the doubled-r cross-check for odd r."""
     q = component_group(params)
     ambient = q.ambient
-    if q.order > ambient.order:
-        raise InternalConsistencyError("component group exceeds its bound")
     if run_oracle and ambient.order > ORACLE_LIMIT:
         raise ValueTooLargeError(
             f"value too large for the oracle: the ambient group has "
@@ -893,9 +879,8 @@ def automorphism_report(
     doubled = (2 * params.r,) if with_double_r else ()
     numbers = (*inoue.matrix[0], *inoue.matrix[1], inoue.p, inoue.q, *doubled)
     format_quads(zip(numbers, repeat(0)), 1, "")
-    oracle_elements = 0
     if run_oracle:
-        oracle_elements = oracle_crosscheck(params, q)
+        oracle_crosscheck(params, q)
     double_r = None
     if with_double_r:
         doubled = SurfaceParams(
@@ -907,6 +892,5 @@ def automorphism_report(
         q=q,
         inoue=inoue,
         oracle_checked=run_oracle,
-        oracle_elements=oracle_elements,
         double_r=double_r,
     )

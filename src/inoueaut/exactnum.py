@@ -118,8 +118,8 @@ class QuadCore:
     FieldElement (w = u).  Values are kept reduced: den > 0 and
     gcd(p, q, den) = 1, so the triple is canonical.  _ctx is the subclass's
     context (delta, or the field), from which its _law() gives (T, C); its
-    _coerce(other) brings both operands into one context, or returns None
-    for a foreign type.  Results are built by _raw/_reduced, which trust
+    _coerce(other) brings the operand into this value's context, or returns
+    None for a foreign type.  Results are built by _raw/_reduced, which trust
     their input: Fraction coercion and validation happen only in the public
     constructors and in _coerce.
     """
@@ -184,21 +184,21 @@ class QuadCore:
     # -- ring/field structure ---------------------------------------------
 
     def __add__(self, other: object):
-        pair = self._coerce(other)
-        return NotImplemented if pair is None else pair[0]._plus(pair[1], 1)
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._plus(o, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other: object):
-        pair = self._coerce(other)
-        return NotImplemented if pair is None else pair[0]._plus(pair[1], -1)
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._plus(o, -1)
 
     def __neg__(self):
         return self._raw(-self._p, -self._q, self._den, self._ctx)
 
     def __truediv__(self, other: object):
-        pair = self._coerce(other)
-        return NotImplemented if pair is None else pair[0]._times(pair[1].inverse())
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._times(o.inverse())
 
     def inverse(self):
         """1/x = den * conjugate(p + q*w) / Norm(p + q*w)."""
@@ -243,18 +243,18 @@ class QuadReal(QuadCore):
     def _law(self) -> tuple[int, int]:
         return 0, -self._ctx
 
-    def _coerce(self, other: object) -> "tuple[QuadReal, QuadReal] | None":
+    def _coerce(self, other: object) -> "QuadReal | None":
         if isinstance(other, (int, Fraction)):
-            return self, self._scalar(other)
+            return self._scalar(other)
         if not isinstance(other, QuadReal):
             return None
         if other._ctx != self._ctx:
             raise ValueError(f"delta mismatch: {self._ctx} vs {other._ctx}")
-        return self, other
+        return other
 
     def __mul__(self, other: object) -> "QuadReal":
-        pair = self._coerce(other)
-        return NotImplemented if pair is None else pair[0]._times(pair[1])
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._times(o)
 
     __rmul__ = __mul__
 

@@ -240,10 +240,6 @@ class LatticeQuotient:
         return self.d1 * self.d2
 
     @property
-    def invariant_factors(self) -> tuple[int, int]:
-        return self.d1, self.d2
-
-    @property
     def smith_basis(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
         """The Smith basis as integer triples (p, q, den) over one den."""
         (p1, q1), (p2, q2) = self._rows

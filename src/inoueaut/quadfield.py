@@ -87,20 +87,20 @@ class FieldElement(QuadCore):
     def _law(self) -> tuple[int, int]:
         return self._ctx.theta, self._ctx.c0
 
-    def _coerce(self, other: object) -> "tuple[FieldElement, FieldElement] | None":
+    def _coerce(self, other: object) -> "FieldElement | None":
         if isinstance(other, FieldElement):
             if other._ctx is not self._ctx and other._ctx != self._ctx:
                 raise ValueError(
                     f"field mismatch: {self.field} vs {other.field}"
                 )
-            return self, other
+            return other
         if isinstance(other, (int, Fraction)):
-            return self, self._scalar(other)
+            return self._scalar(other)
         return None
 
     def __mul__(self, other: object) -> "FieldElement":
-        pair = self._coerce(other)
-        return NotImplemented if pair is None else pair[0]._times(pair[1])
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._times(o)
 
     __rmul__ = __mul__
 

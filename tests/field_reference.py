@@ -420,7 +420,11 @@ def in_discrete_subgroup(
 # the package's QuadReal, `OrderedQuadReal`, so that the differential tests
 # still run the package's integer core under them.  The bodies are unchanged
 # but for names: the package's QuadReal is `exactnum.QuadReal` here, where
-# `QuadReal` is the Fraction reference above.  `cli.parse_quad_complex`, its
+# `QuadReal` is the Fraction reference above.  The cross-delta coercion may
+# re-tag either operand, so it returns the pair (self, other) and is named
+# `_pair` here; the package's `_coerce` now returns the other operand alone,
+# so the four operators that read the pair, as the package had them then,
+# are held here too.  `cli.parse_quad_complex`, its
 # `_parse_complex` and `format_quad_complex` follow, with
 # `QuadReal.zero`/`QuadReal._raw` read as `OrderedQuadReal.zero`/`._raw`.
 
@@ -437,7 +441,7 @@ class OrderedQuadReal(exactnum.QuadReal):
 
     __slots__ = ()
 
-    def _coerce(self, other: object) -> "tuple[exactnum.QuadReal, exactnum.QuadReal] | None":
+    def _pair(self, other: object) -> "tuple[exactnum.QuadReal, exactnum.QuadReal] | None":
         """Bring self and other to a common delta; rational values re-tag freely."""
         if isinstance(other, (int, Fraction)):
             return self, self._scalar(other)
@@ -450,6 +454,26 @@ class OrderedQuadReal(exactnum.QuadReal):
         if not self._q:
             return self._raw(self._p, 0, self._den, other._ctx), other
         raise ValueError(f"delta mismatch: {self._ctx} vs {other._ctx}")
+
+    def __add__(self, other: object):
+        pair = self._pair(other)
+        return NotImplemented if pair is None else pair[0]._plus(pair[1], 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: object):
+        pair = self._pair(other)
+        return NotImplemented if pair is None else pair[0]._plus(pair[1], -1)
+
+    def __truediv__(self, other: object):
+        pair = self._pair(other)
+        return NotImplemented if pair is None else pair[0]._times(pair[1].inverse())
+
+    def __mul__(self, other: object) -> "exactnum.QuadReal":
+        pair = self._pair(other)
+        return NotImplemented if pair is None else pair[0]._times(pair[1])
+
+    __rmul__ = __mul__
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}, decided by integer case analysis."""

@@ -181,7 +181,7 @@ def member_keys(params: SurfaceParams, ambient) -> list[int]:
     quotient = ambient.quotient
     _, _, *basis = lattice_reference.smith_basis(quotient.big, quotient.small)
     c = ambient.quotient.order
-    d1, d2 = ambient.quotient.invariant_factors
+    d1, d2 = ambient.quotient.d1, ambient.quotient.d2
     keys = []
     for i, v in enumerate(ambient.unit_powers):
         accepts = membership_form(params, v, basis)
@@ -200,7 +200,7 @@ def stepped_member_keys(params: SurfaceParams, ambient) -> list[int]:
     membership form per unit power over the Smith basis, stepped over the
     cosets' coordinates (k1, k2) by integer adds (the quadratic form by its
     differences)."""
-    d1, d2 = ambient.quotient.invariant_factors
+    d1, d2 = ambient.quotient.d1, ambient.quotient.d2
     basis = ambient.quotient.smith_basis
     keys = []
     for i, v in enumerate(ambient.unit_powers):

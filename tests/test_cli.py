@@ -100,6 +100,7 @@ def test_analyze_machine_round_trip(tmp_path, capsys):
     assert payload["bound"] == 8
     assert payload["kernel"] == "C*"
     assert payload["oracle"]["checked"] is True
+    assert payload["oracle"]["elements"] == payload["ambient"]["order"]
     # canonical: re-serialization is byte-identical
     again = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     assert again == out.rstrip("\n")
@@ -110,6 +111,10 @@ def test_analyze_no_oracle_flag(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert payload["oracle"]["checked"] is False
+    assert payload["oracle"]["elements"] == 0
+    rc = main(["analyze", "--no-oracle", write(tmp_path, EX319)])
+    assert rc == 0
+    assert "oracle: skipped (--no-oracle)" in capsys.readouterr().out.splitlines()
 
 
 def test_analyze_double_r(tmp_path, capsys):

@@ -307,16 +307,23 @@ def test_minus_shift_on_integers_matches_reference():
 
 @pytest.mark.parametrize("name", ["theta7", "minus_theta4_r2", "theta6"])
 def test_oracle_does_not_read_the_membership_filter(monkeypatch, name):
-    # Q comes from the filter; with the filter's forms made to raise, the
-    # oracle alone must still reproduce Q's member set on every element of H
-    # (Q = H for the first two, a proper subgroup for theta6).
+    # Q comes from the filter; with every function of the filter made to
+    # raise, the oracle alone must still reproduce Q's member set on every
+    # element of H (Q = H for the first two, a proper subgroup for theta6).
+    # _unit_matrix is input validation that both sides share, so it stays.
     params = load_param_file(str(Path(__file__).parent / "golden" / f"{name}.params"))
     q = component_group(params)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle read the membership filter")
 
-    for attr in ("membership_form", "membership_conditions"):
+    for attr in (
+        "membership_forms",
+        "_central_forms",
+        "_reduced_form",
+        "_member_keys",
+        "membership_conditions",
+    ):
         monkeypatch.setattr(inoueaut.components, attr, refuse)
     ambient = q.ambient
     accepted = set()
@@ -525,7 +532,8 @@ def test_minus_family_alternating_group():
     phi = field.element(Fraction(-1, 2), Fraction(1, 2))
     even = SurfaceParams.create(field, 2, field.one(), phi)
     q = component_group(even)
-    assert q.ambient.n == 3 and q.ambient.quotient.invariant_factors == (2, 2)
+    quotient = q.ambient.quotient
+    assert q.ambient.n == 3 and (quotient.d1, quotient.d2) == (2, 2)
     assert q.order == 12 and not q.structure.abelian
     assert q.structure.quotient_order == 3
     assert q.structure.kernel_factors == (2, 2)

@@ -295,9 +295,10 @@ def test_reduced_forms_are_functions_of_the_coset(tmp_path, monkeypatch):
     # no reduced form's residue
     for params in filter_cases(tmp_path, monkeypatch):
         ambient = build_ambient(params)
-        d1, d2 = ambient.quotient.invariant_factors
+        d1, d2 = ambient.quotient.d1, ambient.quotient.d2
+        unit_form = components.membership_forms(params, ambient.quotient.smith_basis)
         for v in ambient.unit_powers:
-            form = components.membership_form(params, v, ambient.quotient.smith_basis)
+            form = unit_form(v)
             if form is None:
                 continue
             den1, a0, a1, a2, b0, b1, b2, den2, c, p1, p2, q11, q12, q22 = form
@@ -319,20 +320,19 @@ def test_reduced_forms_are_functions_of_the_coset(tmp_path, monkeypatch):
 
 def test_membership_forms_match_the_per_unit_forms(tmp_path, monkeypatch):
     # the forms built in two parts, the surface's once and then the unit
-    # power's, against the forms built whole for each unit power; over the
-    # Smith basis the filter reads and the cover basis that
+    # power's, against the reference that built them whole for each unit
+    # power; over the Smith basis the filter reads and the cover basis that
     # membership_conditions reads
     seen = Counter()
     for params in filter_cases(tmp_path, monkeypatch):
         ambient = build_ambient(params)
         cover = tuple(b.as_integer_triple() for b in params.coset_cover.basis)
         for basis in (ambient.quotient.smith_basis, cover):
-            unit_form = components._surface_forms(params, basis)
+            unit_form = components.membership_forms(params, basis)
             for v in ambient.unit_powers:
                 expected = reference.integer_membership_form(params, v, basis)
-                form = components.membership_form(params, v, basis)
+                form = unit_form(v)
                 assert form == expected and type(form) is type(expected)
-                assert unit_form(v) == expected
                 key = params.field.c0, v.norm(), expected is not None
                 seen[key] += 1
                 if key == (1, -1, True):
@@ -349,13 +349,13 @@ def test_filter_builds_the_surface_part_once(monkeypatch):
     ambient = build_ambient(params)
     expected = components._member_keys(params, ambient)
     calls = []
-    real = components._surface_forms
+    real = components.membership_forms
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(components, "_surface_forms", counted)
+    monkeypatch.setattr(components, "membership_forms", counted)
     assert components._member_keys(params, ambient) == expected
     assert ambient.n == 8 and len(calls) == 1
 
@@ -373,9 +373,10 @@ def test_periodic_filter_and_classifier_match_the_code_they_replaced(
         assert components._classify(ambient, keys) == sorted_translate_classify(
             ambient, keys
         )
-        d1, d2 = ambient.quotient.invariant_factors
+        d1, d2 = ambient.quotient.d1, ambient.quotient.d2
+        unit_form = components.membership_forms(params, ambient.quotient.smith_basis)
         for v in ambient.unit_powers:
-            form = components.membership_form(params, v, ambient.quotient.smith_basis)
+            form = unit_form(v)
             if form is not None:
                 period = lcm(form.den1, form.den2)
                 g1, g2 = gcd(d1, period), gcd(d2, period)
