@@ -451,53 +451,25 @@ def _minor_gcd(rows: list[list[int]], size: int) -> int:
     )
 
 
-def _kernel_basis(kernel: list[int], d1: int, d2: int) -> list[tuple[int, int]]:
-    """K's basis as (key, order) pairs of order > 1, low before top: top is
-    the first element of the top order exp, low the first of order |K|/exp
-    whose span meets <top> only in 0, i.e. for which the gcd of the 2x2
-    minors of the rows (d1, 0), (0, d2), low, top is |C|/|K|.  Raises
-    InternalConsistencyError when there is no such pair."""
-    c, size = d1 * d2, len(kernel)
-
-    def meets_top_trivially(k: int) -> bool:
-        k1, k2 = divmod(k, d2)
-        minors = gcd(c, d1 * k2, d1 * t2, d2 * k1, d2 * t1, k1 * t2 - k2 * t1)
-        return minors * size == c
-
-    # (k1, k2) has order lcm(d1/gcd(k1, d1), d2/gcd(k2, d2)), which is
-    # d2/gcd(k1 d2/d1, k2, d2) as d1 | d2
-    f = d2 // d1
-    orders = [d2 // gcd(k // d2 * f, k % d2, d2) for k in kernel]
-    exp = lcm(*orders)
-    top = next((k for k, o in zip(kernel, orders) if o == exp), None)
-    low = None
-    if top is not None and size % exp == 0:
-        t1, t2 = divmod(top, d2)
-        low = next(
-            (
-                k
-                for k, o in zip(kernel, orders)
-                if o * exp == size and meets_top_trivially(k)
-            ),
-            None,
-        )
-    if low is None:
-        raise InternalConsistencyError("the unit kernel is not a group")
-    return [(g, o) for g, o in ((low, size // exp), (top, exp)) if o > 1]
-
-
 def _classify(ambient: AmbientGroup, keys: list[int]) -> GroupStructure:
     """Reads the structure of Q off H's integer law from its members' keys
     (ascending); raises InternalConsistencyError unless they form a subgroup
     of H.
 
     K = Q n (Z/d1 x Z/d2), the keys below |C|, has rank <= 2, and its law is
-    addition mod (d1, d2) in Smith coordinates, so its span is the sums of
-    multiples of its basis.  Q/K is cyclic of order n' = n/step, step =
-    gcd(n, unit exponents), generated by any member q0 = (step, k).
-    Conjugation by q0 acts on K as A^step, and q0^n' = (0, N k) with the
-    norm matrix N = sum_{j<n'} A^(j step).  Once q0 normalizes K, the coset
-    q0^a K is the translate (a step, k_a + K) of q0^a = (a step, k_a).
+    addition mod (d1, d2) in Smith coordinates.  So K is a group iff its keys
+    are the rows of a Hermite normal form: row 0 the multiples of a row_step
+    dividing d2, and the other nonempty rows, every gap-th with gap | d1,
+    the cosets j (gap, t) + row 0, j < rows, with rows t = 0 mod row_step.
+    Its basis is top, the first key of the top order exp = lcm(|row 0|,
+    order of (gap, t)), and low, the first key of order |K|/exp whose span
+    meets <top> only in 0 (one gcd of the six 2x2 minors).  An element's
+    coordinates on them come from a walk along top to a multiple of low.
+    Q/K is cyclic of order n' = n/step, step = gcd(n, unit exponents),
+    generated by any member q0 = (step, k).  Conjugation by q0 acts on K as
+    A^step, and q0^n' = (0, N k) with the norm matrix N = sum_{j<n'}
+    A^(j step).  Once q0 normalizes K, the coset q0^a K is the translate
+    (a step, k_a + K) of q0^a = (a step, k_a); K is the translate a = 0.
     """
     n, c = ambient.n, ambient.quotient.order
     d1, d2 = ambient.quotient.d1, ambient.quotient.d2
@@ -510,31 +482,57 @@ def _classify(ambient: AmbientGroup, keys: list[int]) -> GroupStructure:
 
     kernel = keys[: bisect_left(keys, c)]
     size = len(kernel)
-    gens = _kernel_basis(kernel, d1, d2)
-    # span lists e_low low + e_top top at position e_low + e_top o_low
-    span = [0]
-    for gen, order in gens:
-        g1, g2 = divmod(gen, d2)
-        layer = [divmod(x, d2) for x in span]
-        span = [
-            (x1 + e * g1) % d1 * d2 + (x2 + e * g2) % d2
-            for e in range(order)
-            for x1, x2 in layer
-        ]
-    if sorted(span) != kernel:
+    per_row = bisect_left(kernel, d2)
+    if not per_row:
+        raise InternalConsistencyError("the unit kernel is not a group")
+    rows = size // per_row
+    row_step, gap = d2 // per_row, d1 // rows
+    t = kernel[per_row] % d2 if rows > 1 else 0
+    starts = [j * t % row_step for j in range(rows)]  # row j is starts[j] + row 0
+
+    def translate(a1: int, a2: int, base: int) -> list[int]:
+        """The keys base + (a1, a2) + K in order, one range per row: K's row
+        j lands on row a1 + j gap mod d1, its start moved by a2 mod row_step."""
+        first = base + a1 % gap * d2  # the first row's key
+        j = -(a1 // gap) % rows  # the row of K that lands there
+        out = []
+        for s0, row in zip(starts[j:] + starts[:j], range(first, first + c, gap * d2)):
+            out.extend(range(row + (s0 + a2) % row_step, row + d2, row_step))
+        return out
+
+    # (row 0 equals range(0, d2, row_step) only if per_row divides d2)
+    if d1 % rows or rows * t % row_step or translate(0, 0, 0) != kernel:
         raise InternalConsistencyError("the unit kernel is not a group")
 
+    f = d2 // d1
+
+    def order(k: int) -> int:  # lcm(d1/gcd(k1, d1), d2/gcd(k2, d2)), as d1 | d2
+        return d2 // gcd(k // d2 * f, k % d2, d2)
+
+    exp = lcm(per_row, order(gap * d2 + t))
+    top = next(k for k in kernel if order(k) == exp)
+    t1, t2 = divmod(top, d2)
+
+    def meets_top_trivially(k: int) -> bool:
+        k1, k2 = divmod(k, d2)
+        minors = gcd(c, d1 * k2, d1 * t2, d2 * k1, d2 * t1, k1 * t2 - k2 * t1)
+        return minors * size == c
+
+    low = next(
+        k for k in kernel if order(k) * exp == size and meets_top_trivially(k)
+    )
+    basis = ((low, size // exp), (top, exp))
+    gens = [(g, o) for g, o in basis if o > 1]
+    l1, l2 = divmod(low, d2)
+    low_multiples = {e * l1 % d1 * d2 + e * l2 % d2: e for e in range(size // exp)}
+
     def coordinates(x: int) -> tuple[int, ...]:
-        try:
-            p, out = span.index(x), []
-        except ValueError:
-            raise InternalConsistencyError(
-                "the quotient generator does not normalize K"
-            ) from None
-        for _, order in gens:
-            p, e = divmod(p, order)
-            out.append(e)
-        return tuple(out)
+        x1, x2 = divmod(x, d2)
+        for e in range(exp):  # x - e top is a multiple of low for one e < exp
+            e_low = low_multiples.get((x1 - e * t1) % d1 * d2 + (x2 - e * t2) % d2)
+            if e_low is not None:
+                return tuple(a for a, (_, o) in zip((e_low, e), basis) if o > 1)
+        raise InternalConsistencyError("the quotient generator does not normalize K")
 
     exps, lo = [], size  # the unit exponents present, by bisection
     while lo < len(keys):
@@ -560,23 +558,10 @@ def _classify(ambient: AmbientGroup, keys: list[int]) -> GroupStructure:
     # the members are K and then, for 0 < a < n', the translates in turn.
     if len(keys) != quotient_order * size:
         raise InternalConsistencyError("membership set is not closed")
-    # K's rows: row 0 is the multiples of row_step below d2, and the other
-    # nonempty rows, every gap-th, are its cosets t + row_step Z, t < row_step.
-    # A translate by (a1, a2) moves them to rows a1 + j gap mod d1, with t
-    # moved to (t + a2) mod row_step, so in key order it is one range per row.
-    per_row = bisect_left(kernel, d2)
-    row_step = d2 // per_row
-    starts = [k % d2 for k in kernel[::per_row]]
-    gap = d1 // len(starts)
     (m11, m12), (m21, m22) = actions[s]
     q1, q2 = a1, a2 = divmod(q0, d2)  # q0^a = (a step, a1 d2 + a2)
     for lo in range(size, len(keys), size):
-        first = lo // size * step * c + a1 % gap * d2  # the first row's key
-        j = -(a1 // gap) % len(starts)  # the row of K that lands there
-        translate = []
-        for t, row in zip(starts[j:] + starts[:j], range(first, first + c, gap * d2)):
-            translate.extend(range(row + (t + a2) % row_step, row + d2, row_step))
-        if keys[lo : lo + size] != translate:
+        if keys[lo : lo + size] != translate(a1, a2, lo // size * step * c):
             raise InternalConsistencyError("membership set is not closed")
         a1, a2 = (a1 * m11 + a2 * m21 + q1) % d1, (a1 * m12 + a2 * m22 + q2) % d2
 

@@ -6,8 +6,9 @@ table and its elements' unit exponents; the law-driven one (law_classify)
 reads it off H's integer law from the members' keys, building K's span and
 the cosets q0^a K through mul_row; sorted_translate_classify is the integer
 classifier as it was while it checked closure by building each translate
-q0^a K element by element and sorting it; mul_row_table builds every row of
-the table from H's law."""
+q0^a K element by element and sorting it, and K by spanning the basis that
+_kernel_basis reads off every element's order; mul_row_table builds every
+row of the table from H's law."""
 
 from __future__ import annotations
 
@@ -16,12 +17,7 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Sequence
 
-from inoueaut.components import (
-    AmbientGroup,
-    GroupStructure,
-    InternalConsistencyError,
-    _kernel_basis,
-)
+from inoueaut.components import AmbientGroup, GroupStructure, InternalConsistencyError
 
 
 def mul_row_table(
@@ -347,6 +343,41 @@ def law_classify(ambient: AmbientGroup, keys: Sequence[int]) -> GroupStructure:
         split=split is not None,
         twist=None if split is not None else twist,
     )
+
+
+def _kernel_basis(kernel: list[int], d1: int, d2: int) -> list[tuple[int, int]]:
+    """K's basis as (key, order) pairs of order > 1, low before top: top is
+    the first element of the top order exp, low the first of order |K|/exp
+    whose span meets <top> only in 0, i.e. for which the gcd of the 2x2
+    minors of the rows (d1, 0), (0, d2), low, top is |C|/|K|.  Raises
+    InternalConsistencyError when there is no such pair."""
+    c, size = d1 * d2, len(kernel)
+
+    def meets_top_trivially(k: int) -> bool:
+        k1, k2 = divmod(k, d2)
+        minors = gcd(c, d1 * k2, d1 * t2, d2 * k1, d2 * t1, k1 * t2 - k2 * t1)
+        return minors * size == c
+
+    # (k1, k2) has order lcm(d1/gcd(k1, d1), d2/gcd(k2, d2)), which is
+    # d2/gcd(k1 d2/d1, k2, d2) as d1 | d2
+    f = d2 // d1
+    orders = [d2 // gcd(k // d2 * f, k % d2, d2) for k in kernel]
+    exp = lcm(*orders)
+    top = next((k for k, o in zip(kernel, orders) if o == exp), None)
+    low = None
+    if top is not None and size % exp == 0:
+        t1, t2 = divmod(top, d2)
+        low = next(
+            (
+                k
+                for k, o in zip(kernel, orders)
+                if o * exp == size and meets_top_trivially(k)
+            ),
+            None,
+        )
+    if low is None:
+        raise InternalConsistencyError("the unit kernel is not a group")
+    return [(g, o) for g, o in ((low, size // exp), (top, exp)) if o > 1]
 
 
 def sorted_translate_classify(ambient: AmbientGroup, keys: list[int]) -> GroupStructure:

@@ -4,7 +4,8 @@ families (solve_standard_e, which only tests use, lives here), and random
 standard-form parameter sets for both surface families, over random ideals
 or over I = Z<1, eta>, with t (two integer triples, built by surd_triple)
 drawn by random_t or, reaching the -2t term, by random_surd_t, and the
-Z[phi] set at the Lucas number theta = L_16 (lucas_params); and helpers
+Z[phi] sets at the Lucas numbers theta = L_16 (lucas_params) and, for
+S(-), theta = L_17 (lucas_minus_params); and helpers
 that only tests and the references read: the discrete-subgroup test on
 QuadReals, a quotient's coset representatives, the lattice I/r and a real
 t (real_t); and the API the package dropped because no command reaches it
@@ -416,6 +417,20 @@ def lucas_params(r: int) -> SurfaceParams:
     x2 = Fraction(F16 - 2207, 2 * F16) * x1 + Fraction(1, F16) * field.u()
     e = solve_standard_e(field, r, x1, x2, 0, 0)
     return SurfaceParams.create(field, r, x1, x2, e)
+
+
+F17 = 1597  # the Fibonacci number F_17, with L_17 = 3571
+
+
+def lucas_minus_params() -> SurfaceParams:
+    """S(-) at theta = L_17 = 3571, I = Z<1, phi> with phi = (F17 - theta)/
+    (2 F17) + u/F17 and r = 3571: Q = H = (Z/17) x| (Z/3571), the action
+    multiplication by 1104."""
+    field = FieldDescriptor(3571, -1)
+    x1 = field.one()
+    x2 = Fraction(F17 - 3571, 2 * F17) * x1 + Fraction(1, F17) * field.u()
+    e = _solve_standard_e_minus(field, 3571, x1, x2, 0, 0)
+    return SurfaceParams.create(field, 3571, x1, x2, e)
 
 
 def random_unit(

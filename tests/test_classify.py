@@ -1,14 +1,17 @@
 """The component-group classifier, which reads Q off H's integer law, against
 the classifiers it replaced (tests/classify_reference.py): the table-driven
 one, the law-driven one built on mul_row and the one that sorted each
-translate of K.  On real parameter sets, on every subgroup generated by
-random elements of synthetic ambient groups, and on member sets one element
-away from a subgroup or with one member moved within its unit exponent,
-which it must reject exactly when they are not subgroups.  The Cayley table
-built by composing rows against the one built row by row from H's law."""
+translate of K and spanned K from an orders pass.  On real parameter sets
+(among them Q = H at |Q| = 35 280 and 60 707 on two Lucas sets), on every
+subgroup generated by random elements of synthetic ambient groups, and on
+member sets one element away from a subgroup, with one member moved within
+its unit exponent or shaped like K's rows, which it must reject exactly
+when they are not subgroups.  The Cayley table built by composing rows
+against the one built row by row from H's law."""
 
 import random
 from collections import Counter
+from functools import cache
 from itertools import chain
 from types import SimpleNamespace
 
@@ -23,6 +26,8 @@ from classify_reference import (
 from conftest import (
     all_examples,
     example_theta7,
+    lucas_minus_params,
+    lucas_params,
     random_eta_params,
     random_standard_params,
     solve_standard_e,
@@ -178,9 +183,28 @@ def mutated_key_sets():
             yield ambient, mutated
 
 
+def row_shaped_non_subgroups():
+    """(ambient, key set) of Z/d1 x Z/d2 (n = 1) shaped like K's rows, none
+    of them a group: in Z/4 x Z/8, rows whose starts run (0, 1, 3, 2); in
+    Z/2 x Z/8, {(0,0), (0,4), (1,1), (1,5)}, where 2 (1, 1) = (0, 2) is not
+    in row 0; rows that do not all hold the same number of keys; and three
+    full rows of Z/4 x Z/4, a count that does not divide d1."""
+
+    def ambient(d1: int, d2: int) -> AmbientGroup:
+        quotient = SimpleNamespace(order=d1 * d2, d1=d1, d2=d2)
+        return AmbientGroup(None, None, 0, 1, quotient, (), (((1, 0), (0, 1)),))
+
+    starts = (0, 1, 3, 2)
+    yield ambient(4, 8), {j * 8 + starts[j] + 4 * m for j in range(4) for m in (0, 1)}
+    yield ambient(2, 8), {0, 4, 9, 13}
+    yield ambient(4, 4), {0, 2, 5, 8}  # rows of 2, 1 and 1 keys
+    yield ambient(2, 4), {0, 2, 4}  # rows of 2 and 1 keys
+    yield ambient(4, 4), set(range(12))
+
+
 def test_classify_rejects_exactly_the_non_subgroups():
     still_groups = 0
-    for ambient, mutated in mutated_key_sets():
+    for ambient, mutated in chain(mutated_key_sets(), row_shaped_non_subgroups()):
         if is_subgroup(ambient, mutated):
             still_groups += 1
             _classify(ambient, sorted(mutated))
@@ -188,6 +212,16 @@ def test_classify_rejects_exactly_the_non_subgroups():
             with pytest.raises(InternalConsistencyError):
                 _classify(ambient, sorted(mutated))
     assert still_groups > 0
+
+
+@cache
+def lucas_groups() -> list[tuple[AmbientGroup, list[int]]]:
+    """Q = H at size: (Z/16) x| (Z/21 x Z/105) at theta = L_16 (|Q| = 35 280)
+    and, for S(-), (Z/17) x| (Z/3571) at theta = L_17 (|Q| = 60 707)."""
+    groups = map(component_group, [lucas_params(2 * (2207 - 2)), lucas_minus_params()])
+    out = [(q.ambient, q.keys) for q in groups]
+    assert [(a.order, len(keys)) for a, keys in out] == [(35280,) * 2, (60707,) * 2]
+    return out
 
 
 def classified(classify, ambient: AmbientGroup, members):
@@ -204,6 +238,7 @@ def test_classify_matches_law_reference():
         random_subgroups(random.Random(131), 1500, 200),
         ((a, sorted(keys)) for a, keys in mutated_key_sets()),
         ((q.ambient, q.keys) for q in map(component_group, parameter_sets())),
+        lucas_groups(),
     )
     outcomes = Counter()
     for ambient, members in cases:
@@ -263,6 +298,7 @@ def test_classify_matches_sorted_translate_reference():
         random_subgroups(random.Random(131), 1500, 200),
         ((a, sorted(keys)) for a, keys in mutated_key_sets()),
         moved_key_sets(),
+        lucas_groups(),
     )
     outcomes = Counter()
     for ambient, members in cases:

@@ -28,6 +28,8 @@ CASES = {
     "theta6_r3": ["--double-r"],
     "theta6_t": [],
     "theta6_t_imag": [],
+    "theta34_nonsplit": [],
+    "minus_theta36_nonsplit": [],
 }
 FORMATS = {"json": ["--machine"], "txt": []}
 

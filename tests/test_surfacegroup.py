@@ -388,7 +388,7 @@ def inoue_fields(data) -> list:
 
 
 def inoue_cases() -> list[SurfaceParams]:
-    """The nine goldens, seeded standard-form sets of both families over
+    """The eleven goldens, seeded standard-form sets of both families over
     random ideals and over Z<1, eta> (r up to 40), and the Z[phi] Lucas
     sets at theta = L_16."""
     cases = list(GOLDEN.values())
@@ -406,7 +406,7 @@ def test_to_inoue_data_matches_the_quadreal_solver():
     # eleven values on standard sets, the same StandardFormError off them
     rng = random.Random(163)
     cases = inoue_cases()
-    assert len(cases) == 171 and {p.field.c0 for p in cases} == {1, -1}
+    assert len(cases) == 173 and {p.field.c0 for p in cases} == {1, -1}
     refused = 0
     for params in cases:
         expected = inoue_fields(ref.to_inoue_data(params))
