@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, repeat
+from itertools import chain, repeat
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -431,24 +431,13 @@ class GroupStructure:
         return f"{head}, {act}, non-split with twist {list(self.twist)}"
 
 
-def _det(m: list[list[int]]) -> int:
-    if not m:
-        return 1
-    return sum(
-        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1 :] for row in m[1:]])
-        for j in range(len(m))
-    )
-
-
-def _minor_gcd(rows: list[list[int]], size: int) -> int:
-    """The gcd of the size x size minors, i.e. the determinantal divisor."""
-    return gcd(
-        *(
-            _det([[rows[i][j] for j in cols] for i in picked])
-            for picked in combinations(range(len(rows)), size)
-            for cols in combinations(range(len(rows[0])), size)
-        )
-    )
+def _invariant_factors(a: int, b: int, x: int, y: int, n: int) -> tuple[int, ...]:
+    """The invariant factors (1s dropped) of Z^3 / <(a, 0, 0), (0, b, 0),
+    (-x, -y, n)>: the quotients of its determinantal divisors, the gcds of
+    its 1x1, 2x2 and 3x3 minors."""
+    g1 = gcd(a, b, x, y, n)
+    g2 = gcd(a * b, a * y, a * n, b * x, b * n)
+    return tuple(f for f in (g1, g2 // g1, a * b * n // g2) if f > 1)
 
 
 def _classify(ambient: AmbientGroup, keys: list[int]) -> GroupStructure:
@@ -465,11 +454,14 @@ def _classify(ambient: AmbientGroup, keys: list[int]) -> GroupStructure:
     order of (gap, t)), and low, the first key of order |K|/exp whose span
     meets <top> only in 0 (one gcd of the six 2x2 minors).  An element's
     coordinates on them come from a walk along top to a multiple of low.
-    Q/K is cyclic of order n' = n/step, step = gcd(n, unit exponents),
-    generated by any member q0 = (step, k).  Conjugation by q0 acts on K as
-    A^step, and q0^n' = (0, N k) with the norm matrix N = sum_{j<n'}
-    A^(j step).  Once q0 normalizes K, the coset q0^a K is the translate
-    (a step, k_a + K) of q0^a = (a step, k_a); K is the translate a = 0.
+    Q/K is cyclic of order n' = n/step, where step is the unit exponent of
+    the first key past K (n when there is none), and it is generated by any
+    member q0 = (step, k), i.e. any of keys[|K| : 2|K|].  Conjugation by q0
+    acts on K as A^step, and q0^n' = (0, N k) with the norm matrix
+    N = sum_{j<n'} A^(j step).  Once q0 normalizes K, the coset q0^a K is the
+    translate (a step, k_a + K) of q0^a = (a step, k_a); K is the translate
+    a = 0.  A step that does not divide n, or any translate that differs from
+    the keys in its place, means Q is no group.
     """
     n, c = ambient.n, ambient.quotient.order
     d1, d2 = ambient.quotient.d1, ambient.quotient.d2
@@ -534,18 +526,13 @@ def _classify(ambient: AmbientGroup, keys: list[int]) -> GroupStructure:
                 return tuple(a for a, (_, o) in zip((e_low, e), basis) if o > 1)
         raise InternalConsistencyError("the quotient generator does not normalize K")
 
-    exps, lo = [], size  # the unit exponents present, by bisection
-    while lo < len(keys):
-        exps.append(keys[lo] // c)
-        lo = bisect_left(keys, (exps[-1] + 1) * c, lo)
-    step = gcd(n, *exps)
+    s = keys[size] // c if size < len(keys) else 0  # q0's unit exponent
+    step = s or n
+    if n % step:
+        raise InternalConsistencyError("membership set is not closed")
     quotient_order = n // step
-    s = step % n
     base = s * c  # the candidates for q0 are the keys base + k, k < |C|
-    lo = bisect_left(keys, base)
-    candidates = keys[lo : bisect_left(keys, base + c, lo)]
-    if not candidates:
-        raise InternalConsistencyError(f"no member has unit exponent {s}")
+    candidates = keys[size : 2 * size] if s else kernel
     powers = [actions[j * s % n] for j in range(quotient_order)]
     norm = [[sum(a[i][col] for a in powers) for col in (0, 1)] for i in (0, 1)]
     split = next((k for k in candidates if image(norm, k - base) == 0), None)
@@ -566,15 +553,10 @@ def _classify(ambient: AmbientGroup, keys: list[int]) -> GroupStructure:
         a1, a2 = (a1 * m11 + a2 * m21 + q1) % d1, (a1 * m12 + a2 * m22 + q2) % d2
 
     if conjugates == [gen for gen, _ in gens]:
-        # Q = <gens, q0 | orders, n' q0 = twist>; the Smith form of these
-        # relations gives the invariant factors as determinantal quotients.
-        rank = len(gens) + 1
-        relations = [
-            [o if j == i else 0 for j in range(rank)] for i, (_, o) in enumerate(gens)
-        ]
-        relations.append([-t for t in twist] + [quotient_order])
-        divisors = [_minor_gcd(relations, k) for k in range(rank + 1)]
-        factors = tuple(b // a for a, b in zip(divisors, divisors[1:]) if b != a)
+        # Q = <low, top, q0 | orders, n' q0 = twist>; a generator of order 1
+        # has twist coordinate 0.
+        x, y = ((0, 0) + twist)[-2:]
+        factors = _invariant_factors(size // exp, exp, x, y, quotient_order)
         return GroupStructure(len(keys), True, invariant_factors=factors)
     return GroupStructure(
         len(keys),

@@ -25,6 +25,10 @@ Complex = tuple[Triple, Triple]
 ZERO_T: Complex = ((0, 0, 1), (0, 0, 1))
 
 
+class InternalConsistencyError(RuntimeError):
+    """A structural property failed that only an implementation bug can break."""
+
+
 def is_perfect_square(n: int) -> bool:
     if n < 0:
         return False
@@ -303,7 +307,7 @@ def surd_sign(p: int, q: int, delta: int) -> int:
         return (p > 0 or q > 0) - (p < 0 or q < 0)
     lhs, rhs = p * p, q * q * delta
     if lhs == rhs:  # would force sqrt(delta) rational
-        raise AssertionError("non-square delta invariant violated")
+        raise InternalConsistencyError("non-square delta invariant violated")
     return (p > 0) - (p < 0) if lhs > rhs else (q > 0) - (q < 0)
 
 

@@ -13,15 +13,11 @@ from itertools import chain, repeat
 from math import lcm
 from typing import Iterator
 
-from .exactnum import format_quads
+from .exactnum import InternalConsistencyError, format_quads
 from .quadfield import FieldElement
 
 # Row-major 2x2 integer matrix ((m11, m12), (m21, m22)).
 IntMatrix = tuple[tuple[int, int], tuple[int, int]]
-
-
-class InternalConsistencyError(RuntimeError):
-    """A structural property failed that only an implementation bug can break."""
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

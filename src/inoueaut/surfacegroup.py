@@ -16,7 +16,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .exactnum import ZERO_T, Complex, QuadReal, format_complex
-from .lattice import IntMatrix, Lattice
+from .lattice import IntMatrix, InternalConsistencyError, Lattice
 from .quadfield import FieldDescriptor, FieldElement, chi
 from .units import sigma1_sign, triple_exponent
 
@@ -468,7 +468,7 @@ def to_inoue_data(params: SurfaceParams) -> InoueData:
         )
         quotient = r * (_center(data, ni1, ni2) - 2 * c0 * ci)
         if rational or quotient != 2 * data.x0 * value:
-            raise AssertionError("translation system re-substitution failed")
+            raise InternalConsistencyError("translation system re-substitution failed")
         solution.append(value)
     alpha = field.u().sigma1()
     return InoueData(n, *solution, alpha, a1, a2, b1, b2, c1, c2, d)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import gcd, isqrt
 
-from .exactnum import Triple, square_decompose, surd_sign
+from .exactnum import InternalConsistencyError, Triple, square_decompose, surd_sign
 from .lattice import Lattice
 from .quadfield import FieldDescriptor, FieldElement
 
@@ -51,7 +51,7 @@ def fundamental_unit(field: FieldDescriptor) -> FieldElement:
         p * s - q * scale * field.theta, 2 * q * scale, 2 * s, field
     )
     if not eta.is_unit():
-        raise AssertionError(f"continued fraction produced a non-unit: {eta}")
+        raise InternalConsistencyError(f"continued fraction produced a non-unit: {eta}")
     # The reduced seed already lands at sigma1 > 1; keep the normalization as
     # a guard (sigma1 = 1 only at +-1, so there is no tie to break).
     theta, delta = field.theta, field.delta

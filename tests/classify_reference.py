@@ -8,7 +8,8 @@ the cosets q0^a K through mul_row; sorted_translate_classify is the integer
 classifier as it was while it checked closure by building each translate
 q0^a K element by element and sorting it, and K by spanning the basis that
 _kernel_basis reads off every element's order; mul_row_table builds every
-row of the table from H's law."""
+row of the table from H's law; _minor_gcd, the gcd of every k x k minor,
+gave the abelian invariant factors before three closed-form gcds did."""
 
 from __future__ import annotations
 

@@ -7,7 +7,8 @@ subgroup generated by random elements of synthetic ambient groups, and on
 member sets one element away from a subgroup, with one member moved within
 its unit exponent or shaped like K's rows, which it must reject exactly
 when they are not subgroups.  The Cayley table built by composing rows
-against the one built row by row from H's law."""
+against the one built row by row from H's law, and the abelian invariant
+factors from three gcds against the gcds of all minors."""
 
 import random
 from collections import Counter
@@ -19,6 +20,7 @@ import pytest
 
 from classify_reference import (
     _classify as table_classify,
+    _minor_gcd,
     law_classify,
     mul_row_table,
     sorted_translate_classify,
@@ -45,6 +47,7 @@ from inoueaut.components import (
     ComponentGroup,
     InternalConsistencyError,
     _classify,
+    _invariant_factors,
 )
 from inoueaut.cli import dump_machine, render_report
 
@@ -80,6 +83,25 @@ def test_classify_matches_table_reference_on_parameter_sets():
     q = component_group(params)
     assert q.order == 360 and q.ambient.n == 8
     assert q.structure == reference_structure(q.ambient, q.keys)
+
+
+def test_invariant_factors_match_the_minor_gcd_reference():
+    # the three gcds against the gcds of every k x k minor of the relation
+    # matrix, over all a | b <= 12, x < a, y < b and n' <= 6: 6540 cases
+    cases = 0
+    for b in range(1, 13):
+        for a in (a for a in range(1, b + 1) if b % a == 0):
+            for x in range(a):
+                for y in range(b):
+                    for n in range(1, 7):
+                        relations = [[a, 0, 0], [0, b, 0], [-x, -y, n]]
+                        divisors = [_minor_gcd(relations, k) for k in range(4)]
+                        expected = tuple(
+                            h // g for g, h in zip(divisors, divisors[1:]) if h != g
+                        )
+                        assert _invariant_factors(a, b, x, y, n) == expected
+                        cases += 1
+    assert cases == 6540
 
 
 def synthetic_ambient(rng: random.Random) -> AmbientGroup:

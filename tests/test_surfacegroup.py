@@ -39,6 +39,7 @@ from field_reference import quad_complex
 from inoueaut import (
     AffineElement,
     FieldDescriptor,
+    InternalConsistencyError,
     ParameterError,
     QuadReal,
     StandardFormError,
@@ -369,11 +370,11 @@ def test_to_inoue_data_checks_its_solution():
     # leaves a rational part, and wrong word data a different quotient
     params = example_theta6()
     params.__dict__["n_matrix"] = ((1, 3), (2, 5))
-    with pytest.raises(AssertionError, match="re-substitution failed"):
+    with pytest.raises(InternalConsistencyError, match="re-substitution failed"):
         to_inoue_data(params)
     params = example_theta6()
     params.__dict__["word_data"] = params.word_data._replace(c2=1)
-    with pytest.raises(AssertionError, match="re-substitution failed"):
+    with pytest.raises(InternalConsistencyError, match="re-substitution failed"):
         to_inoue_data(params)
     assert to_inoue_data(example_theta6()).p == -6
 
