@@ -22,7 +22,6 @@ from .surfacegroup import (
     StandardFormError,
     SurfaceParams,
     is_standard_form_direct,
-    make_generators,
     surface_group_contains,
     to_inoue_data,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "StandardFormError",
     "SurfaceParams",
     "is_standard_form_direct",
-    "make_generators",
     "surface_group_contains",
     "to_inoue_data",
     "AmbientGroup",

@@ -270,7 +270,7 @@ def machine_payload(report: AutReport) -> dict:
             "unit_order": ambient.n,
             "coset_count": ambient.quotient.order,
             "invariant_factors": (ambient.quotient.d1, ambient.quotient.d2),
-            "coset_reps": ambient.quotient.rep_texts("u"),
+            "coset_reps": ambient.quotient.rep_texts(),
         },
         "q_group": _q_payload(report.q),
         "bound": ambient.order,
@@ -330,7 +330,7 @@ def render_report(report: AutReport) -> str:
         f"{ambient.quotient.order}, "
         f"coset factors ({ambient.quotient.d1}, {ambient.quotient.d2})"
     )
-    lines.append("  coset reps: " + ", ".join(ambient.quotient.rep_texts("u")))
+    lines.append("  coset reps: " + ", ".join(ambient.quotient.rep_texts()))
     lines.append(
         f"component group Q: order {report.q.order}, {report.q.structure.describe()}"
     )

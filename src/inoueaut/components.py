@@ -8,7 +8,7 @@ cross-check every answer.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, repeat
 from math import gcd, lcm
@@ -736,7 +736,7 @@ def _check_law(ambient: AmbientGroup) -> None:
                 )
 
 
-def oracle_crosscheck(params: SurfaceParams, q: ComponentGroup | None = None) -> int:
+def oracle_crosscheck(params: SurfaceParams, q: ComponentGroup) -> int:
     """Checks the member set S of Q against the normalizer oracle on the
     whole ambient group H; returns |H|, raises on any disagreement (which is
     always a bug, never a data problem).
@@ -752,8 +752,6 @@ def oracle_crosscheck(params: SurfaceParams, q: ComponentGroup | None = None) ->
     That is m + |H|/|S| - 1 oracle calls for m generators.  The walk and
     the cosets trust H's integer law, which is checked first.
     """
-    if q is None:
-        q = component_group(params)
     ambient = q.ambient
     _check_law(ambient)
 
@@ -850,9 +848,7 @@ def automorphism_report(
         oracle_crosscheck(params, q)
     double_r = None
     if with_double_r:
-        doubled = SurfaceParams(
-            params.field, 2 * params.r, params.x1, params.x2, params.e, params.t
-        )
+        doubled = replace(params, r=2 * params.r)
         double_r = component_group(doubled, ambient)  # H does not depend on r
     return AutReport(
         params=params,

@@ -207,7 +207,7 @@ class LatticeQuotient:
     identity coset).
     """
 
-    __slots__ = ("big", "small", "d1", "d2", "_v", "_rows", "_den")
+    __slots__ = ("big", "d1", "d2", "_v", "_rows", "_den")
 
     def __init__(self, big: Lattice, small: Lattice):
         c1 = big.integer_coordinates(small.b1)
@@ -216,7 +216,6 @@ class LatticeQuotient:
             raise ValueError(f"{small} is not a sublattice of {big}")
         d1, d2, v = _snf2(c1[0], c1[1], c2[0], c2[1])
         self.big = big
-        self.small = small
         self.d1, self.d2 = d1, d2
         self._v = v
         det_v = v[0][0] * v[1][1] - v[0][1] * v[1][0]  # +-1
@@ -249,8 +248,8 @@ class LatticeQuotient:
             k1 * p1 + k2 * p2, k1 * q1 + k2 * q2, self._den, self.big.field
         )
 
-    def rep_texts(self, symbol: str) -> list[str]:
-        """Every representative's text in coset order, written by
+    def rep_texts(self) -> list[str]:
+        """Every representative's text over u in coset order, written by
         format_quads from the Smith rows: row k1 of each coordinate,
         k1 c1 + k2 c2 for k2 < d2, is one range of step c2."""
         d1, d2 = self.d1, self.d2
@@ -262,7 +261,7 @@ class LatticeQuotient:
             )
 
         (p1, q1), (p2, q2) = self._rows
-        return format_quads(zip(column(p1, p2), column(q1, q2)), self._den, symbol)
+        return format_quads(zip(column(p1, p2), column(q1, q2)), self._den, "u")
 
     def index_of(self, x: FieldElement) -> int:
         """Index of the representative congruent to x modulo the sublattice."""

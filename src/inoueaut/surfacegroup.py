@@ -202,21 +202,24 @@ _set_flat = AffineElement._flat.__set__
 class SurfaceParams:
     """Validated defining data (theta, r, x1, x2, e; t) of one surface.
 
-    x1, x2 must span a fractional ideal of Z[u] (u acts integrally and
-    chi(x1, x2) != 0); t is a Complex, pinned to 0 for the minus family.
-    Validation computes, and keeps as plain attributes, chi0 = chi(x1, x2),
-    the lattice ideal = Z<x1, x2> and n_matrix, the integer matrix of u
-    acting on (x1, x2), of trace theta and det c0.
+    e defaults to None, which validation replaces by the field's 0, and t
+    defaults to ZERO_T.  x1, x2 must span a fractional ideal of Z[u] (u acts
+    integrally and chi(x1, x2) != 0); t is a Complex, pinned to 0 for the
+    minus family.  Validation computes, and keeps as plain attributes,
+    chi0 = chi(x1, x2), the lattice ideal = Z<x1, x2> and n_matrix, the
+    integer matrix of u acting on (x1, x2), of trace theta and det c0.
     """
 
     field: FieldDescriptor
     r: int
     x1: FieldElement
     x2: FieldElement
-    e: FieldElement
-    t: Complex
+    e: FieldElement | None = None
+    t: Complex = ZERO_T
 
     def __post_init__(self) -> None:
+        if self.e is None:
+            self.__dict__["e"] = self.field.zero()
         if not isinstance(self.r, int) or self.r <= 0:
             raise ParameterError(f"r must be a positive integer, got {self.r}")
         for name in ("x1", "x2", "e"):
@@ -243,20 +246,6 @@ class SurfaceParams:
         # only the fields
         self.__dict__.update(chi0=chi0, ideal=ideal, n_matrix=n_matrix)
 
-    @classmethod
-    def create(
-        cls,
-        field: FieldDescriptor,
-        r: int,
-        x1: FieldElement,
-        x2: FieldElement,
-        e: FieldElement | None = None,
-        t: Complex = ZERO_T,
-    ) -> "SurfaceParams":
-        if e is None:
-            e = field.zero()
-        return cls(field, r, x1, x2, e, t)
-
     # -- derived data (cached; the dataclass is frozen but not slotted) -------
 
     @cached_property
@@ -269,7 +258,22 @@ class SurfaceParams:
     def generators(
         self,
     ) -> tuple[AffineElement, AffineElement, AffineElement, AffineElement]:
-        return make_generators(self)
+        """The four generators [u, 0, t], [1, x_i, chi(x_i, e)] and
+        [1, 0, -chi0/r], read off the word data: chi(x_i, e) =
+        C_i/den * sqrt(delta) and -chi0/r = -X0/(den r) * sqrt(delta)."""
+        data = self.word_data
+        field, den = self.field, data.den
+
+        def real(x: tuple[int, int, int], q: int, d: int) -> Flat:
+            g = gcd(q, d)
+            return (1, 0, 1, *x, 0, q // g, d // g, 0, 0, 1)
+
+        return (
+            AffineElement._of(field, (0, 1, 1, 0, 0, 1, *self.t[0], *self.t[1])),
+            AffineElement._of(field, real(self.x1.as_integer_triple(), data.c1, den)),
+            AffineElement._of(field, real(self.x2.as_integer_triple(), data.c2, den)),
+            AffineElement._of(field, real((0, 0, 1), -data.x0, den * self.r)),
+        )
 
     @cached_property
     def word_data(self) -> "WordData":
@@ -285,21 +289,6 @@ class SurfaceParams:
         )
         field = self.field
         return WordData(field.theta, field.c0, self.r, den, c1, c2, x0, *t_re, *t_im)
-
-
-def make_generators(
-    params: SurfaceParams,
-) -> tuple[AffineElement, AffineElement, AffineElement, AffineElement]:
-    """The four generators: [u, 0, t], [1, x_i, chi(x_i, e)], [1, 0, -chi0/r],
-    built from validated parameters."""
-    field, x1, x2, e = params.field, params.x1, params.x2, params.e
-    zero = field.zero()
-    one = field.one()
-    g0 = AffineElement(field.u(), zero, params.t)
-    g1 = AffineElement._real(one, x1, chi(x1, e).as_integer_triple())
-    g2 = AffineElement._real(one, x2, chi(x2, e).as_integer_triple())
-    g3 = AffineElement._real(one, zero, (-params.chi0 / params.r).as_integer_triple())
-    return g0, g1, g2, g3
 
 
 class WordData(NamedTuple):

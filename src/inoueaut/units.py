@@ -52,15 +52,11 @@ def fundamental_unit(field: FieldDescriptor) -> FieldElement:
     )
     if not eta.is_unit():
         raise InternalConsistencyError(f"continued fraction produced a non-unit: {eta}")
-    # The reduced seed already lands at sigma1 > 1; keep the normalization as
-    # a guard (sigma1 = 1 only at +-1, so there is no tie to break).
-    theta, delta = field.theta, field.delta
-    if sigma1_sign(eta.as_integer_triple(), theta, delta) < 0:
-        eta = -eta
-    if sigma1_sign(eta.as_integer_triple(), theta, delta, 1) < 0:
-        eta = eta.inverse()
-        if sigma1_sign(eta.as_integer_triple(), theta, delta) < 0:
-            eta = -eta
+    # p, q > 0 for the reduced seed, so sigma1(eta) > 1 always holds
+    if sigma1_sign(eta.as_integer_triple(), field.theta, field.delta, 1) <= 0:
+        raise InternalConsistencyError(
+            f"continued fraction produced a unit with sigma1 <= 1: {eta}"
+        )
     return eta
 
 
@@ -135,10 +131,11 @@ def utheta_exponent(field: FieldDescriptor, base: FieldElement) -> int:
 
 
 def invariant_unit_generator(
-    lat: Lattice, eta: FieldElement | None = None
+    lat: Lattice, eta: FieldElement
 ) -> tuple[FieldElement, int, int]:
-    """(u_gen, j, n): the generator u_gen = eta**j of the positive units
-    mapping the lattice onto itself, and the n >= 1 with u_gen**n = u.
+    """(u_gen, j, n): for eta the fundamental unit, the generator
+    u_gen = eta**j of the positive units mapping the lattice onto itself,
+    and the n >= 1 with u_gen**n = u.
 
     j is the least positive exponent with eta**j mapping the lattice into
     itself; the search is bounded by the exponent n_max with
@@ -146,8 +143,6 @@ def invariant_unit_generator(
     fractional ideal of Z[u].  Then n = n_max / j.
     """
     field = lat.field
-    if eta is None:
-        eta = fundamental_unit(field)
     n_max = utheta_exponent(field, eta)
     power_unit = eta
     for j in range(1, n_max + 1):

@@ -165,26 +165,26 @@ def is_invariant_under(lat: Lattice, v: FieldElement) -> bool:
 def example_theta6() -> SurfaceParams:
     """theta=6, r=6, I=Z<1, eta>, e=0, t=0; Q = Z/2 x Z/2."""
     field = FieldDescriptor(6, 1)
-    return SurfaceParams.create(field, 6, field.one(), fundamental_unit(field))
+    return SurfaceParams(field, 6, field.one(), fundamental_unit(field))
 
 
 def example_theta4_shifted() -> SurfaceParams:
     """theta=4, r=6, I=Z[u], e=1/(6(1-u)); Q = Z/2."""
     field = FieldDescriptor(4, 1)
     e = field.one() / (6 * (field.one() - field.u()))
-    return SurfaceParams.create(field, 6, field.one(), field.u(), e)
+    return SurfaceParams(field, 6, field.one(), field.u(), e)
 
 
 def example_theta4_zero() -> SurfaceParams:
     """theta=4, r=6, I=Z[u], e=0; Q trivial."""
     field = FieldDescriptor(4, 1)
-    return SurfaceParams.create(field, 6, field.one(), field.u())
+    return SurfaceParams(field, 6, field.one(), field.u())
 
 
 def example_theta7() -> SurfaceParams:
     """theta=7, r=10, I=Z<1, eta>, e=0; Q = (Z/4) |x (Z/5), action 3."""
     field = FieldDescriptor(7, 1)
-    return SurfaceParams.create(field, 10, field.one(), fundamental_unit(field))
+    return SurfaceParams(field, 10, field.one(), fundamental_unit(field))
 
 
 def all_examples() -> list[SurfaceParams]:
@@ -416,7 +416,7 @@ def lucas_params(r: int) -> SurfaceParams:
     x1 = field.one()
     x2 = Fraction(F16 - 2207, 2 * F16) * x1 + Fraction(1, F16) * field.u()
     e = solve_standard_e(field, r, x1, x2, 0, 0)
-    return SurfaceParams.create(field, r, x1, x2, e)
+    return SurfaceParams(field, r, x1, x2, e)
 
 
 F17 = 1597  # the Fibonacci number F_17, with L_17 = 3571
@@ -430,7 +430,7 @@ def lucas_minus_params() -> SurfaceParams:
     x1 = field.one()
     x2 = Fraction(F17 - 3571, 2 * F17) * x1 + Fraction(1, F17) * field.u()
     e = _solve_standard_e_minus(field, 3571, x1, x2, 0, 0)
-    return SurfaceParams.create(field, 3571, x1, x2, e)
+    return SurfaceParams(field, 3571, x1, x2, e)
 
 
 def random_unit(

@@ -179,7 +179,7 @@ def member_keys(params: SurfaceParams, ambient) -> list[int]:
     `components._member_keys` before the integer forms, over the Smith
     basis as the quotient built it with field arithmetic."""
     quotient = ambient.quotient
-    _, _, *basis = lattice_reference.smith_basis(quotient.big, quotient.small)
+    _, _, *basis = lattice_reference.smith_basis(quotient.big, params.ideal)
     c = ambient.quotient.order
     d1, d2 = ambient.quotient.d1, ambient.quotient.d2
     keys = []

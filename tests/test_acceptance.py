@@ -231,10 +231,11 @@ def test_criterion_08_principal_ideal_generators():
     ok = True
     for theta in range(4, 21):
         field = FieldDescriptor(theta, 1)
-        gen, _, _ = invariant_unit_generator(order_lattice(field))
+        eta = fundamental_unit(field)
+        gen, _, _ = invariant_unit_generator(order_lattice(field), eta)
         ok = ok and gen == field.u()
     f3 = FieldDescriptor(3, 1)
-    gen3, _, _ = invariant_unit_generator(order_lattice(f3))
+    gen3, _, _ = invariant_unit_generator(order_lattice(f3), fundamental_unit(f3))
     ok = ok and gen3 == f3.u() - f3.one() and gen3 * gen3 == f3.u()
     verdict(
         8,

@@ -79,7 +79,7 @@ def test_classify_matches_table_reference_on_parameter_sets():
     field = FieldDescriptor(47, 1)
     x1, x2 = field.one(), fundamental_unit(field)
     e = solve_standard_e(field, 15, x1, x2, 0, 0)
-    params = SurfaceParams.create(field, 15, x1, x2, e)
+    params = SurfaceParams(field, 15, x1, x2, e)
     q = component_group(params)
     assert q.order == 360 and q.ambient.n == 8
     assert q.structure == reference_structure(q.ambient, q.keys)
@@ -337,7 +337,7 @@ def test_table_matches_mul_row_reference():
     x1, x2 = field.one(), field.u()
     r = 2 * (600 - 2)
     e = solve_standard_e(field, r, x1, x2, 0, 0)
-    large = component_group(SurfaceParams.create(field, r, x1, x2, e))
+    large = component_group(SurfaceParams(field, r, x1, x2, e))
     groups = chain(
         ((q.ambient, q.keys) for q in map(component_group, parameter_sets())),
         random_subgroups(random.Random(151), 300, 200),

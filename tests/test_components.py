@@ -127,7 +127,7 @@ def test_integer_law_matches_field_arithmetic():
     # (1, 29), so the unit action is exercised in full.
     for theta, c0 in ((18, 1), (47, 1), (4, -1), (11, -1), (29, -1)):
         field = FieldDescriptor(theta, c0)
-        params = SurfaceParams.create(field, 1, field.one(), fundamental_unit(field))
+        params = SurfaceParams(field, 1, field.one(), fundamental_unit(field))
         ambient = build_ambient(params)
         assert ambient.n > 2
         assert_law_matches(ambient)
@@ -218,8 +218,8 @@ def test_normalizer_oracle_identity_and_examples():
     for params in (example_theta6(), example_theta4_zero()):
         field = params.field
         assert normalizer_oracle(params, field.one(), field.zero())
-    assert oracle_crosscheck(example_theta6()) == 8
-    assert oracle_crosscheck(example_theta7()) == 20
+    for params, order in ((example_theta6(), 8), (example_theta7(), 20)):
+        assert oracle_crosscheck(params, component_group(params)) == order
 
 
 def test_oracle_checks_each_value_once(monkeypatch):
@@ -530,7 +530,7 @@ def test_minus_family_alternating_group():
     # for r = 1 only a diagonal Z/3 does.
     field = FieldDescriptor(4, -1)
     phi = field.element(Fraction(-1, 2), Fraction(1, 2))
-    even = SurfaceParams.create(field, 2, field.one(), phi)
+    even = SurfaceParams(field, 2, field.one(), phi)
     q = component_group(even)
     quotient = q.ambient.quotient
     assert q.ambient.n == 3 and (quotient.d1, quotient.d2) == (2, 2)
@@ -552,16 +552,16 @@ def test_minus_family_alternating_group():
         for i in range(2)
     ]
     assert cube == [[1, 0], [0, 1]] and rows != ((1, 0), (0, 1))
-    assert oracle_crosscheck(even) == 12
+    assert oracle_crosscheck(even, q) == 12
 
-    odd = SurfaceParams.create(field, 1, field.one(), phi)
+    odd = SurfaceParams(field, 1, field.one(), phi)
     q1 = component_group(odd)
     assert q1.order == 3 and q1.structure.invariant_factors == (3,)
     # diagonal copy: the nontrivial unit classes pair with nonzero cosets
     pairs = [q1.ambient.pair(x) for x in q1.keys]
     assert {i for i, _ in pairs} == {0, 1, 2}
     assert [k for i, k in pairs if i][0] != 0
-    assert oracle_crosscheck(odd) == 12
+    assert oracle_crosscheck(odd, q1) == 12
 
 
 def test_double_r_report():
@@ -580,7 +580,7 @@ def test_double_r_report():
 def test_report_rejects_non_standard_form():
     field = FieldDescriptor(4, 1)
     e_bad = field.one() / (17 * (field.one() - field.u()))
-    bad = SurfaceParams.create(field, 6, field.one(), field.u(), e_bad)
+    bad = SurfaceParams(field, 6, field.one(), field.u(), e_bad)
     with pytest.raises(StandardFormError):
         automorphism_report(bad)
 
@@ -593,7 +593,7 @@ def test_matrix_convention_pinned_by_oracle():
     x1 = field.element(Fraction(-8, 3), -8)
     x2 = field.element(Fraction(4, 3), Fraction(-44, 3))
     e = field.element(-14, 42)
-    params = SurfaceParams.create(field, 1, x1, x2, e)
+    params = SurfaceParams(field, 1, x1, x2, e)
     v = field.element(Fraction(-1, 2), Fraction(1, 2))  # the fundamental unit
     assert params.ideal.mult_matrix(v) == ((-1, 2), (-1, 3))
     cases = [

@@ -45,6 +45,18 @@ def test_fundamental_unit_failure_exits_5(capsys, monkeypatch):
     )
 
 
+def test_fundamental_unit_below_one_exits_5(capsys, monkeypatch):
+    # (1 - sqrt(5))/2 is a unit, but sigma1 < 0: no silent repair to eta
+    monkeypatch.setattr(units, "_cf_unit", lambda disc: (1, -1))
+    assert main(["fundamental-unit", "7", "+"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "internal consistency failure (bug): continued fraction produced a unit "
+        "with sigma1 <= 1"
+    )
+
+
 def test_the_package_holds_no_assert():
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources

@@ -52,7 +52,7 @@ def ladder_sized_params(e_solved: bool = True) -> SurfaceParams:
     field = FieldDescriptor(47, 1)
     x1, x2 = field.one(), fundamental_unit(field)
     e = solve_standard_e(field, 15, x1, x2, 0, 0) if e_solved else field.zero()
-    return SurfaceParams.create(field, 15, x1, x2, e)
+    return SurfaceParams(field, 15, x1, x2, e)
 
 
 def differential_sample() -> list[SurfaceParams]:
@@ -167,9 +167,7 @@ def test_doubled_r_keeps_standard_form():
 def test_filter_computes_one_mult_matrix_per_unit_power(monkeypatch):
     field = FieldDescriptor(3000, 1)
     x1, x2 = field.one(), field.u()
-    params = SurfaceParams.create(
-        field, 1, x1, x2, solve_standard_e(field, 1, x1, x2, 0, 0)
-    )
+    params = SurfaceParams(field, 1, x1, x2, solve_standard_e(field, 1, x1, x2, 0, 0))
     calls = []
     real = Lattice.mult_matrix
 
@@ -210,10 +208,10 @@ def test_coset_rep_text_matches_field_arithmetic():
     for params in differential_sample():
         ambient = build_ambient(params)
         quotient = ambient.quotient
-        reps = lattice_reference.quotient_reps(quotient.big, quotient.small)
+        reps = lattice_reference.quotient_reps(quotient.big, params.ideal)
         assert coset_reps(quotient) == list(reps)
         expected = [grammar_reference.format_surd(y.a, y.b, "u") for y in reps]
-        assert quotient.rep_texts("u") == expected
+        assert quotient.rep_texts() == expected
         assert [str(y) for y in coset_reps(quotient)] == expected
         families.add(params.field.c0)
     assert families == {1, -1}

@@ -6,6 +6,8 @@ against the code they replaced (`tests/surfacegroup_reference.py`)."""
 import copy
 import pickle
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,12 +18,14 @@ from hypothesis import strategies as st
 import surfacegroup_reference as ref
 from conftest import (
     _solve_standard_e_minus,
+    all_examples,
     example_theta4_shifted,
     example_theta4_zero,
     example_theta6,
     example_theta7,
     affine_identity,
     lucas_params,
+    lucas_minus_params,
     is_affine_identity,
     power,
     random_field_element,
@@ -48,11 +52,12 @@ from inoueaut import (
     chi,
     fundamental_unit,
     is_standard_form_direct,
-    make_generators,
     normalizer_oracle,
     surface_group_contains,
     to_inoue_data,
 )
+import inoueaut.quadfield as quadfield
+import inoueaut.surfacegroup as surfacegroup
 from inoueaut.cli import load_param_file
 from inoueaut.exactnum import ZERO_T
 from surfacegroup_reference import is_standard_form_residue
@@ -137,16 +142,16 @@ MALFORMED_T = [
 def test_surface_params_validation():
     field = F6
     with pytest.raises(ParameterError):
-        SurfaceParams.create(field, 0, field.one(), fundamental_unit(field))
+        SurfaceParams(field, 0, field.one(), fundamental_unit(field))
     with pytest.raises(ParameterError):
-        SurfaceParams.create(field, 6, field.one(), field.element(2))  # chi = 0
+        SurfaceParams(field, 6, field.one(), field.element(2))  # chi = 0
     with pytest.raises(ParameterError):
         # Z<1, u/2> is not a fractional ideal
-        SurfaceParams.create(field, 6, field.one(), field.u() / 2)
+        SurfaceParams(field, 6, field.one(), field.u() / 2)
     minus = FieldDescriptor(3, -1)
     for t in [((1, 0, 1), (0, 0, 1)), ((0, 0, 1), (0, 1, 3))]:
         with pytest.raises(ParameterError, match="t must be 0 for the minus family"):
-            SurfaceParams.create(minus, 4, minus.one(), minus.u(), t=t)
+            SurfaceParams(minus, 4, minus.one(), minus.u(), t=t)
 
 
 def test_malformed_t_is_refused():
@@ -157,7 +162,7 @@ def test_malformed_t_is_refused():
     for field in (F6, FieldDescriptor(3, -1)):
         for bad_t in MALFORMED_T:
             with pytest.raises(ParameterError, match="t must be two reduced"):
-                SurfaceParams.create(field, 6, field.one(), field.u(), t=bad_t)
+                SurfaceParams(field, 6, field.one(), field.u(), t=bad_t)
             with pytest.raises(ValueError, match="t must be two reduced"):
                 AffineElement(field.u(), field.zero(), bad_t)
 
@@ -200,7 +205,7 @@ def test_g0_conjugates_g3_by_norm():
         g0, _, _, g3 = params.generators
         assert g0 * g3 * g0.inverse() == g3  # Norm(u) = 1
     minus = FieldDescriptor(2, -1)
-    params = SurfaceParams.create(minus, 4, minus.one(), minus.u())
+    params = SurfaceParams(minus, 4, minus.one(), minus.u())
     g0, _, _, g3 = params.generators
     assert g0 * g3 * g0.inverse() == power(g3, -1)  # Norm(u) = -1
 
@@ -259,14 +264,14 @@ def test_standard_form_desk_cases():
     assert is_standard_form_direct(example_theta7())
     # e = x1/(17(1-u)) at theta=4, r=6 is not standard
     e_bad = F4.one() / (17 * (F4.one() - F4.u()))
-    bad = SurfaceParams.create(F4, 6, F4.one(), F4.u(), e_bad)
+    bad = SurfaceParams(F4, 6, F4.one(), F4.u(), e_bad)
     assert not is_standard_form_direct(bad)
     assert not is_standard_form_residue(bad)
 
 
 def test_residue_form_is_plus_family_only():
     minus = FieldDescriptor(2, -1)
-    params = SurfaceParams.create(minus, 4, minus.one(), minus.u())
+    params = SurfaceParams(minus, 4, minus.one(), minus.u())
     with pytest.raises(ValueError):
         is_standard_form_residue(params)
     assert is_standard_form_direct(params) in (True, False)
@@ -281,13 +286,13 @@ def test_residue_equals_direct_randomized():
         x1, x2 = lat.basis
         r = rng.randint(1, 8)
         e = random_field_element(rng, field)
-        params = SurfaceParams.create(field, r, x1, x2, e)
+        params = SurfaceParams(field, r, x1, x2, e)
         assert is_standard_form_direct(params) == is_standard_form_residue(params)
 
 
 def test_solve_standard_e():
     e = solve_standard_e(F4, 6, F4.one(), F4.u(), 0, 0)
-    params = SurfaceParams.create(F4, 6, F4.one(), F4.u(), e)
+    params = SurfaceParams(F4, 6, F4.one(), F4.u(), e)
     assert is_standard_form_direct(params)
     # shifting p by r moves e by u/(1-u) * x2
     e_shift = solve_standard_e(F4, 6, F4.one(), F4.u(), 6, 0)
@@ -301,7 +306,7 @@ def test_solve_standard_e():
         p_int, q_int = rng.randint(-9, 9), rng.randint(-9, 9)
         e = solve_standard_e(field, r, lat.b1, lat.b2, p_int, q_int)
         assert is_standard_form_direct(
-            SurfaceParams.create(field, r, lat.b1, lat.b2, e)
+            SurfaceParams(field, r, lat.b1, lat.b2, e)
         )
     with pytest.raises(ValueError):
         solve_standard_e(FieldDescriptor(2, -1), 4, F4.one(), F4.u(), 0, 0)
@@ -339,7 +344,7 @@ def test_to_inoue_data_round_trip():
         r = rng.randint(1, 8)
         p_int, q_int = rng.randint(-8, 8), rng.randint(-8, 8)
         e = solve_standard_e(field, r, lat.b1, lat.b2, p_int, q_int)
-        params = SurfaceParams.create(field, r, lat.b1, lat.b2, e)
+        params = SurfaceParams(field, r, lat.b1, lat.b2, e)
         data = to_inoue_data(params)
         assert (data.p, data.q) == (p_int, q_int)
         again = solve_standard_e(field, r, lat.b1, lat.b2, data.p, data.q)
@@ -348,7 +353,7 @@ def test_to_inoue_data_round_trip():
 
 def test_to_inoue_data_minus_family():
     minus = FieldDescriptor(2, -1)
-    params = SurfaceParams.create(minus, 4, minus.one(), minus.u())
+    params = SurfaceParams(minus, 4, minus.one(), minus.u())
     assert is_standard_form_direct(params)
     data = to_inoue_data(params)
     (n11, n12), (n21, n22) = data.matrix
@@ -360,7 +365,7 @@ def test_to_inoue_data_minus_family():
 
 def test_to_inoue_data_rejects_non_standard():
     e_bad = F4.one() / (17 * (F4.one() - F4.u()))
-    bad = SurfaceParams.create(F4, 6, F4.one(), F4.u(), e_bad)
+    bad = SurfaceParams(F4, 6, F4.one(), F4.u(), e_bad)
     with pytest.raises(StandardFormError):
         to_inoue_data(bad)
 
@@ -588,15 +593,75 @@ def test_flat_law_matches_reference(case):
             assert accepted == ref.surface_group_contains(params, rconj)
 
 
-@settings(max_examples=150, deadline=None)
-@given(standard_params())
-def test_make_generators_flats_match_reference(params):
-    # the generators built on integer triples hold the reference generators'
+def assert_generators_match_reference(params):
+    # the generators read off the word data hold the reference generators'
     # v, x, Re t and Im t, triple by triple
-    for gen, rgen in zip(make_generators(params), ref.make_generators(params)):
+    for gen, rgen in zip(params.generators, ref.make_generators(params)):
         parts = (rgen.v, rgen.x, rgen.t.re, rgen.t.im)
         assert gen._flat == sum((x.as_integer_triple() for x in parts), ())
         assert str(gen) == str(rgen)
+
+
+@settings(max_examples=150, deadline=None)
+@given(standard_params())
+def test_make_generators_flats_match_reference(params):
+    assert_generators_match_reference(params)
+
+
+def test_generators_match_reference_on_goldens_and_seeded_sets():
+    cases = [*inoue_cases(), *all_examples(), lucas_minus_params()]
+    assert len(cases) == 178
+    for params in cases:
+        assert_generators_match_reference(params)
+
+
+def test_generators_read_the_word_data(monkeypatch):
+    # With the word data built, the generators come from its integers and
+    # the set's own triples: no chi, no Fraction and no validating
+    # AffineElement constructor.
+    cases = [*GOLDEN.values(), lucas_minus_params()]
+    cases = [replace(params) for params in cases]  # copies with nothing cached
+    for params in cases:
+        params.word_data
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    chi_counted = counted("chi", quadfield.chi)
+    monkeypatch.setattr(quadfield, "chi", chi_counted)
+    monkeypatch.setattr(surfacegroup, "chi", chi_counted)
+    monkeypatch.setattr(
+        AffineElement, "__init__", counted("AffineElement", AffineElement.__init__)
+    )
+    monkeypatch.setattr(Fraction, "__new__", counted("Fraction", Fraction.__new__))
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python >= 3.12 arithmetic
+        original = Fraction.__dict__["_from_coprime_ints"].__func__
+        monkeypatch.setattr(
+            Fraction, "_from_coprime_ints", classmethod(counted("Fraction", original))
+        )
+    for params in cases:
+        assert len(params.generators) == 4
+    assert calls == Counter()
+    # the counters do count: chi through the surfacegroup binding, and the
+    # public constructor with its Fraction norm check
+    field = F4
+    surfacegroup.chi(field.one(), field.u())
+    AffineElement(field.u(), field.zero(), ZERO_T)
+    assert calls["chi"] == 1 and calls["AffineElement"] == 1 and calls["Fraction"] > 0
+
+
+def test_default_e_and_t_equal_the_explicit_zeros():
+    for params in inoue_cases():
+        field, r, x1, x2 = params.field, params.r, params.x1, params.x2
+        short = SurfaceParams(field, r, x1, x2)
+        full = SurfaceParams(field, r, x1, x2, field.zero(), ZERO_T)
+        assert short == full and hash(short) == hash(full)
+        assert short.e == field.zero() and short.t == ZERO_T
 
 
 def test_flat_law_covers_norm_minus_one_and_complex_t():

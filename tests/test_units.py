@@ -53,13 +53,14 @@ def test_fundamental_unit_properties_across_fields():
 
 def test_invariant_generator_desk_cases():
     f6 = FieldDescriptor(6, 1)
-    gen, j, n = invariant_unit_generator(Lattice(f6.one(), fundamental_unit(f6)))
-    assert gen == fundamental_unit(f6) and j == 1 and n == 2
+    eta6 = fundamental_unit(f6)
+    gen, j, n = invariant_unit_generator(Lattice(f6.one(), eta6), eta6)
+    assert gen == eta6 and j == 1 and n == 2
     f4 = FieldDescriptor(4, 1)
-    gen, j, n = invariant_unit_generator(order_lattice(f4))
+    gen, j, n = invariant_unit_generator(order_lattice(f4), fundamental_unit(f4))
     assert gen == f4.u() and j == 1 and n == 1
     f3 = FieldDescriptor(3, 1)
-    gen, j, n = invariant_unit_generator(order_lattice(f3))
+    gen, j, n = invariant_unit_generator(order_lattice(f3), fundamental_unit(f3))
     assert gen == f3.u() - f3.one()
     assert gen * gen == f3.u()
     assert j == 1 and n == 2
@@ -69,13 +70,13 @@ def test_invariant_generator_rejects_non_ideal():
     f6 = FieldDescriptor(6, 1)
     not_ideal = Lattice(f6.one(), f6.element(0, 1) / 2)
     with pytest.raises(ValueError):
-        invariant_unit_generator(not_ideal)
+        invariant_unit_generator(not_ideal, fundamental_unit(f6))
     # eta**3 maps Z<1, eta**3> onto itself, but u = eta**4 does not
     f7 = FieldDescriptor(7, 1)
     eta = fundamental_unit(f7)
     assert utheta_exponent(f7, eta) == 4
     with pytest.raises(ValueError):
-        invariant_unit_generator(Lattice(f7.one(), power(eta, 3)))
+        invariant_unit_generator(Lattice(f7.one(), power(eta, 3)), eta)
 
 
 def test_invariant_generator_minimality():
