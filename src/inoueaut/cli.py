@@ -364,7 +364,10 @@ def render_report(report: AutReport) -> str:
 def cmd_analyze(args: argparse.Namespace) -> int:
     params = load_param_file(args.file)
     report = automorphism_report(
-        params, run_oracle=not args.no_oracle, with_double_r=args.double_r
+        params,
+        run_oracle=not args.no_oracle,
+        with_double_r=args.double_r,
+        machine=args.machine,
     )
     if args.machine:
         print(dump_machine(report))

@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import chain, repeat
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exactnum import ValueTooLargeError, _decimal_digits, format_quads
 from .lattice import IntMatrix, InternalConsistencyError, LatticeQuotient
@@ -75,6 +75,27 @@ class AmbientGroup:
             )
         return row
 
+    def apply(self, m: IntMatrix, ks: Iterable[int]) -> Iterator[int]:
+        """Keys of (k1, k2) m mod (d1, d2) for each key k = k1 d2 + k2 of C."""
+        d1, d2 = self.quotient.d1, self.quotient.d2
+        (m11, m12), (m21, m22) = m
+        return (
+            (k1 * m11 + k2 * m21) % d1 * d2 + (k1 * m12 + k2 * m22) % d2
+            for k1, k2 in map(divmod, ks, repeat(d2))
+        )
+
+    def power_map(self, i: int, m: int) -> IntMatrix:
+        """The sum of A^(i j) over j < m: (i, k)^m = (m i mod n, k times it)."""
+        n = self.n
+        e = n // gcd(i, n)  # A^(i j) has period e in j
+        t11 = t12 = t21 = t22 = 0
+        for j in range(min(m, e)):
+            w = (m - 1 - j) // e + 1  # the j' < m with j' = j mod e
+            (a11, a12), (a21, a22) = self._actions[i * j % n]
+            t11, t12 = t11 + w * a11, t12 + w * a12
+            t21, t22 = t21 + w * a21, t22 + w * a22
+        return (t11, t12), (t21, t22)
+
 
 # The largest ambient group analyze builds; a larger one is refused (exit 3)
 # before its cosets are built.  The report prints every coset, and
@@ -83,11 +104,10 @@ class AmbientGroup:
 # 64 MB at 3*10**5 (2 vCPU, CPython 3.11).
 AMBIENT_LIMIT = 10**6
 
-# The largest ambient group the normalizer oracle checks.  The check decides
-# one element per coset of Q, so its worst case is |Q| = 1, where the oracle
-# refuses every element of H: 12-15 us per element (theta = 2000, 10**4 and
-# 10**5 + 1, Z[u], plus family, r = 2; same machine), about 1.5 s at the
-# limit.  At Q = H it takes 1.2-2.2 us per element.
+# The largest ambient group the normalizer oracle checks.  The check makes a
+# few oracle calls (2-3 at |Q| = 1: theta = 2000, 10**4 and 10**5 + 1, Z[u],
+# plus family, r = 2) and integer work linear in |H|: 0.4-1.6 us per
+# element (same machine), 90-162 ms at 10**5 + 1 elements, |Q| = 1 or H.
 ORACLE_LIMIT = 10**5
 
 
@@ -466,12 +486,6 @@ def _classify(ambient: AmbientGroup, keys: list[int]) -> GroupStructure:
     n, c = ambient.n, ambient.quotient.order
     d1, d2 = ambient.quotient.d1, ambient.quotient.d2
     actions = ambient._actions
-
-    def image(m, k: int) -> int:
-        (m11, m12), (m21, m22) = m
-        k1, k2 = divmod(k, d2)
-        return (k1 * m11 + k2 * m21) % d1 * d2 + (k1 * m12 + k2 * m22) % d2
-
     kernel = keys[: bisect_left(keys, c)]
     size = len(kernel)
     per_row = bisect_left(kernel, d2)
@@ -533,13 +547,13 @@ def _classify(ambient: AmbientGroup, keys: list[int]) -> GroupStructure:
     quotient_order = n // step
     base = s * c  # the candidates for q0 are the keys base + k, k < |C|
     candidates = keys[size : 2 * size] if s else kernel
-    powers = [actions[j * s % n] for j in range(quotient_order)]
-    norm = [[sum(a[i][col] for a in powers) for col in (0, 1)] for i in (0, 1)]
-    split = next((k for k in candidates if image(norm, k - base) == 0), None)
+    norm = ambient.power_map(s, quotient_order)
+    images = ambient.apply(norm, (k - base for k in candidates))
+    split = next((k for k, z in zip(candidates, images) if z == 0), None)
     q0 = (candidates[0] if split is None else split) - base
-    conjugates = [image(actions[s], gen) for gen, _ in gens]
+    conjugates = list(ambient.apply(actions[s], (gen for gen, _ in gens)))
     action = [coordinates(x) for x in conjugates]
-    twist = coordinates(image(norm, q0))
+    twist = coordinates(next(ambient.apply(norm, (q0,))))
     # K is a group normalized by q0 and holds q0^n', so the cosets q0^a K,
     # a < n', form a group; Q is a group iff it is that one.  In key order
     # the members are K and then, for 0 < a < n', the translates in turn.
@@ -723,7 +737,7 @@ def _check_law(ambient: AmbientGroup) -> None:
     """Checks H's integer law against field multiplication: u_gen^i times
     each Smith basis vector must land in the coset that row s of
     _actions[i] names.  index_of is additive, so these 2n values are all
-    that mul_row reads beyond the unit exponents' sum mod n."""
+    that mul_row and power_map read beyond the unit exponents mod n."""
     quotient, d2 = ambient.quotient, ambient.quotient.d2
     field = ambient.u_gen.field
     basis = [FieldElement._reduced(*b, field) for b in quotient.smith_basis]
@@ -747,10 +761,15 @@ def oracle_crosscheck(params: SurfaceParams, q: ComponentGroup) -> int:
         multiplying by generators taken greedily in key order (each key of
         S not yet reached), reaches exactly S; so S is a subgroup;
     (b) each generator passes the oracle, so S <= N;
-    (c) the first key x of each left coset x S != S fails it; N is a union
-        of cosets of S, so it meets no other coset.
-    That is m + |H|/|S| - 1 oracle calls for m generators.  The walk and
-    the cosets trust H's integer law, which is checked first.
+    (c) each minimal candidate, an x outside S of order a power of a prime
+        p with x^p in S, fails it or is marked.  If N != S, an x in N - S
+        of least order has x^q in S for each prime q | ord(x): it is one.
+        When the oracle refuses x, x^k for 0 < k < p is outside N (with
+        x^p it would put x in N), and so are x^k S and S x^k: the one of
+        the two with fewer product rows is marked.
+    The scan reads x^p and x^(p^b), p^b >= |H|, off power_map, one unit
+    exponent at a time.  The walk, the scan and the marks trust H's
+    integer law, which is checked first.
     """
     ambient = q.ambient
     _check_law(ambient)
@@ -772,7 +791,7 @@ def oracle_crosscheck(params: SurfaceParams, q: ComponentGroup) -> int:
         expect(0, False)  # raises, unless the oracle refuses the identity too
         raise InternalConsistencyError("the oracle refuses the identity")
     members = set(keys)
-    covered = bytearray(ambient.order)  # the walk's keys, then the cosets'
+    covered = bytearray(ambient.order)  # the walk's keys, then the marks
     covered[0] = 1
     reached, gens, done = [0], [], []  # gens[g] has multiplied reached[:done[g]]
     for key in keys:
@@ -797,13 +816,42 @@ def oracle_crosscheck(params: SurfaceParams, q: ComponentGroup) -> int:
                         )
                     covered[z] = 1
                     reached.append(z)
-    x = covered.find(0)
-    while x >= 0:
-        expect(x, False)
-        if len(keys) > 1:  # else the coset is x alone
-            for z in ambient.mul_row(x, keys):
+    n, c, d2 = ambient.n, ambient.quotient.order, ambient.quotient.d2
+    in_s = bytes(covered)  # the walk reached exactly S
+    big = (n * c).bit_length()  # p^big >= |H| for every p
+    for i in range(n):  # row i: the keys of unit exponent i
+        lo, e = i * c, n // gcd(i, n)  # e: the order of i in Z/n
+        if covered.find(0, lo, lo + c) < 0:
+            continue
+        m = e if i else d2  # ord(x) is e times a divisor of d2
+        primes = [p for p in range(2, m + 1) if m % p == 0]  # then the primes:
+        primes = [p for p in primes if all(p % f for f in primes if f < p)]
+        if i and len(primes) > 1:
+            continue
+        found = []  # (x, p) for the row's candidates x of order a power of p
+        for p in primes:
+            target = p * i % n * c  # (i, k)^p = (p i, k power_map(i, p))
+            if in_s.find(1, target, target + c) < 0:
+                continue
+            images = ambient.apply(ambient.power_map(i, p), range(c))
+            # the k with x^p in S and x not in S, then those with x^(p^big) = 1
+            hits = [k for k, z in enumerate(images) if in_s[target + z] > in_s[lo + k]]
+            kill = ambient.apply(ambient.power_map(i, p**big), hits)
+            found += ((lo + k, p) for k, z in zip(hits, kill) if not z)
+        for x, p in sorted(found):
+            if covered[x]:
+                continue
+            expect(x, False)
+            powers = [x]  # x^k for 0 < k < p, by doubling
+            while len(powers) < p - 1:
+                powers += ambient.mul_row(powers[-1], powers)
+            del powers[p - 1 :]
+            if len(keys) < len(powers):  # S x^k, one product row per s
+                rows = (ambient.mul_row(s, powers) for s in keys)
+            else:  # x^k S, one product row per power
+                rows = (ambient.mul_row(y, keys) for y in powers)
+            for z in chain.from_iterable(rows):
                 covered[z] = 1
-        x = covered.find(0, x + 1)
     return ambient.order
 
 
@@ -825,10 +873,12 @@ def automorphism_report(
     params: SurfaceParams,
     run_oracle: bool = True,
     with_double_r: bool = False,
+    machine: bool = False,
 ) -> AutReport:
     """Runs the whole pipeline: standard form gate, ambient group, component
     group, bound, classical-data export, and (optionally) the oracle check
-    and the doubled-r cross-check for odd r."""
+    and the doubled-r cross-check for odd r.  With machine (--machine), the
+    Inoue values the JSON writes are checked for printing too."""
     q = component_group(params)
     ambient = q.ambient
     if run_oracle and ambient.order > ORACLE_LIMIT:
@@ -838,12 +888,16 @@ def automorphism_report(
             f"skips the oracle)"
         )
     inoue = to_inoue_data(params)
-    # N, p, q and the doubled r grow with the input: one with more digits
-    # than the interpreter converts to text is refused (exit 3) here, before
-    # the oracle check, rather than when the report is written
+    # N, p, q and the doubled r grow with the input, and so do the Inoue
+    # values --machine writes: one with more digits than the interpreter
+    # converts to text is refused (exit 3) here, before the oracle check,
+    # rather than when the report is written
     doubled = (2 * params.r,) if with_double_r else ()
     numbers = (*inoue.matrix[0], *inoue.matrix[1], inoue.p, inoue.q, *doubled)
     format_quads(zip(numbers, repeat(0)), 1, "")
+    if machine:
+        a_b_c = (inoue.a1, inoue.a2, inoue.b1, inoue.b2, inoue.c1, inoue.c2)
+        list(map(str, (inoue.alpha, *a_b_c, inoue.d)))
     if run_oracle:
         oracle_crosscheck(params, q)
     double_r = None

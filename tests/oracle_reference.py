@@ -3,8 +3,12 @@ for tests/test_components.py.
 
 `oracle_crosscheck` ran `normalizer_oracle` on every element of the ambient
 group H in key order and raised at the first element where the oracle and
-the filter's member set disagree.  The coset check replaced it, which
-decides the generators of Q and one element of each other coset of Q."""
+the filter's member set disagree.  A coset check replaced it, which decided
+the generators of Q and one element of each other coset of Q (|H|/|Q| - 1
+refusals, 9997 at theta = 10**4, r = 2).  The candidate check replaced
+that: it decides the generators and one minimal candidate (an x outside Q
+of prime-power order p^a with x^p in Q) per class it refuses, so 2 calls
+at theta = 10**4, r = 2, and 15 at L_16 over Z<1, phi>, r = 2."""
 
 from inoueaut import InternalConsistencyError, SurfaceParams, component_group
 from inoueaut.components import ComponentGroup, normalizer_oracle

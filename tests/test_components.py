@@ -23,6 +23,7 @@ from conftest import (
     example_theta6,
     example_theta7,
     ideal_over_r,
+    lucas_params,
     random_eta_params,
     random_standard_params,
 )
@@ -74,6 +75,33 @@ def test_ambient_group_axioms():
                 left = ambient_mul(ambient, ambient_mul(ambient, e1, e2), e3)
                 right = ambient_mul(ambient, e1, ambient_mul(ambient, e2, e3))
                 assert left == right
+
+
+@pytest.mark.parametrize(
+    "name", ["theta7", "theta34_nonsplit", "minus_theta36_nonsplit", "minus_theta4_r2"]
+)
+def test_power_map_follows_the_law(name):
+    # (i, k)^m is (m i mod n, k power_map(i, m)), against products one at a
+    # time by mul_row, for m up to twice the unit order and two large m
+    params = load_param_file(str(Path(__file__).parent / "golden" / f"{name}.params"))
+    ambient = build_ambient(params)
+    n, c = ambient.n, ambient.quotient.order
+    big = 2 ** ambient.order.bit_length()
+    for x in range(ambient.order):
+        i, k = divmod(x, c)
+        power = 0
+        for m in range(2 * n + 2):
+            [image] = ambient.apply(ambient.power_map(i, m), [k])
+            assert m * i % n * c + image == power
+            power = ambient_mul(ambient, x, power)
+        for m in (big, big + 1):  # x^big, by powers of x^2, x^4, ...
+            square, power, e = x, 0, m
+            while e:
+                if e & 1:
+                    power = ambient_mul(ambient, square, power)
+                square, e = ambient_mul(ambient, square, square), e >> 1
+            [image] = ambient.apply(ambient.power_map(i, m), [k])
+            assert m * i % n * c + image == power
 
 
 def field_arithmetic_law(ambient):
@@ -425,15 +453,17 @@ def element_text(ambient, key) -> str:
 
 def test_oracle_crosscheck_refuses_a_proper_subgroup():
     # theta7: Q = H = (Z/4) x| (Z/5).  Its kernel Z/5, the keys below |C|, is
-    # a subgroup whose generator passes the oracle, so only the coset check
-    # can refuse it: the first key of the next coset, [1,0], passes too.
+    # a subgroup whose generator passes the oracle, so only the candidate
+    # scan can refuse it.  Row 1 holds none: x^2 lands on row 2, which has no
+    # key of S.  The first candidate is [2,0], of order 2 with x^2 = 1, and
+    # the oracle accepts it.
     params = example_theta7()
     q = component_group(params)
     ambient = q.ambient
     assert q.order == ambient.order == 20 and ambient.quotient.order == 5
     kernel = dataclasses.replace(q, keys=list(range(5)))
     message = crosscheck_message(oracle_crosscheck, params, kernel)
-    assert f"at {element_text(ambient, 5)}: filter=False, oracle=True" in message
+    assert f"at {element_text(ambient, 10)}: filter=False, oracle=True" in message
 
 
 def test_oracle_crosscheck_refuses_a_larger_subgroup():
@@ -495,22 +525,141 @@ def differential_sets():
                 yield pytest.param(params, id=f"{build.__name__}{c0:+d}-{k}")
 
 
+def first_accepted_candidate(ambient, members, accepted):
+    """The first key of the oracle's member set accepted, in key order, that
+    is a minimal candidate for S = members: outside S, of order a power of a
+    prime p, with x^p in S.  Orders and powers come from products under H's
+    law, one at a time."""
+    for x in sorted(accepted - members):
+        powers = [0, x]  # x^0, x^1, ... up to x^ord = 0
+        while powers[-1]:
+            powers.append(ambient_mul(ambient, x, powers[-1]))
+        order = len(powers) - 1
+        p = next(f for f in range(2, order + 1) if order % f == 0)
+        rest = order
+        while rest % p == 0:
+            rest //= p
+        if rest == 1 and powers[p] in members:
+            return x
+    return None
+
+
+def assert_matches_sweep(params, q, mutants):
+    """The candidate check against the per-element sweep it replaced, on Q
+    and on each mutant member set: the same |H| where the sweep passes, and
+    otherwise the sweep's message, or, where the sweep and the check name
+    different elements, the first minimal candidate the check can reach.
+    That is the first one in key order that the oracle accepts: each
+    candidate before it is refused or marked, and a marked one is outside the
+    oracle's member set too.  The sweep passes on Q, so Q's keys are the
+    oracle's member set."""
+    ambient = q.ambient
+    sweep = oracle_reference.oracle_crosscheck
+    assert crosscheck_verdict(sweep, params, q) == ambient.order
+    assert crosscheck_verdict(oracle_crosscheck, params, q) == ambient.order
+    for mutant in mutants:
+        expected = crosscheck_verdict(sweep, params, mutant)
+        verdict = crosscheck_verdict(oracle_crosscheck, params, mutant)
+        if verdict == expected:
+            continue
+        assert isinstance(expected, str)
+        x = first_accepted_candidate(ambient, set(mutant.keys), set(q.keys))
+        assert x is not None
+        i, k = ambient.pair(x)
+        v, y = ambient.unit_powers[i], ambient.quotient.rep(k)
+        assert normalizer_oracle(params, v, y)
+        assert verdict == (
+            f"filter/oracle disagreement at {element_text(ambient, x)}: "
+            f"filter=False, oracle=True"
+        )
+
+
+def group_mutants(q):
+    """Q's subgroup {1} and its supergroup H, where they differ from Q."""
+    ambient = q.ambient
+    if q.order < ambient.order:
+        yield dataclasses.replace(q, keys=list(range(ambient.order)))
+    if q.order > 1:
+        yield dataclasses.replace(q, keys=[0])
+
+
 @pytest.mark.parametrize("params", differential_sets())
 def test_oracle_crosscheck_matches_the_sweep(params):
-    # the coset check against the per-element sweep it replaced: the same
-    # |H| on Q, and on Q's subgroup and supergroup mutants and on every
-    # single-key mutant the same message, so the same element named
+    # Q, its single-key mutants, and its subgroup and supergroup mutants;
+    # the scan's element moved on minus_theta36_nonsplit and
+    # random_eta_params+1-3
+    q = component_group(params)
+    assert_matches_sweep(params, q, [*single_key_mutants(q), *group_mutants(q)])
+
+
+@pytest.mark.parametrize("params", differential_sets())
+def test_oracle_crosscheck_names_the_first_minimal_candidate(params):
+    # each proper cyclic subgroup S of Q passes the walk and the generator
+    # calls, so the scan refuses it, at the first minimal candidate for S
+    # that the oracle accepts
     q = component_group(params)
     ambient = q.ambient
-    mutants = [q, *single_key_mutants(q)]
-    if q.order < ambient.order:
-        mutants.append(dataclasses.replace(q, keys=list(range(ambient.order))))
-    if q.order > 1:
-        mutants.append(dataclasses.replace(q, keys=[0]))
-    for mutant in mutants:
-        expected = crosscheck_verdict(oracle_reference.oracle_crosscheck, params, mutant)
-        assert crosscheck_verdict(oracle_crosscheck, params, mutant) == expected
-    assert crosscheck_verdict(oracle_crosscheck, params, q) == ambient.order
+    subgroups = set()
+    for g in q.keys:
+        powers, y = {0}, g
+        while y:
+            powers.add(y)
+            y = ambient_mul(ambient, g, y)
+        if len(powers) < q.order:
+            subgroups.add(frozenset(powers))
+    for members in subgroups:
+        x = first_accepted_candidate(ambient, members, set(q.keys))
+        mutant = dataclasses.replace(q, keys=sorted(members))
+        assert crosscheck_message(oracle_crosscheck, params, mutant) == (
+            f"filter/oracle disagreement at {element_text(ambient, x)}: "
+            f"filter=False, oracle=True"
+        )
+
+
+def z_u_params(theta: int, r: int) -> SurfaceParams:
+    """Z[u], plus family, e = 0."""
+    field = FieldDescriptor(theta, 1)
+    return SurfaceParams(field, r, field.one(), field.u())
+
+
+@pytest.mark.parametrize("r", [2, 6])
+def test_oracle_crosscheck_matches_the_sweep_at_theta_2000(r):
+    # |H| = 1998 = 2 * 27 * 37 (n = 1), |Q| = 1 at r = 2 and 3 at r = 6
+    params = z_u_params(2000, r)
+    q = component_group(params)
+    assert q.ambient.order == 1998 and q.order == (1 if r == 2 else 3)
+    assert_matches_sweep(params, q, [*single_key_mutants(q), *group_mutants(q)])
+
+
+def test_oracle_crosscheck_matches_the_sweep_at_lucas_16():
+    # |H| = 35 280, |Q| = 8; Q and two mutants only, as each sweep on Q makes
+    # |H| oracle calls
+    params = lucas_params(2)
+    q = component_group(params)
+    assert q.ambient.order == 35280 and q.order == 8
+    outside = min(set(range(q.ambient.order)) - set(q.keys))
+    added = dataclasses.replace(q, keys=sorted([*q.keys, outside]))
+    assert_matches_sweep(params, q, [added, dataclasses.replace(q, keys=[0])])
+
+
+@pytest.mark.parametrize(
+    "params, most", [(z_u_params(10**4, 2), 3), (lucas_params(2), 20)],
+    ids=["theta_10000_r2", "lucas_16_r2"],
+)
+def test_oracle_crosscheck_calls_the_oracle_a_few_times(monkeypatch, params, most):
+    # one call per generator and per refused class of minimal candidates:
+    # the coset check made |H|/|Q| + m - 1, 9997 and 4410 calls here
+    calls = []
+    oracle = inoueaut.components.normalizer_oracle
+
+    def counted(*args):
+        calls.append(args)
+        return oracle(*args)
+
+    q = component_group(params)
+    monkeypatch.setattr(inoueaut.components, "normalizer_oracle", counted)
+    assert oracle_crosscheck(params, q) == q.ambient.order
+    assert 0 < len(calls) <= most
 
 
 def test_minus_family_membership_reduces_to_condition_one():

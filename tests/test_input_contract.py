@@ -210,6 +210,34 @@ def test_value_too_large_to_print_is_refused_before_the_oracle(tmp_path, monkeyp
         assert err.startswith("value too large to print: a number of about "), flags
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter converts integers of any size to text",
+)
+def test_machine_inoue_values_are_refused_before_the_oracle(tmp_path, monkeypatch):
+    # c_i ~ Norm(x_i)/2 has about 4400 digits; --machine writes the c_i, so it
+    # exits 3 before the first oracle call.  The text report writes none of
+    # them, runs the oracle and succeeds.
+    calls = []
+    oracle = components.normalizer_oracle
+
+    def counted(*args):
+        calls.append(args)
+        return oracle(*args)
+
+    monkeypatch.setattr(components, "normalizer_oracle", counted)
+    x = 10**2200
+    path = tmp_path / "big.params"
+    path.write_text(
+        param_text(theta="2000", r="2", x1=str(x), x2=f"{x}*u"), encoding="utf-8"
+    )
+    rc, out, err = run(path, "--machine")
+    assert (rc, out, len(calls)) == (3, "", 0)
+    assert err.startswith("value too large to print: a number of about ")
+    rc, out, err = run(path)
+    assert rc == 0 and f"x1 = {x}" in out and calls
+
+
 @pytest.mark.parametrize("newline", ["\r\n", "\r"])
 def test_other_line_endings_read_as_newlines(tmp_path, newline):
     path = tmp_path / "lines.params"
