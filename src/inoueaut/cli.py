@@ -35,7 +35,7 @@ import os
 import re
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from itertools import repeat
 from operator import mod, sub
 
@@ -164,14 +164,11 @@ def parse_params(text: str, source: str) -> SurfaceParams:
 # -- built-in example parameter sets ------------------------------------------
 
 
-@dataclass(frozen=True)
-class BuiltinExample:
+class BuiltinExample(namedtuple("BuiltinExample", "name expected text")):
     """A worked example: its parameter text (the key lines of its golden
     file) and its published component group."""
 
-    name: str
-    expected: str
-    text: str
+    __slots__ = ()
 
 
 BUILTIN_EXAMPLES: tuple[BuiltinExample, ...] = (
@@ -203,7 +200,7 @@ BUILTIN_EXAMPLES: tuple[BuiltinExample, ...] = (
 
 def _structure_payload(structure: GroupStructure) -> dict:
     # the fields themselves: json.dumps writes their tuples as lists
-    payload = {f.name: getattr(structure, f.name) for f in fields(structure)}
+    payload = structure._asdict()
     payload["description"] = structure.describe()
     return payload
 

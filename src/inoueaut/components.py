@@ -8,14 +8,14 @@ cross-check every answer.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property
 from itertools import chain, repeat
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .exactnum import ValueTooLargeError, _decimal_digits, format_quads
+from .exactnum import ValueTooLargeError, _Record, _decimal_digits, format_quads
 from .lattice import IntMatrix, InternalConsistencyError, LatticeQuotient
 from .quadfield import FieldElement
 from .surfacegroup import (
@@ -30,8 +30,7 @@ from .surfacegroup import (
 from .units import fundamental_unit, invariant_unit_generator, sigma1_sign
 
 
-@dataclass
-class AmbientGroup:
+class AmbientGroup(_Record):
     """The finite group (units fixing I / <u>) x| (I(1-u)^{-1} / I).
 
     Coset k1*d2 + k2 has Smith coordinates (k1, k2) mod (d1, d2), so this is
@@ -41,13 +40,20 @@ class AmbientGroup:
     range(order) list H in lexicographic order.
     """
 
-    eta: FieldElement
-    u_gen: FieldElement
-    j: int
-    n: int
-    quotient: LatticeQuotient
-    unit_powers: tuple[FieldElement, ...]
-    _actions: tuple[IntMatrix, ...]
+    _fields = ("eta", "u_gen", "j", "n", "quotient", "unit_powers", "_actions")
+
+    def __init__(
+        self,
+        eta: FieldElement,
+        u_gen: FieldElement,
+        j: int,
+        n: int,
+        quotient: LatticeQuotient,
+        unit_powers: tuple[FieldElement, ...],
+        _actions: tuple[IntMatrix, ...],
+    ) -> None:
+        self.eta, self.u_gen, self.j, self.n = eta, u_gen, j, n
+        self.quotient, self.unit_powers, self._actions = quotient, unit_powers, _actions
 
     @property
     def order(self) -> int:
@@ -178,26 +184,15 @@ def build_ambient(params: SurfaceParams) -> AmbientGroup:
     )
 
 
-class MembershipForm(NamedTuple):
+class MembershipForm(
+    namedtuple("MembershipForm", "den1 a0 a1 a2 b0 b1 b2 den2 c p1 p2 q11 q12 q22")
+):
     """The two membership conditions for [v, k1 b1 + k2 b2] as integer forms
     in (k1, k2): the class is a member iff
         a0 + a1 k1 + a2 k2 = b0 + b1 k1 + b2 k2 = 0 (mod den1) and
         c + p1 k1 + p2 k2 + q11 k1^2 + q12 k1 k2 + q22 k2^2 = 0 (mod den2)."""
 
-    den1: int
-    a0: int
-    a1: int
-    a2: int
-    b0: int
-    b1: int
-    b2: int
-    den2: int
-    c: int
-    p1: int
-    p2: int
-    q11: int
-    q12: int
-    q22: int
+    __slots__ = ()
 
     def accepts(self, k1: int, k2: int) -> bool:
         return (
@@ -412,8 +407,14 @@ def normalizer_oracle(params: SurfaceParams, v: FieldElement, y: FieldElement) -
 # -- classification ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupStructure:
+class GroupStructure(
+    namedtuple(
+        "GroupStructure",
+        "order abelian invariant_factors quotient_order kernel_factors action "
+        "split twist",
+        defaults=(None,) * 6,
+    )
+):
     """Isomorphism data for the component group Q, read off its place in
     H = (Z/n) x| (Z/d1 x Z/d2).
 
@@ -423,17 +424,10 @@ class GroupStructure:
     quotient Q/K, K's invariant factors, the conjugation action of the
     quotient generator q0 = (step, k) on K's basis as an exponent matrix
     (it is A^step), and, when no such q0 has order n', the twist q0^n'
-    written in K's basis.
+    written in K's basis.  Fields that do not apply are None.
     """
 
-    order: int
-    abelian: bool
-    invariant_factors: tuple[int, ...] | None = None
-    quotient_order: int | None = None
-    kernel_factors: tuple[int, ...] | None = None
-    action: tuple[tuple[int, ...], ...] | None = None
-    split: bool | None = None
-    twist: tuple[int, ...] | None = None
+    __slots__ = ()
 
     def describe(self) -> str:
         if self.abelian:
@@ -586,14 +580,16 @@ def _classify(ambient: AmbientGroup, keys: list[int]) -> GroupStructure:
 # -- the component group ------------------------------------------------------
 
 
-@dataclass
-class ComponentGroup:
+class ComponentGroup(_Record):
     """The group of connected components of the automorphism group: its
     elements as H's keys (ascending, identity first) and its classification."""
 
-    keys: list[int]
-    structure: GroupStructure
-    ambient: AmbientGroup
+    _fields = ("keys", "structure", "ambient")
+
+    def __init__(
+        self, keys: list[int], structure: GroupStructure, ambient: AmbientGroup
+    ) -> None:
+        self.keys, self.structure, self.ambient = keys, structure, ambient
 
     @property
     def order(self) -> int:
@@ -858,15 +854,16 @@ def oracle_crosscheck(params: SurfaceParams, q: ComponentGroup) -> int:
 # -- the full report ----------------------------------------------------------
 
 
-@dataclass
-class AutReport:
-    """Everything the analysis produces for one parameter set."""
+class AutReport(
+    namedtuple(
+        "AutReport", "params q inoue oracle_checked double_r", defaults=(None,)
+    )
+):
+    """Everything the analysis produces for one parameter set: the
+    SurfaceParams, its ComponentGroup q, its InoueData, whether the oracle
+    checked q, and the ComponentGroup at 2r when asked for."""
 
-    params: SurfaceParams
-    q: ComponentGroup
-    inoue: InoueData
-    oracle_checked: bool
-    double_r: ComponentGroup | None = None
+    __slots__ = ()
 
 
 def automorphism_report(
@@ -878,7 +875,8 @@ def automorphism_report(
     """Runs the whole pipeline: standard form gate, ambient group, component
     group, bound, classical-data export, and (optionally) the oracle check
     and the doubled-r cross-check for odd r.  With machine (--machine), the
-    Inoue values the JSON writes are checked for printing too."""
+    Inoue values the JSON writes are checked for printing too, and each
+    Cayley table is built (or refused, exit 3) once its group is known."""
     q = component_group(params)
     ambient = q.ambient
     if run_oracle and ambient.order > ORACLE_LIMIT:
@@ -898,12 +896,17 @@ def automorphism_report(
     if machine:
         a_b_c = (inoue.a1, inoue.a2, inoue.b1, inoue.b2, inoue.c1, inoue.c2)
         list(map(str, (inoue.alpha, *a_b_c, inoue.d)))
+        q.table
     if run_oracle:
         oracle_crosscheck(params, q)
     double_r = None
     if with_double_r:
-        doubled = replace(params, r=2 * params.r)
+        doubled = SurfaceParams(
+            params.field, 2 * params.r, params.x1, params.x2, params.e, params.t
+        )
         double_r = component_group(doubled, ambient)  # H does not depend on r
+        if machine:
+            double_r.table
     return AutReport(
         params=params,
         q=q,

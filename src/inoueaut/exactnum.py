@@ -10,13 +10,13 @@ this module; nothing here ever touches floating point except the optional
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd, isqrt, lcm
-from typing import Iterable, Union
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 # (p, q, den): the reduced (p + q*w)/den of QuadCore, den > 0
 Triple = tuple[int, int, int]
 # A complex t = Re t + i Im t as the triples of Re t and of Im t over
@@ -27,6 +27,38 @@ ZERO_T: Complex = ((0, 0, 1), (0, 0, 1))
 
 class InternalConsistencyError(RuntimeError):
     """A structural property failed that only an implementation bug can break."""
+
+
+class _Record:
+    """The field-wise repr and == of a dataclass, over the attributes that
+    _fields names in constructor order; unhashable, as a mutable one is."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, f) for f in self._fields] == [
+            getattr(other, f) for f in self._fields
+        ]
+
+
+class _FrozenRecord(_Record):
+    """A _Record hashed field-wise and read-only, as a frozen dataclass is;
+    its constructor fills __dict__ directly."""
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, f) for f in self._fields))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def is_perfect_square(n: int) -> bool:

@@ -9,9 +9,9 @@ coordinates.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import chain, repeat
 from math import lcm
-from typing import Iterator
 
 from .exactnum import InternalConsistencyError, format_quads
 from .quadfield import FieldElement

@@ -8,27 +8,26 @@ inferred, only read off the descriptor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import (
     QuadCore,
     QuadReal,
     Scalar,
+    _FrozenRecord,
     format_quad,
     is_perfect_square,
     parse_surd,
 )
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
+class FieldDescriptor(_FrozenRecord):
     """The pair (theta, c0) defining K and its distinguished unit u."""
 
-    theta: int
-    c0: int
+    _fields = ("theta", "c0")
 
-    def __post_init__(self) -> None:
+    def __init__(self, theta: int, c0: int) -> None:
+        self.__dict__.update(theta=theta, c0=c0)
         if self.c0 not in (1, -1):
             raise ValueError(f"c0 must be +1 or -1, got {self.c0}")
         min_theta = 3 if self.c0 == 1 else 1

@@ -10,13 +10,12 @@ triples is needed here, never the action itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from math import gcd, lcm
-from typing import NamedTuple
 
-from .exactnum import ZERO_T, Complex, QuadReal, format_complex
-from .lattice import IntMatrix, InternalConsistencyError, Lattice
+from .exactnum import ZERO_T, Complex, QuadReal, _FrozenRecord, format_complex
+from .lattice import InternalConsistencyError, Lattice
 from .quadfield import FieldDescriptor, FieldElement, chi
 from .units import sigma1_sign, triple_exponent
 
@@ -198,8 +197,7 @@ _set_field = AffineElement.field.__set__
 _set_flat = AffineElement._flat.__set__
 
 
-@dataclass(frozen=True)
-class SurfaceParams:
+class SurfaceParams(_FrozenRecord):
     """Validated defining data (theta, r, x1, x2, e; t) of one surface.
 
     e defaults to None, which validation replaces by the field's 0, and t
@@ -210,16 +208,20 @@ class SurfaceParams:
     integer matrix of u acting on (x1, x2), of trace theta and det c0.
     """
 
-    field: FieldDescriptor
-    r: int
-    x1: FieldElement
-    x2: FieldElement
-    e: FieldElement | None = None
-    t: Complex = ZERO_T
+    _fields = ("field", "r", "x1", "x2", "e", "t")
 
-    def __post_init__(self) -> None:
-        if self.e is None:
-            self.__dict__["e"] = self.field.zero()
+    def __init__(
+        self,
+        field: FieldDescriptor,
+        r: int,
+        x1: FieldElement,
+        x2: FieldElement,
+        e: FieldElement | None = None,
+        t: Complex = ZERO_T,
+    ) -> None:
+        if e is None:
+            e = field.zero()
+        self.__dict__.update(field=field, r=r, x1=x1, x2=x2, e=e, t=t)
         if not isinstance(self.r, int) or self.r <= 0:
             raise ParameterError(f"r must be a positive integer, got {self.r}")
         for name in ("x1", "x2", "e"):
@@ -242,11 +244,10 @@ class SurfaceParams:
             raise ParameterError(
                 "Z<x1, x2> is not a fractional ideal: u does not act integrally"
             )
-        # past the frozen __setattr__; dataclass equality and hashing read
-        # only the fields
+        # past the frozen __setattr__; equality and hashing read only _fields
         self.__dict__.update(chi0=chi0, ideal=ideal, n_matrix=n_matrix)
 
-    # -- derived data (cached; the dataclass is frozen but not slotted) -------
+    # -- derived data (cached in __dict__, past the frozen __setattr__) --------
 
     @cached_property
     def coset_cover(self) -> Lattice:
@@ -291,23 +292,13 @@ class SurfaceParams:
         return WordData(field.theta, field.c0, self.r, den, c1, c2, x0, *t_re, *t_im)
 
 
-class WordData(NamedTuple):
+class WordData(namedtuple("WordData", "theta c0 r den c1 c2 x0 tp tq ip iq")):
     """The integers of the word problem, once per parameter set: over one
     common denominator den, c_i = chi(x_i, e) = C_i/den * sqrt(delta),
     chi0 = X0/den * sqrt(delta) and t = (TP + TQ sqrt(delta))/den +
     i (IP + IQ sqrt(delta))/den."""
 
-    theta: int
-    c0: int
-    r: int
-    den: int
-    c1: int
-    c2: int
-    x0: int
-    tp: int
-    tq: int
-    ip: int
-    iq: int
+    __slots__ = ()
 
 
 def _center(data: WordData, a: int, b: int) -> int:
@@ -375,21 +366,11 @@ def is_standard_form_direct(params: SurfaceParams) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class InoueData:
-    """The classical data (N, p, q; eigenvectors and translation parts)."""
+class InoueData(namedtuple("InoueData", "matrix p q alpha a1 a2 b1 b2 c1 c2 d")):
+    """The classical data (N, p, q; eigenvectors and translation parts):
+    N an IntMatrix, p and q integers, the rest QuadReals."""
 
-    matrix: IntMatrix
-    p: int
-    q: int
-    alpha: QuadReal
-    a1: QuadReal
-    a2: QuadReal
-    b1: QuadReal
-    b2: QuadReal
-    c1: QuadReal
-    c2: QuadReal
-    d: QuadReal
+    __slots__ = ()
 
 
 def to_inoue_data(params: SurfaceParams) -> InoueData:

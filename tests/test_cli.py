@@ -288,12 +288,10 @@ def test_examples_have_one_source(example, golden, build):
 
 def test_examples_mismatch_exits_5(capsys, monkeypatch):
     # a built-in example whose group no longer matches can only be a bug
-    import dataclasses
-
     import inoueaut.cli as cli
 
     first, *rest = cli.BUILTIN_EXAMPLES
-    broken = dataclasses.replace(first, expected="Z/3 (order 3)")
+    broken = first._replace(expected="Z/3 (order 3)")
     monkeypatch.setattr(cli, "BUILTIN_EXAMPLES", (broken, *rest))
     rc = main(["examples"])
     captured = capsys.readouterr()
@@ -434,6 +432,46 @@ def test_machine_refuses_a_table_past_its_limit(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert (rc, captured.out) == (3, "")
     assert "144 entries, more than 143" in captured.err
+
+
+def test_machine_refuses_a_table_before_the_oracle(capsys, monkeypatch):
+    # the table's size is known once Q is: --machine refuses it before the
+    # oracle check and before any coset rep is formatted for the JSON
+    path = str(GOLDEN / "theta6.params")  # |Q| = 4, so 16 table entries
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    oracle = counted("oracle", components.normalizer_oracle)
+    monkeypatch.setattr(components, "normalizer_oracle", oracle)
+    rep_texts = counted("rep_texts", components.LatticeQuotient.rep_texts)
+    monkeypatch.setattr(components.LatticeQuotient, "rep_texts", rep_texts)
+    monkeypatch.setattr(components, "TABLE_LIMIT", 15)
+    with pytest.raises(components.ValueTooLargeError) as refused:
+        components.component_group(example_theta6()).table
+    rc = main(["analyze", "--machine", path])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (3, "")
+    assert captured.err.count("\n") == 1 and str(refused.value) in captured.err
+    assert calls == Counter()
+    # the doubled-r table is refused once its group is built, before the JSON
+    doubled = str(GOLDEN / "minus_theta4_r1.params")  # doubled |Q| = 12
+    monkeypatch.setattr(components, "TABLE_LIMIT", 143)
+    rc = main(["analyze", "--machine", "--double-r", doubled])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (3, "")
+    assert "144 entries, more than 143" in captured.err
+    assert calls["rep_texts"] == 0
+    # the text report builds no table, and its oracle check still runs
+    monkeypatch.setattr(components, "TABLE_LIMIT", 15)
+    assert main(["analyze", path]) == 0
+    assert "order 4" in capsys.readouterr().out
+    assert calls["oracle"] > 0
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,6 @@
 """Component-group layer: ambient group, membership conditions, Q assembly,
 classification, oracle, bound, and the report pipeline."""
 
-import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -30,6 +29,8 @@ from conftest import (
 from field_reference import quad_complex
 from inoueaut import (
     AffineElement,
+    AmbientGroup,
+    ComponentGroup,
     FieldDescriptor,
     FieldElement,
     InternalConsistencyError,
@@ -431,7 +432,7 @@ def test_oracle_crosscheck_catches_one_changed_key():
     for keys, x, oracle in changes:
         i, k = ambient.pair(x)
         v, y = ambient.unit_powers[i], ambient.quotient.rep(k)
-        changed = dataclasses.replace(q, keys=sorted(keys))
+        changed = ComponentGroup(sorted(keys), q.structure, q.ambient)
         with pytest.raises(InternalConsistencyError) as info:
             oracle_crosscheck(params, changed)
         message = str(info.value)
@@ -461,7 +462,7 @@ def test_oracle_crosscheck_refuses_a_proper_subgroup():
     q = component_group(params)
     ambient = q.ambient
     assert q.order == ambient.order == 20 and ambient.quotient.order == 5
-    kernel = dataclasses.replace(q, keys=list(range(5)))
+    kernel = ComponentGroup(list(range(5)), q.structure, q.ambient)
     message = crosscheck_message(oracle_crosscheck, params, kernel)
     assert f"at {element_text(ambient, 10)}: filter=False, oracle=True" in message
 
@@ -473,7 +474,7 @@ def test_oracle_crosscheck_refuses_a_larger_subgroup():
     q = component_group(params)
     ambient = q.ambient
     outside = min(set(range(ambient.order)) - set(q.keys))
-    whole = dataclasses.replace(q, keys=list(range(ambient.order)))
+    whole = ComponentGroup(list(range(ambient.order)), q.structure, q.ambient)
     message = crosscheck_message(oracle_crosscheck, params, whole)
     assert f"at {element_text(ambient, outside)}: filter=True, oracle=False" in message
 
@@ -486,8 +487,16 @@ def test_oracle_crosscheck_checks_the_integer_law():
     ambient = q.ambient
     identity = ambient._actions[0]  # u_gen^0 acts by the identity mod (d1, d2)
     assert ambient._actions[1] != identity
-    flat = dataclasses.replace(ambient, _actions=(identity,) * ambient.n)
-    mutant = dataclasses.replace(q, ambient=flat)
+    flat = AmbientGroup(
+        ambient.eta,
+        ambient.u_gen,
+        ambient.j,
+        ambient.n,
+        ambient.quotient,
+        ambient.unit_powers,
+        (identity,) * ambient.n,
+    )
+    mutant = ComponentGroup(q.keys, q.structure, flat)
     message = crosscheck_message(oracle_crosscheck, params, mutant)
     assert message.startswith("H's integer law disagrees with the field: u_gen^1")
 
@@ -499,7 +508,7 @@ def single_key_mutants(q):
     others = [x for x in range(q.ambient.order) if x not in members]
     for keys, pick in ((q.keys, members.__sub__), (others, members.__or__)):
         for x in sorted({keys[0], keys[len(keys) // 2], keys[-1]} if keys else ()):
-            yield dataclasses.replace(q, keys=sorted(pick({x})))
+            yield ComponentGroup(sorted(pick({x})), q.structure, q.ambient)
 
 
 def crosscheck_verdict(check, params, q):
@@ -578,9 +587,9 @@ def group_mutants(q):
     """Q's subgroup {1} and its supergroup H, where they differ from Q."""
     ambient = q.ambient
     if q.order < ambient.order:
-        yield dataclasses.replace(q, keys=list(range(ambient.order)))
+        yield ComponentGroup(list(range(ambient.order)), q.structure, q.ambient)
     if q.order > 1:
-        yield dataclasses.replace(q, keys=[0])
+        yield ComponentGroup([0], q.structure, q.ambient)
 
 
 @pytest.mark.parametrize("params", differential_sets())
@@ -609,7 +618,7 @@ def test_oracle_crosscheck_names_the_first_minimal_candidate(params):
             subgroups.add(frozenset(powers))
     for members in subgroups:
         x = first_accepted_candidate(ambient, members, set(q.keys))
-        mutant = dataclasses.replace(q, keys=sorted(members))
+        mutant = ComponentGroup(sorted(members), q.structure, q.ambient)
         assert crosscheck_message(oracle_crosscheck, params, mutant) == (
             f"filter/oracle disagreement at {element_text(ambient, x)}: "
             f"filter=False, oracle=True"
@@ -638,8 +647,9 @@ def test_oracle_crosscheck_matches_the_sweep_at_lucas_16():
     q = component_group(params)
     assert q.ambient.order == 35280 and q.order == 8
     outside = min(set(range(q.ambient.order)) - set(q.keys))
-    added = dataclasses.replace(q, keys=sorted([*q.keys, outside]))
-    assert_matches_sweep(params, q, [added, dataclasses.replace(q, keys=[0])])
+    added = ComponentGroup(sorted([*q.keys, outside]), q.structure, q.ambient)
+    trivial = ComponentGroup([0], q.structure, q.ambient)
+    assert_matches_sweep(params, q, [added, trivial])
 
 
 @pytest.mark.parametrize(
