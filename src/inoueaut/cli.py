@@ -417,13 +417,35 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
-# Built once: parse_args leaves the parser unchanged, and building it costs
-# more than a small command (in-process callers run main many times).
+# Each command's signature: name -> (handler, help, positionals as (dest,
+# type, choices), store_true flags as (option string, help)).  The argparse
+# parsers are built from it, and _match_argv reads it.
+_FILE = (("file", None, None),)
+_COMMANDS = {
+    "analyze": (cmd_analyze, "full analysis of a parameter file", _FILE, (
+        ("--machine", "emit a canonical JSON report"),
+        ("--no-oracle", "skip the normalizer cross-check"),
+        ("--double-r", "also compute Q for the doubled-r surface (odd-r cross-check)"),
+    )),
+    "examples": (cmd_examples, "run the built-in example parameter sets", (), ()),
+    "fundamental-unit": (
+        cmd_fundamental_unit, "fundamental unit of the field",
+        (("theta", parse_integer, None), ("type", None, ("+", "-"))), (),
+    ),
+    "check-standard-form": (
+        cmd_check_standard_form, "standard-form test for a parameter file", _FILE, ()
+    ),
+    "bound": (
+        cmd_bound, "cardinality bound n * |Norm(1 - u)| for a parameter file", _FILE, ()
+    ),
+}
+
+
+# Built only for an argv that _match_argv refuses, and then once: parse_args
+# leaves the parser unchanged, and in-process callers run main many times.
 @functools.cache
-def _build_parser() -> tuple[
-    argparse.ArgumentParser, dict[str, argparse.ArgumentParser]
-]:
-    """The top-level parser, and each command's own parser by its name."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, one subparser per command of _COMMANDS."""
     parser = argparse.ArgumentParser(
         prog="inoueaut",
         description=(
@@ -432,60 +454,53 @@ def _build_parser() -> tuple[
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, summary, positionals, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for dest, convert, choices in positionals:
+            command.add_argument(dest, type=convert, choices=choices)
+        for option, text in flags:
+            command.add_argument(option, action="store_true", help=text)
+        command.set_defaults(func=func)
+    return parser
 
-    analyze = sub.add_parser("analyze", help="full analysis of a parameter file")
-    analyze.add_argument("file")
-    analyze.add_argument(
-        "--machine", action="store_true", help="emit a canonical JSON report"
-    )
-    analyze.add_argument(
-        "--no-oracle", action="store_true", help="skip the normalizer cross-check"
-    )
-    analyze.add_argument(
-        "--double-r",
-        action="store_true",
-        help="also compute Q for the doubled-r surface (odd-r cross-check)",
-    )
-    analyze.set_defaults(func=cmd_analyze)
 
-    examples = sub.add_parser(
-        "examples", help="run the built-in example parameter sets"
-    )
-    examples.set_defaults(func=cmd_examples)
-
-    funit = sub.add_parser("fundamental-unit", help="fundamental unit of the field")
-    funit.add_argument("theta", type=parse_integer)
-    funit.add_argument("type", choices=["+", "-"])
-    funit.set_defaults(func=cmd_fundamental_unit)
-
-    check = sub.add_parser(
-        "check-standard-form", help="standard-form test for a parameter file"
-    )
-    check.add_argument("file")
-    check.set_defaults(func=cmd_check_standard_form)
-
-    bound = sub.add_parser(
-        "bound", help="cardinality bound n * |Norm(1 - u)| for a parameter file"
-    )
-    bound.add_argument("file")
-    bound.set_defaults(func=cmd_bound)
-
-    return parser, sub.choices
+def _match_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace the top-level parser gives argv, less its command, when
+    argv is a command's name and then only its exact flags and its declared
+    number of positionals ("-" or a token not starting with "-"), each
+    passing its type and choices; None for any other argv."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    func, _, positionals, flags = command
+    dests = {option: option[2:].replace("-", "_") for option, _ in flags}
+    args = dict.fromkeys(dests.values(), False)
+    values = []
+    for token in argv[1:]:
+        if token in dests:
+            args[dests[token]] = True
+        elif token == "-" or token[:1] != "-":
+            values.append(token)
+        else:
+            return None
+    if len(values) != len(positionals):
+        return None
+    for (dest, convert, choices), value in zip(positionals, values):
+        try:
+            value = convert(value) if convert else value
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        args[dest] = value
+    return argparse.Namespace(func=func, **args)
 
 
 def _parse_argv(argv: list[str]) -> argparse.Namespace:
-    """argv parsed as the top-level parser would parse it, at a fraction of
-    the cost.  The top level hands every argument after a command's name to
-    that command's parser, so that parser is called on them directly.  When
-    it leaves arguments over, or argv names no command, the top-level parser
-    parses argv itself and writes its own usage and error text."""
-    parser, commands = _build_parser()
-    command = commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, extras = command.parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return parser.parse_args(argv)
+    """argv parsed as the top-level parser would parse it: a well-formed argv
+    builds no parser, and argparse writes all help, usage and error text."""
+    args = _match_argv(argv)
+    return _build_parser().parse_args(argv) if args is None else args
 
 
 # The exit code when stdout is closed early.

@@ -230,6 +230,16 @@ class LatticeQuotient:
         )
         self._den = big._den
 
+    def __eq__(self, other: object) -> bool:
+        # big by its basis, as Lattice has no ==; _rows and _den follow from big, _v
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = (self.big.basis, self.d1, self.d2, self._v)
+        return fields == (other.big.basis, other.d1, other.d2, other._v)
+
+    def __repr__(self) -> str:
+        return f"LatticeQuotient({self.big!r}, d1={self.d1}, d2={self.d2}, v={self._v})"
+
     @property
     def order(self) -> int:
         return self.d1 * self.d2

@@ -3,7 +3,7 @@ full top-level parse, `parser.parse_args(argv)`.  Kept as the differential
 reference for the dispatch tests in `tests/test_cli_dispatch.py`.
 
 The body is unchanged; only the imports were added, and the parser is the
-top-level one of the pair that `cli._build_parser` now returns.
+top-level one that `cli._build_parser` returns.
 
 `element_texts` is the text of the report's `elements:` line as
 `render_report` wrote it, one f-string per key, before it wrote the line one
@@ -30,7 +30,7 @@ from inoueaut.cli import (
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()[0]
+    parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         code = args.func(args)

@@ -1,5 +1,6 @@
-"""Dispatch: `cli.main` hands argv straight to the command's own parser, and
-must behave exactly as the full top-level parse did (`tests/cli_reference.py`):
+"""Dispatch: `cli.main` matches a well-formed argv against its command's
+declared signature and hands any other argv to the top-level parser.  It must
+behave exactly as the full top-level parse does (`tests/cli_reference.py`):
 the same exit code or SystemExit code, and byte-identical stdout and stderr,
 help and usage text and every usage error included."""
 
@@ -10,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cli_reference
 from inoueaut import cli
@@ -86,7 +89,34 @@ CORPUS = analyze_orders() + [
     ["bound", FILE],
     ["check-standard-form", FILE],
     ["bound", FILE + ".missing"],
+    # "-" is a positional, not an option
+    ["fundamental-unit", "7", "-"],
+    ["analyze", "-"],
+    ["analyze", FILE, "-"],
+    ["fundamental-unit", "-", "-"],
+    ["bound", "--", "-"],
 ]
+
+# The tokens the property test draws argv from: every command name and a
+# misspelt one, each exact flag and some abbreviated or valued ones, the
+# separator, "-", help, integers in several spellings, the type argument, a
+# file and a missing one, and a spare argument.
+COMMANDS = ("analyze", "examples", "fundamental-unit", "check-standard-form", "bound")
+TOKENS = (
+    *COMMANDS, "analyse",
+    *FLAGS, "--mach", "--no-o", "--d", "--machine=1",
+    "--", "-", "-h", "--help",
+    "7", "+7", "-5", "６",
+    "+", "x",
+    FILE, FILE + ".missing", "extra",
+)
+# argv of up to five tokens, and (so that more of them are well-formed) a
+# command's name followed by up to four
+ARGV = st.lists(st.sampled_from(TOKENS), max_size=5) | st.builds(
+    lambda name, rest: [name, *rest],
+    st.sampled_from(COMMANDS),
+    st.lists(st.sampled_from(TOKENS), max_size=4),
+)
 
 
 def outcome(main, argv: list[str]) -> tuple[object, bytes, bytes]:
@@ -109,6 +139,17 @@ def test_dispatch_matches_the_full_parse(argv):
     assert outcome(cli.main, argv) == outcome(cli_reference.main, argv)
 
 
+@settings(max_examples=1000, deadline=None)
+@given(ARGV)
+def test_dispatch_matches_the_full_parse_on_drawn_argv(argv):
+    assert outcome(cli.main, argv) == outcome(cli_reference.main, argv)
+    matched = cli._match_argv(argv)
+    if matched is not None:
+        full = vars(cli._build_parser().parse_args(argv))
+        del full["command"]
+        assert vars(matched) == full
+
+
 def test_extra_argument_gets_the_top_level_usage():
     code, out, err = outcome(cli.main, ["bound", FILE, "extra"])
     assert (code, out) == (("SystemExit", 2), b"")
@@ -122,16 +163,18 @@ def test_argv_none_reads_sys_argv(monkeypatch):
     assert outcome(cli.main, None)[:2] == (0, b"8\n")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["bound", FILE], ["analyze", "--no-oracle", FILE], ["fundamental-unit", "7", "+"]],
-    ids=argv_id,
-)
-def test_a_command_is_parsed_by_its_own_parser_alone(monkeypatch, argv):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the top-level parser ran")
+WELL_FORMED = analyze_orders() + [
+    ["bound", FILE],
+    ["check-standard-form", FILE],
+    ["fundamental-unit", "7", "+"],
+    ["fundamental-unit", "7", "-"],
+]
 
-    parser = cli._build_parser()[0]
-    monkeypatch.setattr(parser, "parse_args", refuse)
-    monkeypatch.setattr(parser, "parse_known_args", refuse)
+
+@pytest.mark.parametrize("argv", WELL_FORMED, ids=argv_id)
+def test_a_well_formed_argv_builds_no_parser(monkeypatch, argv):
+    def refuse():
+        raise AssertionError("an argparse parser was built")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
     assert outcome(cli.main, argv)[0] == 0
