@@ -112,8 +112,9 @@ AMBIENT_LIMIT = 10**6
 
 # The largest ambient group the normalizer oracle checks.  The check makes a
 # few oracle calls (2-3 at |Q| = 1: theta = 2000, 10**4 and 10**5 + 1, Z[u],
-# plus family, r = 2) and integer work linear in |H|: 0.4-1.6 us per
-# element (same machine), 90-162 ms at 10**5 + 1 elements, |Q| = 1 or H.
+# plus family, r = 2) and integer work linear in |H|.  At theta = 10**5 + 1
+# (99 999 elements, same machine) it takes 93-128 ms at |Q| = 1, where the
+# candidate scan maps every key, and 9-13 ms at Q = H, where it maps none.
 ORACLE_LIMIT = 10**5
 
 
@@ -454,10 +455,13 @@ def _invariant_factors(a: int, b: int, x: int, y: int, n: int) -> tuple[int, ...
     return tuple(f for f in (g1, g2 // g1, a * b * n // g2) if f > 1)
 
 
-def _classify(ambient: AmbientGroup, keys: list[int]) -> GroupStructure:
+def _classify(
+    ambient: AmbientGroup, keys: list[int]
+) -> tuple[GroupStructure, list[int]]:
     """Reads the structure of Q off H's integer law from its members' keys
-    (ascending); raises InternalConsistencyError unless they form a subgroup
-    of H.
+    (ascending), with at most three keys that generate Q: low and top where
+    their order is above 1, and q0 unless Q = K.  Raises
+    InternalConsistencyError unless the keys form a subgroup of H.
 
     K = Q n (Z/d1 x Z/d2), the keys below |C|, has rank <= 2, and its law is
     addition mod (d1, d2) in Smith coordinates.  So K is a group iff its keys
@@ -560,21 +564,26 @@ def _classify(ambient: AmbientGroup, keys: list[int]) -> GroupStructure:
             raise InternalConsistencyError("membership set is not closed")
         a1, a2 = (a1 * m11 + a2 * m21 + q1) % d1, (a1 * m12 + a2 * m22 + q2) % d2
 
-    if conjugates == [gen for gen, _ in gens]:
+    generators = [gen for gen, _ in gens]
+    if conjugates == generators:
         # Q = <low, top, q0 | orders, n' q0 = twist>; a generator of order 1
         # has twist coordinate 0.
         x, y = ((0, 0) + twist)[-2:]
         factors = _invariant_factors(size // exp, exp, x, y, quotient_order)
-        return GroupStructure(len(keys), True, invariant_factors=factors)
-    return GroupStructure(
-        len(keys),
-        False,
-        quotient_order=quotient_order,
-        kernel_factors=tuple(o for _, o in gens),
-        action=tuple(action),
-        split=split is not None,
-        twist=None if split is not None else twist,
-    )
+        structure = GroupStructure(len(keys), True, invariant_factors=factors)
+    else:
+        structure = GroupStructure(
+            len(keys),
+            False,
+            quotient_order=quotient_order,
+            kernel_factors=tuple(o for _, o in gens),
+            action=tuple(action),
+            split=split is not None,
+            twist=None if split is not None else twist,
+        )
+    if s:
+        generators.append(base + q0)
+    return structure, generators
 
 
 # -- the component group ------------------------------------------------------
@@ -716,7 +725,7 @@ def component_group(
         raise InternalConsistencyError(
             f"filter and membership_conditions disagree at [{i},{k}]"
         )
-    structure = _classify(ambient, keys)
+    structure, _ = _classify(ambient, keys)
     if ambient.order % len(keys) != 0:
         raise InternalConsistencyError("component order does not divide the bound")
     return ComponentGroup(keys, structure, ambient)
@@ -753,9 +762,8 @@ def oracle_crosscheck(params: SurfaceParams, q: ComponentGroup) -> int:
 
     The keys whose class normalizes the surface group form a subgroup N of
     H, the image of the normalizer, so N = S follows from three checks:
-    (a) the identity is in S, and a walk from it by H's law, left
-        multiplying by generators taken greedily in key order (each key of
-        S not yet reached), reaches exactly S; so S is a subgroup;
+    (a) _classify accepts S, so S is a subgroup, and it names at most
+        three generators of S;
     (b) each generator passes the oracle, so S <= N;
     (c) each minimal candidate, an x outside S of order a power of a prime
         p with x^p in S, fails it or is marked.  If N != S, an x in N - S
@@ -764,8 +772,10 @@ def oracle_crosscheck(params: SurfaceParams, q: ComponentGroup) -> int:
         x^p it would put x in N), and so are x^k S and S x^k: the one of
         the two with fewer product rows is marked.
     The scan reads x^p and x^(p^b), p^b >= |H|, off power_map, one unit
-    exponent at a time.  The walk, the scan and the marks trust H's
-    integer law, which is checked first.
+    exponent at a time.  _classify, the scan and the marks trust H's
+    integer law, which is checked first.  Where (a) or (b) fails, the
+    oracle is run on every element in key order and the first disagreement
+    is raised.
     """
     ambient = q.ambient
     _check_law(ambient)
@@ -783,37 +793,22 @@ def oracle_crosscheck(params: SurfaceParams, q: ComponentGroup) -> int:
             )
 
     keys = q.keys
-    if not keys or keys[0] != 0:
-        expect(0, False)  # raises, unless the oracle refuses the identity too
-        raise InternalConsistencyError("the oracle refuses the identity")
-    members = set(keys)
-    covered = bytearray(ambient.order)  # the walk's keys, then the marks
-    covered[0] = 1
-    reached, gens, done = [0], [], []  # gens[g] has multiplied reached[:done[g]]
+    try:
+        _, generators = _classify(ambient, keys)
+        for gen in generators:
+            expect(gen, True)
+    except InternalConsistencyError:
+        # a bug, as component_group accepted the same keys: name the first
+        # element where the oracle and S disagree, if there is one
+        members = set(keys)
+        for key in range(ambient.order):
+            expect(key, key in members)
+        raise
+    covered = bytearray(ambient.order)  # S, then the marks
     for key in keys:
-        if covered[key]:
-            continue
-        expect(key, True)
-        gens.append(key)
-        done.append(0)
-        while min(done) < len(reached):
-            for g, gen in enumerate(gens):
-                batch = reached[done[g] :]
-                done[g] = len(reached)
-                for z in ambient.mul_row(gen, batch):
-                    if covered[z]:
-                        continue
-                    if z not in members:
-                        expect(z, False)  # raises, unless the oracle refuses z too
-                        i, k = ambient.pair(z)
-                        raise InternalConsistencyError(
-                            f"the oracle accepts the generators but not their "
-                            f"product [{i},{k}]"
-                        )
-                    covered[z] = 1
-                    reached.append(z)
+        covered[key] = 1
     n, c, d2 = ambient.n, ambient.quotient.order, ambient.quotient.d2
-    in_s = bytes(covered)  # the walk reached exactly S
+    in_s = bytes(covered)  # S, before any mark
     big = (n * c).bit_length()  # p^big >= |H| for every p
     for i in range(n):  # row i: the keys of unit exponent i
         lo, e = i * c, n // gcd(i, n)  # e: the order of i in Z/n

@@ -52,6 +52,18 @@ from inoueaut.components import (
 from inoueaut.cli import dump_machine, render_report
 
 
+def structure_of(ambient, keys):
+    """_classify's structure, without its generators."""
+    structure, _ = _classify(ambient, keys)
+    return structure
+
+
+def assert_generates(ambient, keys, generators):
+    """At most three of Q's keys, whose closure under H's law is Q."""
+    assert len(generators) <= 3 and set(generators) <= set(keys)
+    assert generated_subgroup(ambient, generators) == list(keys)
+
+
 def reference_structure(ambient, keys):
     table = mul_row_table(ambient, keys)
     unit_exps = [x // ambient.quotient.order for x in keys]
@@ -73,6 +85,9 @@ def test_classify_matches_table_reference_on_parameter_sets():
     for params in parameter_sets():
         q = component_group(params)
         assert q.structure == reference_structure(q.ambient, q.keys)
+        structure, generators = _classify(q.ambient, q.keys)
+        assert structure == q.structure
+        assert_generates(q.ambient, q.keys, generators)
         unit_orders.append(q.ambient.n)
     assert sum(n > 1 for n in unit_orders) >= 40
     # ladder size: theta = 47, I = Z<1, eta>, r = 15 makes Q all of H
@@ -158,8 +173,9 @@ def test_classify_matches_table_reference_on_synthetic_subgroups():
     rng = random.Random(131)
     non_split = rank_three = 0
     for ambient, members in random_subgroups(rng, 1500, 200):
-        structure = _classify(ambient, members)
+        structure, generators = _classify(ambient, members)
         assert structure == reference_structure(ambient, members)
+        assert_generates(ambient, members, generators)
         non_split += structure.split is False
         rank_three += len(structure.invariant_factors or ()) == 3
     # cases the real parameter sets above never reach
@@ -264,7 +280,7 @@ def test_classify_matches_law_reference():
     )
     outcomes = Counter()
     for ambient, members in cases:
-        new = classified(_classify, ambient, members)
+        new = classified(structure_of, ambient, members)
         assert new == classified(law_classify, ambient, members)
         outcomes[new is None] += 1
     assert outcomes[True] and outcomes[False]
@@ -284,7 +300,7 @@ def test_classify_rejects_moves_within_a_unit_exponent():
         if not free:
             continue
         moved = keys - {x} | {rng.choice(free)}
-        structure = classified(_classify, ambient, sorted(moved))
+        structure = classified(structure_of, ambient, sorted(moved))
         assert (structure is not None) == is_subgroup(ambient, moved)
         reference = classified(law_classify, ambient, sorted(moved))
         assert structure == reference
@@ -324,7 +340,7 @@ def test_classify_matches_sorted_translate_reference():
     )
     outcomes = Counter()
     for ambient, members in cases:
-        new = classified(_classify, ambient, members)
+        new = classified(structure_of, ambient, members)
         assert new == classified(sorted_translate_classify, ambient, members)
         outcomes[new is None] += 1
     assert outcomes[True] and outcomes[False]

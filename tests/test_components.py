@@ -22,6 +22,7 @@ from conftest import (
     example_theta6,
     example_theta7,
     ideal_over_r,
+    lucas_minus_params,
     lucas_params,
     random_eta_params,
     random_standard_params,
@@ -670,6 +671,50 @@ def test_oracle_crosscheck_calls_the_oracle_a_few_times(monkeypatch, params, mos
     monkeypatch.setattr(inoueaut.components, "normalizer_oracle", counted)
     assert oracle_crosscheck(params, q) == q.ambient.order
     assert 0 < len(calls) <= most
+
+
+@pytest.mark.parametrize(
+    "params", [z_u_params(10**4, 19996), lucas_minus_params()],
+    ids=["theta_10000_r19996", "lucas_minus_17"],
+)
+def test_oracle_crosscheck_at_q_h_takes_no_product_row(monkeypatch, params):
+    # At Q = H no candidate is left to scan: _classify proves S a subgroup
+    # and names its generators, so the check calls the oracle once per
+    # generator and builds no product row (the walk it replaced built 3605
+    # at L_17 in the minus family)
+    q = component_group(params)
+    assert q.order == q.ambient.order
+    _, generators = inoueaut.components._classify(q.ambient, q.keys)
+    rows, calls = [], []
+    mul_row, oracle = AmbientGroup.mul_row, inoueaut.components.normalizer_oracle
+
+    def counted_row(self, x, ys):
+        rows.append(x)
+        return mul_row(self, x, ys)
+
+    def counted_oracle(*args):
+        calls.append(args)
+        return oracle(*args)
+
+    monkeypatch.setattr(AmbientGroup, "mul_row", counted_row)
+    monkeypatch.setattr(inoueaut.components, "normalizer_oracle", counted_oracle)
+    assert oracle_crosscheck(params, q) == q.ambient.order
+    assert rows == []
+    assert 0 < len(calls) == len(generators)
+
+
+def test_oracle_crosscheck_keeps_the_refusal_the_sweep_cannot_place(monkeypatch):
+    # a refused member set is swept element by element; where the oracle
+    # agrees with S everywhere, the refusal itself is raised
+    params = example_theta6()
+    q = component_group(params)
+
+    def refuse(ambient, keys):
+        raise InternalConsistencyError("membership set is not closed")
+
+    monkeypatch.setattr(inoueaut.components, "_classify", refuse)
+    message = crosscheck_message(oracle_crosscheck, params, q)
+    assert message == "membership set is not closed"
 
 
 def test_minus_family_membership_reduces_to_condition_one():
