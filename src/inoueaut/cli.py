@@ -39,6 +39,7 @@ from collections import namedtuple
 from itertools import repeat
 from operator import mod, sub
 
+from . import components
 from .components import (
     AmbientGroup,
     AutReport,
@@ -47,6 +48,7 @@ from .components import (
     InternalConsistencyError,
     automorphism_report,
     order_bound,
+    require_oracle_size,
     require_standard_form,
 )
 from .exactnum import (
@@ -54,6 +56,7 @@ from .exactnum import (
     Complex,
     ValueTooLargeError,
     format_complex,
+    format_quads,
     parse_integer,
     parse_surd,
 )
@@ -239,11 +242,44 @@ def _element_texts(ambient: AmbientGroup, keys: list[int]) -> str:
     return " ".join(blocks)
 
 
+def _integer_texts(report: AutReport) -> list[str]:
+    """The texts of N's entries, p, q and, with the doubled-r group, 2r: the
+    report's integers that grow with the input.  One too long to print
+    raises ValueTooLargeError from the one formatter."""
+    inoue = report.inoue
+    doubled = (2 * report.params.r,) if report.double_r is not None else ()
+    numbers = (*inoue.matrix[0], *inoue.matrix[1], inoue.p, inoue.q, *doubled)
+    return format_quads(zip(numbers, repeat(0)), 1, "")
+
+
 def machine_payload(report: AutReport) -> dict:
     params = report.params
     ambient = report.q.ambient
     inoue = report.inoue
+    # refusals in the order the values are checked: the integers, the Inoue
+    # values, the Cayley tables, then the rest (the coset reps among them)
+    _integer_texts(report)
     payload = {
+        "inoue": {
+            "N": inoue.matrix,
+            "p": inoue.p,
+            "q": inoue.q,
+            "alpha": str(inoue.alpha),
+            "a": [str(inoue.a1), str(inoue.a2)],
+            "b": [str(inoue.b1), str(inoue.b2)],
+            "c": [str(inoue.c1), str(inoue.c2)],
+            "d": str(inoue.d),
+        },
+        "q_group": _q_payload(report.q),
+        "double_r": (
+            {
+                "r": 2 * params.r,
+                "q_group": _q_payload(report.double_r),
+                "bound": report.double_r.ambient.order,
+            }
+            if report.double_r is not None
+            else None
+        ),
         "params": {
             "surface_type": params.field.surface_type,
             "theta": params.field.theta,
@@ -269,32 +305,12 @@ def machine_payload(report: AutReport) -> dict:
             "invariant_factors": (ambient.quotient.d1, ambient.quotient.d2),
             "coset_reps": ambient.quotient.rep_texts(),
         },
-        "q_group": _q_payload(report.q),
         "bound": ambient.order,
         "kernel": _kernel_name(params),
-        "inoue": {
-            "N": inoue.matrix,
-            "p": inoue.p,
-            "q": inoue.q,
-            "alpha": str(inoue.alpha),
-            "a": [str(inoue.a1), str(inoue.a2)],
-            "b": [str(inoue.b1), str(inoue.b2)],
-            "c": [str(inoue.c1), str(inoue.c2)],
-            "d": str(inoue.d),
-        },
         "oracle": {
             "checked": report.oracle_checked,
             "elements": ambient.order if report.oracle_checked else 0,
         },
-        "double_r": (
-            {
-                "r": 2 * params.r,
-                "q_group": _q_payload(report.double_r),
-                "bound": report.double_r.ambient.order,
-            }
-            if report.double_r is not None
-            else None
-        ),
     }
     return payload
 
@@ -307,6 +323,7 @@ def render_report(report: AutReport) -> str:
     params = report.params
     ambient = report.q.ambient
     inoue = report.inoue
+    n11, n12, n21, n22, p, q, *doubled = _integer_texts(report)
     lines = []
     kind = "S(+)" if params.field.c0 == 1 else "S(-)"
     lines.append(
@@ -334,10 +351,9 @@ def render_report(report: AutReport) -> str:
     lines.append("  elements: " + _element_texts(ambient, report.q.keys))
     lines.append(f"bound: |Q| = {report.q.order} <= {ambient.order}")
     lines.append(f"kernel of Aut(X) -> Q: {_kernel_name(params)}")
-    rows = inoue.matrix
     lines.append(
-        f"Inoue data: N = [{list(rows[0])}, {list(rows[1])}], "
-        f"(p, q) = ({inoue.p}, {inoue.q}), alpha = {inoue.alpha.reduced_str()}"
+        f"Inoue data: N = [[{n11}, {n12}], [{n21}, {n22}]], "
+        f"(p, q) = ({p}, {q}), alpha = {inoue.alpha.reduced_str()}"
         f" ~ {float(inoue.alpha):.6f}"
     )
     if report.oracle_checked:
@@ -349,7 +365,7 @@ def render_report(report: AutReport) -> str:
         lines.append("oracle: skipped (--no-oracle)")
     if report.double_r is not None:
         lines.append(
-            f"double-r cross-check (r = {2 * params.r}): order "
+            f"double-r cross-check (r = {doubled[0]}): order "
             f"{report.double_r.order}, {report.double_r.structure.describe()}"
         )
     return "\n".join(lines)
@@ -360,16 +376,15 @@ def render_report(report: AutReport) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     params = load_param_file(args.file)
-    report = automorphism_report(
-        params,
-        run_oracle=not args.no_oracle,
-        with_double_r=args.double_r,
-        machine=args.machine,
-    )
-    if args.machine:
-        print(dump_machine(report))
-    else:
-        print(render_report(report))
+    report = automorphism_report(params, False, args.double_r)
+    if not args.no_oracle:  # marked checked now: nothing prints if the check fails
+        require_oracle_size(report.q.ambient)
+        report = report._replace(oracle_checked=True)
+    # the output, with every refusal to print, comes before the slow check
+    text = dump_machine(report) if args.machine else render_report(report)
+    if not args.no_oracle:
+        components.oracle_crosscheck(params, report.q)
+    print(text)
     return 0
 
 

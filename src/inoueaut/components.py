@@ -15,7 +15,7 @@ from itertools import chain, repeat
 from math import gcd, lcm
 from operator import itemgetter
 
-from .exactnum import ValueTooLargeError, _Record, _decimal_digits, format_quads
+from .exactnum import ValueTooLargeError, _Record, _decimal_digits
 from .lattice import IntMatrix, InternalConsistencyError, LatticeQuotient
 from .quadfield import FieldElement
 from .surfacegroup import (
@@ -650,6 +650,16 @@ def require_standard_form(params: SurfaceParams) -> None:
     raise StandardFormError("a conjugate g0 g_i g0^{-1} leaves <g3>")
 
 
+def require_oracle_size(ambient: AmbientGroup) -> None:
+    """Raises ValueTooLargeError when H is too large for the oracle check."""
+    if ambient.order > ORACLE_LIMIT:
+        raise ValueTooLargeError(
+            f"value too large for the oracle: the ambient group has "
+            f"{_elements(ambient.order)}, more than {ORACLE_LIMIT} (--no-oracle "
+            f"skips the oracle)"
+        )
+
+
 def _member_keys(params: SurfaceParams, ambient: AmbientGroup) -> list[int]:
     """Keys of the members of H, in order: one membership form per unit
     power over the Smith basis (the surface's part of the forms built once),
@@ -862,46 +872,24 @@ class AutReport(
 
 
 def automorphism_report(
-    params: SurfaceParams,
-    run_oracle: bool = True,
-    with_double_r: bool = False,
-    machine: bool = False,
+    params: SurfaceParams, run_oracle: bool = True, with_double_r: bool = False
 ) -> AutReport:
     """Runs the whole pipeline: standard form gate, ambient group, component
-    group, bound, classical-data export, and (optionally) the oracle check
-    and the doubled-r cross-check for odd r.  With machine (--machine), the
-    Inoue values the JSON writes are checked for printing too, and each
-    Cayley table is built (or refused, exit 3) once its group is known."""
+    group, the oracle's size gate, classical-data export, the doubled-r
+    group when asked for and, last, the oracle check.  It formats nothing:
+    the CLI builds its report text before it runs the check itself."""
     q = component_group(params)
-    ambient = q.ambient
-    if run_oracle and ambient.order > ORACLE_LIMIT:
-        raise ValueTooLargeError(
-            f"value too large for the oracle: the ambient group has "
-            f"{_elements(ambient.order)}, more than {ORACLE_LIMIT} (--no-oracle "
-            f"skips the oracle)"
-        )
-    inoue = to_inoue_data(params)
-    # N, p, q and the doubled r grow with the input, and so do the Inoue
-    # values --machine writes: one with more digits than the interpreter
-    # converts to text is refused (exit 3) here, before the oracle check,
-    # rather than when the report is written
-    doubled = (2 * params.r,) if with_double_r else ()
-    numbers = (*inoue.matrix[0], *inoue.matrix[1], inoue.p, inoue.q, *doubled)
-    format_quads(zip(numbers, repeat(0)), 1, "")
-    if machine:
-        a_b_c = (inoue.a1, inoue.a2, inoue.b1, inoue.b2, inoue.c1, inoue.c2)
-        list(map(str, (inoue.alpha, *a_b_c, inoue.d)))
-        q.table
     if run_oracle:
-        oracle_crosscheck(params, q)
+        require_oracle_size(q.ambient)
+    inoue = to_inoue_data(params)
     double_r = None
     if with_double_r:
         doubled = SurfaceParams(
             params.field, 2 * params.r, params.x1, params.x2, params.e, params.t
         )
-        double_r = component_group(doubled, ambient)  # H does not depend on r
-        if machine:
-            double_r.table
+        double_r = component_group(doubled, q.ambient)  # H does not depend on r
+    if run_oracle:
+        oracle_crosscheck(params, q)
     return AutReport(
         params=params,
         q=q,

@@ -16,7 +16,6 @@ from .exactnum import (
     Scalar,
     _FrozenRecord,
     format_quad,
-    is_perfect_square,
     parse_surd,
 )
 
@@ -35,10 +34,7 @@ class FieldDescriptor(_FrozenRecord):
             raise ValueError(
                 f"theta must be >= {min_theta} for c0 = {self.c0:+d}, got {self.theta}"
             )
-        # Unreachable given the bounds above, but a square delta would make
-        # the minimal polynomial reducible, so fail loudly rather than degrade.
-        if self.delta <= 0 or is_perfect_square(self.delta):
-            raise ValueError(f"theta**2 - 4*c0 = {self.delta} is not usable")
+        # so delta > 0 is no square (theta^2 - 4 is one only at 2, theta^2 + 4 at 0)
 
     @property
     def delta(self) -> int:

@@ -459,14 +459,15 @@ def test_machine_refuses_a_table_before_the_oracle(capsys, monkeypatch):
     assert (rc, captured.out) == (3, "")
     assert captured.err.count("\n") == 1 and str(refused.value) in captured.err
     assert calls == Counter()
-    # the doubled-r table is refused once its group is built, before the JSON
+    # the doubled-r table is refused too, before the oracle check and before
+    # any coset rep is formatted
     doubled = str(GOLDEN / "minus_theta4_r1.params")  # doubled |Q| = 12
     monkeypatch.setattr(components, "TABLE_LIMIT", 143)
     rc = main(["analyze", "--machine", "--double-r", doubled])
     captured = capsys.readouterr()
     assert (rc, captured.out) == (3, "")
     assert "144 entries, more than 143" in captured.err
-    assert calls["rep_texts"] == 0
+    assert calls == Counter()
     # the text report builds no table, and its oracle check still runs
     monkeypatch.setattr(components, "TABLE_LIMIT", 15)
     assert main(["analyze", path]) == 0

@@ -238,6 +238,38 @@ def test_machine_inoue_values_are_refused_before_the_oracle(tmp_path, monkeypatc
     assert rc == 0 and f"x1 = {x}" in out and calls
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter converts integers of any size to text",
+)
+def test_coset_rep_too_long_to_print_is_refused_before_the_oracle(
+    tmp_path, monkeypatch
+):
+    # analyze builds its whole output before the oracle check.  The text
+    # report refuses a coset rep of about 4300 digits; --machine refuses an
+    # Inoue value of about 4301 digits first (integers, then alpha...d, then
+    # the tables, then the coset reps).  Neither calls the oracle.
+    calls = []
+    oracle = components.normalizer_oracle
+
+    def counted(*args):
+        calls.append(args)
+        return oracle(*args)
+
+    monkeypatch.setattr(components, "normalizer_oracle", counted)
+    x = 10**4298
+    path = tmp_path / "big.params"
+    path.write_text(
+        param_text(theta="2000", r="2", x1=str(x), x2=f"{x}*u"), encoding="utf-8"
+    )
+    for flags, digits in (((), 4300), (("--double-r",), 4300), (("--machine",), 4301)):
+        rc, out, err = run(path, *flags)
+        assert (rc, out, len(calls)) == (3, "", 0), flags
+        assert err == (
+            f"value too large to print: a number of about {digits} decimal digits\n"
+        ), flags
+
+
 @pytest.mark.parametrize("newline", ["\r\n", "\r"])
 def test_other_line_endings_read_as_newlines(tmp_path, newline):
     path = tmp_path / "lines.params"
